@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bimodule, boundary, picard, schellekens, twining
 from .affine import ModularData, modular_data, t_matrix
-from .cache import cache_store, canonical_json
+from .cache import cache_key, cache_store, canonical_json
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, PhiUnavailable, WzwError
 
@@ -401,7 +401,7 @@ class Battery:
             if out1.getvalue() != out2.getvalue():
                 ok = False
                 notes.append("repeated invocations differ")
-            path = Path(tmp) / "A-1-4.json"
+            path = Path(tmp) / cache_key("A", 1, 4)
             if not path.is_file():
                 ok = False
                 notes.append("cache file missing")

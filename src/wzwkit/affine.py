@@ -10,16 +10,20 @@ Conventions:
   sum(comark_i * label_i) <= k, sorted lexicographically (vacuum first).
 * Conformal weights h, the central charge c and all T-data are exact
   rationals; the S-matrix and the fusion tensor are double precision.
-* S is computed from the Weyl sum
-      Shat[L, M] = sum_w det(w) exp(-2 pi i (w(L+rho), M+rho) / (k+hv))
-  and normalized by unitarity with S[0,0] real positive, which avoids the
-  lattice-index prefactor entirely.
+* S is the Kac-Peterson sum
+      Shat[L, M] = sum_w det(w) exp(-2 pi i (w(L+rho), M+rho) / (k+hv)),
+  normalized by unitarity with S[0,0] real positive, which avoids the
+  lattice-index prefactor entirely.  W is never enumerated: the sum is split
+  over the cosets c W_J of a classical subsystem J (the whole diagram for
+  A-D, a maximal parabolic for E, F and G), and each W_J sum is a
+  determinant in orthogonal coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -280,24 +284,32 @@ def weyl_order(t: SimpleLieType) -> int:
     return {"E": {6: 51840, 7: 2903040, 8: 696729600}, "F": {4: 1152}, "G": {2: 12}}[t.series][n]
 
 
+def _check_weyl_cap(t: SimpleLieType, config: Config) -> int:
+    """|W|, or GroupTooLarge when it exceeds config.weyl_cap."""
+    order = weyl_order(t)
+    if order > config.weyl_cap:
+        raise GroupTooLarge(f"|W({t})| = {order} exceeds cap {config.weyl_cap}")
+    return order
+
+
+def _simple_reflections(rs: RootSystem) -> list[np.ndarray]:
+    """s_j as integer matrices on Dynkin labels: s_j(lam) = lam - lam_j alpha_j."""
+    gens = []
+    for j in range(rs.rank):
+        m = np.eye(rs.rank, dtype=np.int64)
+        m[:, j] -= rs.cartan[j]
+        gens.append(m)
+    return gens
+
+
 def weyl_group(rs: RootSystem, config: Config = DEFAULT_CONFIG) -> WeylGroup:
     """Generate W by closure over simple reflections; cap at config.weyl_cap.
 
     The order formula gates the enumeration up front and validates it after.
     """
-    expected = weyl_order(rs.lie_type)
-    if expected > config.weyl_cap:
-        raise GroupTooLarge(
-            f"|W({rs.lie_type})| = {expected} exceeds cap {config.weyl_cap}"
-        )
-    n = rs.rank
-    gens = []
-    for j in range(n):
-        m = np.eye(n, dtype=np.int64)
-        for i in range(n):
-            m[i, j] -= rs.cartan[j][i]
-        gens.append(m)
-    identity = np.eye(n, dtype=np.int64)
+    expected = _check_weyl_cap(rs.lie_type, config)
+    gens = _simple_reflections(rs)
+    identity = np.eye(rs.rank, dtype=np.int64)
     seen: dict[bytes, int] = {identity.tobytes(): 1}
     elements = [identity]
     signs = [1]
@@ -393,19 +405,122 @@ def central_charge(ld: LevelData) -> Fraction:
     return Fraction(ld.level * rs.dimension, ld.level + rs.dual_coxeter)
 
 
+def _classical_subsystem(t: SimpleLieType) -> tuple[int | None, SimpleLieType, tuple[int, ...]]:
+    """(removed node p, type of J, the nodes of t in J's node order).
+
+    J is the whole diagram for the classical series (p is None).  Otherwise it
+    is the diagram minus node p: E_n minus node 0 is D_{n-1} read from the end
+    of the long arm, F4 minus its short end is B3, and G2 minus its short node
+    is the long-root A1.
+    """
+    if t.series in "ABCD":
+        return None, t, tuple(range(t.rank))
+    if t.series == "E":
+        return 0, SimpleLieType("D", t.rank - 1), tuple(range(t.rank - 1, 0, -1))
+    if t.series == "F":
+        return 3, SimpleLieType("B", 3), (0, 1, 2)
+    return 0, SimpleLieType("A", 1), (1,)
+
+
+def _orthogonal_embedding(t: SimpleLieType) -> tuple[np.ndarray, int]:
+    """Integer coordinates E of the fundamental weights (rows) and a divisor d.
+
+    (lam, mu) = (lam E) . (mu E) / d for B, C and D, where W acts by signed
+    permutations of the coordinates.  For A_r the coordinates are those of
+    R^(r+1) before projecting out (1, ..., 1), so the pairing is off by a
+    W-invariant term and W acts by permutations.
+    """
+    n = t.rank
+    tri = np.tril(np.ones((n, n), dtype=np.int64))  # row i: omega_i = e_1 + ... + e_(i+1)
+    if t.series == "A":
+        return np.hstack([tri, np.zeros((n, 1), dtype=np.int64)]), 1
+    if t.series == "C":  # long roots 2 e_a of length 2, so (e_a, e_a) = 1/2
+        return tri, 2
+    emb = 2 * tri  # B and D: orthonormal e_a, doubled to keep spinor weights integral
+    emb[-1] = 1
+    if t.series == "D":
+        emb[-2] = 1
+        emb[-2, -1] = -1
+    return emb, 4
+
+
+def _alternating_sum(series: str, theta: np.ndarray) -> np.ndarray:
+    """sum_u det(u) exp(-i sum_a theta[a, u(a)]) over the classical Weyl group.
+
+    theta[..., a, b] = 2 pi x_a z_b / kappa; W(A) permutes coordinates, W(B) and
+    W(C) also flip any signs, W(D) an even number of them.
+    """
+    if series == "A":
+        return np.linalg.det(np.exp(-1j * theta))
+    odd = np.linalg.det(-2j * np.sin(theta))
+    if series in "BC":
+        return odd
+    return 0.5 * (np.linalg.det(2 * np.cos(theta)) + odd)
+
+
+def _coset_representatives(rs: RootSystem, node: int | None) -> list[tuple[np.ndarray, int]]:
+    """(c^-1, det c) for one c in each coset c W_J, W_J the stabiliser of omega_node.
+
+    Breadth-first search over the W-orbit of omega_node; c^-1 acts on labels.
+    """
+    eye = np.eye(rs.rank, dtype=np.int64)
+    if node is None:
+        return [(eye, 1)]
+    gens = _simple_reflections(rs)
+    reps = {tuple(eye[node]): (eye, 1)}
+    frontier = list(reps)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            cinv, sign = reps[v]
+            for g in gens:
+                w = tuple(g @ v)
+                if w not in reps:
+                    reps[w] = (cinv @ g, -sign)
+                    nxt.append(w)
+        frontier = nxt
+    return list(reps.values())
+
+
+def _longest_element_is_minus_one(t: SimpleLieType) -> bool:
+    """w0 = -1, so conjugation is trivial and S is real."""
+    return not ((t.series == "A" and t.rank > 1) or (t.series == "D" and t.rank % 2)
+                or (t.series == "E" and t.rank == 6))
+
+
+# Names the algorithm behind kac_peterson_S.  Cache file names carry it, so S
+# matrices that differ from these in the last bits are never served.
+S_ALGORITHM = "kpdet"
+
+
 def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Unitary symmetric S-matrix from the Weyl sum, S[0,0] real positive."""
+    """Unitary symmetric S-matrix from the Kac-Peterson sum, S[0,0] real positive.
+
+    Shat = sum_c det(c) exp(-2 pi i (x, c^-1 y)_rest / kappa) D_J(x, c^-1 y), with
+    x = L + rho, y = M + rho, c over W/W_J, D_J the determinant form of the
+    W_J sum and (.,.)_rest the W_J-invariant rest of the pairing.  Every phase
+    is reduced modulo its period in integers before the exponential.
+    """
     rs = ld.root_system
-    w = weyl_group(rs, config)
-    n = len(ld.weights)
-    shifted = np.array(ld.weights, dtype=np.int64) + 1  # Lambda + rho
-    form = np.array([[float(x) for x in row] for row in rs.quadratic_form])
+    order = _check_weyl_cap(ld.lie_type, config)
+    removed, sub, nodes = _classical_subsystem(ld.lie_type)
+    cosets = _coset_representatives(rs, removed)
+    assert len(cosets) * weyl_order(sub) == order, "W_J is not the stabiliser of omega_p"
+    emb, d = _orthogonal_embedding(sub)
+    den = lcm(d, *(f.denominator for row in rs.quadratic_form for f in row))
+    form = np.array([[int(f * den) for f in row] for row in rs.quadratic_form])
     kappa = ld.level + rs.dual_coxeter
-    fp = form @ shifted.T  # (rank, n)
+    n = len(ld.weights)
+    x = np.array(ld.weights, dtype=np.int64) + 1  # Lambda + rho
+    xe = x[:, nodes] @ emb
     shat = np.zeros((n, n), dtype=np.complex128)
-    for mat, sign in w:
-        pairings = (shifted @ mat.T) @ fp  # (n, n)
-        shat += sign * np.exp(-2j * np.pi * pairings / kappa)
+    for cinv, sign in cosets:
+        cy = x @ cinv.T  # c^-1 (M + rho), one row per M
+        ye = cy[:, nodes] @ emb
+        rest = (x @ form @ cy.T - (den // d) * (xe @ ye.T)) % (den * kappa)
+        prod = (xe[:, None, :, None] * ye[None, :, None, :]) % (d * kappa)
+        theta = (2 * np.pi / (d * kappa)) * prod
+        shat += sign * np.exp((-2j * np.pi / (den * kappa)) * rest) * _alternating_sum(sub.series, theta)
     gram = shat @ shat.conj().T
     scale = float(np.mean(np.real(np.diag(gram))))
     if scale <= 0 or np.max(np.abs(gram - scale * np.eye(n))) > config.tolerance * max(scale, 1.0):
@@ -417,6 +532,10 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
     if abs(z) < config.tolerance:
         raise NormalizationFailure("vanishing vacuum-vacuum entry")
     s = s * (abs(z) / z)
+    if _longest_element_is_minus_one(ld.lie_type):
+        if np.max(np.abs(s.imag)) > config.tolerance:
+            raise NormalizationFailure("S of a self-conjugate algebra is not real")
+        s = s.real.astype(np.complex128)
     if np.max(np.abs(s - s.T)) > config.tolerance:
         raise NormalizationFailure("normalized S is not symmetric")
     if np.max(np.abs(s @ s.conj().T - np.eye(n))) > config.tolerance:
@@ -425,31 +544,43 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
 
 
 def verlinde_fusion(s: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m, rounded and checked."""
-    weights_axis = s[0]
-    raw = np.einsum("im,jm,km,m->ijk", s, s, s.conj(), 1.0 / weights_axis)
-    rounded = np.rint(np.real(raw))
-    err = np.max(np.abs(raw - rounded))
-    if err > config.integrality_tolerance:
+    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m, rounded and checked.
+
+    Slice i is the matrix product (S diag(S_i / S_0)) S^dagger, in real
+    arithmetic when S is real.  Each slice is rounded as it is made, so the
+    result is the only n^3 array.
+    """
+    if not s.imag.any():
+        s = s.real
+    n = len(s)
+    sdag = s.conj().T
+    fusion = np.empty((n, n, n), dtype=np.int64)
+    errs = np.empty(n)
+    for i, ratio in enumerate(s / s[0]):
+        raw = (s * ratio) @ sdag
+        rounded = np.rint(raw.real)
+        errs[i] = np.max(np.abs(raw - rounded))
+        fusion[i] = rounded
+    err = np.max(errs)
+    if not err <= config.integrality_tolerance:  # also rejects NaN
         raise NonIntegerFusion(f"fusion deviates from integers by {err:.3e}")
-    if np.min(rounded) < 0:
-        i, j, k = np.unravel_index(int(np.argmin(rounded)), rounded.shape)
-        raise NegativeFusion(f"N[{i},{j},{k}] = {rounded[i, j, k]}")
-    return rounded.astype(np.int64)
+    if np.min(fusion) < 0:
+        i, j, k = np.unravel_index(int(np.argmin(fusion)), fusion.shape)
+        raise NegativeFusion(f"N[{i},{j},{k}] = {fusion[i, j, k]}")
+    return fusion
 
 
 def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
     """The permutation C with S^2 = C entrywise, as i -> i_bar."""
-    c = np.real(s @ s)
+    s2 = s @ s
+    c = np.real(s2)
     n = len(c)
     perm = []
     for i in range(n):
-        row = c[i]
-        j = int(np.argmax(row))
-        ok = abs(row[j] - 1.0) < config.tolerance
-        ok = ok and np.max(np.abs(np.delete(row, j))) < config.tolerance
-        ok = ok and np.max(np.abs(np.imag((s @ s)[i]))) < config.tolerance
-        if not ok:
+        j = int(np.argmax(c[i]))
+        unit = np.arange(n) == j
+        if not (np.max(np.abs(c[i] - unit)) < config.tolerance
+                and np.max(np.abs(np.imag(s2[i]))) < config.tolerance):
             raise NotAPermutation(f"row {i} of S^2 is not a permutation row")
         perm.append(j)
     if sorted(perm) != list(range(n)) or perm[vacuum] != vacuum:
@@ -558,9 +689,10 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
     """Rebuild a ModularData from its JSON document.
 
     Only the S-matrix is taken on trust from the document (it is the one
-    expensive quantity, being a Weyl sum); every other field is recomputed
-    from scratch or re-derived from S and compared, so a tampered or stale
-    document is rejected with ValueError rather than silently served.
+    expensive quantity, being the Kac-Peterson sum); every other field is
+    recomputed from scratch or re-derived from S and compared, so a tampered
+    or stale document is rejected with ValueError rather than silently
+    served.
     """
     t = SimpleLieType(doc["series"], doc["rank"])
     ld = integrable_weights(t, doc["level"], config)

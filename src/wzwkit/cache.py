@@ -1,8 +1,9 @@
 """On-disk cache of modular-data documents.
 
-One canonical JSON file per (series, rank, level), written atomically; a
-stored document is byte-identical on re-store.  Corruption is not fatal: the
-caller recomputes and overwrites, with a warning on standard error.
+One canonical JSON file per (series, rank, level) and S algorithm, written
+atomically; a stored document is byte-identical on re-store.  Corruption is
+not fatal: the caller recomputes and overwrites, with a warning on standard
+error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .affine import ModularData, modular_data_from_doc, modular_data_to_doc
+from .affine import S_ALGORITHM, ModularData, modular_data_from_doc, modular_data_to_doc
 from .config import Config, DEFAULT_CONFIG
 
 
@@ -27,7 +28,9 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(series: str, rank: int, level: int) -> str:
-    return f"{series}-{rank}-{level}.json"
+    """File name of a cached document, tagged with the S algorithm; files of
+    another algorithm (or of none, as written before the tag) are never read."""
+    return f"{series}-{rank}-{level}.{S_ALGORITHM}.json"
 
 
 def canonical_json(doc: dict) -> str:

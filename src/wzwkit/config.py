@@ -13,7 +13,8 @@ class Config:
                             symmetry, commutators, ratio spreads)
     integrality_tolerance -- how far a Verlinde coefficient may sit from an
                             integer before it is an error
-    weyl_cap             -- refuse to enumerate Weyl groups larger than this
+    weyl_cap             -- refuse algebras whose Weyl group is larger than
+                            this (checked from |W|; W is not enumerated)
     rank_cap             -- refuse to build root systems of larger rank
     """
 

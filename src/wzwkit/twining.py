@@ -145,7 +145,10 @@ def twining_S(md: ModularData, pg: PicardGroup, a: int, config: Config = DEFAULT
     if fold.folded_rank == 0:
         matrix = np.ones((1, 1), dtype=np.complex128)
     else:
-        s_f = kac_peterson_S(fold.folded_level_data, config)
+        if fold.folded_level_data is md.level_data:  # identity fold: S^w is S
+            s_f = md.s_matrix
+        else:
+            s_f = kac_peterson_S(fold.folded_level_data, config)
         rows = [fold.weight_map[i] for i in fixed]
         matrix = s_f[np.ix_(rows, rows)]
     anchor = min(range(len(fixed)), key=lambda r: (md.conformal_weights[fixed[r]], fixed[r]))

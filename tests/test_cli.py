@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wzwkit.cache import cache_key
 from wzwkit.cli import run
 
 
@@ -57,7 +58,7 @@ def test_cache_hit_and_corruption(capsys, tmp_path):
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path)]
     code, out1 = _run(capsys, argv)
     assert code == 0
-    path = tmp_path / "A-1-3.json"
+    path = tmp_path / cache_key("A", 1, 3)
     assert path.is_file()
     blob = path.read_bytes()
     code, out2 = _run(capsys, argv)  # hit
@@ -77,7 +78,7 @@ def test_tampered_cache_is_recomputed(capsys, tmp_path):
     round-trip check and is rebuilt."""
     argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
     _run(capsys, argv)
-    path = tmp_path / "A-1-2.json"
+    path = tmp_path / cache_key("A", 1, 2)
     doc = json.loads(path.read_text())
     doc["conformalWeights"][1] = "1/7"
     path.write_text(json.dumps(doc, separators=(",", ":")))
@@ -93,7 +94,7 @@ def test_no_cache_flag(capsys, tmp_path):
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path), "--no-cache"]
     code, _ = _run(capsys, argv)
     assert code == 0
-    assert not (tmp_path / "A-1-3.json").exists()
+    assert not (tmp_path / cache_key("A", 1, 3)).exists()
 
 
 def test_user_error_exit_codes(capsys, tmp_path):
@@ -160,4 +161,18 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WZWKIT_CACHE_DIR", str(tmp_path / "envcache"))
     code, _ = _run(capsys, ["modular-data", "A1", "2"])
     assert code == 0
-    assert (tmp_path / "envcache" / "A-1-2.json").is_file()
+    assert (tmp_path / "envcache" / cache_key("A", 1, 2)).is_file()
+
+
+def test_untagged_cache_file_is_ignored(capsys, tmp_path):
+    """A file named without the S-algorithm tag, as written by older
+    versions, is neither read nor reported as corrupted."""
+    argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path)]
+    (tmp_path / "A-1-3.json").write_text("{not json")
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "corrupted" not in captured.err
+    assert json.loads(captured.out)["payload"]["centralCharge"] == "9/5"
+    assert (tmp_path / cache_key("A", 1, 3)).is_file()
+    assert (tmp_path / "A-1-3.json").read_text() == "{not json"

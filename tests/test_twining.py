@@ -99,6 +99,18 @@ def test_twining_trivial_element_is_s(md_of, pic_of):
     assert np.max(np.abs(tsm.matrix - md.s_matrix)) < 1e-12
 
 
+def test_identity_fold_reuses_s(md_of, pic_of, monkeypatch):
+    from wzwkit import twining
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("S recomputed for the identity fold")
+
+    monkeypatch.setattr(twining, "kac_peterson_S", recompute)
+    md = md_of("D4", 2)
+    tsm = twining_S(md, pic_of("D4", 2), 0)
+    assert np.array_equal(tsm.matrix, md.s_matrix)
+
+
 def test_twining_requires_fixed_points(md_of, pic_of):
     with pytest.raises(ValueError):
         twining_S(md_of("A1", 5), pic_of("A1", 5), 1)
