@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bimodule, boundary, picard, schellekens, twining
-from .affine import ModularData, modular_data, t_matrix
+from .affine import ModularData, modular_data, modular_data_to_doc, t_matrix
 from .cache import cache_key, cache_store, canonical_json
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, PhiUnavailable, WzwError
@@ -408,7 +408,7 @@ class Battery:
             else:
                 before = path.read_bytes()
                 md = self.md("A1", 4)
-                cache_store(Path(tmp), md)
+                cache_store(Path(tmp), modular_data_to_doc(md))
                 if path.read_bytes() != before:
                     ok = False
                     notes.append("re-store is not byte-identical")

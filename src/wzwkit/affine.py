@@ -656,6 +656,13 @@ def t_matrix(md: ModularData) -> np.ndarray:
 # --- JSON document (cache format and CLI payload) ---------------------------
 
 
+def _fusion_quads(fusion: np.ndarray) -> list[list[int]]:
+    """The nonzero entries as [i, j, k, N_ij^k], sorted lexicographically
+    (argwhere walks the tensor in C order)."""
+    idx = np.argwhere(fusion)
+    return np.column_stack((idx, fusion[tuple(idx.T)])).tolist()
+
+
 def modular_data_to_doc(md: ModularData) -> dict:
     """Serialize to the canonical JSON document.
 
@@ -663,10 +670,6 @@ def modular_data_to_doc(md: ModularData) -> dict:
     are [re, im] pairs and the fusion tensor is a sparse sorted quadruple list.
     """
     s = md.s_matrix
-    quads = [
-        [int(i), int(j), int(k), int(md.fusion[i, j, k])]
-        for i, j, k in sorted(zip(*np.nonzero(md.fusion)))
-    ]
     return {
         "schemaVersion": 1,
         "series": md.level_data.lie_type.series,
@@ -678,10 +681,10 @@ def modular_data_to_doc(md: ModularData) -> dict:
         "centralCharge": format_rational(md.central_charge),
         "conformalWeights": [format_rational(h) for h in md.conformal_weights],
         "tExponents": [format_rational(x) for x in md.t_exponents],
-        "quantumDims": [float(x) for x in md.quantum_dims],
+        "quantumDims": md.quantum_dims.tolist(),
         "conjugation": [int(x) for x in md.conjugation],
-        "sMatrix": [[[float(z.real), float(z.imag)] for z in row] for row in s],
-        "fusion": quads,
+        "sMatrix": np.stack((s.real, s.imag), -1).tolist(),
+        "fusion": _fusion_quads(md.fusion),
     }
 
 
@@ -711,17 +714,16 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
     if [format_rational(x) for x in ts] != doc["tExponents"]:
         raise ValueError("stored T-exponents do not match")
     n = len(ld)
-    s = np.array([[complex(re, im) for re, im in row] for row in doc["sMatrix"]])
-    if s.shape != (n, n):
+    pairs = np.asarray(doc["sMatrix"], dtype=np.float64)
+    if pairs.shape != (n, n, 2):
         raise ValueError("stored S-matrix has the wrong shape")
+    s = pairs.view(np.complex128)[..., 0]  # exact, signed zeros included
     if np.max(np.abs(s - s.T)) > config.tolerance:
         raise ValueError("stored S-matrix is not symmetric")
     if np.max(np.abs(s @ s.conj().T - np.eye(n))) > config.tolerance:
         raise ValueError("stored S-matrix is not unitary")
     fusion = verlinde_fusion(s, config)
-    quads = [[int(i), int(j), int(k), int(fusion[i, j, k])]
-             for i, j, k in sorted(zip(*np.nonzero(fusion)))]
-    if quads != [list(q) for q in doc["fusion"]]:
+    if _fusion_quads(fusion) != [list(q) for q in doc["fusion"]]:
         raise ValueError("stored fusion tensor disagrees with the stored S-matrix")
     conj = conjugation_from_S(s, ld.vacuum_index, config)
     if list(conj) != list(doc["conjugation"]):

@@ -1,9 +1,11 @@
 """On-disk cache of modular-data documents.
 
 One canonical JSON file per (series, rank, level) and S algorithm, written
-atomically; a stored document is byte-identical on re-store.  Corruption is
-not fatal: the caller recomputes and overwrites, with a warning on standard
-error.
+atomically; a stored document is byte-identical on re-store.  The caller
+builds the document (``modular_data_to_doc``) and passes it to
+``cache_store``, so a cache miss can write and report one and the same
+document.  Corruption is not fatal: the caller recomputes and overwrites,
+with a warning on standard error.
 """
 
 from __future__ import annotations
@@ -56,12 +58,12 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         return None
 
 
-def cache_store(cache_dir: Path, md: ModularData) -> Path:
-    """Write the document atomically (write-to-temp plus rename)."""
+def cache_store(cache_dir: Path, doc: dict) -> Path:
+    """Write a modular_data_to_doc document atomically (write-to-temp plus
+    rename) under the key of its series, rank and level; return the path."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    t = md.level_data.lie_type
-    path = cache_dir / cache_key(t.series, t.rank, md.level_data.level)
-    payload = canonical_json(modular_data_to_doc(md))
+    path = cache_dir / cache_key(doc["series"], doc["rank"], doc["level"])
+    payload = canonical_json(doc)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

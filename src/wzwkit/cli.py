@@ -1,14 +1,16 @@
 """Command-line front end.
 
-One JSON report per invocation on standard output; human-readable tables only
-behind --pretty.  Exit codes: 0 success, 2 user error, 3 mathematical-check
-failure under --strict (selftest is always strict).
+One JSON report per invocation on standard output, byte-identical to
+``json.dumps(report, indent=2)`` and streamed by ``jsonout``; human-readable
+tables only behind --pretty.  A modular-data cache miss builds the document
+once and writes the same one to the cache and to the report.  Exit codes:
+0 success, 2 user error, 3 mathematical-check failure under --strict
+(selftest is always strict).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from math import isqrt
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bimodule, boundary, picard, schellekens, twining
+from . import bimodule, boundary, jsonout, picard, schellekens, twining
 from .affine import ModularData, modular_data, modular_data_to_doc, parse_lie_type, t_matrix
 from .cache import cache_lookup, cache_store, default_cache_dir
 from .config import Config
@@ -83,22 +85,24 @@ def _config(args: argparse.Namespace) -> Config:
     )
 
 
-def _get_modular_data(args: argparse.Namespace, config: Config) -> ModularData:
+def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[ModularData, dict | None]:
+    """The modular data, and on a cache miss the document built for the cache."""
     t = parse_lie_type(args.algebra, config)
     if args.level < 1:
         raise ValueError("level must be a positive integer")
     if args.no_cache:
-        return modular_data(t, args.level, config)
+        return modular_data(t, args.level, config), None
     cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
     hit = cache_lookup(cache_dir, t.series, t.rank, args.level, config)
     if hit is not None:
-        return hit
+        return hit, None
     md = modular_data(t, args.level, config)
+    doc = modular_data_to_doc(md)
     try:
-        cache_store(cache_dir, md)
+        cache_store(cache_dir, doc)
     except OSError as exc:
         print(f"wzwkit: cannot write cache ({exc})", file=sys.stderr)
-    return md
+    return md, doc
 
 
 def _check(name: str, passed: bool, margin: float | None) -> dict:
@@ -163,7 +167,7 @@ def _latex_partition(md: ModularData, z: schellekens.PartitionMatrix) -> str:
 # --- payload builders -----------------------------------------------------------
 
 
-def _cmd_modular_data(md: ModularData, args, config: Config):
+def _cmd_modular_data(md: ModularData, doc: dict | None, config: Config):
     s = md.s_matrix
     n = len(md)
     t = t_matrix(md)
@@ -175,7 +179,7 @@ def _cmd_modular_data(md: ModularData, args, config: Config):
         _check("s-unitary", uni < config.tolerance, uni),
         _check("st-cubed-is-s-squared", st < config.tolerance, st),
     ]
-    return modular_data_to_doc(md), checks
+    return (modular_data_to_doc(md) if doc is None else doc), checks
 
 
 def _cmd_picard(md: ModularData, args, config: Config):
@@ -506,7 +510,6 @@ def run(argv: list[str]) -> int:
         return 2
 
     handlers = {
-        "modular-data": _cmd_modular_data,
         "picard": _cmd_picard,
         "invariants": _cmd_invariants,
         "boundaries": _cmd_boundaries,
@@ -520,10 +523,14 @@ def run(argv: list[str]) -> int:
         if args.command == "selftest":
             payload, checks = _cmd_selftest(args, config)
         else:
-            md = _get_modular_data(args, config)
+            md, doc = _get_modular_data(args, config)
             t = md.level_data.lie_type
             input_blob = {"series": t.series, "rank": t.rank, "level": md.level_data.level}
-            payload, checks = handlers[args.command](md, args, config)
+            if args.command == "modular-data":
+                payload, checks = _cmd_modular_data(md, doc, config)
+            else:
+                del doc  # only modular-data reports the document
+                payload, checks = handlers[args.command](md, args, config)
     except WzwError as exc:
         print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -542,7 +549,7 @@ def run(argv: list[str]) -> int:
     if args.pretty:
         _print_pretty(report)
     else:
-        print(json.dumps(report, indent=2))
+        jsonout.write(report, sys.stdout)
     failed = any(not c["pass"] for c in checks)
     if failed and (args.strict or args.command == "selftest"):
         return 3

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from wzwkit import find_simple_currents, modular_data
+
+# Property tests draw the same examples on every run and never time out, so
+# the suite stays deterministic.
+settings.register_profile("wzwkit", derandomize=True, deadline=None, database=None)
+settings.load_profile("wzwkit")
 
 _md_cache = {}
 _pic_cache = {}

@@ -1,9 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from wzwkit.cache import cache_key
+from wzwkit import cache, cli
+from wzwkit.affine import modular_data_to_doc
+from wzwkit.cache import cache_key, canonical_json
 from wzwkit.cli import run
+from wzwkit.residues import format_rational
+
+from conftest import CATALOG
+
+# The modular-data queries of the benchmark's cache-miss workload.
+BENCHMARK_MISSES = [("A1", 80), ("A2", 12), ("C3", 6), ("E6", 3), ("D6", 2), ("A6", 3)]
 
 
 def _run(capsys, argv):
@@ -176,3 +185,75 @@ def test_untagged_cache_file_is_ignored(capsys, tmp_path):
     assert json.loads(captured.out)["payload"]["centralCharge"] == "9/5"
     assert (tmp_path / cache_key("A", 1, 3)).is_file()
     assert (tmp_path / "A-1-3.json").read_text() == "{not json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modular-data", "A2", "2"],
+    ["modular-data", "A1", "3", "--timing"],
+    ["picard", "A2", "3"],
+    ["invariants", "A1", "4"],
+    ["invariants", "A1", "4", "--latex"],
+    ["boundaries", "A1", "4"],
+    ["bimodules", "A2", "3"],
+    ["twining", "A3", "2"],
+    ["verify-conjecture", "A1", "4"],
+    ["selftest"],
+])
+def test_report_bytes_are_json_dumps_indent_2(capsys, tmp_path, argv):
+    """Every report, on a cache miss and on a hit, is exactly what
+    print(json.dumps(report, indent=2)) would write."""
+    for _ in range(2):
+        code, out = _run(capsys, argv + ["--cache-dir", str(tmp_path)])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
+    """A modular-data miss serializes once, and the cache file holds the
+    payload it reports."""
+    calls = []
+
+    def counted(md):
+        calls.append(md)
+        return modular_data_to_doc(md)
+
+    monkeypatch.setattr(cli, "modular_data_to_doc", counted)
+    monkeypatch.setattr(cache, "modular_data_to_doc", counted)
+    code, out = _run(capsys, ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)["payload"]
+    assert (tmp_path / cache_key("A", 2, 3)).read_text() == canonical_json(payload)
+
+
+def per_element_doc(md):
+    """The document built one element at a time, as the reference for the
+    vectorised modular_data_to_doc."""
+    quads = [
+        [int(i), int(j), int(k), int(md.fusion[i, j, k])]
+        for i, j, k in sorted(zip(*np.nonzero(md.fusion)))
+    ]
+    return {
+        "schemaVersion": 1,
+        "series": md.level_data.lie_type.series,
+        "rank": md.level_data.lie_type.rank,
+        "level": md.level_data.level,
+        "weights": [list(w) for w in md.weights],
+        "vacuumIndex": md.vacuum,
+        "dualCoxeter": md.level_data.root_system.dual_coxeter,
+        "centralCharge": format_rational(md.central_charge),
+        "conformalWeights": [format_rational(h) for h in md.conformal_weights],
+        "tExponents": [format_rational(x) for x in md.t_exponents],
+        "quantumDims": [float(x) for x in md.quantum_dims],
+        "conjugation": [int(x) for x in md.conjugation],
+        "sMatrix": [[[float(z.real), float(z.imag)] for z in row] for row in md.s_matrix],
+        "fusion": quads,
+    }
+
+
+@pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))
+def test_doc_matches_per_element_oracle(md_of, name, k):
+    md = md_of(name, k)
+    doc, want = modular_data_to_doc(md), per_element_doc(md)
+    assert doc == want
+    assert canonical_json(doc) == canonical_json(want)  # also tells -0.0 from 0.0

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from wzwkit import (
     verlinde_fusion,
 )
 from wzwkit.affine import t_matrix
+from wzwkit.cache import canonical_json
 from wzwkit.errors import (
     NonIntegerFusion,
     NormalizationFailure,
@@ -225,6 +227,16 @@ def test_json_round_trip(md_of):
     assert np.array_equal(back.s_matrix, md.s_matrix)
     assert back.conjugation == md.conjugation
     assert modular_data_to_doc(back) == doc
+
+
+def test_json_round_trip_keeps_signed_zeros(md_of):
+    """S of A2 at level 3 has imaginary parts -0.0; loading must keep them,
+    or a cache hit fails its canonical comparison."""
+    doc = json.loads(canonical_json(modular_data_to_doc(md_of("A2", 3))))
+    assert "-0.0]" in canonical_json(doc)
+    back = modular_data_from_doc(doc)
+    assert np.array_equal(np.signbit(back.s_matrix.imag), np.signbit(md_of("A2", 3).s_matrix.imag))
+    assert canonical_json(modular_data_to_doc(back)) == canonical_json(doc)
 
 
 def test_t_exponents_match_weights(md_of):
