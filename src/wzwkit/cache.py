@@ -4,8 +4,11 @@ One canonical JSON file per (series, rank, level) and S algorithm, written
 atomically; a stored document is byte-identical on re-store.  The caller
 builds the document (``modular_data_to_doc``) and passes it to
 ``cache_store``, so a cache miss can write and report one and the same
-document.  Corruption is not fatal: the caller recomputes and overwrites,
-with a warning on standard error.
+document.  A load checks that the file holds the document of its own key,
+takes S from it (symmetric and unitary), derives the rest, and requires
+the rebuilt document to serialize to the file's exact bytes; a hit returns
+that rebuilt document too, so it is built once.  Corruption is not fatal:
+the caller recomputes and overwrites, with a warning on standard error.
 """
 
 from __future__ import annotations
@@ -35,23 +38,38 @@ def cache_key(series: str, rank: int, level: int) -> str:
     return f"{series}-{rank}-{level}.{S_ALGORITHM}.json"
 
 
-def canonical_json(doc: dict) -> str:
+def canonical_json(doc) -> str:
     """The one serialization used for cache files and payload hashing."""
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
+def _first_difference(rebuilt: dict, doc: dict) -> str:
+    """Why a stored document is not the rebuilt one, naming the first key
+    whose canonical serialization differs."""
+    for key in dict.fromkeys([*rebuilt, *doc]):
+        if (key not in rebuilt or key not in doc
+                or canonical_json(rebuilt[key]) != canonical_json(doc[key])):
+            return f"stored {key!r} differs from the rebuilt document"
+    return "stored document is not in canonical form"
+
+
 def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
-                 config: Config = DEFAULT_CONFIG) -> ModularData | None:
-    """Return the cached modular data, or None on miss or corruption."""
+                 config: Config = DEFAULT_CONFIG) -> tuple[ModularData, dict] | None:
+    """Return the cached modular data and its document, or None on miss or
+    corruption."""
     path = cache_dir / cache_key(series, rank, level)
     if not path.is_file():
         return None
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+        doc = json.loads(text)
+        if cache_key(doc["series"], doc["rank"], doc["level"]) != path.name:
+            raise ValueError("stored series, rank or level does not match the file name")
         md = modular_data_from_doc(doc, config)
-        if canonical_json(modular_data_to_doc(md)) != canonical_json(doc):
-            raise ValueError("stored document is not canonical")
-        return md
+        rebuilt = modular_data_to_doc(md)
+        if canonical_json(rebuilt) != text:
+            raise ValueError(_first_difference(rebuilt, doc))
+        return md, rebuilt
     except Exception as exc:  # corrupted cache: recompute and overwrite
         print(f"wzwkit: cache file {path} is corrupted ({exc}); recomputing",
               file=sys.stderr)

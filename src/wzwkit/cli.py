@@ -3,7 +3,8 @@
 One JSON report per invocation on standard output, byte-identical to
 ``json.dumps(report, indent=2)`` and streamed by ``jsonout``; human-readable
 tables only behind --pretty.  A modular-data cache miss builds the document
-once and writes the same one to the cache and to the report.  Exit codes:
+once and writes the same one to the cache and to the report; a hit reports
+the document the cache lookup rebuilt to check the file.  Exit codes:
 0 success, 2 user error, 3 mathematical-check failure under --strict
 (selftest is always strict).
 """
@@ -29,7 +30,6 @@ from .errors import (
     PhiUnavailable,
     QuadraticFormViolation,
     SnapFailure,
-    UnsupportedFolding,
     WzwError,
 )
 from .residues import format_rational
@@ -86,7 +86,9 @@ def _config(args: argparse.Namespace) -> Config:
 
 
 def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[ModularData, dict | None]:
-    """The modular data, and on a cache miss the document built for the cache."""
+    """The modular data and its document, each built once: on a cache hit the
+    document the lookup rebuilt to check the file, on a miss the one written
+    to the cache, and None under --no-cache."""
     t = parse_lie_type(args.algebra, config)
     if args.level < 1:
         raise ValueError("level must be a positive integer")
@@ -95,7 +97,7 @@ def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[Modular
     cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
     hit = cache_lookup(cache_dir, t.series, t.rank, args.level, config)
     if hit is not None:
-        return hit, None
+        return hit
     md = modular_data(t, args.level, config)
     doc = modular_data_to_doc(md)
     try:
@@ -362,7 +364,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
         if fixed:
             try:
                 tsm = twining.twining_S(md, pg, a, config)
-            except (UnsupportedFolding, WzwError) as exc:
+            except WzwError as exc:
                 blob["note"] = f"{type(exc).__name__}: {exc}"
                 blobs.append(blob)
                 continue
@@ -405,7 +407,7 @@ def _cmd_verify_conjecture(md: ModularData, args, config: Config):
         tag = str(idx)
         try:
             rep = twining.verify_conjecture(md, ca.algebra, config)
-        except (UnsupportedFolding, WzwError) as exc:
+        except WzwError as exc:
             blobs.append({
                 "support": support,
                 "skipped": f"{type(exc).__name__}: {exc}",

@@ -1,28 +1,21 @@
 import pytest
 from hypothesis import settings
 
-from wzwkit import find_simple_currents, modular_data
+from wzwkit import find_simple_currents
+from wzwkit.acceptance import CATALOG, memo_modular_data  # noqa: F401 (test modules import CATALOG from here)
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite stays deterministic.
 settings.register_profile("wzwkit", derandomize=True, deadline=None, database=None)
 settings.load_profile("wzwkit")
 
-_md_cache = {}
 _pic_cache = {}
 
 
 @pytest.fixture(scope="session")
 def md_of():
-    """Session-cached modular data builder: md_of('A1', 4)."""
-
-    def build(name, level):
-        key = (name, level)
-        if key not in _md_cache:
-            _md_cache[key] = modular_data(name, level)
-        return _md_cache[key]
-
-    return build
+    """Memoized modular data builder, shared with selftest: md_of('A1', 4)."""
+    return memo_modular_data
 
 
 @pytest.fixture(scope="session")
@@ -37,12 +30,3 @@ def pic_of(md_of):
 
     return build
 
-
-CATALOG = (
-    [("A1", k) for k in range(1, 9)]
-    + [("A2", k) for k in range(1, 6)]
-    + [("A3", k) for k in range(1, 4)]
-    + [("B2", k) for k in range(1, 5)]
-    + [("G2", k) for k in range(1, 5)]
-    + [("D4", k) for k in range(1, 3)]
-)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wzwkit import cache, cli
-from wzwkit.affine import modular_data_to_doc
+from wzwkit.affine import modular_data, modular_data_to_doc
 from wzwkit.cache import cache_key, canonical_json
 from wzwkit.cli import run
 from wzwkit.residues import format_rational
@@ -82,21 +82,38 @@ def test_cache_hit_and_corruption(capsys, tmp_path):
     assert path.read_bytes() == blob  # rewritten cleanly
 
 
-def test_tampered_cache_is_recomputed(capsys, tmp_path):
-    """A cache file that parses but has been edited fails the canonical
-    round-trip check and is rebuilt."""
-    argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
-    _run(capsys, argv)
-    path = tmp_path / cache_key("A", 1, 2)
-    doc = json.loads(path.read_text())
+def _edited(**fields):
+    return lambda text: canonical_json({**json.loads(text), **fields})
+
+
+def _edited_conformal_weight(text):
+    doc = json.loads(text)
     doc["conformalWeights"][1] = "1/7"
-    path.write_text(json.dumps(doc, separators=(",", ":")))
+    return canonical_json(doc)
+
+
+@pytest.mark.parametrize("tamper", [
+    pytest.param(_edited_conformal_weight, id="conformal-weight"),
+    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 3))),
+                 id="another-level"),
+    pytest.param(_edited(rank=True), id="rank-true"),
+    pytest.param(_edited(vacuumIndex=0.0), id="vacuum-index-float"),
+    pytest.param(lambda text: json.dumps(json.loads(text)), id="whitespace"),
+])
+def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper):
+    """A cache file that parses but is not the document of its own key,
+    byte for byte, is reported as corrupted and rebuilt."""
+    argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
+    _, out = _run(capsys, argv)
+    payload = json.loads(out)["payload"]
+    path = tmp_path / cache_key("A", 1, 2)
+    path.write_text(tamper(path.read_text()))
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "corrupted" in captured.err
-    assert json.loads(captured.out)["payload"]["conformalWeights"][1] == "3/16"
-    assert json.loads(path.read_text())["conformalWeights"][1] == "3/16"
+    assert json.loads(captured.out)["payload"] == payload
+    assert path.read_text() == canonical_json(payload)
 
 
 def test_no_cache_flag(capsys, tmp_path):
@@ -224,6 +241,32 @@ def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     payload = json.loads(out)["payload"]
     assert (tmp_path / cache_key("A", 2, 3)).read_text() == canonical_json(payload)
+
+
+def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
+    """A modular-data hit builds its document once and serializes it once,
+    to compare with the file, and reports what the miss reported."""
+    argv = ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)]
+    _, miss = _run(capsys, argv)
+    docs, dumps = [], []
+
+    def counted_doc(md):
+        docs.append(md)
+        return modular_data_to_doc(md)
+
+    def counted_json(doc):
+        dumps.append(doc)
+        return canonical_json(doc)
+
+    monkeypatch.setattr(cli, "modular_data_to_doc", counted_doc)
+    monkeypatch.setattr(cache, "modular_data_to_doc", counted_doc)
+    monkeypatch.setattr(cache, "canonical_json", counted_json)
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""  # a hit, not a recompute
+    assert len(docs) == 1
+    assert len(dumps) <= 1
+    assert captured.out == miss
 
 
 def per_element_doc(md):

@@ -27,7 +27,7 @@ CENTER_ORDER = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
                 "G": lambda n: 1}
 
 
-@pytest.mark.parametrize("name,k", CATALOG + [("D3", 1), ("D3", 2), ("C3", 2), ("B3", 2), ("F4", 1)])
+@pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 1), ("D3", 2), ("C3", 2), ("B3", 2), ("F4", 1)])
 def test_picard_order_matches_center(name, k, pic_of):
     pg = pic_of(name, k)
     series, rank = name[0], int(name[1:])
@@ -116,7 +116,7 @@ def test_verify_quadratic_catches_corruption(pic_of, md_of):
         verify_quadratic(md_of("A1", 6), bad)
 
 
-@pytest.mark.parametrize("name,k", CATALOG + [("D3", 2), ("C3", 2), ("B3", 2)])
+@pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])
 def test_diagram_automorphism_reproduces_fusion(name, k, pic_of, md_of):
     """The catalog node permutation, pushed to level-k weights through the
     affine labels, must equal the fusion action of the current."""
