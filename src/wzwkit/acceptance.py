@@ -32,17 +32,6 @@ CATALOG: tuple[tuple[str, int], ...] = tuple(
     + [("D4", k) for k in range(1, 3)]
 )
 
-_MD_MEMO: dict[tuple[str, int, Config], ModularData] = {}
-
-
-def memo_modular_data(name: str, level: int, config: Config = DEFAULT_CONFIG) -> ModularData:
-    """modular_data(name, level, config), built once per process: the one memo
-    that selftest and the test suite share (ModularData is immutable)."""
-    key = (name, level, config)
-    if key not in _MD_MEMO:
-        _MD_MEMO[key] = modular_data(name, level, config)
-    return _MD_MEMO[key]
-
 
 @dataclass
 class CheckResult:
@@ -53,14 +42,21 @@ class CheckResult:
 
 
 class Battery:
-    """The eleven criterion runners, on memoized modular data."""
+    """Shared modular-data cache plus the eleven criterion runners."""
+
+    # One memo for every Battery in the process, and so for the test suite's
+    # md_of too; ModularData is immutable.
+    _md: dict[tuple[str, int, Config], ModularData] = {}
 
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
         self._pic: dict[tuple[str, int], picard.PicardGroup] = {}
 
     def md(self, name: str, level: int) -> ModularData:
-        return memo_modular_data(name, level, self.config)
+        key = (name, level, self.config)
+        if key not in self._md:
+            self._md[key] = modular_data(name, level, self.config)
+        return self._md[key]
 
     def pic(self, name: str, level: int) -> picard.PicardGroup:
         key = (name, level)

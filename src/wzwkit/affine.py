@@ -659,13 +659,6 @@ def t_matrix(md: ModularData) -> np.ndarray:
 # --- JSON document (cache format and CLI payload) ---------------------------
 
 
-def _fusion_quads(fusion: np.ndarray) -> list[list[int]]:
-    """The nonzero entries as [i, j, k, N_ij^k], sorted lexicographically
-    (argwhere walks the tensor in C order)."""
-    idx = np.argwhere(fusion)
-    return np.column_stack((idx, fusion[tuple(idx.T)])).tolist()
-
-
 def modular_data_to_doc(md: ModularData) -> dict:
     """Serialize to the canonical JSON document.
 
@@ -673,6 +666,7 @@ def modular_data_to_doc(md: ModularData) -> dict:
     are [re, im] pairs and the fusion tensor is a sparse sorted quadruple list.
     """
     s = md.s_matrix
+    idx = np.argwhere(md.fusion)  # C order, so the quadruples come out sorted
     return {
         "schemaVersion": 1,
         "series": md.level_data.lie_type.series,
@@ -687,7 +681,7 @@ def modular_data_to_doc(md: ModularData) -> dict:
         "quantumDims": md.quantum_dims.tolist(),
         "conjugation": [int(x) for x in md.conjugation],
         "sMatrix": np.stack((s.real, s.imag), -1).tolist(),
-        "fusion": _fusion_quads(md.fusion),
+        "fusion": np.column_stack((idx, md.fusion[tuple(idx.T)])).tolist(),
     }
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from wzwkit import find_simple_currents
-from wzwkit.acceptance import CATALOG, memo_modular_data  # noqa: F401 (test modules import CATALOG from here)
+from wzwkit.acceptance import CATALOG, Battery  # noqa: F401 (test modules import CATALOG from here)
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite stays deterministic.
@@ -14,8 +14,8 @@ _pic_cache = {}
 
 @pytest.fixture(scope="session")
 def md_of():
-    """Memoized modular data builder, shared with selftest: md_of('A1', 4)."""
-    return memo_modular_data
+    """Modular data builder on selftest's memo: md_of('A1', 4)."""
+    return Battery().md
 
 
 @pytest.fixture(scope="session")
