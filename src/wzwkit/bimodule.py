@@ -8,6 +8,11 @@ tensor with characters adding.  When fixed points are present the free-action
 construction does not apply and the builder refuses; the pointed ring
 (restricted to invertible objects, where the action is always free) is the
 fallback.
+
+The structure constants are filled with integer-coded characters: each
+character of H is numbered once, character addition becomes an integer
+table, and the class of (object, character) after the H-shift becomes an
+integer lookup, so every fusion coefficient lands by one np.add.at.
 """
 
 from __future__ import annotations
@@ -146,19 +151,38 @@ def _build_ring(
     def canonical(obj: int, ch: Character) -> int:
         return index[BimoduleClass(orbit_rep[obj], _char_add(ch, shift[obj]))]
 
+    trivial = tuple(mod1(Fraction(0)) for _ in members)
+    # characters coded by their position in `chars`: add[a, b] is chars[a] + chars[b]
+    char_pos = {ch: a for a, ch in enumerate(chars)}
+    nchar = len(chars)
+    add = np.array([[char_pos[_char_add(ca, cb)] for cb in chars] for ca in chars], dtype=np.intp)
+    # canon[k, a]: basis index of the class of (object k, chars[a]); -1 where
+    # k is outside the object set or its shift is not a character of H
+    canon = np.full((len(md), nchar), -1, dtype=np.intp)
+    rep_pos = {rep: p for p, rep in enumerate(reps)}
+    for k in objects:
+        sh = char_pos.get(_char_add(trivial, shift[k]))
+        if sh is not None:
+            canon[k] = rep_pos[orbit_rep[k]] * nchar + add[:, sh]
+    fusion = md.fusion[np.ix_(reps, reps)]  # [p, q, k]: basis objects fused
+    nz = np.argwhere(fusion)
+    unplaced = nz[canon[nz[:, 2], 0] < 0]
+    if len(unplaced):
+        # raise what a per-entry scan over the basis meets first: the first
+        # (p, q, k) in C order, with both factors at character chars[0]
+        k = int(unplaced[0, 2])
+        if k not in obj_set:
+            raise WzwError("fusion leaves the object set")
+        canonical(k, _char_add(chars[0], chars[0]))  # KeyError: the shift is no character
+    p, q, k = nz.T
+    a, b = np.arange(nchar)[:, None], np.arange(nchar)[None, :]
+    x = p[:, None, None] * nchar + a
+    y = q[:, None, None] * nchar + b
+    z = canon[k[:, None, None], add[a, b]]
+    mult = np.broadcast_to(fusion[p, q, k][:, None, None], z.shape)
     n = len(basis_t)
     structure = np.zeros((n, n, n), dtype=np.int64)
-    fusion = md.fusion
-    for x, cx in enumerate(basis_t):
-        for y, cy in enumerate(basis_t):
-            ch = _char_add(cx.character, cy.character)
-            row = fusion[cx.object_index, cy.object_index]
-            for k in np.nonzero(row)[0]:
-                k = int(k)
-                if k not in obj_set:
-                    raise WzwError("fusion leaves the object set")
-                structure[x, y, canonical(k, ch)] += int(row[k])
-    trivial = tuple(mod1(Fraction(0)) for _ in members)
+    np.add.at(structure, (x, y, z), mult)
     unit = canonical(md.vacuum, trivial)
     ring = BimoduleRing(
         md=md,

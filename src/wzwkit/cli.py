@@ -6,12 +6,14 @@ tables only behind --pretty.  A modular-data cache miss builds the document
 once and writes the same one to the cache and to the report; a hit reports
 the document the cache lookup rebuilt to check the file.  Exit codes:
 0 success, 2 user error, 3 mathematical-check failure under --strict
-(selftest is always strict).
+(selftest is always strict).  A reader that closes standard output early
+ends the run quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from math import isqrt
@@ -329,10 +331,8 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
              "character": [format_rational(x) for x in cls.character]}
             for cls in ring.basis
         ]
-        blob["structure"] = [
-            [int(x), int(y), int(z), int(ring.structure[x, y, z])]
-            for x, y, z in sorted(zip(*np.nonzero(ring.structure)))
-        ]
+        idx = np.argwhere(ring.structure)  # C order, so the quadruples come out sorted
+        blob["structure"] = np.column_stack((idx, ring.structure[tuple(idx.T)])).tolist()
         bp = bimodule.bimodule_picard(ring)
         blob["picard"] = {
             "order": len(bp),
@@ -548,10 +548,17 @@ def run(argv: list[str]) -> int:
         "checks": checks,
         "timingSeconds": round(time.monotonic() - started, 6) if args.timing else None,
     }
-    if args.pretty:
-        _print_pretty(report)
-    else:
-        jsonout.write(report, sys.stdout)
+    try:
+        if args.pretty:
+            _print_pretty(report)
+        else:
+            jsonout.write(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: stop quietly, leaving the
+        # interpreter's final flush of standard output nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     failed = any(not c["pass"] for c in checks)
     if failed and (args.strict or args.command == "selftest"):
         return 3

@@ -4,6 +4,9 @@ An algebra is the pair (H, Xi): a subgroup H of the Picard group together with
 a bicharacter Xi on H whose diagonal equals the twist residues.  The bulk
 partition matrix is evaluated in exact residue arithmetic: the inner character
 sum collapses to |H| or 0, so every entry is an integer by construction.
+There the conformal weights and the values of Xi are scaled to integer
+residues over one common denominator, so the charges, the additivity checks
+and the character sums are integer array arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from . import groups
 from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
 from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry
-from .picard import PicardGroup, monodromy_charge
+from .picard import PicardGroup
 from .residues import mod1
 
 
@@ -86,17 +89,11 @@ class KSB:
         return tuple(self.values[a][b] for a in range(len(self.support)))
 
 
-def _is_bihomomorphism(sub: Subgroup, values) -> bool:
-    table = sub.local_table
-    n = len(sub)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mod1(values[table[a][b]][c] - values[a][c] - values[b][c]) != 0:
-                    return False
-                if mod1(values[c][table[a][b]] - values[c][a] - values[c][b]) != 0:
-                    return False
-    return True
+def _is_bihomomorphism(table: np.ndarray, xi: np.ndarray, den: int) -> bool:
+    """Xi additive in both arguments, for residues xi / den on the local table."""
+    left = xi[table] - xi[:, None, :] - xi[None, :, :]  # [a, b, c]: Xi(ab, c) - Xi(a, c) - Xi(b, c)
+    right = xi[:, table] - xi[:, :, None] - xi[:, None, :]  # [c, a, b]: Xi(c, ab) - Xi(c, a) - ...
+    return not ((left % den).any() or (right % den).any())
 
 
 def enumerate_ksbs(support: Subgroup, twists: tuple[Fraction, ...] | None = None) -> list[KSB]:
@@ -172,6 +169,13 @@ class SchellekensAlgebra:
         return self.support.picard
 
 
+def _numerators(residues, den: int) -> np.ndarray:
+    """Rational residues (nested sequences of Fractions) as integers mod den."""
+    arr = np.array(residues, dtype=object)
+    flat = [x.numerator * (den // x.denominator) for x in arr.flat]
+    return np.array(flat, dtype=np.int64).reshape(arr.shape) % den
+
+
 @dataclass(frozen=True)
 class PartitionMatrix:
     """Non-negative integer bulk partition matrix Z_ij indexed by P_+^k."""
@@ -200,35 +204,31 @@ def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> Partitio
     """
     sub = algebra.support
     pg = algebra.picard
-    ksb = algebra.ksb
-    if not _is_bihomomorphism(sub, ksb.values):
-        raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    n = len(md)
     members = sub.members
-    charges = [
-        [monodromy_charge(md, pg, i, g) for g in members] for i in range(n)
-    ]
+    hs = md.conformal_weights
+    ksb_values = algebra.ksb.values
+    den = lcm(*(x.denominator for x in hs), *(v.denominator for row in ksb_values for v in row))
+    xi = _numerators(ksb_values, den)  # [b, a]: Xi(g_b, g_a)
+    table = np.array(sub.local_table, dtype=np.intp)
+    if not _is_bihomomorphism(table, xi, den):
+        raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
+    h = _numerators(hs, den)
+    act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
+    currents = np.array([pg.elements[g].object_index for g in members], dtype=np.intp)
+    q = (h[act.T] - h[currents] - h[:, None]) % den  # [i, a]: Q_i(g_a)
     # additivity of Q_i on H (exact) -- guaranteed for simple currents, but a
     # corrupted input would otherwise make the collapsed character sum wrong
-    table = sub.local_table
-    for i in range(n):
-        row = charges[i]
-        for a in range(len(members)):
-            for b in range(len(members)):
-                if mod1(row[table[a][b]] - row[a] - row[b]) != 0:
-                    raise NonIntegerEntry(f"monodromy charge not additive at object {i}")
-    z = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for a, g in enumerate(members):
-            trivial = all(
-                mod1(charges[i][b] + ksb.value(b, a)) == 0 for b in range(len(members))
-            )
-            if trivial:
-                j = md.conjugation[pg.act(g, i)]
-                z[i][j] += 1
-    if any(entry < 0 for row in z for entry in row):
+    broken = ((q[:, table] - q[:, :, None] - q[:, None, :]) % den).any(axis=(1, 2))
+    if broken.any():
+        raise NonIntegerEntry(f"monodromy charge not additive at object {int(broken.argmax())}")
+    trivial = ((q[:, :, None] + xi) % den == 0).all(axis=1)  # [i, a]
+    i, a = np.nonzero(trivial)
+    n = len(md)
+    z = np.zeros((n, n), dtype=np.int64)
+    np.add.at(z, (i, np.asarray(md.conjugation)[act[a, i]]), 1)
+    if (z < 0).any():
         raise NegativeEntry("negative partition entry")
-    return PartitionMatrix(tuple(tuple(row) for row in z))
+    return PartitionMatrix(tuple(map(tuple, z.tolist())))
 
 
 @dataclass(frozen=True)

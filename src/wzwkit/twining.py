@@ -13,7 +13,9 @@ The 6j-scalar phi_{U}(g, h) is recovered from the ratio identity
 
 which must be independent of the reference fixed point `ref`; that
 independence is the testable content of the conjecture and is enforced here,
-never assumed.
+never assumed.  theta_ref(h) is evaluated once per reference row, the ratios
+of all columns form one array, and the reference dependence of a column is
+the diameter of its candidate set, taken over all pairs at once.
 """
 
 from __future__ import annotations
@@ -164,6 +166,9 @@ def twining_S(md: ModularData, pg: PicardGroup, a: int, config: Config = DEFAULT
     return TwiningSMatrix(tuple(fixed), matrix, fold)
 
 
+_PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
+
+
 @dataclass(frozen=True)
 class PhiValues:
     """Snapped phi residues for one (g, h) pair, per fixed point of g."""
@@ -191,53 +196,84 @@ def extract_phi(
     package.  Raises LambdaDependence if the ratio varies with the reference
     weight beyond tolerance (a conjecture violation), SnapFailure if a phase
     is not a small root of unity.
+
+    The columns are checked as arrays but reported as a scan in column order
+    would: the first failing column raises, and within it the first of
+    |S^w| mismatch (at its first reference row), no usable row, spread,
+    modulus and snap that fails.
     """
     fixed = tsm.fixed_points
     pos = {w: r for r, w in enumerate(fixed)}
     action = pg.elements[h].action
     zero_floor = math.sqrt(config.tolerance)
     denom = max(pg.exponent, 1)
+    # the scan stops at the first column that h moves off the fixed-point set
+    partner = []
+    for w in fixed:
+        if action[w] not in pos:
+            break
+        partner.append(pos[action[w]])
+    ncol = len(partner)
+    c2 = np.array(partner, dtype=np.intp)
+    m = tsm.matrix
+    small = np.hypot(m.real, m.imag) < zero_floor
+    num, den = m[:, :ncol].T, m[:, c2].T  # [column, reference row]
+    num_small, den_small = small[:, :ncol].T, small[:, c2].T
+    mismatch = num_small != den_small
+    usable = ~(num_small | den_small)
+    theta = np.array(
+        [unit_phase(-monodromy_charge(md, pg, ref, h)) for ref in fixed], dtype=np.complex128
+    )
+    # theta * num spelt out in real arithmetic, which is bit-equal to the
+    # scalar complex product (numpy's array complex multiply is not)
+    cand = np.empty(num.shape, dtype=np.complex128)
+    cand.real = theta.real * num.real - theta.imag * num.imag
+    cand.imag = theta.real * num.imag + theta.imag * num.real
+    cand /= np.where(usable, den, 1.0)
+    # spread: the diameter of each column's usable candidates, in column blocks
+    spread = np.zeros(ncol)
+    step = max(1, _PAIR_BUDGET // max(1, len(fixed) ** 2))
+    for lo in range(0, ncol, step):
+        block, ok = cand[lo:lo + step], usable[lo:lo + step]
+        diff = block[:, :, None] - block[:, None, :]
+        dist = np.hypot(diff.real, diff.imag)
+        dist[~(ok[:, :, None] & ok[:, None, :])] = 0.0
+        spread[lo:lo + step] = dist.max(axis=(1, 2), initial=0.0)
+    first_usable = usable.argmax(axis=1) if ncol else np.zeros(0, dtype=np.intp)
+    value = cand[np.arange(ncol), first_usable]
+    modulus = np.hypot(value.real, value.imag)
+    failing = np.flatnonzero(
+        mismatch.any(axis=1) | ~usable.any(axis=1) | (spread > config.tolerance)
+        | (np.abs(modulus - 1.0) > zero_floor)
+    )
+    stop = int(failing[0]) if len(failing) else ncol
     out: dict[int, Fraction] = {}
-    worst_spread = 0.0
-    for c, target_weight in enumerate(fixed):
-        moved = action[target_weight]
-        if moved not in pos:
-            raise ValueError(f"element {h} does not preserve the fixed-point set of {g}")
-        c2 = pos[moved]
-        candidates = []
-        for r, ref in enumerate(fixed):
-            num = tsm.matrix[r, c]
-            den = tsm.matrix[r, c2]
-            if abs(num) < zero_floor and abs(den) < zero_floor:
-                continue
-            if min(abs(num), abs(den)) < zero_floor:
-                raise LambdaDependence(
-                    f"|S^w| mismatch between columns {c} and {c2} at reference {ref}"
-                )
-            theta = unit_phase(-monodromy_charge(md, pg, ref, h))
-            candidates.append(theta * num / den)
-        if not candidates:
-            raise LambdaDependence(f"no usable reference row for fixed point {target_weight}")
-        spread = max(
-            abs(x - y) for x in candidates for y in candidates
-        )
-        worst_spread = max(worst_spread, spread)
-        if spread > config.tolerance:
-            raise LambdaDependence(
-                f"phi ratio for (g={g}, h={h}) varies with the reference by {spread:.3e}"
-            )
-        value = candidates[0]
-        if abs(abs(value) - 1.0) > zero_floor:
-            raise LambdaDependence(f"phi candidate has modulus {abs(value):.6f}, not 1")
+    for c in range(stop):
         # store additively with the +h_g diagonal convention
-        phase = (-cmath.phase(value) / (2 * math.pi)) % 1.0
+        phase = (-cmath.phase(value[c]) / (2 * math.pi)) % 1.0
         snapped = snap_to_residue(phase, denom, 1e-6)
         if snapped is None:
             raise SnapFailure(
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
-        out[target_weight] = snapped
-    return PhiValues(g, h, out, worst_spread)
+        out[fixed[c]] = snapped
+    if stop < ncol:
+        c = stop
+        if mismatch[c].any():
+            ref = fixed[int(mismatch[c].argmax())]
+            raise LambdaDependence(
+                f"|S^w| mismatch between columns {c} and {partner[c]} at reference {ref}"
+            )
+        if not usable[c].any():
+            raise LambdaDependence(f"no usable reference row for fixed point {fixed[c]}")
+        if spread[c] > config.tolerance:
+            raise LambdaDependence(
+                f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
+            )
+        raise LambdaDependence(f"phi candidate has modulus {modulus[c]:.6f}, not 1")
+    if ncol < len(fixed):
+        raise ValueError(f"element {h} does not preserve the fixed-point set of {g}")
+    return PhiValues(g, h, out, float(spread.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,25 @@ def test_modular_data_report(capsys, tmp_path):
     assert rep["payload"]["centralCharge"] == "3/2"
     assert all(c["pass"] for c in rep["checks"])
     assert rep["timingSeconds"] is None
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    """A reader that stops after 10 bytes, as `| head -c 10` does, leaves the
+    run exiting 0 with nothing on stderr.  The 141 kB report overflows the
+    pipe buffer, so the write really meets the closed pipe."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wzwkit.cli", "modular-data", "A1", "20",
+         "--cache-dir", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head == b'{\n  "schem'
+    assert err == b""
 
 
 def test_picard_report(capsys, tmp_path):
