@@ -6,146 +6,62 @@ simple currents; classifies the algebras (H, Xi) supported on them; evaluates
 the corresponding bulk partition matrices; counts boundary conditions; builds
 bimodule fusion rings with their Picard groups and Kramers-Wannier candidates;
 and runs the twining-matrix property suite for the gauge-invariant 6j-scalars.
+
+Every public name is re-exported here, but a submodule is imported only when
+one of its names is first used (PEP 562), so importing the package, or one
+of its modules, does not pay for the others.
 """
 
-from .affine import (
-    LevelData,
-    ModularData,
-    RootSystem,
-    SimpleLieType,
-    build_root_system,
-    central_charge,
-    conformal_weight,
-    integrable_weights,
-    kac_peterson_S,
-    modular_data,
-    modular_data_from_doc,
-    modular_data_to_doc,
-    parse_lie_type,
-    verlinde_fusion,
-    weyl_group,
-)
-from .bimodule import (
-    BimoduleClass,
-    BimodulePicard,
-    BimoduleRing,
-    act_on_boundaries,
-    bimodule_picard,
-    build_bimodule_ring,
-    build_pointed_bimodule_ring,
-    kramers_wannier_candidates,
-)
-from .boundary import (
-    BoundaryCount,
-    BoundaryLabel,
-    EpsilonForm,
-    OrbitDecomposition,
-    count_boundary_conditions,
-    epsilon_form,
-    orbit_decomposition,
-)
-from .config import Config, DEFAULT_CONFIG
-from .picard import (
-    ChargeTable,
-    DiagramAutomorphism,
-    PicardGroup,
-    SimpleCurrent,
-    charge_table,
-    diagram_automorphism,
-    find_simple_currents,
-    monodromy_charge,
-    quadratic_form,
-    verify_quadratic,
-)
-from .schellekens import (
-    KSB,
-    ClassifiedAlgebra,
-    PartitionMatrix,
-    SchellekensAlgebra,
-    Subgroup,
-    classify_algebras,
-    enumerate_ksbs,
-    enumerate_subgroups,
-    partition_function,
-    verify_modular_invariance,
-)
-from .twining import (
-    ConjectureReport,
-    OrbitAlgebraData,
-    PhiTable,
-    TwiningSMatrix,
-    build_phi_table,
-    extract_phi,
-    fixed_points,
-    fold_diagram,
-    twining_S,
-    verify_conjecture,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config",
-    "DEFAULT_CONFIG",
-    "SimpleLieType",
-    "RootSystem",
-    "LevelData",
-    "ModularData",
-    "parse_lie_type",
-    "build_root_system",
-    "weyl_group",
-    "integrable_weights",
-    "conformal_weight",
-    "central_charge",
-    "kac_peterson_S",
-    "verlinde_fusion",
-    "modular_data",
-    "modular_data_to_doc",
-    "modular_data_from_doc",
-    "SimpleCurrent",
-    "PicardGroup",
-    "ChargeTable",
-    "DiagramAutomorphism",
-    "find_simple_currents",
-    "monodromy_charge",
-    "charge_table",
-    "quadratic_form",
-    "verify_quadratic",
-    "diagram_automorphism",
-    "Subgroup",
-    "KSB",
-    "SchellekensAlgebra",
-    "PartitionMatrix",
-    "ClassifiedAlgebra",
-    "enumerate_subgroups",
-    "enumerate_ksbs",
-    "partition_function",
-    "verify_modular_invariance",
-    "classify_algebras",
-    "OrbitDecomposition",
-    "EpsilonForm",
-    "BoundaryLabel",
-    "BoundaryCount",
-    "orbit_decomposition",
-    "epsilon_form",
-    "count_boundary_conditions",
-    "BimoduleClass",
-    "BimoduleRing",
-    "BimodulePicard",
-    "build_bimodule_ring",
-    "build_pointed_bimodule_ring",
-    "bimodule_picard",
-    "act_on_boundaries",
-    "kramers_wannier_candidates",
-    "OrbitAlgebraData",
-    "TwiningSMatrix",
-    "PhiTable",
-    "ConjectureReport",
-    "fixed_points",
-    "fold_diagram",
-    "twining_S",
-    "extract_phi",
-    "build_phi_table",
-    "verify_conjecture",
-    "__version__",
-]
+# Public names by home module, in the order of __all__.
+_EXPORTS = {
+    "config": ("Config", "DEFAULT_CONFIG"),
+    "affine": (
+        "SimpleLieType", "RootSystem", "LevelData", "ModularData", "parse_lie_type",
+        "build_root_system", "weyl_group", "integrable_weights", "conformal_weight",
+        "central_charge", "kac_peterson_S", "verlinde_fusion", "modular_data",
+        "modular_data_to_doc", "modular_data_from_doc",
+    ),
+    "picard": (
+        "SimpleCurrent", "PicardGroup", "ChargeTable", "DiagramAutomorphism",
+        "find_simple_currents", "monodromy_charge", "charge_table", "quadratic_form",
+        "verify_quadratic", "diagram_automorphism",
+    ),
+    "schellekens": (
+        "Subgroup", "KSB", "SchellekensAlgebra", "PartitionMatrix", "ClassifiedAlgebra",
+        "enumerate_subgroups", "enumerate_ksbs", "partition_function",
+        "verify_modular_invariance", "classify_algebras",
+    ),
+    "boundary": (
+        "OrbitDecomposition", "EpsilonForm", "BoundaryLabel", "BoundaryCount",
+        "orbit_decomposition", "epsilon_form", "count_boundary_conditions",
+    ),
+    "bimodule": (
+        "BimoduleClass", "BimoduleRing", "BimodulePicard", "build_bimodule_ring",
+        "build_pointed_bimodule_ring", "bimodule_picard", "act_on_boundaries",
+        "kramers_wannier_candidates",
+    ),
+    "twining": (
+        "OrbitAlgebraData", "TwiningSMatrix", "PhiTable", "ConjectureReport", "fixed_points",
+        "fold_diagram", "twining_S", "extract_phi", "build_phi_table", "verify_conjecture",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

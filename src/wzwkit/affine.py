@@ -656,7 +656,7 @@ def t_matrix(md: ModularData) -> np.ndarray:
     return np.diag(phases)
 
 
-# --- JSON document (cache format and CLI payload) ---------------------------
+# --- JSON document (CLI payload; the cache keeps its key and S) -------------
 
 
 def modular_data_to_doc(md: ModularData) -> dict:
@@ -686,15 +686,15 @@ def modular_data_to_doc(md: ModularData) -> dict:
 
 
 def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> ModularData:
-    """Rebuild a ModularData from its JSON document.
+    """Rebuild a ModularData from a JSON document holding at least the
+    series, rank, level and S-matrix, as a cache file does.
 
-    Only the series, rank and level and the S-matrix are read (S is the one
-    expensive quantity, being the Kac-Peterson sum).  S must have the shape
-    of the weight set and be symmetric and unitary, else ValueError; the
-    rest is derived by the same ``_assemble`` as ``modular_data``.  The other
-    stored fields are not compared here: ``cache.cache_lookup`` requires that
-    ``modular_data_to_doc`` of the result reproduce the stored file byte for
-    byte.
+    Only those four fields are read (S is the one expensive quantity, being
+    the Kac-Peterson sum).  S must have the shape of the weight set and be
+    symmetric and unitary, else ValueError; the rest is derived by the same
+    ``_assemble`` as ``modular_data``.  Any other field is ignored here:
+    ``cache.cache_lookup`` requires that the four fields of the result
+    reproduce the stored file byte for byte.
     """
     ld = integrable_weights(SimpleLieType(doc["series"], doc["rank"]), doc["level"], config)
     n = len(ld)

@@ -19,15 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import groups
 from .affine import ModularData
-from .boundary import OrbitDecomposition
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .residues import mod1
-from .schellekens import SchellekensAlgebra
+
+if TYPE_CHECKING:
+    from .boundary import OrbitDecomposition
+    from .schellekens import SchellekensAlgebra
 
 Character = tuple[Fraction, ...]  # residue values on the support members, in order
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import groups
 from .affine import ModularData
 from .errors import PhiUnavailable, WzwError
 from .residues import mod1
-from .schellekens import KSB, SchellekensAlgebra, Subgroup
-from .twining import PhiTable
+
+if TYPE_CHECKING:
+    from .schellekens import KSB, SchellekensAlgebra, Subgroup
+    from .twining import PhiTable
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,15 @@
-"""On-disk cache of modular-data documents.
+"""On-disk cache of the S-matrices of modular data.
 
 One canonical JSON file per (series, rank, level) and S algorithm, written
-atomically; a stored document is byte-identical on re-store.  The caller
-builds the document (``modular_data_to_doc``) and passes it to
-``cache_store``, so a cache miss can write and report one and the same
-document.  A load checks that the file holds the document of its own key,
-takes S from it (symmetric and unitary), derives the rest, and requires
-the rebuilt document to serialize to the file's exact bytes; a hit returns
-that rebuilt document too, so it is built once.  Corruption is not fatal:
-the caller recomputes and overwrites, with a warning on standard error.
+atomically.  It holds only the key and S (``series``, ``rank``, ``level``,
+``sMatrix``): S is the one expensive quantity, and everything else is
+derived from it.  ``cache_store`` takes a ``modular_data_to_doc`` document
+and writes its projection onto those fields, so a miss builds its document
+once.  A load checks that the file holds the key of its own name, takes S
+from it (symmetric and unitary), derives the rest, and requires the
+projection of the rebuilt data to serialize to the file's exact bytes; a hit
+returns the modular data only.  Corruption is not fatal: the caller
+recomputes and overwrites, with a warning on standard error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .affine import S_ALGORITHM, ModularData, modular_data_from_doc, modular_data_to_doc
+import numpy as np
+
+from .affine import S_ALGORITHM, ModularData, modular_data_from_doc
 from .config import Config, DEFAULT_CONFIG
 
 
@@ -33,9 +36,10 @@ def default_cache_dir() -> Path:
 
 
 def cache_key(series: str, rank: int, level: int) -> str:
-    """File name of a cached document, tagged with the S algorithm; files of
-    another algorithm (or of none, as written before the tag) are never read."""
-    return f"{series}-{rank}-{level}.{S_ALGORITHM}.json"
+    """File name of a cached S-matrix, tagged with the S algorithm and the
+    S-only format; files of another algorithm or format (the full documents
+    of older versions included) are never read."""
+    return f"{series}-{rank}-{level}.{S_ALGORITHM}.s-only.json"
 
 
 def canonical_json(doc) -> str:
@@ -43,20 +47,33 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True)
 
 
-def _first_difference(rebuilt: dict, doc: dict) -> str:
-    """Why a stored document is not the rebuilt one, naming the first key
-    whose canonical serialization differs."""
-    for key in dict.fromkeys([*rebuilt, *doc]):
-        if (key not in rebuilt or key not in doc
-                or canonical_json(rebuilt[key]) != canonical_json(doc[key])):
-            return f"stored {key!r} differs from the rebuilt document"
-    return "stored document is not in canonical form"
+def _cache_text(doc: dict) -> str:
+    """``canonical_json`` of the cached fields of doc, whose S may be nested
+    lists or an array of [re, im] pairs.  S repeats most of its entries, so
+    each distinct double is formatted once (told apart by its bits, so -0.0
+    is not 0.0)."""
+    n = len(doc["sMatrix"])
+    bits = np.ascontiguousarray(doc["sMatrix"], dtype=np.float64).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    literals = np.array([repr(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    row = "[" + ",".join(["[%s,%s]"] * n) + "]"
+    s_text = "[" + ",".join([row] * n) % tuple(literals[inverse].tolist()) + "]"
+    head = canonical_json({key: doc[key] for key in ("series", "rank", "level")})
+    return f'{head[:-1]},"sMatrix":{s_text}}}'
+
+
+def cached_doc(md: ModularData) -> dict:
+    """The cached fields of ``modular_data_to_doc(md)``, built without the
+    rest, S as an n x n x 2 array."""
+    t = md.level_data.lie_type
+    s = md.s_matrix
+    return {"series": t.series, "rank": t.rank, "level": md.level_data.level,
+            "sMatrix": np.stack((s.real, s.imag), -1)}
 
 
 def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
-                 config: Config = DEFAULT_CONFIG) -> tuple[ModularData, dict] | None:
-    """Return the cached modular data and its document, or None on miss or
-    corruption."""
+                 config: Config = DEFAULT_CONFIG) -> ModularData | None:
+    """Return the cached modular data, or None on miss or corruption."""
     path = cache_dir / cache_key(series, rank, level)
     if not path.is_file():
         return None
@@ -66,10 +83,9 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         if cache_key(doc["series"], doc["rank"], doc["level"]) != path.name:
             raise ValueError("stored series, rank or level does not match the file name")
         md = modular_data_from_doc(doc, config)
-        rebuilt = modular_data_to_doc(md)
-        if canonical_json(rebuilt) != text:
-            raise ValueError(_first_difference(rebuilt, doc))
-        return md, rebuilt
+        if _cache_text(cached_doc(md)) != text:
+            raise ValueError("stored file is not the canonical S-only document of its key")
+        return md
     except Exception as exc:  # corrupted cache: recompute and overwrite
         print(f"wzwkit: cache file {path} is corrupted ({exc}); recomputing",
               file=sys.stderr)
@@ -77,11 +93,12 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
 
 
 def cache_store(cache_dir: Path, doc: dict) -> Path:
-    """Write a modular_data_to_doc document atomically (write-to-temp plus
-    rename) under the key of its series, rank and level; return the path."""
+    """Write the cached fields of a modular_data_to_doc document atomically
+    (write-to-temp plus rename) under the key of its series, rank and level;
+    return the path."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / cache_key(doc["series"], doc["rank"], doc["level"])
-    payload = canonical_json(doc)
+    payload = _cache_text(doc)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

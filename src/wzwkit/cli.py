@@ -2,9 +2,11 @@
 
 One JSON report per invocation on standard output, byte-identical to
 ``json.dumps(report, indent=2)`` and streamed by ``jsonout``; human-readable
-tables only behind --pretty.  A modular-data cache miss builds the document
-once and writes the same one to the cache and to the report; a hit reports
-the document the cache lookup rebuilt to check the file.  Exit codes:
+tables only behind --pretty.  A modular-data query builds its document
+once: a cache miss writes the same one to the report and (its key and S) to
+the cache; a hit builds it from the loaded data.  Each command imports only
+the modules it uses, so a modular-data query never loads the simple-current
+layers.  Exit codes:
 0 success, 2 user error, 3 mathematical-check failure under --strict
 (selftest is always strict).  A reader that closes standard output early
 ends the run quietly with exit code 0.
@@ -18,12 +20,13 @@ import sys
 import time
 from math import isqrt
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import bimodule, boundary, jsonout, picard, schellekens, twining
+from . import jsonout
 from .affine import ModularData, modular_data, modular_data_to_doc, parse_lie_type, t_matrix
-from .cache import cache_lookup, cache_store, default_cache_dir
+from .cache import cache_lookup, cache_store, cached_doc, default_cache_dir
 from .config import Config
 from .errors import (
     FixedPointsPresent,
@@ -35,6 +38,9 @@ from .errors import (
     WzwError,
 )
 from .residues import format_rational
+
+if TYPE_CHECKING:
+    from .schellekens import ClassifiedAlgebra, PartitionMatrix
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,9 +94,9 @@ def _config(args: argparse.Namespace) -> Config:
 
 
 def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[ModularData, dict | None]:
-    """The modular data and its document, each built once: on a cache hit the
-    document the lookup rebuilt to check the file, on a miss the one written
-    to the cache, and None under --no-cache."""
+    """The modular data, plus on a cache miss the document written to the
+    cache: the full document for modular-data, which reports it, else only
+    the cached fields.  None on a hit and under --no-cache."""
     t = parse_lie_type(args.algebra, config)
     if args.level < 1:
         raise ValueError("level must be a positive integer")
@@ -99,9 +105,9 @@ def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[Modular
     cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
     hit = cache_lookup(cache_dir, t.series, t.rank, args.level, config)
     if hit is not None:
-        return hit
+        return hit, None
     md = modular_data(t, args.level, config)
-    doc = modular_data_to_doc(md)
+    doc = modular_data_to_doc(md) if args.command == "modular-data" else cached_doc(md)
     try:
         cache_store(cache_dir, doc)
     except OSError as exc:
@@ -122,7 +128,7 @@ def _sparse_int_matrix(entries) -> list[list[int]]:
     return out
 
 
-def _latex_partition(md: ModularData, z: schellekens.PartitionMatrix) -> str:
+def _latex_partition(md: ModularData, z: PartitionMatrix) -> str:
     """Write Z as a sum of c|sum chi|^2 blocks where possible, cross terms otherwise."""
     n = len(md)
     arr = z.as_array()
@@ -187,6 +193,8 @@ def _cmd_modular_data(md: ModularData, doc: dict | None, config: Config):
 
 
 def _cmd_picard(md: ModularData, args, config: Config):
+    from . import picard
+
     pg = picard.find_simple_currents(md, config)
     charges = picard.charge_table(md, pg)
     checks = []
@@ -217,8 +225,10 @@ def _cmd_picard(md: ModularData, args, config: Config):
     return payload, checks
 
 
-def _algebra_blob(md: ModularData, ca: schellekens.ClassifiedAlgebra, config: Config,
+def _algebra_blob(md: ModularData, ca: ClassifiedAlgebra, config: Config,
                   latex: bool) -> tuple[dict, bool, float | None]:
+    from . import schellekens
+
     sub = ca.algebra.support
     blob = {
         "support": {
@@ -248,6 +258,8 @@ def _algebra_blob(md: ModularData, ca: schellekens.ClassifiedAlgebra, config: Co
 
 
 def _cmd_invariants(md: ModularData, args, config: Config):
+    from . import picard, schellekens
+
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(md, pg, config)
     blobs = []
@@ -265,6 +277,8 @@ def _cmd_invariants(md: ModularData, args, config: Config):
 
 
 def _cmd_boundaries(md: ModularData, args, config: Config):
+    from . import boundary, picard, schellekens
+
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(md, pg, config)
     blobs = []
@@ -311,6 +325,8 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
 
 
 def _cmd_bimodules(md: ModularData, args, config: Config):
+    from . import bimodule, picard, schellekens
+
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(md, pg, config)
     blobs = []
@@ -350,6 +366,8 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
 
 
 def _cmd_twining(md: ModularData, args, config: Config):
+    from . import picard, twining
+
     pg = picard.find_simple_currents(md, config)
     blobs = []
     checks = []
@@ -398,6 +416,8 @@ def _cmd_twining(md: ModularData, args, config: Config):
 
 
 def _cmd_verify_conjecture(md: ModularData, args, config: Config):
+    from . import picard, schellekens, twining
+
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(md, pg, config)
     blobs = []

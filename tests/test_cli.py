@@ -105,27 +105,41 @@ def test_cache_hit_and_corruption(capsys, tmp_path):
     assert path.read_bytes() == blob  # rewritten cleanly
 
 
+def _projection(payload):
+    """The cached fields of a modular-data payload, in file order."""
+    return {field: payload[field] for field in ("series", "rank", "level", "sMatrix")}
+
+
 def _edited(**fields):
     return lambda text: canonical_json({**json.loads(text), **fields})
 
 
-def _edited_conformal_weight(text):
-    doc = json.loads(text)
-    doc["conformalWeights"][1] = "1/7"
-    return canonical_json(doc)
+def _edited_s(i, j, part, edit):
+    def tamper(text):
+        doc = json.loads(text)
+        doc["sMatrix"][i][j][part] = edit(doc["sMatrix"][i][j][part])
+        return canonical_json(doc)
+    return tamper
 
 
 @pytest.mark.parametrize("tamper", [
-    pytest.param(_edited_conformal_weight, id="conformal-weight"),
-    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 3))),
-                 id="another-level"),
+    pytest.param(_edited(conformalWeights=["0/1", "3/16", "1/2"]), id="conformal-weight"),
+    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 2))),
+                 id="full-document"),
+    pytest.param(
+        lambda text: canonical_json(_projection(modular_data_to_doc(modular_data("A1", 3)))),
+        id="another-level"),
     pytest.param(_edited(rank=True), id="rank-true"),
     pytest.param(_edited(vacuumIndex=0.0), id="vacuum-index-float"),
+    pytest.param(_edited_s(0, 0, 1, int), id="s-entry-int"),
+    pytest.param(_edited_s(0, 1, 0, lambda x: x + 1e-6), id="s-asymmetric"),
     pytest.param(lambda text: json.dumps(json.loads(text)), id="whitespace"),
 ])
 def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper):
-    """A cache file that parses but is not the document of its own key,
-    byte for byte, is reported as corrupted and rebuilt."""
+    """A cache file that parses but is not the S-only document of its own
+    key, byte for byte, is reported as corrupted and rebuilt: an edited,
+    extra or retyped key, the full document of older versions, an S that is
+    not symmetric, or other whitespace."""
     argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
     _, out = _run(capsys, argv)
     payload = json.loads(out)["payload"]
@@ -136,7 +150,7 @@ def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper):
     assert code == 0
     assert "corrupted" in captured.err
     assert json.loads(captured.out)["payload"] == payload
-    assert path.read_text() == canonical_json(payload)
+    assert path.read_text() == canonical_json(_projection(payload))
 
 
 def test_no_cache_flag(capsys, tmp_path):
@@ -214,17 +228,24 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
 
 
 def test_untagged_cache_file_is_ignored(capsys, tmp_path):
-    """A file named without the S-algorithm tag, as written by older
-    versions, is neither read nor reported as corrupted."""
+    """Files named as older versions wrote them, without the S-algorithm tag
+    or as a full document under the algorithm tag alone, are neither read
+    nor reported as corrupted."""
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path)]
-    (tmp_path / "A-1-3.json").write_text("{not json")
+    old = {
+        "A-1-3.json": "{not json",
+        "A-1-3.kpdet.json": canonical_json(modular_data_to_doc(modular_data("A1", 3))),
+    }
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "corrupted" not in captured.err
     assert json.loads(captured.out)["payload"]["centralCharge"] == "9/5"
     assert (tmp_path / cache_key("A", 1, 3)).is_file()
-    assert (tmp_path / "A-1-3.json").read_text() == "{not json"
+    for name, text in old.items():
+        assert (tmp_path / name).read_text() == text
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,7 +271,7 @@ def test_report_bytes_are_json_dumps_indent_2(capsys, tmp_path, argv):
 
 def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
     """A modular-data miss serializes once, and the cache file holds the
-    payload it reports."""
+    cached fields of the payload it reports."""
     calls = []
 
     def counted(md):
@@ -258,37 +279,37 @@ def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
         return modular_data_to_doc(md)
 
     monkeypatch.setattr(cli, "modular_data_to_doc", counted)
-    monkeypatch.setattr(cache, "modular_data_to_doc", counted)
     code, out = _run(capsys, ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)])
     assert code == 0
     assert len(calls) == 1
     payload = json.loads(out)["payload"]
-    assert (tmp_path / cache_key("A", 2, 3)).read_text() == canonical_json(payload)
+    assert (tmp_path / cache_key("A", 2, 3)).read_text() == canonical_json(_projection(payload))
 
 
 def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
-    """A modular-data hit builds its document once and serializes it once,
-    to compare with the file, and reports what the miss reported."""
+    """A modular-data hit builds its document once, for the report, and
+    writes the cache text once, to compare with the file; it reports what
+    the miss reported."""
     argv = ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)]
     _, miss = _run(capsys, argv)
-    docs, dumps = [], []
+    docs, texts = [], []
 
     def counted_doc(md):
         docs.append(md)
         return modular_data_to_doc(md)
 
-    def counted_json(doc):
-        dumps.append(doc)
-        return canonical_json(doc)
+    def counted_text(doc):
+        texts.append(doc)
+        return cache_text(doc)
 
+    cache_text = cache._cache_text
     monkeypatch.setattr(cli, "modular_data_to_doc", counted_doc)
-    monkeypatch.setattr(cache, "modular_data_to_doc", counted_doc)
-    monkeypatch.setattr(cache, "canonical_json", counted_json)
+    monkeypatch.setattr(cache, "_cache_text", counted_text)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""  # a hit, not a recompute
     assert len(docs) == 1
-    assert len(dumps) <= 1
+    assert len(texts) == 1
     assert captured.out == miss
 
 
@@ -323,3 +344,12 @@ def test_doc_matches_per_element_oracle(md_of, name, k):
     doc, want = modular_data_to_doc(md), per_element_doc(md)
     assert doc == want
     assert canonical_json(doc) == canonical_json(want)  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))
+def test_cache_file_is_canonical_projection(md_of, tmp_path, name, k):
+    """The cache writer, which formats each distinct double once, writes
+    exactly canonical_json of the cached fields (C3:6 and G2 carry -0.0,
+    and many entries need an exponent)."""
+    doc = modular_data_to_doc(md_of(name, k))
+    assert cache.cache_store(tmp_path, doc).read_text() == canonical_json(_projection(doc))
