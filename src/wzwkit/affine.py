@@ -664,6 +664,10 @@ def modular_data_to_doc(md: ModularData) -> dict:
 
     Weights are integer arrays, rationals are "p/q" strings, complex entries
     are [re, im] pairs and the fusion tensor is a sparse sorted quadruple list.
+    The two big tables stay numpy arrays until they become text: ``sMatrix``
+    is the (n, n, 2) float64 array of [re, im] pairs and ``fusion`` the
+    (m, 4) int64 array of quadruples.  ``jsonout`` writes them from the
+    arrays, and ``cache.canonical_json`` reads each as its ``tolist()``.
     """
     s = md.s_matrix
     idx = np.argwhere(md.fusion)  # C order, so the quadruples come out sorted
@@ -680,8 +684,8 @@ def modular_data_to_doc(md: ModularData) -> dict:
         "tExponents": [format_rational(x) for x in md.t_exponents],
         "quantumDims": md.quantum_dims.tolist(),
         "conjugation": [int(x) for x in md.conjugation],
-        "sMatrix": np.stack((s.real, s.imag), -1).tolist(),
-        "fusion": np.column_stack((idx, md.fusion[tuple(idx.T)])).tolist(),
+        "sMatrix": np.stack((s.real, s.imag), -1),
+        "fusion": np.column_stack((idx, md.fusion[tuple(idx.T)])),
     }
 
 
@@ -691,16 +695,18 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
 
     Only those four fields are read (S is the one expensive quantity, being
     the Kac-Peterson sum).  S must have the shape of the weight set and be
-    symmetric and unitary, else ValueError; the rest is derived by the same
-    ``_assemble`` as ``modular_data``.  Any other field is ignored here:
+    finite, symmetric and unitary, else ValueError; the rest is derived by
+    the same ``_assemble`` as ``modular_data``.  Any other field is ignored here:
     ``cache.cache_lookup`` requires that the four fields of the result
     reproduce the stored file byte for byte.
     """
     ld = integrable_weights(SimpleLieType(doc["series"], doc["rank"]), doc["level"], config)
     n = len(ld)
-    pairs = np.asarray(doc["sMatrix"], dtype=np.float64)
+    pairs = np.array(doc["sMatrix"], dtype=np.float64)  # a copy: S must not alias doc
     if pairs.shape != (n, n, 2):
         raise ValueError("stored S-matrix has the wrong shape")
+    if not np.isfinite(pairs).all():  # NaN would slip past the tolerance tests below
+        raise ValueError("stored S-matrix is not finite")
     s = pairs.view(np.complex128)[..., 0]  # exact, signed zeros included
     if np.max(np.abs(s - s.T)) > config.tolerance:
         raise ValueError("stored S-matrix is not symmetric")

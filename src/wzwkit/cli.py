@@ -344,7 +344,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
             for cls in ring.basis
         ]
         idx = np.argwhere(ring.structure)  # C order, so the quadruples come out sorted
-        blob["structure"] = np.column_stack((idx, ring.structure[tuple(idx.T)])).tolist()
+        blob["structure"] = np.column_stack((idx, ring.structure[tuple(idx.T)]))
         bp = bimodule.bimodule_picard(ring)
         blob["picard"] = {
             "order": len(bp),

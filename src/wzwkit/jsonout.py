@@ -2,12 +2,22 @@
 
 Python's C encoder refuses ``indent``, so ``json.dumps(obj, indent=2)`` runs
 the pure-Python encoder, one generator step per scalar.  This writer yields
-the same text in chunks instead.  A list of equal-length rows of plain ints,
-or of finite floats, is formatted by one ``%`` over a repeated row template
-per chunk of rows; that covers the fusion and structure quadruples, the
-``Z`` triples and the ``[re, im]`` rows of S.  Everything else takes a
-general recursive path with the ``json`` module's own rules for scalars and
-dict keys.
+the same text in chunks instead, and also accepts numpy arrays, written as
+their ``tolist()`` would be.
+
+The big tables stay arrays until they become text.  An int or float array
+with at least two axes and no zero-length axis (S as [re, im] pairs, the
+fusion and bimodule structure quadruples) takes a literal table: each
+distinct entry is spelt once by ``literal_table``, and the spellings fill one
+repeated nested-row template ``%`` per chunk of rows.  ``cache`` writes its
+compact S text from the same table.  Any other array (bool, 0-d, 1-d, with a
+zero-length axis, or ints spanning more values than it has entries) takes
+the general path as ``tolist()``.
+
+A list of equal-length rows of plain ints, or of finite floats, is filled
+into the same row template with ``%d`` or ``%r``; that covers the ``Z``
+triples and the weights.  Everything else takes a general recursive path
+with the ``json`` module's own rules for scalars and dict keys.
 
 Unlike ``json.dumps``, a value that cannot be serialized raises its
 ``TypeError`` only when the chunks reach it, and circular containers are not
@@ -19,10 +29,12 @@ from __future__ import annotations
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode
 from math import isfinite
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
+
+import numpy as np
 
 _INDENT = "  "
-_ROWS_PER_CHUNK = 4096  # rows per % call: bounds the argument tuple and text held at once
+_ITEMS_PER_CHUNK = 16384  # scalars per % call: bounds the argument tuple and text held at once
 _INF = float("inf")
 
 
@@ -63,6 +75,30 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+def literal_table(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(literals, codes) of a non-empty int or float array: the JSON spelling
+    of each distinct entry once, as an object array of str, and per entry of
+    ``a.ravel()`` the index of its spelling, so ``literals[codes]`` spells a.
+
+    Ints are spelt from the table of ``lo..hi``, and are refused (None) when
+    that span has more values than a has entries.  Floats are told apart by
+    their bits, so -0.0 is not 0.0, and NaN and the infinities are spelt as
+    ``json`` spells them.  Any other dtype is refused."""
+    if a.dtype.kind in "iu":
+        lo, hi = int(a.min()), int(a.max())
+        if hi - lo >= a.size:
+            return None
+        literals = np.array([int.__repr__(v) for v in range(lo, hi + 1)], dtype=object)
+        codes = a - a.min() if a.dtype.kind == "u" else a.astype(np.int64) - lo
+        return literals, codes.ravel()
+    if a.dtype.kind == "f" and a.dtype.itemsize <= 8:  # longdouble: tolist() keeps numpy scalars
+        bits = a.astype(np.float64).view(np.int64).ravel()
+        distinct, codes = np.unique(bits, return_inverse=True)
+        literals = np.array([_float(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+        return literals, codes
+    return None
+
+
 def _row_format(rows: list | tuple) -> tuple[int, str] | None:
     """(width, item format) when rows is a block: equal-length non-empty
     lists or tuples whose items are all ``int`` (never bool), or all finite
@@ -80,17 +116,30 @@ def _row_format(rows: list | tuple) -> tuple[int, str] | None:
     return None
 
 
-def _block(rows: list | tuple, width: int, fmt: str, level: int) -> Iterator[str]:
-    """The rows of a block, each a list at indent ``level``, comma-separated."""
+def _nested(shape: tuple[int, ...], level: int, fmt: str) -> str:
+    """The template of one nested list of the given shape at indent level,
+    as ``json.dumps(..., indent=2)`` lays it out, with fmt for each scalar."""
+    if not shape:
+        return fmt
     inner = ",\n" + _INDENT * (level + 1)
-    row = "[\n" + _INDENT * (level + 1) + inner.join([fmt] * width) + "\n" + _INDENT * level + "]"
-    sep = ",\n" + _INDENT * level
-    count = min(len(rows), _ROWS_PER_CHUNK)
-    full = sep.join([row] * count)
-    for start in range(0, len(rows), count):
-        part = rows[start:start + count]
-        template = full if len(part) == count else sep.join([row] * len(part))
-        yield (sep if start else "") + template % tuple(chain.from_iterable(part))
+    item = _nested(shape[1:], level + 1, fmt)
+    return "[\n" + _INDENT * (level + 1) + inner.join([item] * shape[0]) + "\n" + _INDENT * level + "]"
+
+
+def _block(row: str, width: int, count: int, level: int,
+           items: Callable[[int, int], list]) -> Iterator[str]:
+    """A list at indent level of count rows, each the template row of width
+    scalars; items(start, stop) gives the scalars of rows start..stop."""
+    step = max(1, _ITEMS_PER_CHUNK // width)
+    size = min(count, step)
+    sep = ",\n" + _INDENT * (level + 1)
+    full = sep.join([row] * size)
+    yield "[\n" + _INDENT * (level + 1)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        template = full if stop - start == size else sep.join([row] * (stop - start))
+        yield (sep if start else "") + template % tuple(items(start, stop))
+    yield "\n" + _INDENT * level + "]"
 
 
 def _encode_value(o, level: int) -> Iterator[str]:
@@ -98,28 +147,40 @@ def _encode_value(o, level: int) -> Iterator[str]:
         yield from _encode_list(o, level)
     elif isinstance(o, dict):
         yield from _encode_dict(o, level)
+    elif isinstance(o, np.ndarray):
+        yield from _encode_array(o, level)
     else:
         yield _scalar(o)
+
+
+def _encode_array(a: np.ndarray, level: int) -> Iterator[str]:
+    table = literal_table(a) if a.ndim >= 2 and a.size else None
+    if table is None:
+        yield from _encode_value(a.tolist(), level)
+        return
+    literals, codes = table
+    width = a.size // len(a)
+    yield from _block(_nested(a.shape[1:], level + 1, "%s"), width, len(a), level,
+                      lambda start, stop: literals[codes[start * width:stop * width]].tolist())
 
 
 def _encode_list(lst: list | tuple, level: int) -> Iterator[str]:
     if not lst:
         yield "[]"
         return
-    newline = "\n" + _INDENT * (level + 1)
-    close = "\n" + _INDENT * level + "]"
     block = _row_format(lst)
     if block is not None:
-        yield "[" + newline
-        yield from _block(lst, *block, level + 1)
-        yield close
-    else:
-        sep = "[" + newline
-        for x in lst:
-            yield sep
-            sep = "," + newline
-            yield from _encode_value(x, level + 1)
-        yield close
+        width, fmt = block
+        yield from _block(_nested((width,), level + 1, fmt), width, len(lst), level,
+                          lambda start, stop: chain.from_iterable(lst[start:stop]))
+        return
+    newline = "\n" + _INDENT * (level + 1)
+    sep = "[" + newline
+    for x in lst:
+        yield sep
+        sep = "," + newline
+        yield from _encode_value(x, level + 1)
+    yield "\n" + _INDENT * level + "]"
 
 
 def _encode_dict(dct: dict, level: int) -> Iterator[str]:
@@ -136,7 +197,8 @@ def _encode_dict(dct: dict, level: int) -> Iterator[str]:
 
 
 def iterencode(obj) -> Iterator[str]:
-    """Chunks whose concatenation is ``json.dumps(obj, indent=2)``."""
+    """Chunks whose concatenation is ``json.dumps(obj, indent=2)``, an
+    ndarray counting as its ``tolist()``."""
     return _encode_value(obj, 0)
 
 

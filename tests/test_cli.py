@@ -122,24 +122,30 @@ def _edited_s(i, j, part, edit):
     return tamper
 
 
-@pytest.mark.parametrize("tamper", [
-    pytest.param(_edited(conformalWeights=["0/1", "3/16", "1/2"]), id="conformal-weight"),
-    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 2))),
+@pytest.mark.parametrize("tamper,reason", [
+    pytest.param(_edited(conformalWeights=["0/1", "3/16", "1/2"]), "", id="conformal-weight"),
+    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 2))), "",
                  id="full-document"),
     pytest.param(
-        lambda text: canonical_json(_projection(modular_data_to_doc(modular_data("A1", 3)))),
+        lambda text: canonical_json(_projection(modular_data_to_doc(modular_data("A1", 3)))), "",
         id="another-level"),
-    pytest.param(_edited(rank=True), id="rank-true"),
-    pytest.param(_edited(vacuumIndex=0.0), id="vacuum-index-float"),
-    pytest.param(_edited_s(0, 0, 1, int), id="s-entry-int"),
-    pytest.param(_edited_s(0, 1, 0, lambda x: x + 1e-6), id="s-asymmetric"),
-    pytest.param(lambda text: json.dumps(json.loads(text)), id="whitespace"),
+    pytest.param(_edited(rank=True), "", id="rank-true"),
+    pytest.param(_edited(vacuumIndex=0.0), "", id="vacuum-index-float"),
+    pytest.param(_edited_s(0, 0, 1, int), "", id="s-entry-int"),
+    pytest.param(_edited_s(0, 1, 0, lambda x: x + 1e-6), "", id="s-asymmetric"),
+    pytest.param(lambda text: json.dumps(json.loads(text)), "", id="whitespace"),
+    pytest.param(_edited_s(1, 1, 0, lambda x: float("nan")), "not finite", id="s-nan"),
+    pytest.param(
+        lambda text: _edited_s(1, 2, 1, lambda x: float("inf"))(
+            _edited_s(2, 1, 1, lambda x: float("inf"))(text)),
+        "not finite", id="s-inf-pair"),
 ])
-def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper):
+def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper, reason):
     """A cache file that parses but is not the S-only document of its own
     key, byte for byte, is reported as corrupted and rebuilt: an edited,
     extra or retyped key, the full document of older versions, an S that is
-    not symmetric, or other whitespace."""
+    not symmetric or not finite, or other whitespace.  A non-finite S is
+    refused by name, before any arithmetic on it could warn."""
     argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
     _, out = _run(capsys, argv)
     payload = json.loads(out)["payload"]
@@ -148,7 +154,7 @@ def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper):
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0
-    assert "corrupted" in captured.err
+    assert "corrupted" in captured.err and reason in captured.err
     assert json.loads(captured.out)["payload"] == payload
     assert path.read_text() == canonical_json(_projection(payload))
 
@@ -259,14 +265,20 @@ def test_untagged_cache_file_is_ignored(capsys, tmp_path):
     ["twining", "A3", "2"],
     ["verify-conjecture", "A1", "4"],
     ["selftest"],
+    ["modular-data", "A2", "3"],
+    ["modular-data", "C3", "3"],
+    ["bimodules", "A3", "4"],
 ])
 def test_report_bytes_are_json_dumps_indent_2(capsys, tmp_path, argv):
     """Every report, on a cache miss and on a hit, is exactly what
-    print(json.dumps(report, indent=2)) would write."""
+    print(json.dumps(report, indent=2)) would write.  S of A2:3 and C3:3
+    holds -0.0, which the array writer must spell as json does."""
     for _ in range(2):
         code, out = _run(capsys, argv + ["--cache-dir", str(tmp_path)])
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        if argv in (["modular-data", "A2", "3"], ["modular-data", "C3", "3"]):
+            assert "-0.0" in out
 
 
 def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
@@ -342,8 +354,11 @@ def per_element_doc(md):
 def test_doc_matches_per_element_oracle(md_of, name, k):
     md = md_of(name, k)
     doc, want = modular_data_to_doc(md), per_element_doc(md)
-    assert doc == want
-    assert canonical_json(doc) == canonical_json(want)  # also tells -0.0 from 0.0
+    n, m = len(md), len(want["fusion"])
+    assert doc["sMatrix"].dtype == np.float64 and doc["sMatrix"].shape == (n, n, 2)
+    assert doc["fusion"].dtype == np.int64 and doc["fusion"].shape == (m, 4)
+    # bytes, not ==: also tells -0.0 from 0.0 and 1 from 1.0
+    assert canonical_json(doc) == canonical_json(want)
 
 
 @pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))

@@ -1,4 +1,5 @@
-"""The streaming writer against its oracle, json.dumps(obj, indent=2)."""
+"""The streaming writer against its oracle, json.dumps(obj, indent=2), with
+an ndarray counting as its tolist()."""
 
 import io
 import json
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wzwkit.jsonout import iterencode, write
 
@@ -18,7 +20,17 @@ SPECIAL_TEXT = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "\ud
 text = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(SPECIAL_TEXT)))
 ints = st.one_of(st.integers(), st.integers(-2**200, 2**200), st.booleans())
 floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
-leaves = st.one_of(st.none(), ints, floats, floats.map(np.float64), text)
+# Arrays of every shape; two and three axes (the literal-table path) most often.
+shapes = st.one_of(hnp.array_shapes(min_dims=2, max_dims=3, max_side=6),
+                   hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+arrays = st.one_of(
+    hnp.arrays(np.int64, shapes, elements=st.one_of(st.integers(-3, 40),
+                                                    st.sampled_from([-2**62, 2**62]))),
+    hnp.arrays(np.uint8, shapes),
+    hnp.arrays(np.float64, shapes, elements=floats),
+    hnp.arrays(np.float64, shapes, elements=st.sampled_from(SPECIAL_FLOATS)),
+)
+leaves = st.one_of(st.none(), ints, floats, floats.map(np.float64), text, arrays)
 keys = st.one_of(text, st.integers(), st.floats(), st.booleans(), st.none())
 
 
@@ -49,9 +61,24 @@ trees = st.recursive(
 )
 
 
+def _tolist(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, indent=2, default=_tolist)
+
+
 @given(trees)
 def test_matches_json_dumps(obj):
-    assert "".join(iterencode(obj)) == json.dumps(obj, indent=2)
+    assert "".join(iterencode(obj)) == _oracle(obj)
+
+
+@given(arrays)
+def test_array_matches_its_tolist(a):
+    assert "".join(iterencode(a)) == json.dumps(a.tolist(), indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -66,12 +93,31 @@ def test_edge_cases(obj):
 
 
 @pytest.mark.parametrize("obj", [
+    np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0)), np.zeros((2, 0, 3), dtype=np.int64),
+    np.array(5), np.array(-0.0), np.array([[True, False], [False, True]]), np.arange(5),
+    np.array([0.5, -0.0]), np.array([[7]]), np.array([[0, 10**6], [3, 4]]),
+    np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e16], [0.1, 2.0]]),
+    np.arange(-128, 128, dtype=np.int8).reshape(16, 16),
+    np.array([[2**64 - 1, 2**64 - 2]], dtype=np.uint64),
+    np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+    np.arange(40000).reshape(-1, 4) % 9,  # 10000 rows: three chunks, the last one short
+    (np.arange(60000) / 7).reshape(150, 200, 2),  # rows of 400 scalars over several chunks
+    np.asfortranarray(np.arange(12).reshape(3, 4)), np.arange(24).reshape(2, 3, 4)[:, ::2, 1:],
+    [{"k": [np.eye(3), np.arange(4).reshape(2, 2)]}, {"z": np.zeros((1, 1, 1))}],
+    {"k": [[1, 2, 3]] * 6000},
+])
+def test_array_edge_cases(obj):
+    assert "".join(iterencode(obj)) == _oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [
     np.int64(3), [np.int64(3)], [[1, np.int64(2)], [3, 4]], {"a": np.int64(1)},
     {np.int64(1): 2}, [object()], {(1, 2): 3},
+    np.array([[1j, 2]]), [np.array([[object()]], dtype=object)],
 ])
 def test_type_errors_match_json(obj):
     with pytest.raises(TypeError) as expected:
-        json.dumps(obj, indent=2)
+        _oracle(obj)
     with pytest.raises(TypeError) as got:
         "".join(iterencode(obj))
     assert str(got.value) == str(expected.value)

@@ -226,7 +226,8 @@ def test_json_round_trip(md_of):
     assert np.array_equal(back.fusion, md.fusion)
     assert np.array_equal(back.s_matrix, md.s_matrix)
     assert back.conjugation == md.conjugation
-    assert modular_data_to_doc(back) == doc
+    assert not np.shares_memory(back.s_matrix, doc["sMatrix"])  # doc holds S as an array
+    assert canonical_json(modular_data_to_doc(back)) == canonical_json(doc)
 
 
 def test_json_round_trip_keeps_signed_zeros(md_of):
