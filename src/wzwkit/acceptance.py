@@ -343,8 +343,7 @@ class Battery:
         if m.shape != (2, 2):
             ok = False
             notes.append(f"(A3,2) twining matrix is {m.shape}, not 2x2")
-        worst = max(worst, float(np.max(np.abs(m - m.T))))
-        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - np.eye(len(m))))))
+        worst = max(worst, tsm.symmetry_residual, tsm.unitarity_residual)
         full = [
             c for c in schellekens.classify_algebras(md, pg, self.config)
             if len(c.algebra.support) == 4
@@ -353,9 +352,7 @@ class Battery:
         if not rep.passed:
             ok = False
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
-        for c in rep.checks:
-            if c.margin is not None:
-                worst = max(worst, c.margin)
+        worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
             md1 = self.md(name, k)
             pg1 = self.pic(name, k)

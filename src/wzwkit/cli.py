@@ -31,10 +31,8 @@ from .config import Config
 from .errors import (
     FixedPointsPresent,
     InvarianceViolation,
-    LambdaDependence,
     PhiUnavailable,
     QuadraticFormViolation,
-    SnapFailure,
     WzwError,
 )
 from .residues import format_rational
@@ -365,9 +363,10 @@ def _cmd_twining(md: ModularData, args, config: Config):
     from . import picard, twining
 
     pg = picard.find_simple_currents(md, config)
+    everything = range(len(pg))
     blobs = []
     checks = []
-    for a in range(len(pg)):
+    for a in everything:
         fixed = twining.fixed_points(md, pg, a)
         blob = {
             "element": a,
@@ -375,39 +374,33 @@ def _cmd_twining(md: ModularData, args, config: Config):
             "weight": list(md.weights[pg.elements[a].object_index]),
             "fixedPoints": list(fixed),
         }
-        if fixed:
-            try:
-                tsm = twining.twining_S(md, pg, a, config)
-            except WzwError as exc:
-                blob["note"] = f"{type(exc).__name__}: {exc}"
-                blobs.append(blob)
-                continue
-            blob["folded"] = {
-                "series": tsm.fold.folded_series,
-                "rank": tsm.fold.folded_rank,
-                "level": tsm.fold.folded_level,
-            }
-            blob["sOmega"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in tsm.matrix
-            ]
-            phi = {}
-            findings = []
-            for h in range(len(pg)):
-                try:
-                    vals = twining.extract_phi(md, pg, tsm, a, h, config)
-                except (LambdaDependence, SnapFailure) as exc:
-                    findings.append({"h": h, "violation": f"{type(exc).__name__}: {exc}"})
-                    continue
-                for u, r in sorted(vals.by_weight.items()):
-                    phi[f"{u},{a},{h}"] = format_rational(r)
-            blob["phi"] = phi
-            if findings:
-                blob["findings"] = findings
-            m = tsm.matrix
-            uni = float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
-            checks.append(_check(f"s-omega-unitary-g{a}", uni < config.tolerance, uni))
-            checks.append(_check(f"phi-ratio-g{a}", not findings, None))
         blobs.append(blob)
+        if not fixed:
+            continue
+        try:
+            row = twining.phi_row(md, pg, a, everything, config)
+        except WzwError as exc:
+            blob["note"] = f"{type(exc).__name__}: {exc}"
+            continue
+        tsm = row.tsm
+        fold = tsm.fold
+        blob["folded"] = {"series": fold.folded_series, "rank": fold.folded_rank,
+                          "level": fold.folded_level}
+        blob["sOmega"] = np.stack((tsm.matrix.real, tsm.matrix.imag), -1)
+        phi = {}
+        findings = []
+        for h, vals in row.phi.items():
+            if isinstance(vals, WzwError):
+                findings.append({"h": h, "violation": f"{type(vals).__name__}: {vals}"})
+                continue
+            for u, r in sorted(vals.by_weight.items()):
+                phi[f"{u},{a},{h}"] = format_rational(r)
+        blob["phi"] = phi
+        if findings:
+            blob["findings"] = findings
+        uni = tsm.unitarity_residual
+        checks.append(_check(f"s-omega-unitary-g{a}", uni < config.tolerance, uni))
+        checks.append(_check(f"phi-ratio-g{a}", not findings, None))
     return {"elements": blobs}, checks
 
 
@@ -460,58 +453,62 @@ def _cmd_selftest(args, config: Config):
 # --- rendering -----------------------------------------------------------------
 
 
+def _algebras(*parts):
+    """Renderer of one line per algebra blob, joining what each part makes of it."""
+    return lambda payload: [
+        ", ".join([f"  algebra {idx}", *(text for part in parts for text in part(a))])
+        for idx, a in enumerate(payload["algebras"])
+    ]
+
+
+def _field(key: str, form: str):
+    """Part of an algebra line: the blob's `key` put into `form`, nothing if absent or null."""
+    return lambda a: [] if a.get(key) is None else [form.format(a[key])]
+
+
+_SUPPORT = _field("support", "support objects {}")
+
+
+def _pretty_twining(payload: dict) -> list[str]:
+    lines = []
+    for e in payload["elements"]:
+        line = f"  element {e['element']}: weight {e['weight']}, fixed points {e['fixedPoints']}"
+        if "folded" in e:
+            line += ", folds to {series}{rank} level {level}".format(**e["folded"])
+        lines.append(line + (f" ({e['note']})" if "note" in e else ""))
+    return lines
+
+
+# the text after the header and the checks, keyed by command
+_PRETTY = {
+    "modular-data": lambda p: [f"  {len(p['weights'])} weights, c = {p['centralCharge']}"],
+    "picard": lambda p: [f"  order {p['order']}, invariant factors {p['invariantFactors']}"] + [
+        f"  element {e['index']}: weight {e['weight']}, order {e['order']}, twist {e['twist']}"
+        for e in p["elements"]
+    ],
+    "invariants": _algebras(_field("support", "support objects {[objectIndices]}"),
+                            _field("latex", "Z = {}")),
+    "boundaries": _algebras(_SUPPORT, _field("boundaryCount", "{} boundary conditions"),
+                            _field("note", "{}")),
+    "bimodules": _algebras(_SUPPORT, _field("picard", "Pic = {[isoClass]}"),
+                           lambda a: [f"{len(a['kramersWannier'])} duality candidate(s)"]),
+    "twining": _pretty_twining,
+    "verify-conjecture": _algebras(_SUPPORT, _field("skipped", "skipped: {}")),
+    "selftest": lambda p: [f"  [{'pass' if r['pass'] else 'FAIL'}] {r['criterion']}: {r['detail']}"
+                           for r in p["results"]],
+}
+
+
 def _print_pretty(report: dict) -> None:
-    print(f"wzwkit {report['command']}", end="")
-    if report.get("input"):
+    lines = [f"wzwkit {report['command']}"]
+    if report["input"]:
         i = report["input"]
-        print(f"  {i['series']}{i['rank']} level {i['level']}", end="")
-    print()
+        lines[0] += f"  {i['series']}{i['rank']} level {i['level']}"
     for check in report["checks"]:
         status = "pass" if check["pass"] else "FAIL"
         margin = "" if check["margin"] is None else f"  margin={check['margin']:.3e}"
-        print(f"  [{status}] {check['name']}{margin}")
-    payload = report["payload"]
-    if "results" in payload:
-        for r in payload["results"]:
-            status = "pass" if r["pass"] else "FAIL"
-            print(f"  [{status}] {r['criterion']}: {r['detail']}")
-    elif "order" in payload:
-        print(f"  order {payload['order']}, invariant factors {payload['invariantFactors']}")
-        for e in payload["elements"]:
-            print(f"  element {e['index']}: weight {e['weight']}, order {e['order']}, "
-                  f"twist {e['twist']}")
-    elif "elements" in payload:
-        for e in payload["elements"]:
-            line = f"  element {e['element']}: weight {e['weight']}, fixed points {e['fixedPoints']}"
-            if "folded" in e:
-                f = e["folded"]
-                line += f", folds to {f['series']}{f['rank']} level {f['level']}"
-            if "note" in e:
-                line += f" ({e['note']})"
-            print(line)
-    elif "algebras" in payload:
-        for idx, a in enumerate(payload["algebras"]):
-            parts = [f"  algebra {idx}"]
-            support = a.get("support")
-            if isinstance(support, dict):
-                parts.append(f"support objects {support['objectIndices']}")
-            elif support is not None:
-                parts.append(f"support objects {support}")
-            if "latex" in a:
-                parts.append(f"Z = {a['latex']}")
-            if a.get("boundaryCount") is not None:
-                parts.append(f"{a['boundaryCount']} boundary conditions")
-            if "picard" in a:
-                parts.append(f"Pic = {a['picard']['isoClass']}")
-            if "kramersWannier" in a:
-                parts.append(f"{len(a['kramersWannier'])} duality candidate(s)")
-            if "note" in a:
-                parts.append(a["note"])
-            if "skipped" in a:
-                parts.append(f"skipped: {a['skipped']}")
-            print(", ".join(parts))
-    elif "weights" in payload:
-        print(f"  {len(payload['weights'])} weights, c = {payload['centralCharge']}")
+        lines.append(f"  [{status}] {check['name']}{margin}")
+    print("\n".join(lines + _PRETTY[report["command"]](report["payload"])))
 
 
 def run(argv: list[str]) -> int:

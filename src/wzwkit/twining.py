@@ -16,12 +16,17 @@ independence is the testable content of the conjecture and is enforced here,
 never assumed.  theta_ref(h) is evaluated once per reference row, the ratios
 of all columns form one array, and the reference dependence of a column is
 the diameter of its candidate set, taken over all pairs at once.
+
+Every consumer of phi uses one engine, `phi_row` (S^w of one g, then phi(g, h)
+for a list of h, keeping a violation met for one h in the row), and one
+validator, `conjecture_checks`, which turns rows into the property suite.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -92,24 +97,20 @@ def fold_diagram(ld: LevelData, aut: DiagramAutomorphism, config: Config = DEFAU
             f"rotation order {d} does not divide level {k}; the fixed-point set is empty"
         )
     folded_level = k // d
-    if cycle_len == 1:
-        weight_map = {}
-        for idx, w in enumerate(ld.weights):
-            labels = affine_labels(ld, w)
-            if all(labels[i] == labels[(i + m) % nodes] for i in range(nodes)):
-                weight_map[idx] = 0
-        if len(weight_map) != 1:
-            raise UnsupportedFolding(
-                f"expected a single fixed point for total folding, found {len(weight_map)}"
-            )
-        return OrbitAlgebraData("A", 0, folded_level, weight_map, None)
-    folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, config)
-    weight_map = {}
+    fixed_labels = {}
     for idx, w in enumerate(ld.weights):
         labels = affine_labels(ld, w)
         if all(labels[i] == labels[(i + m) % nodes] for i in range(nodes)):
-            folded_finite = tuple(labels[1:cycle_len])
-            weight_map[idx] = folded_ld.index(folded_finite)
+            fixed_labels[idx] = labels
+    if cycle_len == 1:
+        if len(fixed_labels) != 1:
+            raise UnsupportedFolding(
+                f"expected a single fixed point for total folding, found {len(fixed_labels)}"
+            )
+        return OrbitAlgebraData("A", 0, folded_level, dict.fromkeys(fixed_labels, 0), None)
+    folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, config)
+    weight_map = {idx: folded_ld.index(tuple(labels[1:cycle_len]))
+                  for idx, labels in fixed_labels.items()}
     if sorted(weight_map.values()) != list(range(len(folded_ld))):
         raise UnsupportedFolding("fixed points do not biject onto the folded weight set")
     return OrbitAlgebraData("A", cycle_len - 1, folded_level, weight_map, folded_ld)
@@ -125,6 +126,15 @@ class TwiningSMatrix:
 
     def __len__(self) -> int:
         return len(self.fixed_points)
+
+    @property
+    def symmetry_residual(self) -> float:
+        return float(np.max(np.abs(self.matrix - self.matrix.T)))
+
+    @property
+    def unitarity_residual(self) -> float:
+        m = self.matrix
+        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
 
 
 def twining_S(md: ModularData, pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> TwiningSMatrix:
@@ -158,12 +168,13 @@ def twining_S(md: ModularData, pg: PicardGroup, a: int, config: Config = DEFAULT
     if abs(z) < config.tolerance:
         raise NormalizationFailure("anchor entry of S^w vanishes; cannot fix the phase")
     matrix = matrix * (abs(z) / z)
-    if np.max(np.abs(matrix - matrix.T)) > config.tolerance:
-        raise NormalizationFailure("S^w is not symmetric")
-    if np.max(np.abs(matrix @ matrix.conj().T - np.eye(len(fixed)))) > config.tolerance:
-        raise NormalizationFailure("S^w is not unitary")
     matrix.flags.writeable = False
-    return TwiningSMatrix(tuple(fixed), matrix, fold)
+    tsm = TwiningSMatrix(tuple(fixed), matrix, fold)
+    if tsm.symmetry_residual > config.tolerance:
+        raise NormalizationFailure("S^w is not symmetric")
+    if tsm.unitarity_residual > config.tolerance:
+        raise NormalizationFailure("S^w is not unitary")
+    return tsm
 
 
 _PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
@@ -292,47 +303,48 @@ class PhiTable:
     def has(self, weight_index: int, g: int, h: int) -> bool:
         return (weight_index, g, h) in self.values
 
-    def validate(self, pg: PicardGroup, members: tuple[int, ...]) -> list[str]:
-        """KSB-property violations (bi-additivity, twist diagonal); empty if clean."""
-        problems = []
-        keys = self.values
-        weights = sorted({u for (u, _, _) in keys})
-        for u in weights:
-            for g in members:
-                for h1 in members:
-                    for h2 in members:
-                        h12 = pg.table[h1][h2]
-                        trio = [(u, g, h1), (u, g, h2), (u, g, h12)]
-                        if all(t in keys for t in trio):
-                            if mod1(keys[trio[0]] + keys[trio[1]]) != keys[trio[2]]:
-                                problems.append(f"phi not additive in h at U={u}, g={g}")
-            for g1 in members:
-                for g2 in members:
-                    g12 = pg.table[g1][g2]
-                    for h in members:
-                        trio = [(u, g1, h), (u, g2, h), (u, g12, h)]
-                        if all(t in keys for t in trio):
-                            if mod1(keys[trio[0]] + keys[trio[1]]) != keys[trio[2]]:
-                                problems.append(f"phi not additive in g at U={u}, h={h}")
-            for g in members:
-                if (u, g, g) in keys and keys[(u, g, g)] != pg.twists[g]:
-                    problems.append(f"phi diagonal != twist at U={u}, g={g}")
-        return problems
+
+@dataclass(frozen=True)
+class PhiRow:
+    """S^w of one g and, for each h in the order asked, the phi values of
+    (g, h) or the LambdaDependence or SnapFailure that extracting them raised."""
+
+    g: int
+    tsm: TwiningSMatrix
+    phi: dict[int, PhiValues | LambdaDependence | SnapFailure]
+
+
+def phi_row(
+    md: ModularData, pg: PicardGroup, g: int, hs: Iterable[int], config: Config = DEFAULT_CONFIG
+) -> PhiRow:
+    """The phi engine: S^w for g (its errors propagate), then phi(g, h) for
+    every h in `hs`, a violation met for one h kept in the row."""
+    tsm = twining_S(md, pg, g, config)
+    phi: dict[int, PhiValues | LambdaDependence | SnapFailure] = {}
+    for h in hs:
+        try:
+            phi[h] = extract_phi(md, pg, tsm, g, h, config)
+        except (LambdaDependence, SnapFailure) as exc:
+            phi[h] = exc
+    return PhiRow(g, tsm, phi)
+
+
+def _support_rows(md: ModularData, pg: PicardGroup, members: tuple[int, ...], config: Config):
+    """Rows of every g in `members` with fixed points, against all of `members`."""
+    return (phi_row(md, pg, g, members, config) for g in members if fixed_points(md, pg, g))
 
 
 def build_phi_table(
     md: ModularData, pg: PicardGroup, members: tuple[int, ...], config: Config = DEFAULT_CONFIG
 ) -> PhiTable:
-    """phi values for all g in `members` with fixed points, against all h in `members`."""
+    """phi values for all g in `members` with fixed points, against all h in
+    `members`; the first violation in (g, h) order is raised."""
     values: dict[tuple[int, int, int], Fraction] = {}
-    for g in members:
-        if not fixed_points(md, pg, g):
-            continue
-        tsm = twining_S(md, pg, g, config)
-        for h in members:
-            vals = extract_phi(md, pg, tsm, g, h, config)
-            for u, r in vals.by_weight.items():
-                values[(u, g, h)] = r
+    for row in _support_rows(md, pg, members, config):
+        for h, vals in row.phi.items():
+            if not isinstance(vals, PhiValues):
+                raise vals
+            values.update(((u, row.g, h), r) for u, r in vals.by_weight.items())
     return PhiTable(values)
 
 
@@ -359,76 +371,67 @@ class ConjectureReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def verify_conjecture(md: ModularData, algebra, config: Config = DEFAULT_CONFIG) -> ConjectureReport:
-    """Property suite for the twining/6j relation over the support of an algebra.
+def _additive(a: PhiValues, b: PhiValues, ab: PhiValues, weights) -> bool:
+    return all(mod1(a.by_weight[u] + b.by_weight[u]) == ab.by_weight[u] for u in weights)
 
-    For every g in H with fixed points: S^w unitarity and symmetry, reference
-    independence of the phi ratio for every h in H, additivity of the snapped
-    phi in both arguments, and the twist-diagonal property.  Violations are
-    collected as findings, not raised.
+
+def conjecture_checks(
+    pg: PicardGroup, rows: Iterable[PhiRow], config: Config = DEFAULT_CONFIG
+) -> list[ConjectureCheck]:
+    """The validator: the property suite over phi rows that share one list of h.
+
+    Per row, in order: S^w symmetry and unitarity, reference independence of
+    the phi ratio for every h, additivity of the snapped phi in h, and the
+    twist-diagonal property; then additivity in g at common fixed points.
+    Violations are returned as failed checks, never raised.
     """
-    pg = algebra.picard
-    members = algebra.support.members
+    rows = list(rows)
+    tol = config.tolerance
+    phis = {(row.g, h): v for row in rows for h, v in row.phi.items() if isinstance(v, PhiValues)}
     checks: list[ConjectureCheck] = []
-    phis: dict[tuple[int, int], PhiValues] = {}
-    for g in members:
-        fixed = fixed_points(md, pg, g)
-        if not fixed:
-            continue
-        tsm = twining_S(md, pg, g, config)
-        m = tsm.matrix
-        sym = float(np.max(np.abs(m - m.T)))
-        uni = float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    for row in rows:
+        g, n = row.g, len(row.tsm)
+        sym, uni = row.tsm.symmetry_residual, row.tsm.unitarity_residual
         checks.append(ConjectureCheck(
-            "s-omega-symmetric", g, None, sym <= config.tolerance, sym,
-            f"{len(m)}x{len(m)} twining matrix"))
-        checks.append(ConjectureCheck(
-            "s-omega-unitary", g, None, uni <= config.tolerance, uni, ""))
-        for h in members:
-            try:
-                vals = extract_phi(md, pg, tsm, g, h, config)
-            except (LambdaDependence, SnapFailure) as exc:
-                checks.append(ConjectureCheck(
-                    "phi-ratio-reference-independent", g, h, False, None, str(exc)))
-                continue
-            phis[(g, h)] = vals
+            "s-omega-symmetric", g, None, sym <= tol, sym, f"{n}x{n} twining matrix"))
+        checks.append(ConjectureCheck("s-omega-unitary", g, None, uni <= tol, uni, ""))
+        for h, vals in row.phi.items():
+            ok = isinstance(vals, PhiValues)
             checks.append(ConjectureCheck(
-                "phi-ratio-reference-independent", g, h, True, vals.spread, ""))
-        # additivity in h on snapped residues
-        for h1 in members:
-            for h2 in members:
+                "phi-ratio-reference-independent", g, h, ok,
+                vals.spread if ok else None, "" if ok else str(vals)))
+        for h1 in row.phi:
+            for h2 in row.phi:
                 h12 = pg.table[h1][h2]
-                if (g, h1) in phis and (g, h2) in phis and (g, h12) in phis:
-                    ok = all(
-                        mod1(phis[(g, h1)].by_weight[u] + phis[(g, h2)].by_weight[u])
-                        == phis[(g, h12)].by_weight[u]
-                        for u in phis[(g, h12)].by_weight
-                    )
+                trio = [phis.get((g, h)) for h in (h1, h2, h12)]
+                if None not in trio:
                     checks.append(ConjectureCheck(
-                        "phi-additive-in-h", g, h12, ok, None, f"h1={h1}, h2={h2}"))
+                        "phi-additive-in-h", g, h12, _additive(*trio, trio[2].by_weight),
+                        None, f"h1={h1}, h2={h2}"))
         if (g, g) in phis:
             ok = all(r == pg.twists[g] for r in phis[(g, g)].by_weight.values())
             checks.append(ConjectureCheck(
-                "phi-diagonal-equals-twist", g, g, ok, None,
-                f"twist residue {pg.twists[g]}"))
-    # additivity in g at common fixed points
-    for g1 in members:
-        for g2 in members:
+                "phi-diagonal-equals-twist", g, g, ok, None, f"twist residue {pg.twists[g]}"))
+    for row1 in rows:
+        for row2 in rows:
+            g1, g2 = row1.g, row2.g
             g12 = pg.table[g1][g2]
-            for h in members:
-                if (g1, h) in phis and (g2, h) in phis and (g12, h) in phis:
-                    common = (
-                        set(phis[(g1, h)].by_weight)
-                        & set(phis[(g2, h)].by_weight)
-                        & set(phis[(g12, h)].by_weight)
-                    )
-                    if not common:
-                        continue
-                    ok = all(
-                        mod1(phis[(g1, h)].by_weight[u] + phis[(g2, h)].by_weight[u])
-                        == phis[(g12, h)].by_weight[u]
-                        for u in common
-                    )
+            for h in row1.phi:
+                trio = [phis.get((g, h)) for g in (g1, g2, g12)]
+                if None in trio:
+                    continue
+                common = set.intersection(*(set(v.by_weight) for v in trio))
+                if common:
                     checks.append(ConjectureCheck(
-                        "phi-additive-in-g", g12, h, ok, None, f"g1={g1}, g2={g2}"))
-    return ConjectureReport(tuple(checks))
+                        "phi-additive-in-g", g12, h, _additive(*trio, common),
+                        None, f"g1={g1}, g2={g2}"))
+    return checks
+
+
+def verify_conjecture(md: ModularData, algebra, config: Config = DEFAULT_CONFIG) -> ConjectureReport:
+    """Property suite for the twining/6j relation over the support of an
+    algebra: the validator over the rows of every g in H with fixed points,
+    each against every h in H."""
+    pg = algebra.picard
+    rows = _support_rows(md, pg, algebra.support.members, config)
+    return ConjectureReport(tuple(conjecture_checks(pg, rows, config)))

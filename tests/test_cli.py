@@ -221,6 +221,103 @@ def test_pretty_output_is_text(capsys, tmp_path):
         json.loads(out)
 
 
+@pytest.mark.parametrize("argv,header,line", [
+    (["modular-data", "A1", "4"], "wzwkit modular-data  A1 level 4", "  5 weights, c = 2/1"),
+    (["picard", "A1", "4"], "wzwkit picard  A1 level 4",
+     "  element 1: weight [4], order 2, twist 0/1"),
+    (["invariants", "A1", "4", "--latex"], "wzwkit invariants  A1 level 4",
+     r"  algebra 1, support objects [0, 4], Z = |\chi_{0} + \chi_{4}|^2 + 2|\chi_{2}|^2"),
+    (["boundaries", "D4", "2"], "wzwkit boundaries  D4 level 2",
+     "  algebra 1, support objects [0, 2], 10 boundary conditions"),
+    (["boundaries", "D4", "2"], "wzwkit boundaries  D4 level 2",
+     "  algebra 4, support objects [0, 2, 5, 10], phi unavailable: stabilizer of orbit at "
+     "weight 6 is non-cyclic; a phi table from the twining module is required"),
+    (["bimodules", "A1", "4"], "wzwkit bimodules  A1 level 4",
+     "  algebra 1, support objects [0, 4], Pic = Z2, 0 duality candidate(s)"),
+    (["twining", "A3", "2"], "wzwkit twining  A3 level 2",
+     "  element 2: weight [0, 2, 0], fixed points [3, 7], folds to A1 level 1"),
+    (["verify-conjecture", "D4", "2"], "wzwkit verify-conjecture  D4 level 2",
+     "  algebra 3, support objects [0, 10], skipped: UnsupportedFolding: folding supports "
+     "only A-series cycle rotations, got (1, 0, 2, 4, 3) on D4"),
+    (["selftest"], "wzwkit selftest",
+     "  [pass] 11-determinism: CLI output byte-identical across runs; cache round-trips exactly"),
+])
+def test_pretty_renders_each_command(capsys, tmp_path, argv, header, line):
+    code, out = _run(capsys, argv + ["--pretty", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert line in lines
+
+
+def test_twining_unsupported_folding_notes(capsys, tmp_path):
+    code, out = _run(capsys, ["twining", "D4", "2", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    elements = json.loads(out)["payload"]["elements"]
+    notes = [e["note"] for e in elements if "note" in e]
+    assert len(notes) == 3
+    assert all(n.startswith("UnsupportedFolding: ") for n in notes)
+    assert all("phi" not in e for e in elements if "note" in e)
+
+
+def test_verify_conjecture_skips_unsupported_folding(capsys, tmp_path):
+    code, out = _run(capsys, ["verify-conjecture", "D4", "2", "--strict",
+                              "--cache-dir", str(tmp_path)])
+    assert code == 0
+    algebras = json.loads(out)["payload"]["algebras"]
+    skipped = [a for a in algebras if "skipped" in a]
+    assert len(skipped) == 5
+    assert all(a["skipped"].startswith("UnsupportedFolding: ") for a in skipped)
+    assert [a["passed"] for a in algebras if "skipped" not in a] == [True]
+
+
+@pytest.fixture
+def broken_ratio(monkeypatch):
+    """Make the phi engine meet a LambdaDependence for (g, h) = (2, 1) of
+    (A3,2): the order-2 current against an order-4 one."""
+    from wzwkit import twining
+    from wzwkit.errors import LambdaDependence
+
+    extract = twining.extract_phi
+
+    def failing(md, pg, tsm, g, h, config):
+        if (g, h) == (2, 1):
+            raise LambdaDependence("injected reference dependence")
+        return extract(md, pg, tsm, g, h, config)
+
+    monkeypatch.setattr(twining, "extract_phi", failing)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_twining_reports_an_engine_violation(capsys, tmp_path, broken_ratio, strict):
+    argv = ["twining", "A3", "2", "--cache-dir", str(tmp_path)] + ["--strict"] * strict
+    code, out = _run(capsys, argv)
+    assert code == (3 if strict else 0)
+    rep = json.loads(out)
+    element = rep["payload"]["elements"][2]
+    assert element["findings"] == [
+        {"h": 1, "violation": "LambdaDependence: injected reference dependence"}]
+    assert not any(key.endswith(",2,1") for key in element["phi"])
+    assert any(key.endswith(",2,3") for key in element["phi"])
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failed == ["phi-ratio-g2"]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_verify_conjecture_reports_an_engine_violation(capsys, tmp_path, broken_ratio, strict):
+    argv = ["verify-conjecture", "A3", "2", "--cache-dir", str(tmp_path)] + ["--strict"] * strict
+    code, out = _run(capsys, argv)
+    assert code == (3 if strict else 0)
+    rep = json.loads(out)
+    full = rep["payload"]["algebras"][2]
+    assert full["support"] == [0, 2, 5, 9]
+    assert full["passed"] is False
+    assert {"name": "phi-ratio-reference-independent", "g": 2, "h": 1,
+            "detail": "injected reference dependence"} in full["findings"]
+    failed = [c["name"] for c in rep["checks"] if not c["pass"]]
+    assert failed == ["conjecture-algebra-2"]
+
+
 def test_timing_flag(capsys, tmp_path):
     _, out = _run(capsys, ["picard", "A1", "2", "--timing", "--cache-dir", str(tmp_path)])
     assert json.loads(out)["timingSeconds"] >= 0

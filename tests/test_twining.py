@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,8 @@ from wzwkit import (
     verify_conjecture,
 )
 from wzwkit.errors import LambdaDependence, UnsupportedFolding
-from wzwkit.twining import TwiningSMatrix
+from wzwkit.residues import mod1
+from wzwkit.twining import TwiningSMatrix, conjecture_checks, phi_row
 
 
 def test_fixed_points_a1(md_of, pic_of):
@@ -184,12 +186,50 @@ def test_snap_failure_on_consistent_irrational_phase(md_of, pic_of):
         extract_phi(md, pg, TwiningSMatrix(tsm.fixed_points, crafted, tsm.fold), jsq, j)
 
 
-def test_phi_table_validates(md_of, pic_of):
+def _a3_rows(md_of, pic_of):
+    """The phi rows of (A3,2) over its whole Picard group, and its elements
+    of order 2 and 4."""
     md = md_of("A3", 2)
     pg = pic_of("A3", 2)
     members = tuple(range(len(pg)))
-    table = build_phi_table(md, pg, members)
-    assert table.validate(pg, members) == []
+    rows = [phi_row(md, pg, g, members) for g in members if fixed_points(md, pg, g)]
+    jsq = next(a for a in members if pg.elements[a].order == 2)
+    j = next(a for a in members if pg.elements[a].order == 4)
+    return pg, rows, jsq, j
+
+
+def test_validator_passes_clean_rows(md_of, pic_of):
+    pg, rows, jsq, _ = _a3_rows(md_of, pic_of)
+    checks = conjecture_checks(pg, rows)
+    assert [c for c in checks if not c.passed] == []
+    assert {"phi-additive-in-h", "phi-additive-in-g", "phi-diagonal-equals-twist"} <= {
+        c.name for c in checks}
+    table = build_phi_table(md_of("A3", 2), pg, tuple(range(len(pg))))
+    assert {(u, row.g, h) for row in rows for h, v in row.phi.items() for u in v.by_weight} == set(
+        table.values)
+
+
+@pytest.mark.parametrize("check,tamper", [
+    ("phi-additive-in-h", ("jsq", "j")),
+    ("phi-diagonal-equals-twist", ("jsq", "jsq")),
+    ("phi-additive-in-g", ("1", "j")),
+])
+def test_validator_catches_one_tampered_residue(check, tamper, md_of, pic_of):
+    """Shifting one snapped residue phi_U(g, h) by 1/4, at a fixed point U of
+    the order-2 current jsq, must fail the named check (j has order 4, 1 is
+    the identity)."""
+    pg, rows, jsq, j = _a3_rows(md_of, pic_of)
+    g, h = ({"1": 0, "jsq": jsq, "j": j}[x] for x in tamper)
+    u = next(row for row in rows if row.g == jsq).tsm.fixed_points[0]
+    tampered = []
+    for row in rows:
+        if row.g == g:
+            vals = row.phi[h]
+            shifted = {**vals.by_weight, u: mod1(vals.by_weight[u] + Fraction(1, 4))}
+            row = replace(row, phi={**row.phi, h: replace(vals, by_weight=shifted)})
+        tampered.append(row)
+    assert check not in {c.name for c in conjecture_checks(pg, rows) if not c.passed}
+    assert check in {c.name for c in conjecture_checks(pg, tampered) if not c.passed}
 
 
 @pytest.mark.parametrize(
