@@ -659,6 +659,13 @@ def t_matrix(md: ModularData) -> np.ndarray:
 # --- JSON document (CLI payload; the cache keeps its key and S) -------------
 
 
+def sparse_entries(a: np.ndarray) -> np.ndarray:
+    """The nonzero entries of an int64 array as the int64 rows (index..., value),
+    in C order, so they come out sorted by index."""
+    idx = np.argwhere(a)
+    return np.column_stack((idx, a[tuple(idx.T)]))
+
+
 def modular_data_to_doc(md: ModularData) -> dict:
     """Serialize to the canonical JSON document.
 
@@ -670,7 +677,6 @@ def modular_data_to_doc(md: ModularData) -> dict:
     arrays, and ``cache.canonical_json`` reads each as its ``tolist()``.
     """
     s = md.s_matrix
-    idx = np.argwhere(md.fusion)  # C order, so the quadruples come out sorted
     return {
         "schemaVersion": 1,
         "series": md.level_data.lie_type.series,
@@ -685,7 +691,7 @@ def modular_data_to_doc(md: ModularData) -> dict:
         "quantumDims": md.quantum_dims.tolist(),
         "conjugation": [int(x) for x in md.conjugation],
         "sMatrix": np.stack((s.real, s.imag), -1),
-        "fusion": np.column_stack((idx, md.fusion[tuple(idx.T)])),
+        "fusion": sparse_entries(md.fusion),
     }
 
 

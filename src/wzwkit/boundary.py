@@ -134,6 +134,7 @@ class BoundaryCount:
     per_orbit: tuple[tuple[int, int], ...]  # (orbit representative, count)
     labels: tuple[BoundaryLabel, ...]
     orbits: OrbitDecomposition
+    forms: tuple[EpsilonForm, ...]  # eps_U per orbit, in the order of orbits
 
 
 def count_boundary_conditions(
@@ -144,10 +145,10 @@ def count_boundary_conditions(
     """Number of simple modules: sum over orbits of #Irr of the twisted
     stabilizer algebra, which for abelian stabilizers is |rad eps_U|."""
     dec = orbit_decomposition(md, algebra.support)
+    forms = tuple(epsilon_form(md, orbit, algebra.ksb, phi) for orbit in dec.orbits)
     per_orbit = []
     labels = []
-    for orbit in dec.orbits:
-        eps = epsilon_form(md, orbit, algebra.ksb, phi)
+    for orbit, eps in zip(dec.orbits, forms):
         count = eps.radical_size()
         per_orbit.append((orbit.representative, count))
         labels.extend(BoundaryLabel(orbit.representative, r) for r in range(count))
@@ -156,4 +157,5 @@ def count_boundary_conditions(
         per_orbit=tuple(per_orbit),
         labels=tuple(labels),
         orbits=dec,
+        forms=forms,
     )

@@ -3,13 +3,13 @@
 One canonical JSON file per (series, rank, level) and S algorithm, written
 atomically.  It holds only the key and S (``series``, ``rank``, ``level``,
 ``sMatrix``): S is the one expensive quantity, and everything else is
-derived from it.  ``cache_store`` takes a ``modular_data_to_doc`` document,
-or the lighter ``cached_doc`` of the modular data, and writes its projection
-onto those fields.  A load checks that the file holds the key of its own name, takes S
-from it (finite, symmetric and unitary), derives the rest, and requires the
-projection of the rebuilt data to serialize to the file's exact bytes; a hit
-returns the modular data only.  Corruption is not fatal: the caller
-recomputes and overwrites, with a warning on standard error.
+derived from it.  ``cache_store`` takes the modular data and writes those
+fields straight from its S array.  A load checks that the file holds the
+key of its own name, takes S from it (finite, symmetric and unitary),
+derives the rest, and requires the cached fields of the rebuilt data to
+serialize to the file's exact bytes; a hit returns the modular data only.
+Corruption is not fatal: the caller recomputes and overwrites, with a
+warning on standard error.
 """
 
 from __future__ import annotations
@@ -49,28 +49,20 @@ def canonical_json(doc) -> str:
     return json.dumps(doc, separators=(",", ":"), ensure_ascii=True, default=np.ndarray.tolist)
 
 
-def _cache_text(doc: dict) -> str:
-    """``canonical_json`` of the cached fields of doc, whose S is an array
-    (or nested lists) of [re, im] pairs.  S repeats most of its entries, so
-    it is written in the compact layout from ``jsonout.literal_table``: each
-    distinct double is spelt once and one ``%`` fills the template; on A2:16
-    that is a quarter of the time of canonical_json with S as lists."""
-    s = np.asarray(doc["sMatrix"], dtype=np.float64)
+def _cache_text(md: ModularData) -> str:
+    """``canonical_json`` of the cached fields of md, S as [re, im] pairs.
+    S repeats most of its entries, so it is written in the compact layout
+    from ``jsonout.literal_table``: each distinct double is spelt once and
+    one ``%`` fills the template; on A2:16 that is a quarter of the time of
+    canonical_json with S as lists."""
+    s = md.s_matrix
     n = len(s)
-    literals, codes = literal_table(s)
+    literals, codes = literal_table(np.stack((s.real, s.imag), -1))
     row = "[" + ",".join(["[%s,%s]"] * n) + "]"
     s_text = "[" + ",".join([row] * n) % tuple(literals[codes].tolist()) + "]"
-    head = canonical_json({key: doc[key] for key in ("series", "rank", "level")})
-    return f'{head[:-1]},"sMatrix":{s_text}}}'
-
-
-def cached_doc(md: ModularData) -> dict:
-    """The cached fields of ``modular_data_to_doc(md)``, built without the
-    rest, S as an n x n x 2 array."""
     t = md.level_data.lie_type
-    s = md.s_matrix
-    return {"series": t.series, "rank": t.rank, "level": md.level_data.level,
-            "sMatrix": np.stack((s.real, s.imag), -1)}
+    head = canonical_json({"series": t.series, "rank": t.rank, "level": md.level_data.level})
+    return f'{head[:-1]},"sMatrix":{s_text}}}'
 
 
 def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
@@ -85,7 +77,7 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         if cache_key(doc["series"], doc["rank"], doc["level"]) != path.name:
             raise ValueError("stored series, rank or level does not match the file name")
         md = modular_data_from_doc(doc, config)
-        if _cache_text(cached_doc(md)) != text:
+        if _cache_text(md) != text:
             raise ValueError("stored file is not the canonical S-only document of its key")
         return md
     except Exception as exc:  # corrupted cache: recompute and overwrite
@@ -94,13 +86,13 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         return None
 
 
-def cache_store(cache_dir: Path, doc: dict) -> Path:
-    """Write the cached fields of a modular_data_to_doc or cached_doc
-    document atomically (write-to-temp plus rename) under the key of its series, rank and level;
-    return the path."""
+def cache_store(cache_dir: Path, md: ModularData) -> Path:
+    """Write the cached fields of md atomically (write-to-temp plus rename)
+    under the key of its series, rank and level; return the path."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / cache_key(doc["series"], doc["rank"], doc["level"])
-    payload = _cache_text(doc)
+    t = md.level_data.lie_type
+    path = cache_dir / cache_key(t.series, t.rank, md.level_data.level)
+    payload = _cache_text(md)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -25,8 +25,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import jsonout
-from .affine import ModularData, modular_data, modular_data_to_doc, parse_lie_type, t_matrix
-from .cache import cache_lookup, cache_store, cached_doc, default_cache_dir
+from .affine import (ModularData, modular_data, modular_data_to_doc, parse_lie_type,
+                     sparse_entries, t_matrix)
+from .cache import cache_lookup, cache_store, default_cache_dir
 from .config import Config
 from .errors import (
     FixedPointsPresent,
@@ -103,7 +104,7 @@ def _get_modular_data(args: argparse.Namespace, config: Config) -> ModularData:
         return hit
     md = modular_data(t, args.level, config)
     try:
-        cache_store(cache_dir, cached_doc(md))
+        cache_store(cache_dir, md)
     except OSError as exc:
         print(f"wzwkit: cannot write cache ({exc})", file=sys.stderr)
     return md
@@ -111,15 +112,6 @@ def _get_modular_data(args: argparse.Namespace, config: Config) -> ModularData:
 
 def _check(name: str, passed: bool, margin: float | None) -> dict:
     return {"name": name, "pass": bool(passed), "margin": margin}
-
-
-def _sparse_int_matrix(entries) -> list[list[int]]:
-    out = []
-    for i, row in enumerate(entries):
-        for j, v in enumerate(row):
-            if v:
-                out.append([i, j, int(v)])
-    return out
 
 
 def _latex_partition(md: ModularData, z: PartitionMatrix) -> str:
@@ -238,7 +230,7 @@ def _algebra_blob(md: ModularData, ca: ClassifiedAlgebra, config: Config,
             for a in range(len(sub))
             for b in range(len(sub))
         ],
-        "Z": _sparse_int_matrix(ca.partition.entries),
+        "Z": sparse_entries(ca.partition.as_array()),
     }
     if latex:
         blob["latex"] = _latex_partition(md, ca.partition)
@@ -294,15 +286,12 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
         }
         try:
             count = boundary.count_boundary_conditions(md, ca.algebra)
-            eps_data = []
-            for orbit in dec.orbits:
-                eps = boundary.epsilon_form(md, orbit, ca.algebra.ksb)
-                eps_data.append({
-                    "representative": orbit.representative,
-                    "values": [[format_rational(v) for v in row] for row in eps.values],
-                })
             ishibashi = sum(ca.partition.entries[i][md.conjugation[i]] for i in range(len(md)))
-            blob["epsilon"] = eps_data
+            blob["epsilon"] = [
+                {"representative": orbit.representative,
+                 "values": [[format_rational(v) for v in row] for row in eps.values]}
+                for orbit, eps in zip(dec.orbits, count.forms)
+            ]
             blob["boundaryCount"] = count.total
             blob["perOrbit"] = [[rep, c] for rep, c in count.per_orbit]
             blob["labels"] = [
@@ -341,8 +330,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
              "character": [format_rational(x) for x in cls.character]}
             for cls in ring.basis
         ]
-        idx = np.argwhere(ring.structure)  # C order, so the quadruples come out sorted
-        blob["structure"] = np.column_stack((idx, ring.structure[tuple(idx.T)]))
+        blob["structure"] = sparse_entries(ring.structure)
         bp = bimodule.bimodule_picard(ring)
         blob["picard"] = {
             "order": len(bp),
@@ -494,9 +482,14 @@ _PRETTY = {
                            lambda a: [f"{len(a['kramersWannier'])} duality candidate(s)"]),
     "twining": _pretty_twining,
     "verify-conjecture": _algebras(_SUPPORT, _field("skipped", "skipped: {}")),
-    "selftest": lambda p: [f"  [{'pass' if r['pass'] else 'FAIL'}] {r['criterion']}: {r['detail']}"
+    "selftest": lambda p: [_status_line(r, f"{r['criterion']}: {r['detail']}")
                            for r in p["results"]],
 }
+
+
+def _status_line(check: dict, text: str) -> str:
+    margin = "" if check["margin"] is None else f"  margin={check['margin']:.3e}"
+    return f"  [{'pass' if check['pass'] else 'FAIL'}] {text}{margin}"
 
 
 def _print_pretty(report: dict) -> None:
@@ -504,10 +497,8 @@ def _print_pretty(report: dict) -> None:
     if report["input"]:
         i = report["input"]
         lines[0] += f"  {i['series']}{i['rank']} level {i['level']}"
-    for check in report["checks"]:
-        status = "pass" if check["pass"] else "FAIL"
-        margin = "" if check["margin"] is None else f"  margin={check['margin']:.3e}"
-        lines.append(f"  [{status}] {check['name']}{margin}")
+    if report["command"] != "selftest":  # selftest's results are its checks, with their details
+        lines += [_status_line(c, c["name"]) for c in report["checks"]]
     print("\n".join(lines + _PRETTY[report["command"]](report["payload"])))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,9 @@ class Config:
     rank_cap: int = 8
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0 or self.integrality_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        # NaN fails every comparison, so `0 < t` refuses it too
+        if not all(0 < t < inf for t in (self.tolerance, self.integrality_tolerance)):
+            raise ValueError("tolerances must be positive and finite")
         if self.weyl_cap <= 0 or self.rank_cap <= 0:
             raise ValueError("caps must be positive")
 

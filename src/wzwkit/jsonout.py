@@ -5,19 +5,17 @@ the pure-Python encoder, one generator step per scalar.  This writer yields
 the same text in chunks instead, and also accepts numpy arrays, written as
 their ``tolist()`` would be.
 
-The big tables stay arrays until they become text.  An int or float array
-with at least two axes and no zero-length axis (S as [re, im] pairs, the
-fusion and bimodule structure quadruples) takes a literal table: each
+The big tables reach the writer as arrays and stay arrays until they become
+text.  An int or float array with at least two axes and no zero-length axis
+(S as [re, im] pairs, the fusion and bimodule structure quadruples, the
+partition matrices' (i, j, Z_ij) triples) takes a literal table: each
 distinct entry is spelt once by ``literal_table``, and the spellings fill one
 repeated nested-row template ``%`` per chunk of rows.  ``cache`` writes its
 compact S text from the same table.  Any other array (bool, 0-d, 1-d, with a
 zero-length axis, or ints spanning more values than it has entries) takes
-the general path as ``tolist()``.
-
-A list of equal-length rows of plain ints, or of finite floats, is filled
-into the same row template with ``%d`` or ``%r``; that covers the ``Z``
-triples and the weights.  Everything else takes a general recursive path
-with the ``json`` module's own rules for scalars and dict keys.
+the general path as ``tolist()``, as does every list, tuple and dict: a
+recursive walk with the ``json`` module's own rules for scalars and dict
+keys.
 
 Unlike ``json.dumps``, a value that cannot be serialized raises its
 ``TypeError`` only when the chunks reach it, and circular containers are not
@@ -26,10 +24,8 @@ detected.
 
 from __future__ import annotations
 
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode
-from math import isfinite
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -99,47 +95,14 @@ def literal_table(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _row_format(rows: list | tuple) -> tuple[int, str] | None:
-    """(width, item format) when rows is a block: equal-length non-empty
-    lists or tuples whose items are all ``int`` (never bool), or all finite
-    ``float`` (never a subclass, whose ``%r`` would differ)."""
-    if not set(map(type, rows)) <= {list, tuple}:
-        return None
-    widths = set(map(len, rows))
-    if len(widths) != 1:
-        return None
-    kinds = set(map(type, chain.from_iterable(rows)))
-    if kinds == {int}:
-        return widths.pop(), "%d"
-    if kinds == {float} and all(map(isfinite, chain.from_iterable(rows))):
-        return widths.pop(), "%r"
-    return None
-
-
-def _nested(shape: tuple[int, ...], level: int, fmt: str) -> str:
+def _nested(shape: tuple[int, ...], level: int) -> str:
     """The template of one nested list of the given shape at indent level,
-    as ``json.dumps(..., indent=2)`` lays it out, with fmt for each scalar."""
+    as ``json.dumps(..., indent=2)`` lays it out, with ``%s`` for each scalar."""
     if not shape:
-        return fmt
+        return "%s"
     inner = ",\n" + _INDENT * (level + 1)
-    item = _nested(shape[1:], level + 1, fmt)
+    item = _nested(shape[1:], level + 1)
     return "[\n" + _INDENT * (level + 1) + inner.join([item] * shape[0]) + "\n" + _INDENT * level + "]"
-
-
-def _block(row: str, width: int, count: int, level: int,
-           items: Callable[[int, int], list]) -> Iterator[str]:
-    """A list at indent level of count rows, each the template row of width
-    scalars; items(start, stop) gives the scalars of rows start..stop."""
-    step = max(1, _ITEMS_PER_CHUNK // width)
-    size = min(count, step)
-    sep = ",\n" + _INDENT * (level + 1)
-    full = sep.join([row] * size)
-    yield "[\n" + _INDENT * (level + 1)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        template = full if stop - start == size else sep.join([row] * (stop - start))
-        yield (sep if start else "") + template % tuple(items(start, stop))
-    yield "\n" + _INDENT * level + "]"
 
 
 def _encode_value(o, level: int) -> Iterator[str]:
@@ -159,20 +122,24 @@ def _encode_array(a: np.ndarray, level: int) -> Iterator[str]:
         yield from _encode_value(a.tolist(), level)
         return
     literals, codes = table
-    width = a.size // len(a)
-    yield from _block(_nested(a.shape[1:], level + 1, "%s"), width, len(a), level,
-                      lambda start, stop: literals[codes[start * width:stop * width]].tolist())
+    count, width = len(a), a.size // len(a)
+    row = _nested(a.shape[1:], level + 1)
+    step = max(1, _ITEMS_PER_CHUNK // width)
+    size = min(count, step)
+    sep = ",\n" + _INDENT * (level + 1)
+    full = sep.join([row] * size)
+    yield "[\n" + _INDENT * (level + 1)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        template = full if stop - start == size else sep.join([row] * (stop - start))
+        chunk = literals[codes[start * width:stop * width]].tolist()
+        yield (sep if start else "") + template % tuple(chunk)
+    yield "\n" + _INDENT * level + "]"
 
 
 def _encode_list(lst: list | tuple, level: int) -> Iterator[str]:
     if not lst:
         yield "[]"
-        return
-    block = _row_format(lst)
-    if block is not None:
-        width, fmt = block
-        yield from _block(_nested((width,), level + 1, fmt), width, len(lst), level,
-                          lambda start, stop: chain.from_iterable(lst[start:stop]))
         return
     newline = "\n" + _INDENT * (level + 1)
     sep = "[" + newline

@@ -42,21 +42,11 @@ class PicardGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def index_of_object(self, object_index: int) -> int:
         for a, el in enumerate(self.elements):
             if el.object_index == object_index:
                 return a
         raise KeyError(object_index)
-
-    def product(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        return next(b for b in range(len(self.elements)) if self.table[a][b] == 0)
 
     def act(self, a: int, weight_index: int) -> int:
         return self.elements[a].action[weight_index]

@@ -11,17 +11,11 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-ZERO = Fraction(0)
-
 
 def mod1(x: Fraction | int) -> Fraction:
     """Canonical representative of x in Q/Z, in [0, 1)."""
     x = Fraction(x)
     return Fraction(x.numerator % x.denominator, x.denominator)
-
-
-def residue_eq(a: Fraction, b: Fraction) -> bool:
-    return mod1(a - b) == 0
 
 
 def unit_phase(r: Fraction) -> complex:
@@ -32,10 +26,6 @@ def unit_phase(r: Fraction) -> complex:
 def format_rational(x: Fraction) -> str:
     """Serialize a rational as the string "p/q" (always with denominator)."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def snap_to_residue(phase: float, denominator: int, max_distance: float) -> Fraction | None:

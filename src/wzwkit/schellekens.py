@@ -84,10 +84,6 @@ class KSB:
         n = len(self.support)
         return KSB(self.support, tuple(tuple(self.values[b][a] for b in range(n)) for a in range(n)))
 
-    def character_of(self, b: int) -> tuple[Fraction, ...]:
-        """The character Xi(., g_b) as a value tuple over the members."""
-        return tuple(self.values[a][b] for a in range(len(self.support)))
-
 
 def _is_bihomomorphism(table: np.ndarray, xi: np.ndarray, den: int) -> bool:
     """Xi additive in both arguments, for residues xi / den on the local table."""

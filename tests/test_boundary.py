@@ -159,6 +159,18 @@ def test_completeness_identity(name, k, md_of, pic_of):
         assert count.total == ishibashi
 
 
+@pytest.mark.parametrize("name,k", CATALOG)
+def test_count_carries_each_orbits_epsilon_form(name, k, md_of, pic_of):
+    md = md_of(name, k)
+    for ca in classify_algebras(md, pic_of(name, k)):
+        try:
+            count = count_boundary_conditions(md, ca.algebra)
+        except PhiUnavailable:
+            continue
+        orbits = count.orbits.orbits
+        assert count.forms == tuple(epsilon_form(md, o, ca.algebra.ksb) for o in orbits)
+
+
 def test_free_action_count_equals_orbit_count(md_of, pic_of):
     md = md_of("A2", 2)
     ca = _algebra_with_support(md, pic_of("A2", 2), 3)

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wzwkit import cache, cli
-from wzwkit.affine import modular_data, modular_data_to_doc
+from wzwkit import cache, classify_algebras, cli, jsonout
+from wzwkit.affine import modular_data, modular_data_to_doc, sparse_entries
 from wzwkit.cache import cache_key, canonical_json
 from wzwkit.cli import run
+from wzwkit.config import DEFAULT_CONFIG
 from wzwkit.residues import format_rational
 
 from conftest import CATALOG
@@ -177,6 +178,16 @@ def test_user_error_exit_codes(capsys, tmp_path):
     assert "GroupTooLarge" in err
 
 
+@pytest.mark.parametrize("option", ["--tolerance", "--integrality-tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_user_error(capsys, tmp_path, option, value):
+    """Refused up front, not later as a spurious failure of the algebra."""
+    assert run(["modular-data", "A1", "4", option, value, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wzwkit: tolerances must be positive and finite\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys, tmp_path):
     assert run(["frobnicate", "A1", "2"]) == 2
     capsys.readouterr()
@@ -248,6 +259,8 @@ def test_pretty_renders_each_command(capsys, tmp_path, argv, header, line):
     lines = out.splitlines()
     assert lines[0] == header
     assert line in lines
+    if argv == ["selftest"]:  # each criterion once, its detail and margin on one line
+        assert len(lines) == 1 + 11
 
 
 def test_twining_unsupported_folding_notes(capsys, tmp_path):
@@ -407,9 +420,9 @@ def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
         docs.append(md)
         return modular_data_to_doc(md)
 
-    def counted_text(doc):
-        texts.append(doc)
-        return cache_text(doc)
+    def counted_text(md):
+        texts.append(md)
+        return cache_text(md)
 
     cache_text = cache._cache_text
     monkeypatch.setattr(cli, "modular_data_to_doc", counted_doc)
@@ -458,10 +471,30 @@ def test_doc_matches_per_element_oracle(md_of, name, k):
     assert canonical_json(doc) == canonical_json(want)
 
 
+@pytest.mark.parametrize("name,k", [("A1", 6), ("A3", 4), ("D4", 4)])
+def test_z_is_the_sparse_entries_array(md_of, pic_of, name, k):
+    """Z reaches the writer as the (m, 3) int64 array of its nonzero
+    (i, j, Z_ij), in the order of a scan over the rows."""
+    md = md_of(name, k)
+    for ca in classify_algebras(md, pic_of(name, k)):
+        z = cli._algebra_blob(md, ca, DEFAULT_CONFIG, False)[0]["Z"]
+        want = [[i, j, v] for i, row in enumerate(ca.partition.entries)
+                for j, v in enumerate(row) if v]
+        assert z.dtype == np.int64 and z.shape == (len(want), 3)
+        assert z.tolist() == want
+
+
+def test_sparse_entries_of_a_zero_table():
+    entries = sparse_entries(np.zeros((3, 3), dtype=np.int64))
+    assert entries.shape == (0, 3)
+    assert "".join(jsonout.iterencode(entries)) == "[]"
+
+
 @pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))
 def test_cache_file_is_canonical_projection(md_of, tmp_path, name, k):
     """The cache writer, which formats each distinct double once, writes
     exactly canonical_json of the cached fields (C3:6 and G2 carry -0.0,
     and many entries need an exponent)."""
-    doc = modular_data_to_doc(md_of(name, k))
-    assert cache.cache_store(tmp_path, doc).read_text() == canonical_json(_projection(doc))
+    md = md_of(name, k)
+    doc = modular_data_to_doc(md)
+    assert cache.cache_store(tmp_path, md).read_text() == canonical_json(_projection(doc))

@@ -35,7 +35,8 @@ keys = st.one_of(text, st.integers(), st.floats(), st.booleans(), st.none())
 
 
 def _rows(items):
-    """Lists of equal-length rows (the writer's block path), occasionally ragged."""
+    """Lists of equal-length rows, occasionally ragged: tables that reach the
+    writer as lists take its general path."""
     row = st.integers(0, 5).flatmap(lambda w: st.lists(items, min_size=w, max_size=w))
     equal = st.integers(0, 5).flatmap(
         lambda w: st.lists(st.lists(items, min_size=w, max_size=w), max_size=12))
