@@ -26,12 +26,11 @@ _EXPORTS = {
         "modular_data_to_doc", "modular_data_from_doc",
     ),
     "picard": (
-        "SimpleCurrent", "PicardGroup", "ChargeTable", "DiagramAutomorphism",
-        "find_simple_currents", "monodromy_charge", "charge_table", "quadratic_form",
-        "verify_quadratic", "diagram_automorphism",
+        "SimpleCurrent", "PicardGroup", "DiagramAutomorphism", "find_simple_currents",
+        "charge_table", "quadratic_form", "verify_quadratic", "diagram_automorphism",
     ),
     "schellekens": (
-        "Subgroup", "KSB", "SchellekensAlgebra", "PartitionMatrix", "ClassifiedAlgebra",
+        "Subgroup", "KSB", "SchellekensAlgebra", "ClassifiedAlgebra",
         "enumerate_subgroups", "enumerate_ksbs", "partition_function",
         "verify_modular_invariance", "classify_algebras",
     ),

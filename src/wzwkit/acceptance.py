@@ -51,6 +51,7 @@ class Battery:
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
         self._pic: dict[tuple[str, int], picard.PicardGroup] = {}
+        self._algebras: dict[tuple[str, int], list[schellekens.ClassifiedAlgebra]] = {}
 
     def md(self, name: str, level: int) -> ModularData:
         key = (name, level, self.config)
@@ -63,6 +64,17 @@ class Battery:
         if key not in self._pic:
             self._pic[key] = picard.find_simple_currents(self.md(name, level), self.config)
         return self._pic[key]
+
+    def algebras(self, name: str, level: int) -> list[schellekens.ClassifiedAlgebra]:
+        key = (name, level)
+        if key not in self._algebras:
+            self._algebras[key] = schellekens.classify_algebras(
+                self.md(name, level), self.pic(name, level), self.config)
+        return self._algebras[key]
+
+    def of_order(self, name: str, level: int, order: int) -> list[schellekens.ClassifiedAlgebra]:
+        """The classified algebras whose support has the given order."""
+        return [c for c in self.algebras(name, level) if len(c.algebra.support) == order]
 
     # -- 1 ------------------------------------------------------------------
 
@@ -155,7 +167,7 @@ class Battery:
 
     def quadratic_form(self) -> CheckResult:
         for name, k in CATALOG:
-            picard.verify_quadratic(self.md(name, k), self.pic(name, k))
+            picard.verify_quadratic(self.pic(name, k))
         return CheckResult(
             "05-quadratic-form", True, None,
             "q(g^n) = n^2 q(g), bi-additivity and b = -Q exact on the catalog")
@@ -168,44 +180,31 @@ class Battery:
         worst = 0.0
         for name, k in CATALOG:
             md = self.md(name, k)
-            pg = self.pic(name, k)
-            for ca in schellekens.classify_algebras(md, pg, self.config):
+            for ca in self.algebras(name, k):
                 if len(ca.algebra.support) == 1:
-                    expected = tuple(
-                        tuple(int(md.conjugation[i] == j) for j in range(len(md)))
-                        for i in range(len(md))
-                    )
-                    if ca.partition.entries != expected:
+                    conjugation = np.eye(len(md), dtype=np.int64)[list(md.conjugation)]
+                    if not np.array_equal(ca.partition, conjugation):
                         ok = False
                         notes.append(f"Cardy Z != conjugation for {name} level {k}")
-                rep = schellekens.verify_modular_invariance(md, ca.partition, self.config)
-                worst = max(worst, rep.commutator_norm)
-        md4 = self.md("A1", 4)
-        deven = [
-            c for c in schellekens.classify_algebras(md4, self.pic("A1", 4), self.config)
-            if len(c.algebra.support) == 2
-        ]
+                norm = schellekens.verify_modular_invariance(md, ca.partition, self.config)
+                worst = max(worst, norm)
+        deven = self.of_order("A1", 4, 2)
         want = tuple(
             tuple({(0, 0): 1, (0, 4): 1, (4, 0): 1, (4, 4): 1, (2, 2): 2}.get((i, j), 0)
                   for j in range(5))
             for i in range(5)
         )
-        if len(deven) != 1 or deven[0].partition.entries != want:
+        if len(deven) != 1 or not np.array_equal(deven[0].partition, want):
             ok = False
             notes.append("(A1,4) D-even matrix wrong")
-        md6 = self.md("A1", 6)
-        dodd = [
-            c for c in schellekens.classify_algebras(md6, self.pic("A1", 6), self.config)
-            if len(c.algebra.support) == 2
-        ]
+        dodd = self.of_order("A1", 6, 2)
         want6 = tuple(
             tuple(int((i % 2 == 0 and i == j) or (i % 2 == 1 and j == 6 - i)) for j in range(7))
             for i in range(7)
         )
-        if len(dodd) != 1 or dodd[0].partition.entries != want6:
+        if len(dodd) != 1 or not np.array_equal(dodd[0].partition, want6):
             ok = False
             notes.append("(A1,6) D-odd matrix wrong")
-        md5 = self.md("A1", 5)
         z2 = [s for s in schellekens.enumerate_subgroups(self.pic("A1", 5)) if len(s) == 2]
         if len(z2) != 1 or schellekens.enumerate_ksbs(z2[0]):
             ok = False
@@ -221,13 +220,8 @@ class Battery:
         ok = True
         notes = []
         for name, k, expected in [("A1", 4, 4), ("A1", 6, 5)]:
-            md = self.md(name, k)
-            pg = self.pic(name, k)
-            alg = [
-                c for c in schellekens.classify_algebras(md, pg, self.config)
-                if len(c.algebra.support) == 2
-            ][0]
-            count = boundary.count_boundary_conditions(md, alg.algebra)
+            alg = self.of_order(name, k, 2)[0]
+            count = boundary.count_boundary_conditions(self.md(name, k), alg.algebra)
             if count.total != expected:
                 ok = False
                 notes.append(f"({name},{k}) boundary count {count.total} != {expected}")
@@ -235,16 +229,13 @@ class Battery:
         skipped = 0
         for name, k in CATALOG:
             md = self.md(name, k)
-            pg = self.pic(name, k)
-            for ca in schellekens.classify_algebras(md, pg, self.config):
+            for ca in self.algebras(name, k):
                 try:
                     count = boundary.count_boundary_conditions(md, ca.algebra)
                 except PhiUnavailable:
                     skipped += 1  # non-cyclic stabilizer without a supported folding
                     continue
-                ishibashi = sum(
-                    ca.partition.entries[i][md.conjugation[i]] for i in range(len(md))
-                )
+                ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
                 checked += 1
                 if count.total != ishibashi:
                     ok = False
@@ -265,13 +256,8 @@ class Battery:
     def bimodule_rings(self) -> CheckResult:
         ok = True
         notes = []
-        md = self.md("A2", 2)
-        pg = self.pic("A2", 2)
-        alg = [
-            c for c in schellekens.classify_algebras(md, pg, self.config)
-            if len(c.algebra.support) == 3
-        ][0]
-        ring = bimodule.build_bimodule_ring(md, alg.algebra)
+        alg = self.of_order("A2", 2, 3)[0]
+        ring = bimodule.build_bimodule_ring(self.md("A2", 2), alg.algebra)
         if len(ring) != 6:
             ok = False
             notes.append(f"(A2,2) ring rank {len(ring)} != 6")
@@ -283,13 +269,8 @@ class Battery:
         if len(bp) != 3:
             ok = False
             notes.append(f"(A2,2) bimodule Picard order {len(bp)} != 3")
-        md2 = self.md("A1", 2)
-        pg2 = self.pic("A1", 2)
-        cardy = [
-            c for c in schellekens.classify_algebras(md2, pg2, self.config)
-            if len(c.algebra.support) == 1
-        ][0]
-        ring2 = bimodule.build_bimodule_ring(md2, cardy.algebra)
+        cardy = self.of_order("A1", 2, 1)[0]
+        ring2 = bimodule.build_bimodule_ring(self.md("A1", 2), cardy.algebra)
         bp2 = bimodule.bimodule_picard(ring2)
         if bp2.iso_class_name != "Z2" or bp2.invariant_factors != (2,):
             ok = False
@@ -304,22 +285,14 @@ class Battery:
     def kramers_wannier(self) -> CheckResult:
         ok = True
         notes = []
-        md = self.md("A1", 2)
-        cardy = [
-            c for c in schellekens.classify_algebras(md, self.pic("A1", 2), self.config)
-            if len(c.algebra.support) == 1
-        ][0]
-        ring = bimodule.build_bimodule_ring(md, cardy.algebra)
+        cardy = self.of_order("A1", 2, 1)[0]
+        ring = bimodule.build_bimodule_ring(self.md("A1", 2), cardy.algebra)
         kw = bimodule.kramers_wannier_candidates(ring)
         if [c.object_index for c in kw] != [1]:
             ok = False
             notes.append(f"Ising KW candidates {[c.object_index for c in kw]} != [sigma]")
-        md4 = self.md("A1", 4)
-        cardy4 = [
-            c for c in schellekens.classify_algebras(md4, self.pic("A1", 4), self.config)
-            if len(c.algebra.support) == 1
-        ][0]
-        ring4 = bimodule.build_bimodule_ring(md4, cardy4.algebra)
+        cardy4 = self.of_order("A1", 4, 1)[0]
+        ring4 = bimodule.build_bimodule_ring(self.md("A1", 4), cardy4.algebra)
         kw4 = bimodule.kramers_wannier_candidates(ring4)
         if kw4:
             ok = False
@@ -344,20 +317,15 @@ class Battery:
             ok = False
             notes.append(f"(A3,2) twining matrix is {m.shape}, not 2x2")
         worst = max(worst, tsm.symmetry_residual, tsm.unitarity_residual)
-        full = [
-            c for c in schellekens.classify_algebras(md, pg, self.config)
-            if len(c.algebra.support) == 4
-        ][0]
+        full = self.of_order("A3", 2, 4)[0]
         rep = twining.verify_conjecture(md, full.algebra, self.config)
         if not rep.passed:
             ok = False
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
         worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
-            md1 = self.md(name, k)
-            pg1 = self.pic(name, k)
-            for ca in schellekens.classify_algebras(md1, pg1, self.config):
-                rep1 = twining.verify_conjecture(md1, ca.algebra, self.config)
+            for ca in self.algebras(name, k):
+                rep1 = twining.verify_conjecture(self.md(name, k), ca.algebra, self.config)
                 if not rep1.passed:
                     ok = False
                     notes.append(f"1x1 case {name} level {k} fails")
@@ -370,7 +338,7 @@ class Battery:
         )
         try:
             twining.extract_phi(
-                md, pg, twining.TwiningSMatrix(tsm.fixed_points, perturbed, tsm.fold),
+                pg, twining.TwiningSMatrix(tsm.fixed_points, perturbed, tsm.fold),
                 g, h_swap, self.config)
             ok = False
             notes.append("perturbed S^w was not detected (test is dead)")

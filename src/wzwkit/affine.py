@@ -71,11 +71,17 @@ class SimpleLieType:
 
 
 def parse_lie_type(text: str, config: Config = DEFAULT_CONFIG) -> SimpleLieType:
-    """Parse strings like "A1" or "D4", enforcing the configured rank cap."""
+    """Parse strings like "A1" or "D4", enforcing the configured rank cap.
+
+    The rank is ASCII digits only: str.isdigit alone would admit "²", which
+    int() rejects, and "٣", which int() reads as 3.
+    """
     text = text.strip()
-    if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdigit():
+    rank = text[1:]
+    if (len(text) < 2 or text[0].upper() not in _RANK_RANGE
+            or not (rank.isascii() and rank.isdigit())):
         raise UnsupportedRank(f"cannot parse Lie type {text!r}")
-    t = SimpleLieType(text[0].upper(), int(text[1:]))
+    t = SimpleLieType(text[0].upper(), int(rank))
     if t.rank > config.rank_cap:
         raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
     return t

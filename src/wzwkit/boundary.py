@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import groups
 from .affine import ModularData
 from .errors import PhiUnavailable, WzwError
 from .residues import mod1
+from .schellekens import Subgroup
 
 if TYPE_CHECKING:
-    from .schellekens import KSB, SchellekensAlgebra, Subgroup
+    from .schellekens import KSB, SchellekensAlgebra
     from .twining import PhiTable
 
 
@@ -75,11 +75,7 @@ class EpsilonForm:
 
 
 def _stabilizer_is_cyclic(sub: Subgroup, stab: tuple[int, ...]) -> bool:
-    pos = {g: a for a, g in enumerate(stab)}
-    table = tuple(
-        tuple(pos[sub.picard.table[g][h]] for h in stab) for g in stab
-    )
-    return len(groups.cyclic_decomposition(table)) <= 1
+    return len(Subgroup(sub.picard, stab).decomposition) <= 1
 
 
 def epsilon_form(
@@ -141,10 +137,16 @@ def count_boundary_conditions(
     md: ModularData,
     algebra: SchellekensAlgebra,
     phi: PhiTable | None = None,
+    dec: OrbitDecomposition | None = None,
 ) -> BoundaryCount:
     """Number of simple modules: sum over orbits of #Irr of the twisted
-    stabilizer algebra, which for abelian stabilizers is |rad eps_U|."""
-    dec = orbit_decomposition(md, algebra.support)
+    stabilizer algebra, which for abelian stabilizers is |rad eps_U|.
+
+    dec is the orbit decomposition of the algebra's support, computed here
+    unless the caller passes the one it already has.
+    """
+    if dec is None:
+        dec = orbit_decomposition(md, algebra.support)
     forms = tuple(epsilon_form(md, orbit, algebra.ksb, phi) for orbit in dec.orbits)
     per_orbit = []
     labels = []

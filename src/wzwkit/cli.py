@@ -39,7 +39,7 @@ from .errors import (
 from .residues import format_rational
 
 if TYPE_CHECKING:
-    from .schellekens import ClassifiedAlgebra, PartitionMatrix
+    from .schellekens import ClassifiedAlgebra
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,10 +114,9 @@ def _check(name: str, passed: bool, margin: float | None) -> dict:
     return {"name": name, "pass": bool(passed), "margin": margin}
 
 
-def _latex_partition(md: ModularData, z: PartitionMatrix) -> str:
+def _latex_partition(md: ModularData, arr: np.ndarray) -> str:
     """Write Z as a sum of c|sum chi|^2 blocks where possible, cross terms otherwise."""
     n = len(md)
-    arr = z.as_array()
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -182,10 +181,9 @@ def _cmd_picard(md: ModularData, args, config: Config):
     from . import picard
 
     pg = picard.find_simple_currents(md, config)
-    charges = picard.charge_table(md, pg)
     checks = []
     try:
-        picard.verify_quadratic(md, pg)
+        picard.verify_quadratic(pg)
         checks.append(_check("quadratic-form", True, None))
     except QuadraticFormViolation as exc:
         checks.append(_check("quadratic-form", False, None))
@@ -204,7 +202,7 @@ def _cmd_picard(md: ModularData, args, config: Config):
             for a, el in enumerate(pg.elements)
         ],
         "chargeTable": [
-            [format_rational(charges(i, a)) for a in range(len(pg))]
+            [format_rational(pg.charge(i, a)) for a in range(len(pg))]
             for i in range(len(md))
         ],
     }
@@ -230,14 +228,14 @@ def _algebra_blob(md: ModularData, ca: ClassifiedAlgebra, config: Config,
             for a in range(len(sub))
             for b in range(len(sub))
         ],
-        "Z": sparse_entries(ca.partition.as_array()),
+        "Z": sparse_entries(ca.partition),
     }
     if latex:
         blob["latex"] = _latex_partition(md, ca.partition)
     try:
-        rep = schellekens.verify_modular_invariance(md, ca.partition, config)
-        blob["invariance"] = {"pass": True, "commutatorNorm": rep.commutator_norm}
-        return blob, True, rep.commutator_norm
+        norm = schellekens.verify_modular_invariance(md, ca.partition, config)
+        blob["invariance"] = {"pass": True, "commutatorNorm": norm}
+        return blob, True, norm
     except InvarianceViolation as exc:
         blob["invariance"] = {"pass": False, "reason": str(exc)}
         return blob, False, None
@@ -285,8 +283,8 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
             ],
         }
         try:
-            count = boundary.count_boundary_conditions(md, ca.algebra)
-            ishibashi = sum(ca.partition.entries[i][md.conjugation[i]] for i in range(len(md)))
+            count = boundary.count_boundary_conditions(md, ca.algebra, dec=dec)
+            ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
                 {"representative": orbit.representative,
                  "values": [[format_rational(v) for v in row] for row in eps.values]}

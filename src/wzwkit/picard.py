@@ -8,16 +8,18 @@ matrix.  All charges and twists are exact residues in Q/Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from . import groups
 from .affine import LevelData, ModularData, RootSystem, affine_labels, weight_from_affine
 from .config import Config, DEFAULT_CONFIG
-from .errors import ClosureFailure, QuadraticFormViolation, UnsupportedSeries, WeightNotIntegrable
-from .residues import mod1
+from .errors import (ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries,
+                     WeightNotIntegrable)
+from .residues import mod1, numerators
 
 
 @dataclass(frozen=True)
@@ -38,6 +40,10 @@ class PicardGroup:
     table: groups.Table
     invariant_factors: tuple[int, ...]
     twists: tuple[Fraction, ...]  # h_g mod 1 per element
+    # [i, a]: Q_i(g_a) * charge_den, read-only int64 in [0, charge_den);
+    # determined by md and elements, so left out of ==
+    charges: np.ndarray = field(compare=False)
+    charge_den: int = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -50,6 +56,10 @@ class PicardGroup:
 
     def act(self, a: int, weight_index: int) -> int:
         return self.elements[a].action[weight_index]
+
+    def charge(self, i: int, a: int) -> Fraction:
+        """The monodromy charge Q_i(g_a) mod 1, exact."""
+        return Fraction(int(self.charges[i, a]), self.charge_den)
 
     @property
     def exponent(self) -> int:
@@ -110,42 +120,41 @@ def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> Pi
     )
     twists = tuple(mod1(md.conformal_weights[obj]) for obj in order_objs)
     assert twists[0] == 0
+    charges, charge_den = charge_table(md, elements, table)
     return PicardGroup(
         md=md,
         elements=elements,
         table=table,
         invariant_factors=groups.invariant_factors(table),
         twists=twists,
+        charges=charges,
+        charge_den=charge_den,
     )
 
 
-def monodromy_charge(md: ModularData, pg: PicardGroup, i: int, a: int) -> Fraction:
-    """Q_i(g) = h_{g.i} - h_g - h_i mod 1, exact."""
-    g = pg.elements[a]
-    return mod1(
-        md.conformal_weights[g.action[i]]
-        - md.conformal_weights[g.object_index]
-        - md.conformal_weights[i]
-    )
+def charge_table(
+    md: ModularData, elements: tuple[SimpleCurrent, ...], table: groups.Table
+) -> tuple[np.ndarray, int]:
+    """Q_i(g) = h_{g.i} - h_g - h_i mod 1 for every object i and current g.
 
-
-@dataclass(frozen=True)
-class ChargeTable:
-    """Exact monodromy charges Q_i(g) indexed (object, group element)."""
-
-    values: tuple[tuple[Fraction, ...], ...]  # [object][element]
-
-    def __call__(self, i: int, a: int) -> Fraction:
-        return self.values[i][a]
-
-
-def charge_table(md: ModularData, pg: PicardGroup) -> ChargeTable:
-    return ChargeTable(
-        tuple(
-            tuple(monodromy_charge(md, pg, i, a) for a in range(len(pg)))
-            for i in range(len(md))
-        )
-    )
+    Returns (q, den): den is the common denominator of the conformal weights
+    and q[i, a] in [0, den) the numerator of Q_i(g_a), as a read-only int64
+    array.  Each row is checked to be a character of the group: that holds
+    for simple currents, but a corrupted input would otherwise make every
+    character sum over the table wrong.
+    """
+    hs = md.conformal_weights
+    den = lcm(*(x.denominator for x in hs))
+    h = numerators(hs, den)
+    act = np.array([g.action for g in elements], dtype=np.intp)  # [a, i]
+    currents = np.array([g.object_index for g in elements], dtype=np.intp)
+    q = (h[act.T] - h[currents] - h[:, None]) % den  # [i, a]: Q_i(g_a)
+    t = np.array(table, dtype=np.intp)
+    broken = ((q[:, t] - q[:, :, None] - q[:, None, :]) % den).any(axis=(1, 2))
+    if broken.any():
+        raise NonIntegerEntry(f"monodromy charge not additive at object {int(broken.argmax())}")
+    q.flags.writeable = False
+    return q, den
 
 
 def quadratic_form(pg: PicardGroup) -> tuple[Fraction, ...]:
@@ -153,15 +162,7 @@ def quadratic_form(pg: PicardGroup) -> tuple[Fraction, ...]:
     return tuple(mod1(-t) for t in pg.twists)
 
 
-@dataclass(frozen=True)
-class QuadraticReport:
-    group_order: int
-    exponent: int
-    power_identities_checked: int
-    pairs_checked: int
-
-
-def verify_quadratic(md: ModularData, pg: PicardGroup) -> QuadraticReport:
+def verify_quadratic(pg: PicardGroup) -> None:
     """Check q(g^n) = n^2 q(g), bi-additivity of b, and b(g,h) = -Q_g(h).
 
     All identities are exact residue comparisons; the first failure raises
@@ -174,25 +175,19 @@ def verify_quadratic(md: ModularData, pg: PicardGroup) -> QuadraticReport:
     def b(a: int, bb: int) -> Fraction:
         return mod1(q[pg.table[a][bb]] - q[a] - q[bb])
 
-    powers = 0
     for a in range(n):
         for m in range(exp + 1):
             lhs = q[groups.power(pg.table, a, m)]
             rhs = mod1(m * m * q[a])
             if lhs != rhs:
                 raise QuadraticFormViolation(f"q(g^{m}) != {m}^2 q(g) for element {a}")
-            powers += 1
-    pairs = 0
     for a in range(n):
         for c in range(n):
-            qg = monodromy_charge(md, pg, pg.elements[a].object_index, c)
-            if b(a, c) != mod1(-qg):
+            if b(a, c) != mod1(-pg.charge(pg.elements[a].object_index, c)):
                 raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
             for e in range(n):
                 if b(pg.table[a][e], c) != mod1(b(a, c) + b(e, c)):
                     raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
-            pairs += 1
-    return QuadraticReport(n, exp, powers, pairs)
 
 
 # --- diagram automorphisms -----------------------------------------------------

@@ -11,11 +11,23 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
+import numpy as np
+
 
 def mod1(x: Fraction | int) -> Fraction:
     """Canonical representative of x in Q/Z, in [0, 1)."""
     x = Fraction(x)
     return Fraction(x.numerator % x.denominator, x.denominator)
+
+
+def numerators(residues, den: int) -> np.ndarray:
+    """Rational residues (nested sequences of Fractions) as integers mod den.
+
+    den must be a multiple of every denominator.
+    """
+    arr = np.array(residues, dtype=object)
+    flat = [x.numerator * (den // x.denominator) for x in arr.flat]
+    return np.array(flat, dtype=np.int64).reshape(arr.shape) % den
 
 
 def unit_phase(r: Fraction) -> complex:

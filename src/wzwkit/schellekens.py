@@ -4,15 +4,15 @@ An algebra is the pair (H, Xi): a subgroup H of the Picard group together with
 a bicharacter Xi on H whose diagonal equals the twist residues.  The bulk
 partition matrix is evaluated in exact residue arithmetic: the inner character
 sum collapses to |H| or 0, so every entry is an integer by construction.
-There the conformal weights and the values of Xi are scaled to integer
-residues over one common denominator, so the charges, the additivity checks
-and the character sums are integer array arithmetic.
+There the monodromy charges of the Picard group's table and the values of Xi
+are integer residues over one common denominator, so the bihomomorphism
+check and the character sums are integer array arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -24,7 +24,7 @@ from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
 from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry
 from .picard import PicardGroup
-from .residues import mod1
+from .residues import mod1, numerators
 
 
 @dataclass(frozen=True)
@@ -165,102 +165,69 @@ class SchellekensAlgebra:
         return self.support.picard
 
 
-def _numerators(residues, den: int) -> np.ndarray:
-    """Rational residues (nested sequences of Fractions) as integers mod den."""
-    arr = np.array(residues, dtype=object)
-    flat = [x.numerator * (den // x.denominator) for x in arr.flat]
-    return np.array(flat, dtype=np.int64).reshape(arr.shape) % den
-
-
-@dataclass(frozen=True)
-class PartitionMatrix:
-    """Non-negative integer bulk partition matrix Z_ij indexed by P_+^k."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
-    def transpose(self) -> "PartitionMatrix":
-        n = len(self.entries)
-        return PartitionMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
-
-def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> PartitionMatrix:
+def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> np.ndarray:
     """Z_ij = (1/|H|) sum_{g,h in H} theta_i(h) Xi(h, g) [j_bar = g.i], exactly.
 
     The h-sum is a character sum: for fixed i and g the map
     h -> Q_i(h) + Xi(h, g) is additive, so the sum is |H| when the residue
-    vanishes for every h and 0 otherwise.  Entries are integers by
-    construction; additivity is validated so an invalid Xi cannot slip
-    through silently.
+    vanishes for every h and 0 otherwise.  The charges Q come from the Picard
+    group's table, whose rows are checked to be characters when it is built;
+    Xi is validated here, so an invalid Xi cannot slip through silently.
+    Z is returned as a read-only int64 (n, n) array.
     """
     sub = algebra.support
     pg = algebra.picard
-    members = sub.members
-    hs = md.conformal_weights
+    members = list(sub.members)
     ksb_values = algebra.ksb.values
-    den = lcm(*(x.denominator for x in hs), *(v.denominator for row in ksb_values for v in row))
-    xi = _numerators(ksb_values, den)  # [b, a]: Xi(g_b, g_a)
+    den = lcm(pg.charge_den, *(v.denominator for row in ksb_values for v in row))
+    xi = numerators(ksb_values, den)  # [b, a]: Xi(g_b, g_a)
     table = np.array(sub.local_table, dtype=np.intp)
     if not _is_bihomomorphism(table, xi, den):
         raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    h = _numerators(hs, den)
-    act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
-    currents = np.array([pg.elements[g].object_index for g in members], dtype=np.intp)
-    q = (h[act.T] - h[currents] - h[:, None]) % den  # [i, a]: Q_i(g_a)
-    # additivity of Q_i on H (exact) -- guaranteed for simple currents, but a
-    # corrupted input would otherwise make the collapsed character sum wrong
-    broken = ((q[:, table] - q[:, :, None] - q[:, None, :]) % den).any(axis=(1, 2))
-    if broken.any():
-        raise NonIntegerEntry(f"monodromy charge not additive at object {int(broken.argmax())}")
+    q = pg.charges[:, members] * (den // pg.charge_den)  # [i, a]: Q_i(g_a)
     trivial = ((q[:, :, None] + xi) % den == 0).all(axis=1)  # [i, a]
     i, a = np.nonzero(trivial)
+    act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
     n = len(md)
     z = np.zeros((n, n), dtype=np.int64)
     np.add.at(z, (i, np.asarray(md.conjugation)[act[a, i]]), 1)
     if (z < 0).any():
         raise NegativeEntry("negative partition entry")
-    return PartitionMatrix(tuple(map(tuple, z.tolist())))
-
-
-@dataclass(frozen=True)
-class InvarianceReport:
-    commutator_norm: float
-    t_condition_exact: bool
-    vacuum_entry: int
+    z.flags.writeable = False
+    return z
 
 
 def verify_modular_invariance(
-    md: ModularData, z: PartitionMatrix, config: Config = DEFAULT_CONFIG
-) -> InvarianceReport:
-    """Check [S, Z] within tolerance, TZ = ZT exactly, Z00 = 1, entries >= 0."""
-    arr = z.as_array()
-    if arr.shape != (len(md), len(md)):
+    md: ModularData, z: np.ndarray, config: Config = DEFAULT_CONFIG
+) -> float:
+    """Check [S, Z] within tolerance, TZ = ZT exactly, Z00 = 1, entries >= 0.
+
+    Returns the commutator norm max |SZ - ZS|; any failed check raises
+    InvarianceViolation.
+    """
+    if z.shape != (len(md), len(md)):
         raise InvarianceViolation("partition matrix has wrong shape")
-    if np.min(arr) < 0:
+    if np.min(z) < 0:
         raise InvarianceViolation("negative entry")
-    if arr[md.vacuum, md.vacuum] != 1:
-        raise InvarianceViolation(f"Z00 = {arr[md.vacuum, md.vacuum]} != 1")
-    for i, j in zip(*np.nonzero(arr)):
+    if z[md.vacuum, md.vacuum] != 1:
+        raise InvarianceViolation(f"Z00 = {z[md.vacuum, md.vacuum]} != 1")
+    for i, j in zip(*np.nonzero(z)):
         if md.t_exponents[i] != md.t_exponents[j]:
             raise InvarianceViolation(
                 f"T-condition fails at entry ({i}, {j}): h_i - h_j not an integer"
             )
     s = md.s_matrix
-    norm = float(np.max(np.abs(s @ arr - arr @ s)))
+    norm = float(np.max(np.abs(s @ z - z @ s)))
     if norm > config.tolerance:
         raise InvarianceViolation(f"commutator norm {norm:.3e} exceeds tolerance")
-    return InvarianceReport(norm, True, int(arr[md.vacuum, md.vacuum]))
+    return norm
 
 
 @dataclass(frozen=True)
 class ClassifiedAlgebra:
     algebra: SchellekensAlgebra
-    partition: PartitionMatrix
+    # Z, read-only int64 (n, n); determined by the algebra, so left out of ==
+    partition: np.ndarray = field(compare=False)
 
 
 def classify_algebras(

@@ -42,7 +42,7 @@ from .affine import (
 )
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
-from .picard import DiagramAutomorphism, PicardGroup, diagram_automorphism, monodromy_charge
+from .picard import DiagramAutomorphism, PicardGroup, diagram_automorphism
 from .residues import mod1, snap_to_residue, unit_phase
 
 
@@ -191,7 +191,6 @@ class PhiValues:
 
 
 def extract_phi(
-    md: ModularData,
     pg: PicardGroup,
     tsm: TwiningSMatrix,
     g: int,
@@ -232,9 +231,7 @@ def extract_phi(
     num_small, den_small = small[:, :ncol].T, small[:, c2].T
     mismatch = num_small != den_small
     usable = ~(num_small | den_small)
-    theta = np.array(
-        [unit_phase(-monodromy_charge(md, pg, ref, h)) for ref in fixed], dtype=np.complex128
-    )
+    theta = np.array([unit_phase(-pg.charge(ref, h)) for ref in fixed], dtype=np.complex128)
     # theta * num spelt out in real arithmetic, which is bit-equal to the
     # scalar complex product (numpy's array complex multiply is not)
     cand = np.empty(num.shape, dtype=np.complex128)
@@ -323,7 +320,7 @@ def phi_row(
     phi: dict[int, PhiValues | LambdaDependence | SnapFailure] = {}
     for h in hs:
         try:
-            phi[h] = extract_phi(md, pg, tsm, g, h, config)
+            phi[h] = extract_phi(pg, tsm, g, h, config)
         except (LambdaDependence, SnapFailure) as exc:
             phi[h] = exc
     return PhiRow(g, tsm, phi)

@@ -209,7 +209,7 @@ def test_larger_rank_ring_and_boundaries(md_of, pic_of):
     from wzwkit import partition_function
 
     z = partition_function(md2, alg2)
-    assert count.total == sum(z.entries[i][md2.conjugation[i]] for i in range(len(md2)))
+    assert count.total == sum(z[i, md2.conjugation[i]] for i in range(len(md2)))
 
 
 def test_duality_validation_failure_on_corrupt_ring():

@@ -155,7 +155,7 @@ def test_completeness_identity(name, k, md_of, pic_of):
         except PhiUnavailable:
             assert name == "D4", "only D-series stabilizers are non-cyclic here"
             continue
-        ishibashi = sum(ca.partition.entries[i][md.conjugation[i]] for i in range(len(md)))
+        ishibashi = sum(ca.partition[i, md.conjugation[i]] for i in range(len(md)))
         assert count.total == ishibashi
 
 

@@ -188,6 +188,15 @@ def test_non_finite_tolerance_is_a_user_error(capsys, tmp_path, option, value):
     assert captured.err == "wzwkit: tolerances must be positive and finite\n"
 
 
+@pytest.mark.parametrize("algebra", ["A²", "A١"])
+def test_non_ascii_rank_is_a_user_error(capsys, tmp_path, algebra):
+    assert run(["picard", algebra, "2", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wzwkit: UnsupportedRank: cannot parse Lie type {algebra!r}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_is_usage_error(capsys, tmp_path):
     assert run(["frobnicate", "A1", "2"]) == 2
     capsys.readouterr()
@@ -293,10 +302,10 @@ def broken_ratio(monkeypatch):
 
     extract = twining.extract_phi
 
-    def failing(md, pg, tsm, g, h, config):
+    def failing(pg, tsm, g, h, config):
         if (g, h) == (2, 1):
             raise LambdaDependence("injected reference dependence")
-        return extract(md, pg, tsm, g, h, config)
+        return extract(pg, tsm, g, h, config)
 
     monkeypatch.setattr(twining, "extract_phi", failing)
 
@@ -478,7 +487,7 @@ def test_z_is_the_sparse_entries_array(md_of, pic_of, name, k):
     md = md_of(name, k)
     for ca in classify_algebras(md, pic_of(name, k)):
         z = cli._algebra_blob(md, ca, DEFAULT_CONFIG, False)[0]["Z"]
-        want = [[i, j, v] for i, row in enumerate(ca.partition.entries)
+        want = [[i, j, v] for i, row in enumerate(ca.partition.tolist())
                 for j, v in enumerate(row) if v]
         assert z.dtype == np.int64 and z.shape == (len(want), 3)
         assert z.tolist() == want

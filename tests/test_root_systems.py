@@ -122,6 +122,13 @@ def test_rank_validation():
     assert str(parse_lie_type("a3")) == "A3"
 
 
+@pytest.mark.parametrize("text", ["A²", "A١", "A٣", "D٤"])
+def test_rank_must_be_ascii_digits(text):
+    """str.isdigit admits these; int() rejects the first and reads the others."""
+    with pytest.raises(UnsupportedRank, match="cannot parse Lie type"):
+        parse_lie_type(text)
+
+
 def test_highest_root_has_length_two():
     for name in ["A2", "B3", "C3", "D4", "G2", "F4"]:
         rs = build_root_system(parse_lie_type(name))

@@ -123,7 +123,7 @@ def test_phi_identity_element_is_zero(md_of, pic_of):
     pg = pic_of("A3", 2)
     jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
     tsm = twining_S(md, pg, jsq)
-    vals = extract_phi(md, pg, tsm, jsq, 0)
+    vals = extract_phi(pg, tsm, jsq, 0)
     assert all(v == 0 for v in vals.by_weight.values())
 
 
@@ -135,9 +135,9 @@ def test_phi_values_a3(md_of, pic_of):
     jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
     tsm = twining_S(md, pg, jsq)
     j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
-    swap = extract_phi(md, pg, tsm, jsq, j)
+    swap = extract_phi(pg, tsm, jsq, j)
     assert set(swap.by_weight.values()) == {Fraction(1, 2)}
-    diag = extract_phi(md, pg, tsm, jsq, jsq)
+    diag = extract_phi(pg, tsm, jsq, jsq)
     assert set(diag.by_weight.values()) == {Fraction(0)}
     assert diag.by_weight == {i: pg.twists[jsq] for i in tsm.fixed_points}
 
@@ -153,8 +153,8 @@ def test_phi_ratio_survives_global_phase(md_of, pic_of):
         phase = np.exp(2j * np.pi * rng.uniform())
         spun = TwiningSMatrix(tsm.fixed_points, tsm.matrix * phase, tsm.fold)
         for h in range(len(pg)):
-            a = extract_phi(md, pg, tsm, jsq, h)
-            b = extract_phi(md, pg, spun, jsq, h)
+            a = extract_phi(pg, tsm, jsq, h)
+            b = extract_phi(pg, spun, jsq, h)
             assert a.by_weight == b.by_weight
 
 
@@ -167,7 +167,7 @@ def test_perturbation_trips_lambda_independence(md_of, pic_of):
     bad = np.array(tsm.matrix, copy=True)
     bad[0, 0] += 1e-3
     with pytest.raises(LambdaDependence):
-        extract_phi(md, pg, TwiningSMatrix(tsm.fixed_points, bad, tsm.fold), jsq, j)
+        extract_phi(pg, TwiningSMatrix(tsm.fixed_points, bad, tsm.fold), jsq, j)
 
 
 def test_snap_failure_on_consistent_irrational_phase(md_of, pic_of):
@@ -183,7 +183,7 @@ def test_snap_failure_on_consistent_irrational_phase(md_of, pic_of):
     z = np.exp(2j * np.pi * 0.13)
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
     with pytest.raises(SnapFailure):
-        extract_phi(md, pg, TwiningSMatrix(tsm.fixed_points, crafted, tsm.fold), jsq, j)
+        extract_phi(pg, TwiningSMatrix(tsm.fixed_points, crafted, tsm.fold), jsq, j)
 
 
 def _a3_rows(md_of, pic_of):
