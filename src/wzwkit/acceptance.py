@@ -68,8 +68,7 @@ class Battery:
     def algebras(self, name: str, level: int) -> list[schellekens.ClassifiedAlgebra]:
         key = (name, level)
         if key not in self._algebras:
-            self._algebras[key] = schellekens.classify_algebras(
-                self.md(name, level), self.pic(name, level), self.config)
+            self._algebras[key] = schellekens.classify_algebras(self.pic(name, level))
         return self._algebras[key]
 
     def of_order(self, name: str, level: int, order: int) -> list[schellekens.ClassifiedAlgebra]:
@@ -221,7 +220,7 @@ class Battery:
         notes = []
         for name, k, expected in [("A1", 4, 4), ("A1", 6, 5)]:
             alg = self.of_order(name, k, 2)[0]
-            count = boundary.count_boundary_conditions(self.md(name, k), alg.algebra)
+            count = boundary.count_boundary_conditions(alg.algebra)
             if count.total != expected:
                 ok = False
                 notes.append(f"({name},{k}) boundary count {count.total} != {expected}")
@@ -231,7 +230,7 @@ class Battery:
             md = self.md(name, k)
             for ca in self.algebras(name, k):
                 try:
-                    count = boundary.count_boundary_conditions(md, ca.algebra)
+                    count = boundary.count_boundary_conditions(ca.algebra)
                 except PhiUnavailable:
                     skipped += 1  # non-cyclic stabilizer without a supported folding
                     continue
@@ -257,7 +256,7 @@ class Battery:
         ok = True
         notes = []
         alg = self.of_order("A2", 2, 3)[0]
-        ring = bimodule.build_bimodule_ring(self.md("A2", 2), alg.algebra)
+        ring = bimodule.build_bimodule_ring(alg.algebra)
         if len(ring) != 6:
             ok = False
             notes.append(f"(A2,2) ring rank {len(ring)} != 6")
@@ -270,7 +269,7 @@ class Battery:
             ok = False
             notes.append(f"(A2,2) bimodule Picard order {len(bp)} != 3")
         cardy = self.of_order("A1", 2, 1)[0]
-        ring2 = bimodule.build_bimodule_ring(self.md("A1", 2), cardy.algebra)
+        ring2 = bimodule.build_bimodule_ring(cardy.algebra)
         bp2 = bimodule.bimodule_picard(ring2)
         if bp2.iso_class_name != "Z2" or bp2.invariant_factors != (2,):
             ok = False
@@ -286,13 +285,13 @@ class Battery:
         ok = True
         notes = []
         cardy = self.of_order("A1", 2, 1)[0]
-        ring = bimodule.build_bimodule_ring(self.md("A1", 2), cardy.algebra)
+        ring = bimodule.build_bimodule_ring(cardy.algebra)
         kw = bimodule.kramers_wannier_candidates(ring)
         if [c.object_index for c in kw] != [1]:
             ok = False
             notes.append(f"Ising KW candidates {[c.object_index for c in kw]} != [sigma]")
         cardy4 = self.of_order("A1", 4, 1)[0]
-        ring4 = bimodule.build_bimodule_ring(self.md("A1", 4), cardy4.algebra)
+        ring4 = bimodule.build_bimodule_ring(cardy4.algebra)
         kw4 = bimodule.kramers_wannier_candidates(ring4)
         if kw4:
             ok = False
@@ -308,24 +307,23 @@ class Battery:
         ok = True
         notes = []
         worst = 0.0
-        md = self.md("A3", 2)
         pg = self.pic("A3", 2)
         g = next(i for i in range(len(pg)) if pg.elements[i].order == 2)
-        tsm = twining.twining_S(md, pg, g, self.config)
+        tsm = twining.twining_S(pg, g, self.config)
         m = tsm.matrix
         if m.shape != (2, 2):
             ok = False
             notes.append(f"(A3,2) twining matrix is {m.shape}, not 2x2")
         worst = max(worst, tsm.symmetry_residual, tsm.unitarity_residual)
         full = self.of_order("A3", 2, 4)[0]
-        rep = twining.verify_conjecture(md, full.algebra, self.config)
+        rep = twining.verify_conjecture(full.algebra, self.config)
         if not rep.passed:
             ok = False
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
         worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
             for ca in self.algebras(name, k):
-                rep1 = twining.verify_conjecture(self.md(name, k), ca.algebra, self.config)
+                rep1 = twining.verify_conjecture(ca.algebra, self.config)
                 if not rep1.passed:
                     ok = False
                     notes.append(f"1x1 case {name} level {k} fails")

@@ -7,7 +7,9 @@ classes are pairs (object, character of H) modulo the relation
 tensor with characters adding.  When fixed points are present the free-action
 construction does not apply and the builder refuses; the pointed ring
 (restricted to invertible objects, where the action is always free) is the
-fallback.
+fallback.  The simple objects, their fusion and conjugation are read from the
+algebra's Picard group, so a ring cannot mix one category's data with
+another's algebra.
 
 The structure constants are filled with integer-coded characters: each
 character of H is numbered once, character addition becomes an integer
@@ -24,7 +26,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import groups
-from .affine import ModularData
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .residues import mod1
 
@@ -77,7 +78,6 @@ class BimoduleClass:
 class BimoduleRing:
     """Fusion ring of bimodule classes with non-negative integer structure."""
 
-    md: ModularData
     algebra: SchellekensAlgebra
     objects: tuple[int, ...]
     basis: tuple[BimoduleClass, ...]
@@ -104,7 +104,6 @@ class BimoduleRing:
 
 
 def _build_ring(
-    md: ModularData,
     algebra: SchellekensAlgebra,
     objects: list[int],
     pointed: bool,
@@ -112,6 +111,7 @@ def _build_ring(
 ) -> BimoduleRing:
     sub = algebra.support
     pg = algebra.picard
+    md = pg.md
     members = sub.members
     obj_set = set(objects)
 
@@ -188,7 +188,6 @@ def _build_ring(
     np.add.at(structure, (x, y, z), mult)
     unit = canonical(md.vacuum, trivial)
     ring = BimoduleRing(
-        md=md,
         algebra=algebra,
         objects=tuple(sorted(objects)),
         basis=basis_t,
@@ -204,22 +203,21 @@ def _build_ring(
 
 
 def build_bimodule_ring(
-    md: ModularData,
     algebra: SchellekensAlgebra,
     representative_choice: dict[int, int] | None = None,
 ) -> BimoduleRing:
     """The full bimodule fusion ring; requires H to act freely on P_+^k."""
-    return _build_ring(md, algebra, list(range(len(md))), False, representative_choice)
+    objects = list(range(len(algebra.picard.md)))
+    return _build_ring(algebra, objects, False, representative_choice)
 
 
 def build_pointed_bimodule_ring(
-    md: ModularData,
     algebra: SchellekensAlgebra,
     representative_choice: dict[int, int] | None = None,
 ) -> BimoduleRing:
     """The bimodule ring restricted to invertible objects (always free)."""
     objects = sorted(el.object_index for el in algebra.picard.elements)
-    return _build_ring(md, algebra, objects, True, representative_choice)
+    return _build_ring(algebra, objects, True, representative_choice)
 
 
 @dataclass(frozen=True)
@@ -308,7 +306,7 @@ def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
         if x in invertible:
             continue
         dual = ring.canonical_index(
-            ring.md.conjugation[cls.object_index], _char_neg(cls.character)
+            ring.algebra.picard.md.conjugation[cls.object_index], _char_neg(cls.character)
         )
         row = ring.structure[x, dual]
         if row[ring.unit] != 1:

@@ -4,7 +4,8 @@ Boundary conditions are labeled by an H-orbit of simple objects together with
 an irreducible representation of the twisted group algebra of the stabilizer;
 for abelian stabilizers the irrep count is the order of the radical of the
 alternating form eps_U.  On a cyclic stabilizer eps_U is forced to vanish, so
-the 6j-table phi is consulted only for non-cyclic stabilizers.
+the 6j-table phi is consulted only for non-cyclic stabilizers.  Every function
+reads the simple objects and the action from the algebra's Picard group.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .affine import ModularData
 from .errors import PhiUnavailable, WzwError
 from .residues import mod1
-from .schellekens import Subgroup
 
 if TYPE_CHECKING:
-    from .schellekens import KSB, SchellekensAlgebra
+    from .picard import PicardGroup
+    from .schellekens import KSB, SchellekensAlgebra, Subgroup
     from .twining import PhiTable
 
 
@@ -39,10 +39,10 @@ class OrbitDecomposition:
         return len(self.orbits)
 
 
-def orbit_decomposition(md: ModularData, sub: Subgroup) -> OrbitDecomposition:
+def orbit_decomposition(sub: Subgroup) -> OrbitDecomposition:
     """Partition P_+^k under the permutation action of H, with stabilizers."""
     pg = sub.picard
-    n = len(md)
+    n = len(pg.md)
     orbit_of = [-1] * n
     orbits: list[Orbit] = []
     for i in range(n):
@@ -74,16 +74,12 @@ class EpsilonForm:
         )
 
 
-def _stabilizer_is_cyclic(sub: Subgroup, stab: tuple[int, ...]) -> bool:
-    return len(Subgroup(sub.picard, stab).decomposition) <= 1
+def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
+    """A subgroup of an abelian group is cyclic iff one of its elements has order |stab|."""
+    return any(pg.elements[g].order == len(stab) for g in stab)
 
 
-def epsilon_form(
-    md: ModularData,
-    orbit: Orbit,
-    ksb: KSB,
-    phi: PhiTable | None = None,
-) -> EpsilonForm:
+def epsilon_form(orbit: Orbit, ksb: KSB, phi: PhiTable | None = None) -> EpsilonForm:
     """eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the orbit.
 
     For a cyclic stabilizer an alternating bicharacter is identically zero,
@@ -93,7 +89,7 @@ def epsilon_form(
     sub = ksb.support
     stab = orbit.stabilizer
     n = len(stab)
-    if _stabilizer_is_cyclic(sub, stab):
+    if _stabilizer_is_cyclic(sub.picard, stab):
         zero = mod1(Fraction(0))
         values = tuple(tuple(zero for _ in range(n)) for _ in range(n))
         return EpsilonForm(stab, values)
@@ -134,7 +130,6 @@ class BoundaryCount:
 
 
 def count_boundary_conditions(
-    md: ModularData,
     algebra: SchellekensAlgebra,
     phi: PhiTable | None = None,
     dec: OrbitDecomposition | None = None,
@@ -146,8 +141,8 @@ def count_boundary_conditions(
     unless the caller passes the one it already has.
     """
     if dec is None:
-        dec = orbit_decomposition(md, algebra.support)
-    forms = tuple(epsilon_form(md, orbit, algebra.ksb, phi) for orbit in dec.orbits)
+        dec = orbit_decomposition(algebra.support)
+    forms = tuple(epsilon_form(orbit, algebra.ksb, phi) for orbit in dec.orbits)
     per_orbit = []
     labels = []
     for orbit, eps in zip(dec.orbits, forms):

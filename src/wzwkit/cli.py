@@ -114,9 +114,9 @@ def _check(name: str, passed: bool, margin: float | None) -> dict:
     return {"name": name, "pass": bool(passed), "margin": margin}
 
 
-def _latex_partition(md: ModularData, arr: np.ndarray) -> str:
+def _latex_partition(arr: np.ndarray) -> str:
     """Write Z as a sum of c|sum chi|^2 blocks where possible, cross terms otherwise."""
-    n = len(md)
+    n = len(arr)
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -209,8 +209,7 @@ def _cmd_picard(md: ModularData, args, config: Config):
     return payload, checks
 
 
-def _algebra_blob(md: ModularData, ca: ClassifiedAlgebra, config: Config,
-                  latex: bool) -> tuple[dict, bool, float | None]:
+def _algebra_blob(ca: ClassifiedAlgebra, config: Config, latex: bool) -> tuple[dict, bool, float | None]:
     from . import schellekens
 
     sub = ca.algebra.support
@@ -231,9 +230,9 @@ def _algebra_blob(md: ModularData, ca: ClassifiedAlgebra, config: Config,
         "Z": sparse_entries(ca.partition),
     }
     if latex:
-        blob["latex"] = _latex_partition(md, ca.partition)
+        blob["latex"] = _latex_partition(ca.partition)
     try:
-        norm = schellekens.verify_modular_invariance(md, ca.partition, config)
+        norm = schellekens.verify_modular_invariance(sub.picard.md, ca.partition, config)
         blob["invariance"] = {"pass": True, "commutatorNorm": norm}
         return blob, True, norm
     except InvarianceViolation as exc:
@@ -245,12 +244,12 @@ def _cmd_invariants(md: ModularData, args, config: Config):
     from . import picard, schellekens
 
     pg = picard.find_simple_currents(md, config)
-    algebras = schellekens.classify_algebras(md, pg, config)
+    algebras = schellekens.classify_algebras(pg)
     blobs = []
     all_ok = True
     worst = 0.0
     for ca in algebras:
-        blob, ok, margin = _algebra_blob(md, ca, config, getattr(args, "latex", False))
+        blob, ok, margin = _algebra_blob(ca, config, getattr(args, "latex", False))
         blobs.append(blob)
         all_ok = all_ok and ok
         if margin is not None:
@@ -264,11 +263,11 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
     from . import boundary, picard, schellekens
 
     pg = picard.find_simple_currents(md, config)
-    algebras = schellekens.classify_algebras(md, pg, config)
+    algebras = schellekens.classify_algebras(pg)
     blobs = []
     checks = []
     for idx, ca in enumerate(algebras):
-        dec = boundary.orbit_decomposition(md, ca.algebra.support)
+        dec = boundary.orbit_decomposition(ca.algebra.support)
         blob = {
             "support": [ca.algebra.picard.elements[g].object_index for g in ca.algebra.support.members],
             "orbits": [
@@ -283,7 +282,7 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
             ],
         }
         try:
-            count = boundary.count_boundary_conditions(md, ca.algebra, dec=dec)
+            count = boundary.count_boundary_conditions(ca.algebra, dec=dec)
             ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
                 {"representative": orbit.representative,
@@ -309,17 +308,17 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
     from . import bimodule, picard, schellekens
 
     pg = picard.find_simple_currents(md, config)
-    algebras = schellekens.classify_algebras(md, pg, config)
+    algebras = schellekens.classify_algebras(pg)
     blobs = []
     for ca in algebras:
         blob = {
             "support": [pg.elements[g].object_index for g in ca.algebra.support.members],
         }
         try:
-            ring = bimodule.build_bimodule_ring(md, ca.algebra)
+            ring = bimodule.build_bimodule_ring(ca.algebra)
             blob["pointedOnly"] = False
         except FixedPointsPresent as exc:
-            ring = bimodule.build_pointed_bimodule_ring(md, ca.algebra)
+            ring = bimodule.build_pointed_bimodule_ring(ca.algebra)
             blob["pointedOnly"] = True
             blob["fixedWeights"] = [list(w) for w in exc.fixed_weights]
         blob["rank"] = len(ring)
@@ -353,7 +352,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
     blobs = []
     checks = []
     for a in everything:
-        fixed = twining.fixed_points(md, pg, a)
+        fixed = twining.fixed_points(pg, a)
         blob = {
             "element": a,
             "objectIndex": pg.elements[a].object_index,
@@ -364,7 +363,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
         if not fixed:
             continue
         try:
-            row = twining.phi_row(md, pg, a, everything, config)
+            row = twining.phi_row(pg, a, everything, config)
         except WzwError as exc:
             blob["note"] = f"{type(exc).__name__}: {exc}"
             continue
@@ -394,14 +393,14 @@ def _cmd_verify_conjecture(md: ModularData, args, config: Config):
     from . import picard, schellekens, twining
 
     pg = picard.find_simple_currents(md, config)
-    algebras = schellekens.classify_algebras(md, pg, config)
+    algebras = schellekens.classify_algebras(pg)
     blobs = []
     checks = []
     for idx, ca in enumerate(algebras):
         support = [pg.elements[g].object_index for g in ca.algebra.support.members]
         tag = str(idx)
         try:
-            rep = twining.verify_conjecture(md, ca.algebra, config)
+            rep = twining.verify_conjecture(ca.algebra, config)
         except WzwError as exc:
             blobs.append({
                 "support": support,

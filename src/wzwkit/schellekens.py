@@ -165,7 +165,7 @@ class SchellekensAlgebra:
         return self.support.picard
 
 
-def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> np.ndarray:
+def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     """Z_ij = (1/|H|) sum_{g,h in H} theta_i(h) Xi(h, g) [j_bar = g.i], exactly.
 
     The h-sum is a character sum: for fixed i and g the map
@@ -173,7 +173,7 @@ def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> np.ndarr
     vanishes for every h and 0 otherwise.  The charges Q come from the Picard
     group's table, whose rows are checked to be characters when it is built;
     Xi is validated here, so an invalid Xi cannot slip through silently.
-    Z is returned as a read-only int64 (n, n) array.
+    Z is returned as a read-only int64 array over the objects of algebra.picard.md.
     """
     sub = algebra.support
     pg = algebra.picard
@@ -188,9 +188,9 @@ def partition_function(md: ModularData, algebra: SchellekensAlgebra) -> np.ndarr
     trivial = ((q[:, :, None] + xi) % den == 0).all(axis=1)  # [i, a]
     i, a = np.nonzero(trivial)
     act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
-    n = len(md)
+    n = len(pg.md)
     z = np.zeros((n, n), dtype=np.int64)
-    np.add.at(z, (i, np.asarray(md.conjugation)[act[a, i]]), 1)
+    np.add.at(z, (i, np.asarray(pg.md.conjugation)[act[a, i]]), 1)
     if (z < 0).any():
         raise NegativeEntry("negative partition entry")
     z.flags.writeable = False
@@ -230,13 +230,11 @@ class ClassifiedAlgebra:
     partition: np.ndarray = field(compare=False)
 
 
-def classify_algebras(
-    md: ModularData, pg: PicardGroup, config: Config = DEFAULT_CONFIG
-) -> list[ClassifiedAlgebra]:
+def classify_algebras(pg: PicardGroup) -> list[ClassifiedAlgebra]:
     """Every (H, Xi) pair with its partition matrix, subgroups in canonical order."""
     out = []
     for sub in enumerate_subgroups(pg):
         for ksb in enumerate_ksbs(sub):
             algebra = SchellekensAlgebra(sub, ksb)
-            out.append(ClassifiedAlgebra(algebra, partition_function(md, algebra)))
+            out.append(ClassifiedAlgebra(algebra, partition_function(algebra)))
     return out

@@ -32,24 +32,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import (
-    LevelData,
-    ModularData,
-    SimpleLieType,
-    affine_labels,
-    integrable_weights,
-    kac_peterson_S,
-)
+from .affine import LevelData, SimpleLieType, affine_labels, integrable_weights, kac_peterson_S
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
 from .picard import DiagramAutomorphism, PicardGroup, diagram_automorphism
 from .residues import mod1, snap_to_residue, unit_phase
 
 
-def fixed_points(md: ModularData, pg: PicardGroup, a: int) -> tuple[int, ...]:
+def fixed_points(pg: PicardGroup, a: int) -> tuple[int, ...]:
     """Indices of all weights with g.Lambda = Lambda under the fusion action."""
-    action = pg.elements[a].action
-    return tuple(i for i in range(len(md)) if action[i] == i)
+    return tuple(i for i, j in enumerate(pg.elements[a].action) if j == i)
 
 
 @dataclass(frozen=True)
@@ -137,14 +129,15 @@ class TwiningSMatrix:
         return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
 
 
-def twining_S(md: ModularData, pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> TwiningSMatrix:
+def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> TwiningSMatrix:
     """S^w for the automorphism attached to Picard element a.
 
     Computed as the Kac-Peterson matrix of the folded algebra pulled back
     along the weight dictionary; the overall scalar is fixed by making the
     diagonal entry at the minimal-conformal-weight fixed point real positive.
     """
-    fixed = fixed_points(md, pg, a)
+    md = pg.md
+    fixed = fixed_points(pg, a)
     if not fixed:
         raise ValueError(f"Picard element {a} has no fixed points at this level")
     aut = diagram_automorphism(pg, a)
@@ -311,12 +304,10 @@ class PhiRow:
     phi: dict[int, PhiValues | LambdaDependence | SnapFailure]
 
 
-def phi_row(
-    md: ModularData, pg: PicardGroup, g: int, hs: Iterable[int], config: Config = DEFAULT_CONFIG
-) -> PhiRow:
+def phi_row(pg: PicardGroup, g: int, hs: Iterable[int], config: Config = DEFAULT_CONFIG) -> PhiRow:
     """The phi engine: S^w for g (its errors propagate), then phi(g, h) for
     every h in `hs`, a violation met for one h kept in the row."""
-    tsm = twining_S(md, pg, g, config)
+    tsm = twining_S(pg, g, config)
     phi: dict[int, PhiValues | LambdaDependence | SnapFailure] = {}
     for h in hs:
         try:
@@ -326,18 +317,18 @@ def phi_row(
     return PhiRow(g, tsm, phi)
 
 
-def _support_rows(md: ModularData, pg: PicardGroup, members: tuple[int, ...], config: Config):
+def _support_rows(pg: PicardGroup, members: tuple[int, ...], config: Config):
     """Rows of every g in `members` with fixed points, against all of `members`."""
-    return (phi_row(md, pg, g, members, config) for g in members if fixed_points(md, pg, g))
+    return (phi_row(pg, g, members, config) for g in members if fixed_points(pg, g))
 
 
 def build_phi_table(
-    md: ModularData, pg: PicardGroup, members: tuple[int, ...], config: Config = DEFAULT_CONFIG
+    pg: PicardGroup, members: tuple[int, ...], config: Config = DEFAULT_CONFIG
 ) -> PhiTable:
     """phi values for all g in `members` with fixed points, against all h in
     `members`; the first violation in (g, h) order is raised."""
     values: dict[tuple[int, int, int], Fraction] = {}
-    for row in _support_rows(md, pg, members, config):
+    for row in _support_rows(pg, members, config):
         for h, vals in row.phi.items():
             if not isinstance(vals, PhiValues):
                 raise vals
@@ -425,10 +416,10 @@ def conjecture_checks(
     return checks
 
 
-def verify_conjecture(md: ModularData, algebra, config: Config = DEFAULT_CONFIG) -> ConjectureReport:
+def verify_conjecture(algebra, config: Config = DEFAULT_CONFIG) -> ConjectureReport:
     """Property suite for the twining/6j relation over the support of an
     algebra: the validator over the rows of every g in H with fixed points,
     each against every h in H."""
     pg = algebra.picard
-    rows = _support_rows(md, pg, algebra.support.members, config)
+    rows = _support_rows(pg, algebra.support.members, config)
     return ConjectureReport(tuple(conjecture_checks(pg, rows, config)))

@@ -8,24 +8,24 @@ from wzwkit import (
     epsilon_form,
     orbit_decomposition,
 )
+from wzwkit.boundary import _stabilizer_is_cyclic
 from wzwkit.errors import PhiUnavailable
-from wzwkit.schellekens import SchellekensAlgebra
+from wzwkit.schellekens import SchellekensAlgebra, Subgroup
 from wzwkit.twining import PhiTable
 
 from conftest import CATALOG
 
 
-def _algebra_with_support(md, pg, size):
-    for ca in classify_algebras(md, pg):
+def _algebra_with_support(pg, size):
+    for ca in classify_algebras(pg):
         if len(ca.algebra.support) == size:
             return ca
     raise AssertionError(f"no algebra with support of order {size}")
 
 
-def test_a1_level4_orbits(md_of, pic_of):
-    md = md_of("A1", 4)
+def test_a1_level4_orbits(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
-    dec = orbit_decomposition(md, sub)
+    dec = orbit_decomposition(sub)
     orbit_sets = sorted(tuple(o.members) for o in dec.orbits)
     assert orbit_sets == [(0, 4), (1, 3), (2,)]
     stab_sizes = {tuple(o.members): len(o.stabilizer) for o in dec.orbits}
@@ -36,15 +36,14 @@ def test_a1_level4_orbits(md_of, pic_of):
 def test_trivial_support_gives_singletons(md_of, pic_of):
     md = md_of("A2", 2)
     sub = enumerate_subgroups(pic_of("A2", 2))[0]
-    dec = orbit_decomposition(md, sub)
+    dec = orbit_decomposition(sub)
     assert len(dec) == len(md)
     assert all(len(o.members) == 1 for o in dec.orbits)
 
 
-def test_a2_level2_free_orbits(md_of, pic_of):
-    md = md_of("A2", 2)
+def test_a2_level2_free_orbits(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A2", 2)) if len(s) == 3][0]
-    dec = orbit_decomposition(md, sub)
+    dec = orbit_decomposition(sub)
     assert len(dec) == 2
     assert all(len(o.members) == 3 and len(o.stabilizer) == 1 for o in dec.orbits)
 
@@ -53,48 +52,43 @@ def test_a2_level2_free_orbits(md_of, pic_of):
 def test_orbit_stabilizer_identity(name, k, md_of, pic_of):
     md = md_of(name, k)
     for sub in enumerate_subgroups(pic_of(name, k)):
-        dec = orbit_decomposition(md, sub)
+        dec = orbit_decomposition(sub)
         assert sum(len(o.members) for o in dec.orbits) == len(md)
         for o in dec.orbits:
             assert len(o.members) * len(o.stabilizer) == len(sub)
             assert len(sub) % len(o.members) == 0
 
 
-def test_epsilon_trivial_on_cyclic_stabilizer(md_of, pic_of):
-    md = md_of("A1", 6)
+def test_epsilon_trivial_on_cyclic_stabilizer(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
     ksb = enumerate_ksbs(sub)[0]
-    dec = orbit_decomposition(md, sub)
+    dec = orbit_decomposition(sub)
     fixed = [o for o in dec.orbits if len(o.stabilizer) == 2][0]
-    eps = epsilon_form(md, fixed, ksb)  # Xi(J,J) = -1 yet eps must vanish
+    eps = epsilon_form(fixed, ksb)  # Xi(J,J) = -1 yet eps must vanish
     assert all(v == 0 for row in eps.values for v in row)
 
 
-def test_epsilon_needs_phi_for_noncyclic(md_of, pic_of):
-    md = md_of("D4", 2)
+def test_epsilon_needs_phi_for_noncyclic(pic_of):
     pg = pic_of("D4", 2)
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
     ksb = enumerate_ksbs(full)[0]
-    dec = orbit_decomposition(md, full)
+    dec = orbit_decomposition(full)
     noncyclic = [o for o in dec.orbits if len(o.stabilizer) == 4]
     assert noncyclic, "expected a fully-stabilized weight at (D4, 2)"
     with pytest.raises(PhiUnavailable):
-        epsilon_form(md, noncyclic[0], ksb)
+        epsilon_form(noncyclic[0], ksb)
 
 
-def test_epsilon_with_supplied_phi(md_of, pic_of):
+def test_epsilon_with_supplied_phi(pic_of):
     """Feeding a phi table exercises the non-cyclic branch: eps = phi + Xi^T
     on the one independent off-diagonal pair of Z2 x Z2.
 
     Any KSB on the stabilizer is a legitimate phi (same defining property),
     so the stabilizer's own KSB list provides valid tables.
     """
-    from wzwkit.schellekens import Subgroup
-
-    md = md_of("D4", 2)
     pg = pic_of("D4", 2)
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
-    dec = orbit_decomposition(md, full)
+    dec = orbit_decomposition(full)
     orbit = [o for o in dec.orbits if len(o.stabilizer) == 4][0]
     u = orbit.representative
     stab_sub = Subgroup(pg, orbit.stabilizer)
@@ -108,7 +102,7 @@ def test_epsilon_with_supplied_phi(md_of, pic_of):
                 for a, g in enumerate(orbit.stabilizer)
                 for b, h in enumerate(orbit.stabilizer)
             })
-            eps = epsilon_form(md, orbit, ksb, table)
+            eps = epsilon_form(orbit, ksb, table)
             n = len(orbit.stabilizer)
             for a in range(n):
                 assert eps.values[a][a] == 0
@@ -119,15 +113,13 @@ def test_epsilon_with_supplied_phi(md_of, pic_of):
     assert radicals == {1, 4}
 
 
-def test_boundary_counts_match_ade_node_counts(md_of, pic_of):
-    md4 = md_of("A1", 4)
-    ca = _algebra_with_support(md4, pic_of("A1", 4), 2)
-    count = count_boundary_conditions(md4, ca.algebra)
+def test_boundary_counts_match_ade_node_counts(pic_of):
+    ca = _algebra_with_support(pic_of("A1", 4), 2)
+    count = count_boundary_conditions(ca.algebra)
     assert count.total == 4  # D4 diagram nodes
     assert dict(count.per_orbit) == {0: 1, 1: 1, 2: 2}
-    md6 = md_of("A1", 6)
-    ca6 = _algebra_with_support(md6, pic_of("A1", 6), 2)
-    count6 = count_boundary_conditions(md6, ca6.algebra)
+    ca6 = _algebra_with_support(pic_of("A1", 6), 2)
+    count6 = count_boundary_conditions(ca6.algebra)
     assert count6.total == 5  # D5 diagram nodes
     labels = [(l.orbit_representative, l.irrep_index) for l in count6.labels]
     assert labels == [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1)]
@@ -138,7 +130,7 @@ def test_cardy_count_is_object_count(md_of, pic_of):
         md = md_of(name, k)
         trivial = enumerate_subgroups(pic_of(name, k))[0]
         algebra = SchellekensAlgebra(trivial, enumerate_ksbs(trivial)[0])
-        assert count_boundary_conditions(md, algebra).total == len(md)
+        assert count_boundary_conditions(algebra).total == len(md)
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
@@ -149,9 +141,9 @@ def test_completeness_identity(name, k, md_of, pic_of):
     skipped (reported via PhiUnavailable), not silently accepted.
     """
     md = md_of(name, k)
-    for ca in classify_algebras(md, pic_of(name, k)):
+    for ca in classify_algebras(pic_of(name, k)):
         try:
-            count = count_boundary_conditions(md, ca.algebra)
+            count = count_boundary_conditions(ca.algebra)
         except PhiUnavailable:
             assert name == "D4", "only D-series stabilizers are non-cyclic here"
             continue
@@ -160,19 +152,31 @@ def test_completeness_identity(name, k, md_of, pic_of):
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
-def test_count_carries_each_orbits_epsilon_form(name, k, md_of, pic_of):
-    md = md_of(name, k)
-    for ca in classify_algebras(md, pic_of(name, k)):
+def test_count_carries_each_orbits_epsilon_form(name, k, pic_of):
+    for ca in classify_algebras(pic_of(name, k)):
         try:
-            count = count_boundary_conditions(md, ca.algebra)
+            count = count_boundary_conditions(ca.algebra)
         except PhiUnavailable:
             continue
         orbits = count.orbits.orbits
-        assert count.forms == tuple(epsilon_form(md, o, ca.algebra.ksb) for o in orbits)
+        assert count.forms == tuple(epsilon_form(o, ca.algebra.ksb) for o in orbits)
 
 
-def test_free_action_count_equals_orbit_count(md_of, pic_of):
-    md = md_of("A2", 2)
-    ca = _algebra_with_support(md, pic_of("A2", 2), 3)
-    count = count_boundary_conditions(md, ca.algebra)
+def test_free_action_count_equals_orbit_count(pic_of):
+    ca = _algebra_with_support(pic_of("A2", 2), 3)
+    count = count_boundary_conditions(ca.algebra)
     assert count.total == 2 == len(count.orbits)
+
+
+def test_cyclic_stabilizer_test_matches_decomposition(pic_of):
+    """The order test on a stabilizer agrees with its cyclic decomposition,
+    on cyclic and non-cyclic stabilizers alike."""
+    seen = set()
+    for name, k in [*CATALOG, ("D4", 4)]:
+        pg = pic_of(name, k)
+        for sub in enumerate_subgroups(pg):
+            for o in orbit_decomposition(sub).orbits:
+                oracle = len(Subgroup(pg, o.stabilizer).decomposition) <= 1
+                assert _stabilizer_is_cyclic(pg, o.stabilizer) == oracle
+                seen.add(oracle)
+    assert seen == {True, False}

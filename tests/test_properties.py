@@ -6,12 +6,14 @@ repeatable; the oracles are identities of the theory, not recorded values.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzwkit import DEFAULT_CONFIG, build_root_system, classify_algebras, count_boundary_conditions
+from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_root_system, classify_algebras,
+                    count_boundary_conditions, orbit_decomposition)
 from wzwkit.affine import SimpleLieType, t_matrix, weyl_order
-from wzwkit.errors import PhiUnavailable, UnsupportedRank
+from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank
 from wzwkit.residues import mod1
 
 from test_picard import CENTER_ORDER
@@ -84,13 +86,36 @@ def test_picard_order_and_charge_characters(md_of, pic_of, algebra):
 @given(ALGEBRAS)
 def test_cardy_case_and_boundary_completeness(md_of, pic_of, algebra):
     md, pg = md_of(*algebra), pic_of(*algebra)
-    algebras = classify_algebras(md, pg)
+    algebras = classify_algebras(pg)
     assert len(algebras[0].algebra.support) == 1
     assert np.array_equal(algebras[0].partition,
                           np.eye(len(md), dtype=np.int64)[list(md.conjugation)])
     for ca in algebras:
         try:
-            count = count_boundary_conditions(md, ca.algebra)
+            count = count_boundary_conditions(ca.algebra)
         except PhiUnavailable:
             continue  # a non-cyclic stabilizer needs phi
         assert count.total == sum(ca.partition[i, md.conjugation[i]] for i in range(len(md)))
+
+
+@given(ALGEBRAS)
+def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
+    """For a support acting freely, the simple A-A-bimodules number
+    trace(Z Z^T) (Fuchs-Runkel-Schweigert), and their squared dimensions sum
+    to the global dimension 1/|S_00|^2; a support with fixed points is refused."""
+    md, pg = md_of(*algebra), pic_of(*algebra)
+    global_dim = 1.0 / abs(md.s_matrix[md.vacuum, md.vacuum]) ** 2
+    free = 0
+    for ca in classify_algebras(pg):
+        orbits = orbit_decomposition(ca.algebra.support).orbits
+        if any(len(o.stabilizer) > 1 for o in orbits):
+            with pytest.raises(FixedPointsPresent):
+                build_bimodule_ring(ca.algebra)
+            continue
+        free += 1
+        ring = build_bimodule_ring(ca.algebra)
+        z = ca.partition
+        assert len(ring) == np.trace(z @ z.T)
+        dims = sum(md.quantum_dims[cls.object_index] ** 2 for cls in ring.basis)
+        assert dims == pytest.approx(global_dim, rel=DEFAULT_CONFIG.tolerance)
+    assert free >= 1

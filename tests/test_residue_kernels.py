@@ -224,14 +224,14 @@ def _assert_same_phi(new, old):
     assert float(new.spread).hex() == float(old.spread).hex()
 
 
-def _twining_matrices(md, pg):
+def _twining_matrices(pg):
     """(g, S^w) for every Picard element with fixed points and a supported fold."""
     out = []
     for g in range(len(pg)):
-        if not fixed_points(md, pg, g):
+        if not fixed_points(pg, g):
             continue
         try:
-            out.append((g, twining_S(md, pg, g)))
+            out.append((g, twining_S(pg, g)))
         except UnsupportedFolding:
             continue
     return out
@@ -244,7 +244,7 @@ def _twining_matrices(md, pg):
 def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
     pairs = 0
-    for g, tsm in _twining_matrices(md, pg):
+    for g, tsm in _twining_matrices(pg):
         for h in range(len(pg)):
             new = _outcome(extract_phi, pg, tsm, g, h)
             old = _outcome(scalar_extract_phi, md, pg, tsm, g, h)
@@ -257,12 +257,12 @@ def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
 def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
     invertible = sorted(el.object_index for el in pg.elements)
-    for ca in classify_algebras(md, pg):
+    for ca in classify_algebras(pg):
         for build, objects in (
             (build_bimodule_ring, list(range(len(md)))),
             (build_pointed_bimodule_ring, invertible),
         ):
-            new = _outcome(build, md, ca.algebra)
+            new = _outcome(build, ca.algebra)
             old = _outcome(scalar_ring, md, ca.algebra, objects)
             if isinstance(old, tuple) and isinstance(old[0], type):
                 assert new == old
@@ -277,21 +277,21 @@ def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
 @pytest.mark.parametrize("name,k", CASES, ids=IDS)
 def test_partition_kernel_matches_scalar_loop(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
-    for ca in classify_algebras(md, pg):
-        new = partition_function(md, ca.algebra)
+    for ca in classify_algebras(pg):
+        new = partition_function(ca.algebra)
         assert new.tolist() == scalar_partition_function(md, ca.algebra)
         assert new.dtype == np.int64 and not new.flags.writeable
 
 
 def test_ring_kernel_honours_representative_choice(md_of, pic_of):
     md, pg = md_of("A2", 2), pic_of("A2", 2)
-    algebra = next(ca.algebra for ca in classify_algebras(md, pg) if len(ca.algebra.support) == 3)
+    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 3)
     members = algebra.support.members
     choice = {}
     for i in range(len(md)):
         orbit = sorted(pg.act(g, i) for g in members)
         choice[orbit[0]] = orbit[-1]
-    ring = build_bimodule_ring(md, algebra, choice)
+    ring = build_bimodule_ring(algebra, choice)
     basis, structure, unit = scalar_ring(md, algebra, list(range(len(md))), choice)
     assert ring.basis == basis and ring.unit == unit
     assert np.array_equal(ring.structure, structure)
@@ -304,7 +304,7 @@ def _a3_swap(md_of, pic_of):
     md, pg = md_of("A3", 2), pic_of("A3", 2)
     jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
     j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
-    return md, pg, jsq, j, twining_S(md, pg, jsq)
+    return md, pg, jsq, j, twining_S(pg, jsq)
 
 
 def _mismatch(m):
@@ -378,7 +378,7 @@ def test_phi_error_parity_under_random_tampering(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
     rng = np.random.default_rng(11)
     kinds = set()
-    for g, tsm in _twining_matrices(md, pg):
+    for g, tsm in _twining_matrices(pg):
         n = len(tsm)
         for _ in range(12):
             bad = np.array(tsm.matrix, copy=True)
@@ -408,7 +408,7 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
     group reports the first failing object of a scalar scan over the whole
     group.  Where Q stays additive, Z still matches the scalar loop."""
     md, pg = md_of(name, k), pic_of(name, k)
-    algebras = [ca.algebra for ca in classify_algebras(md, pg)]
+    algebras = [ca.algebra for ca in classify_algebras(pg)]
     failing = set()
     for w in range(1, len(md)):
         hs = list(md.conformal_weights)
@@ -425,18 +425,18 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
         for algebra in algebras:
             sub = Subgroup(new, algebra.support.members)
             rebuilt = SchellekensAlgebra(sub, KSB(sub, algebra.ksb.values))
-            z = _outcome(partition_function, edited, rebuilt)
+            z = _outcome(partition_function, rebuilt)
             assert z.tolist() == scalar_partition_function(edited, rebuilt)
     assert any(not msg.endswith("object 0") for msg in failing)
 
 
 def test_partition_bicharacter_error_parity(md_of, pic_of):
     md, pg = md_of("A1", 4), pic_of("A1", 4)
-    algebra = next(ca.algebra for ca in classify_algebras(md, pg) if len(ca.algebra.support) == 2)
+    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 2)
     good = algebra.ksb
     bad_values = ((Fraction(0), Fraction(1, 3)), (Fraction(0), good.value(1, 1)))
     bad = SchellekensAlgebra(algebra.support, KSB(algebra.support, bad_values))
-    new = _outcome(partition_function, md, bad)
+    new = _outcome(partition_function, bad)
     assert new == _outcome(scalar_partition_function, md, bad)
     assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
 
@@ -446,7 +446,7 @@ def test_ring_error_parity(md_of, pic_of):
     a fusion product outside the object set, and an object whose shift
     Xi(., h) is no character of H (a Xi that is not a bicharacter)."""
     md, pg = md_of("A2", 2), pic_of("A2", 2)
-    algebra = next(ca.algebra for ca in classify_algebras(md, pg) if len(ca.algebra.support) == 3)
+    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 3)
     members = algebra.support.members
     currents = {el.object_index for el in pg.elements}
     i = next(i for i in range(len(md)) if i not in currents)
@@ -458,6 +458,6 @@ def test_ring_error_parity(md_of, pic_of):
         (algebra, orbit, WzwError),
         (skewed, list(range(len(md))), KeyError),
     ):
-        new = _outcome(_build_ring, md, alg, objects, False)
+        new = _outcome(_build_ring, alg, objects, False)
         assert new == _outcome(scalar_ring, md, alg, objects)
         assert new[0] is exc
