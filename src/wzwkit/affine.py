@@ -395,14 +395,30 @@ def weight_from_affine(ld: LevelData, labels: tuple[int, ...]) -> Weight:
     return finite
 
 
+def _integer_form(rs: RootSystem, d: int = 1) -> tuple[np.ndarray, int]:
+    """(F * den, den): the quadratic form as an int64 matrix over den, the
+    least common multiple of d and the denominators of F."""
+    den = lcm(d, *(f.denominator for row in rs.quadratic_form for f in row))
+    return np.array([[int(f * den) for f in row] for row in rs.quadratic_form], dtype=np.int64), den
+
+
+def _conformal_weights(ld: LevelData, weights) -> list[Fraction]:
+    """h = (Lambda, Lambda + 2 rho) / (2 (k + h_vee)) for each weight, exact:
+    one int64 product over the common denominator of the quadratic form."""
+    rs = ld.root_system
+    form, den = _integer_form(rs)
+    lam = np.array(weights, dtype=np.int64).reshape(-1, rs.rank)
+    nums = ((lam @ form) * (lam + 2)).sum(axis=1)  # Lambda + 2 rho in labels
+    scale = 2 * den * (ld.level + rs.dual_coxeter)
+    return [Fraction(int(x), scale) for x in nums]
+
+
 def conformal_weight(ld: LevelData, weight: Weight) -> Fraction:
     """h_Lambda = (Lambda, Lambda + 2 rho) / (2 (k + h_vee)), exact."""
     weight = tuple(weight)
     if weight not in ld.weights:
         raise WeightNotIntegrable(f"{weight} is not integrable at level {ld.level}")
-    rs = ld.root_system
-    shifted = tuple(l + 2 for l in weight)  # Lambda + 2 rho in labels
-    return rs.inner(weight, shifted) / (2 * (ld.level + rs.dual_coxeter))
+    return _conformal_weights(ld, [weight])[0]
 
 
 def central_charge(ld: LevelData) -> Fraction:
@@ -513,8 +529,7 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
     cosets = _coset_representatives(rs, removed)
     assert len(cosets) * weyl_order(sub) == order, "W_J is not the stabiliser of omega_p"
     emb, d = _orthogonal_embedding(sub)
-    den = lcm(d, *(f.denominator for row in rs.quadratic_form for f in row))
-    form = np.array([[int(f * den) for f in row] for row in rs.quadratic_form])
+    form, den = _integer_form(rs, d)
     kappa = ld.level + rs.dual_coxeter
     n = len(ld.weights)
     x = np.array(ld.weights, dtype=np.int64) + 1  # Lambda + rho
@@ -552,9 +567,11 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
 def verlinde_fusion(s: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
     """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m, rounded and checked.
 
-    Slice i is the matrix product (S diag(S_i / S_0)) S^dagger, in real
-    arithmetic when S is real.  Each slice is rounded as it is made, so the
-    result is the only n^3 array.
+    N_ij^k is symmetric in i and j, so slice i computes only the rows j >= i,
+    as the matrix product (S[i:] diag(S_i / S_0)) S^dagger, in real arithmetic
+    when S is real, and fills the column j = i of the later slices from the
+    same rounded block.  Each distinct coefficient is computed and checked
+    once, and the result is the only n^3 array.
     """
     if not s.imag.any():
         s = s.real
@@ -563,10 +580,11 @@ def verlinde_fusion(s: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarra
     fusion = np.empty((n, n, n), dtype=np.int64)
     errs = np.empty(n)
     for i, ratio in enumerate(s / s[0]):
-        raw = (s * ratio) @ sdag
+        raw = (s[i:] * ratio) @ sdag
         rounded = np.rint(raw.real)
         errs[i] = np.max(np.abs(raw - rounded))
-        fusion[i] = rounded
+        fusion[i, i:] = rounded
+        fusion[i + 1:, i] = rounded[1:]
     err = np.max(errs)
     if not err <= config.integrality_tolerance:  # also rejects NaN
         raise NonIntegerFusion(f"fusion deviates from integers by {err:.3e}")
@@ -633,7 +651,7 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     """The modular datum of the weights ld and the normalized S: h, c and the
     T-exponents from ld; Verlinde, conjugation and quantum dimensions from S.
     Both the computing and the loading path end here."""
-    hs = tuple(conformal_weight(ld, w) for w in ld.weights)
+    hs = tuple(_conformal_weights(ld, ld.weights))
     c = central_charge(ld)
     v = ld.vacuum_index
     return ModularData(

@@ -22,6 +22,11 @@ from math import isqrt
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+# One BLAS thread unless the user asked for more: the matrices here are too
+# small to pay for OpenBLAS's worker threads, which spin between calls.  This
+# must run before numpy loads OpenBLAS; the library itself leaves it alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import jsonout
@@ -348,6 +353,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
     from . import picard, twining
 
     pg = picard.find_simple_currents(md, config)
+    rows = twining.PhiRows(pg, config)
     everything = range(len(pg))
     blobs = []
     checks = []
@@ -363,7 +369,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
         if not fixed:
             continue
         try:
-            row = twining.phi_row(pg, a, everything, config)
+            row = rows.row(a, everything)
         except WzwError as exc:
             blob["note"] = f"{type(exc).__name__}: {exc}"
             continue
@@ -394,13 +400,14 @@ def _cmd_verify_conjecture(md: ModularData, args, config: Config):
 
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(pg)
+    rows = twining.PhiRows(pg, config)  # each g's row is built once for all supports
     blobs = []
     checks = []
     for idx, ca in enumerate(algebras):
         support = [pg.elements[g].object_index for g in ca.algebra.support.members]
         tag = str(idx)
         try:
-            rep = twining.verify_conjecture(ca.algebra, config)
+            rep = twining.verify_conjecture(ca.algebra, config, rows)
         except WzwError as exc:
             blobs.append({
                 "support": support,

@@ -17,9 +17,10 @@ never assumed.  theta_ref(h) is evaluated once per reference row, the ratios
 of all columns form one array, and the reference dependence of a column is
 the diameter of its candidate set, taken over all pairs at once.
 
-Every consumer of phi uses one engine, `phi_row` (S^w of one g, then phi(g, h)
-for a list of h, keeping a violation met for one h in the row), and one
-validator, `conjecture_checks`, which turns rows into the property suite.
+Every consumer of phi uses one engine, `PhiRows` (S^w of one g, then phi(g, h)
+for a list of h, keeping a violation met for one h in the row, each computed
+once per Picard group), and one validator, `conjecture_checks`, which turns
+rows into the property suite.
 """
 
 from __future__ import annotations
@@ -304,22 +305,41 @@ class PhiRow:
     phi: dict[int, PhiValues | LambdaDependence | SnapFailure]
 
 
-def phi_row(pg: PicardGroup, g: int, hs: Iterable[int], config: Config = DEFAULT_CONFIG) -> PhiRow:
-    """The phi engine: S^w for g (its errors propagate), then phi(g, h) for
-    every h in `hs`, a violation met for one h kept in the row."""
-    tsm = twining_S(pg, g, config)
-    phi: dict[int, PhiValues | LambdaDependence | SnapFailure] = {}
-    for h in hs:
-        try:
-            phi[h] = extract_phi(pg, tsm, g, h, config)
-        except (LambdaDependence, SnapFailure) as exc:
-            phi[h] = exc
-    return PhiRow(g, tsm, phi)
+class PhiRows:
+    """The phi engine over one Picard group: S^w of each g and phi(g, h) of
+    each pair are computed at most once, however many rows ask for them.  An
+    error of twining_S is kept and raised again for every row of its g."""
+
+    def __init__(self, pg: PicardGroup, config: Config = DEFAULT_CONFIG) -> None:
+        self.pg, self.config = pg, config
+        self._tsm: dict[int, TwiningSMatrix | WzwError] = {}
+        self._phi: dict[tuple[int, int], PhiValues | LambdaDependence | SnapFailure] = {}
+
+    def row(self, g: int, hs: Iterable[int]) -> PhiRow:
+        """S^w for g (its errors propagate), then phi(g, h) for every h in
+        `hs`, in that order, a violation met for one h kept in the row."""
+        if g not in self._tsm:
+            try:
+                self._tsm[g] = twining_S(self.pg, g, self.config)
+            except WzwError as exc:
+                self._tsm[g] = exc
+        tsm = self._tsm[g]
+        if isinstance(tsm, WzwError):
+            raise tsm
+        phi = {}
+        for h in hs:
+            if (g, h) not in self._phi:
+                try:
+                    self._phi[g, h] = extract_phi(self.pg, tsm, g, h, self.config)
+                except (LambdaDependence, SnapFailure) as exc:
+                    self._phi[g, h] = exc
+            phi[h] = self._phi[g, h]
+        return PhiRow(g, tsm, phi)
 
 
-def _support_rows(pg: PicardGroup, members: tuple[int, ...], config: Config):
+def _support_rows(rows: PhiRows, members: tuple[int, ...]):
     """Rows of every g in `members` with fixed points, against all of `members`."""
-    return (phi_row(pg, g, members, config) for g in members if fixed_points(pg, g))
+    return (rows.row(g, members) for g in members if fixed_points(rows.pg, g))
 
 
 def build_phi_table(
@@ -328,7 +348,7 @@ def build_phi_table(
     """phi values for all g in `members` with fixed points, against all h in
     `members`; the first violation in (g, h) order is raised."""
     values: dict[tuple[int, int, int], Fraction] = {}
-    for row in _support_rows(pg, members, config):
+    for row in _support_rows(PhiRows(pg, config), members):
         for h, vals in row.phi.items():
             if not isinstance(vals, PhiValues):
                 raise vals
@@ -416,10 +436,17 @@ def conjecture_checks(
     return checks
 
 
-def verify_conjecture(algebra, config: Config = DEFAULT_CONFIG) -> ConjectureReport:
+def verify_conjecture(
+    algebra, config: Config = DEFAULT_CONFIG, rows: PhiRows | None = None
+) -> ConjectureReport:
     """Property suite for the twining/6j relation over the support of an
     algebra: the validator over the rows of every g in H with fixed points,
-    each against every h in H."""
+    each against every h in H.  Algebras of one Picard group can share `rows`,
+    so that each S^w and phi value is computed once for all of them."""
     pg = algebra.picard
-    rows = _support_rows(pg, algebra.support.members, config)
-    return ConjectureReport(tuple(conjecture_checks(pg, rows, config)))
+    if rows is None:
+        rows = PhiRows(pg, config)
+    elif rows.pg is not pg or rows.config != config:
+        raise ValueError("phi rows of another Picard group or Config")
+    support_rows = _support_rows(rows, algebra.support.members)
+    return ConjectureReport(tuple(conjecture_checks(pg, support_rows, config)))

@@ -340,6 +340,46 @@ def test_verify_conjecture_reports_an_engine_violation(capsys, tmp_path, broken_
     assert failed == ["conjecture-algebra-2"]
 
 
+@pytest.mark.parametrize("name,level,unshared", [
+    ("D4", "4", 11), ("D4", "2", 11), ("A5", "3", 4), ("A3", "2", 5)])
+def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
+                                                name, level, unshared):
+    """verify-conjecture computes S^w once per g and phi once per (g, h) for
+    all algebras of the run, with the report of rows built per algebra, whose
+    twining_S call count is `unshared`; a twining_S error (D4) still skips
+    every algebra it affects with the same text."""
+    from wzwkit import twining
+
+    argv = ["verify-conjecture", name, level, "--cache-dir", str(tmp_path)]
+    tsm_calls, phi_calls = [], []
+    twining_S, extract_phi = twining.twining_S, twining.extract_phi
+
+    def counted_twining_S(pg, g, config):
+        tsm_calls.append(g)
+        return twining_S(pg, g, config)
+
+    def counted_extract_phi(pg, tsm, g, h, config):
+        phi_calls.append((g, h))
+        return extract_phi(pg, tsm, g, h, config)
+
+    monkeypatch.setattr(twining, "twining_S", counted_twining_S)
+    monkeypatch.setattr(twining, "extract_phi", counted_extract_phi)
+    code, shared = _run(capsys, argv)
+    assert code == 0
+    assert len(set(tsm_calls)) == len(tsm_calls) < unshared
+    assert len(set(phi_calls)) == len(phi_calls)
+    skipped = [a["skipped"] for a in json.loads(shared)["payload"]["algebras"] if "skipped" in a]
+    assert len(skipped) == (5 if name == "D4" else 0)
+    assert all(s.startswith("UnsupportedFolding: folding supports only A-series") for s in skipped)
+
+    verify = twining.verify_conjecture
+    monkeypatch.setattr(twining, "verify_conjecture",
+                        lambda algebra, config, rows: verify(algebra, config))
+    tsm_calls.clear()
+    assert _run(capsys, argv) == (0, shared)
+    assert len(tsm_calls) == unshared
+
+
 def test_timing_flag(capsys, tmp_path):
     _, out = _run(capsys, ["picard", "A1", "2", "--timing", "--cache-dir", str(tmp_path)])
     assert json.loads(out)["timingSeconds"] >= 0

@@ -1,5 +1,6 @@
-"""Each command loads only the modules it uses, and every public name of the
-package still resolves through its lazy re-exports."""
+"""Each command loads only the modules it uses, every public name of the
+package still resolves through its lazy re-exports, and only the CLI sets
+BLAS to one thread."""
 
 import json
 import os
@@ -61,3 +62,38 @@ def test_star_import_binds_all():
     namespace = {}
     exec("from wzwkit import *", namespace)
     assert set(wzwkit.__all__) <= set(namespace)
+
+
+# Imports one module in a fresh interpreter and prints the BLAS thread
+# setting it leaves and the number of threads the process then runs.
+BLAS = """
+import importlib, json, os, sys
+importlib.import_module(sys.argv[1])
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+def _blas_after_import(module, preset=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", BLAS, module],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    return json.loads(done.stdout)
+
+
+def test_cli_runs_blas_on_one_thread():
+    setting, tasks = _blas_after_import("wzwkit.cli")
+    assert setting == "1"
+    if sys.platform.startswith("linux"):
+        assert tasks == 1
+
+
+def test_cli_keeps_the_users_blas_threads():
+    assert _blas_after_import("wzwkit.cli", preset="2")[0] == "2"
+
+
+def test_library_leaves_blas_threads_alone():
+    assert _blas_after_import("wzwkit.affine")[0] is None

@@ -1,17 +1,20 @@
 """The structure-aware S-matrix and BLAS Verlinde against their slow oracles.
 
-The oracles are the per-element Weyl sum over all of W and the n^4 einsum
-Verlinde formula; the E7 and E8 cases, whose Weyl groups are too large for
-the oracle, are checked against closed forms instead.
+The oracles are the per-element Weyl sum over all of W, the n^4 einsum
+Verlinde formula and the per-weight rational form of the conformal weights;
+the E7 and E8 cases, whose Weyl groups are too large for the oracle, are
+checked against closed forms instead.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wzwkit import (
     Config,
+    conformal_weight,
     integrable_weights,
     kac_peterson_S,
     modular_data,
@@ -57,6 +60,24 @@ def test_s_matches_weyl_sum(name, k):
     s = kac_peterson_S(ld)
     assert np.max(np.abs(s - weyl_sum_S(ld))) <= 1e-12
     assert np.array_equal(verlinde_fusion(s), einsum_fusion(s))
+
+
+def fraction_conformal_weight(ld, weight):
+    """h = (Lambda, Lambda + 2 rho) / (2 (k + h_vee)), one Fraction sum over
+    the quadratic form per weight."""
+    rs = ld.root_system
+    shifted = tuple(label + 2 for label in weight)
+    return rs.inner(weight, shifted) / (2 * (ld.level + rs.dual_coxeter))
+
+
+@pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(EXTRA)))
+def test_conformal_weights_match_fraction_oracle(md_of, name, k):
+    md = md_of(name, k)
+    ld = md.level_data
+    want = tuple(fraction_conformal_weight(ld, w) for w in ld.weights)
+    assert md.conformal_weights == want
+    assert all(type(h) is Fraction for h in md.conformal_weights)
+    assert [conformal_weight(ld, w) for w in ld.weights] == list(want)
 
 
 @pytest.mark.parametrize("name", REAL_TYPES)

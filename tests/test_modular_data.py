@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from wzwkit import (
 from wzwkit.affine import t_matrix
 from wzwkit.cache import canonical_json
 from wzwkit.errors import (
+    NegativeFusion,
     NonIntegerFusion,
     NormalizationFailure,
     NotAPermutation,
@@ -195,6 +197,21 @@ def test_verlinde_rejects_garbage():
     q, _ = np.linalg.qr(bad)
     with pytest.raises(NonIntegerFusion):
         verlinde_fusion(q)
+
+
+@pytest.mark.parametrize("name,k,flip,message", [
+    ("A1", 3, 1, "N[1,2,3] = -1"),
+    ("A2", 2, 2, "N[1,1,2] = -1"),
+    ("A2", 2, 5, "N[1,4,5] = -1"),
+])
+def test_verlinde_rejects_negative_fusion(md_of, name, k, flip, message):
+    """Negating row and column `flip` of S keeps it unitary and symmetric but
+    gives integer fusion with a negative entry, named at its first index."""
+    s = md_of(name, k).s_matrix
+    sign = np.ones(len(s))
+    sign[flip] = -1.0
+    with pytest.raises(NegativeFusion, match=re.escape(message)):
+        verlinde_fusion(sign[:, None] * s * sign)
 
 
 def test_kac_peterson_normalization_check_is_live():

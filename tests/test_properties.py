@@ -16,6 +16,7 @@ from wzwkit.affine import SimpleLieType, t_matrix, weyl_order
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank
 from wzwkit.residues import mod1
 
+from test_kac_peterson import einsum_fusion
 from test_picard import CENTER_ORDER
 
 MAX_OBJECTS = 40
@@ -48,7 +49,17 @@ def _algebras_within_budget():
     return out
 
 
-ALGEBRAS = st.sampled_from(_algebras_within_budget())
+WITHIN_BUDGET = _algebras_within_budget()
+ALGEBRAS = st.sampled_from(WITHIN_BUDGET)
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_verlinde_matches_einsum_and_is_symmetric(md_of, algebra):
+    """Every algebra of the draw, not a sample: the i <= j slices and their
+    mirrored columns equal the n^4 einsum, and N_ij^k = N_ji^k."""
+    md = md_of(*algebra)
+    assert np.array_equal(md.fusion, einsum_fusion(md.s_matrix))
+    assert np.array_equal(md.fusion, md.fusion.transpose(1, 0, 2))
 
 
 @given(ALGEBRAS)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wzwkit import (
+    Config,
     build_phi_table,
     classify_algebras,
     diagram_automorphism,
@@ -16,7 +17,7 @@ from wzwkit import (
 )
 from wzwkit.errors import LambdaDependence, UnsupportedFolding
 from wzwkit.residues import mod1
-from wzwkit.twining import TwiningSMatrix, conjecture_checks, phi_row
+from wzwkit.twining import PhiRows, TwiningSMatrix, conjecture_checks
 
 
 def test_fixed_points_a1(pic_of):
@@ -184,7 +185,7 @@ def _a3_rows(pic_of):
     of order 2 and 4."""
     pg = pic_of("A3", 2)
     members = tuple(range(len(pg)))
-    rows = [phi_row(pg, g, members) for g in members if fixed_points(pg, g)]
+    rows = [PhiRows(pg).row(g, members) for g in members if fixed_points(pg, g)]
     jsq = next(a for a in members if pg.elements[a].order == 2)
     j = next(a for a in members if pg.elements[a].order == 4)
     return pg, rows, jsq, j
@@ -229,9 +230,20 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
     [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3), ("A3", 2), ("A3", 3), ("A2", 2)],
 )
 def test_conjecture_suite_passes(name, k, pic_of):
-    for ca in classify_algebras(pic_of(name, k)):
+    pg = pic_of(name, k)
+    shared = PhiRows(pg)
+    for ca in classify_algebras(pg):
         report = verify_conjecture(ca.algebra)
         assert report.passed, [c for c in report.findings]
+        assert verify_conjecture(ca.algebra, rows=shared) == report
+
+
+def test_shared_rows_must_belong_to_the_algebra(pic_of):
+    ca = classify_algebras(pic_of("A1", 4))[-1]
+    with pytest.raises(ValueError, match="another Picard group"):
+        verify_conjecture(ca.algebra, rows=PhiRows(pic_of("A1", 2)))
+    with pytest.raises(ValueError, match="another Picard group"):
+        verify_conjecture(ca.algebra, rows=PhiRows(ca.algebra.picard, Config(tolerance=1e-9)))
 
 
 def test_epsilon_from_extracted_phi_is_alternating(pic_of):
