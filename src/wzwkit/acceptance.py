@@ -9,7 +9,6 @@ force, hand-frozen matrices).
 from __future__ import annotations
 
 import io
-import json
 import tempfile
 from contextlib import redirect_stdout
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import bimodule, boundary, picard, schellekens, twining
 from .affine import ModularData, modular_data, t_matrix
-from .cache import cache_key, cache_store, canonical_json
+from .cache import cache_key, cache_lookup, cache_store
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, PhiUnavailable
 
@@ -378,10 +377,10 @@ class Battery:
                 if path.read_bytes() != before:
                     ok = False
                     notes.append("re-store is not byte-identical")
-                doc = json.loads(before)
-                if canonical_json(doc) != before.decode():
+                hit = cache_lookup(Path(tmp), "A", 1, 4, self.config)
+                if hit is None or hit.s_matrix.tobytes() != md.s_matrix.tobytes():
                     ok = False
-                    notes.append("cache file is not canonical JSON")
+                    notes.append("cache lookup does not return S bit for bit")
         return CheckResult(
             "11-determinism", ok, None,
             "; ".join(notes) if notes else

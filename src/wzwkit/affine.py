@@ -691,14 +691,14 @@ def sparse_entries(a: np.ndarray) -> np.ndarray:
 
 
 def modular_data_to_doc(md: ModularData) -> dict:
-    """Serialize to the canonical JSON document.
+    """Serialize to the JSON document of the ``modular-data`` payload.
 
     Weights are integer arrays, rationals are "p/q" strings, complex entries
     are [re, im] pairs and the fusion tensor is a sparse sorted quadruple list.
     The two big tables stay numpy arrays until they become text: ``sMatrix``
     is the (n, n, 2) float64 array of [re, im] pairs and ``fusion`` the
-    (m, 4) int64 array of quadruples.  ``jsonout`` writes them from the
-    arrays, and ``cache.canonical_json`` reads each as its ``tolist()``.
+    (m, 4) int64 array of quadruples, and ``jsonout`` writes them from the
+    arrays.
     """
     s = md.s_matrix
     return {
@@ -720,15 +720,15 @@ def modular_data_to_doc(md: ModularData) -> dict:
 
 
 def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> ModularData:
-    """Rebuild a ModularData from a JSON document holding at least the
-    series, rank, level and S-matrix, as a cache file does.
+    """Rebuild a ModularData from a document holding at least the series,
+    rank, level and S-matrix as [re, im] pairs, as a cache hit passes.
 
     Only those four fields are read (S is the one expensive quantity, being
     the Kac-Peterson sum).  S must have the shape of the weight set and be
     finite, symmetric and unitary, else ValueError; the rest is derived by
     the same ``_assemble`` as ``modular_data``.  Any other field is ignored here:
-    ``cache.cache_lookup`` requires that the four fields of the result
-    reproduce the stored file byte for byte.
+    ``cache.cache_lookup`` requires that the key and S of the result, saved
+    again, reproduce the stored file byte for byte.
     """
     ld = integrable_weights(SimpleLieType(doc["series"], doc["rank"]), doc["level"], config)
     n = len(ld)

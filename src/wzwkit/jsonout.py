@@ -10,12 +10,11 @@ text.  An int or float array with at least two axes and no zero-length axis
 (S as [re, im] pairs, the fusion and bimodule structure quadruples, the
 partition matrices' (i, j, Z_ij) triples) takes a literal table: each
 distinct entry is spelt once by ``literal_table``, and the spellings fill one
-repeated nested-row template ``%`` per chunk of rows.  ``cache`` writes its
-compact S text from the same table.  Any other array (bool, 0-d, 1-d, with a
-zero-length axis, or ints spanning more values than it has entries) takes
-the general path as ``tolist()``, as does every list, tuple and dict: a
-recursive walk with the ``json`` module's own rules for scalars and dict
-keys.
+repeated nested-row template ``%`` per chunk of rows.  Any other array (bool,
+0-d, 1-d, with a zero-length axis, or ints spanning more values than it has
+entries) takes the general path as ``tolist()``, as does every list, tuple
+and dict: a recursive walk with the ``json`` module's own rules for scalars
+and dict keys.
 
 Unlike ``json.dumps``, a value that cannot be serialized raises its
 ``TypeError`` only when the chunks reach it, and circular containers are not

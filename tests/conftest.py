@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -10,6 +13,12 @@ settings.register_profile("wzwkit", derandomize=True, deadline=None, database=No
 settings.load_profile("wzwkit")
 
 _pic_cache = {}
+
+
+def canonical_json(doc) -> str:
+    """Compact, ASCII-only JSON of doc with each ndarray as its ``tolist()``:
+    the byte oracle of the modular-data document tests."""
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=True, default=np.ndarray.tolist)
 
 
 @pytest.fixture(scope="session")

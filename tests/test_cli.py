@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,12 +10,12 @@ import pytest
 
 from wzwkit import cache, classify_algebras, cli, jsonout
 from wzwkit.affine import modular_data, modular_data_to_doc, sparse_entries
-from wzwkit.cache import cache_key, canonical_json
+from wzwkit.cache import cache_key
 from wzwkit.cli import run
 from wzwkit.config import DEFAULT_CONFIG
 from wzwkit.residues import format_rational
 
-from conftest import CATALOG
+from conftest import CATALOG, canonical_json
 
 # The modular-data queries of the benchmark's cache-miss workload.
 BENCHMARK_MISSES = [("A1", 80), ("A2", 12), ("C3", 6), ("E6", 3), ("D6", 2), ("A6", 3)]
@@ -107,57 +108,97 @@ def test_cache_hit_and_corruption(capsys, tmp_path):
 
 
 def _projection(payload):
-    """The cached fields of a modular-data payload, in file order."""
+    """The fields the S-only JSON cache files of older versions held, in file order."""
     return {field: payload[field] for field in ("series", "rank", "level", "sMatrix")}
 
 
-def _edited(**fields):
-    return lambda text: canonical_json({**json.loads(text), **fields})
+def _npy(*arrays, **kwargs) -> bytes:
+    """The arrays saved by np.save one after the other, as a cache file holds them."""
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a, **kwargs)
+    return buf.getvalue()
 
 
-def _edited_s(i, j, part, edit):
-    def tamper(text):
-        doc = json.loads(text)
-        doc["sMatrix"][i][j][part] = edit(doc["sMatrix"][i][j][part])
-        return canonical_json(doc)
+def _load_cache(path):
+    """The key and S of a cache file, and whatever bytes follow them."""
+    fh = io.BytesIO(path.read_bytes())
+    key, s = np.load(fh), np.load(fh)
+    return key, s, fh.read()
+
+
+def _s_with(*entries):
+    """Tamper: S with each entry (i, j, z) set to z."""
+    def tamper(key, s, blob):
+        s = s.copy()
+        for i, j, z in entries:
+            s[i, j] = z
+        return _npy(key, s)
     return tamper
 
 
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class _Unpickles:
+    """An object whose unpickling is recorded."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
 @pytest.mark.parametrize("tamper,reason", [
-    pytest.param(_edited(conformalWeights=["0/1", "3/16", "1/2"]), "", id="conformal-weight"),
-    pytest.param(lambda text: canonical_json(modular_data_to_doc(modular_data("A1", 2))), "",
-                 id="full-document"),
-    pytest.param(
-        lambda text: canonical_json(_projection(modular_data_to_doc(modular_data("A1", 3)))), "",
-        id="another-level"),
-    pytest.param(_edited(rank=True), "", id="rank-true"),
-    pytest.param(_edited(vacuumIndex=0.0), "", id="vacuum-index-float"),
-    pytest.param(_edited_s(0, 0, 1, int), "", id="s-entry-int"),
-    pytest.param(_edited_s(0, 1, 0, lambda x: x + 1e-6), "", id="s-asymmetric"),
-    pytest.param(lambda text: json.dumps(json.loads(text)), "", id="whitespace"),
-    pytest.param(_edited_s(1, 1, 0, lambda x: float("nan")), "not finite", id="s-nan"),
-    pytest.param(
-        lambda text: _edited_s(1, 2, 1, lambda x: float("inf"))(
-            _edited_s(2, 1, 1, lambda x: float("inf"))(text)),
-        "not finite", id="s-inf-pair"),
+    pytest.param(lambda key, s, blob: canonical_json(modular_data_to_doc(modular_data("A3", 1)))
+                 .encode(), "", id="full-document"),
+    pytest.param(lambda key, s, blob: blob + _npy(np.array(modular_data("A3", 1).conformal_weights,
+                                                            dtype=float)),
+                 "byte for byte", id="conformal-weight"),
+    pytest.param(lambda key, s, blob: cache._cache_bytes(modular_data("A3", 2)),
+                 "file name", id="another-level"),
+    pytest.param(lambda key, s, blob: cache._cache_bytes(modular_data("A1", 3)),
+                 "file name", id="another-algebra"),
+    pytest.param(lambda key, s, blob: _npy(key.astype(np.float64), s), "file name", id="key-float"),
+    pytest.param(lambda key, s, blob: _npy(key.astype(np.int32), s), "file name", id="key-int32"),
+    pytest.param(lambda key, s, blob: _npy(key, s.astype(np.complex64)), "complex128",
+                 id="s-complex64"),
+    pytest.param(lambda key, s, blob: _npy(key, s.astype(">c16")), "complex128", id="s-big-endian"),
+    pytest.param(lambda key, s, blob: _npy(key, s.real), "complex128", id="s-float64"),
+    pytest.param(lambda key, s, blob: _npy(key, np.asfortranarray(s)), "", id="s-fortran-order"),
+    pytest.param(lambda key, s, blob: _npy(key, np.array([_Unpickles()]), allow_pickle=True),
+                 "allow_pickle", id="s-object"),
+    pytest.param(_s_with((0, 1, 1e-6)), "not symmetric", id="s-asymmetric"),
+    pytest.param(_s_with((1, 1, complex("nan"))), "not finite", id="s-nan"),
+    pytest.param(_s_with((1, 2, complex(np.inf, -np.inf)), (2, 1, complex(np.inf, -np.inf))),
+                 "not finite", id="s-inf-pair"),
+    pytest.param(lambda key, s, blob: blob + b"\0", "byte for byte", id="trailing-bytes"),
+    pytest.param(lambda key, s, blob: blob[:-8], "", id="truncated"),
 ])
 def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper, reason):
-    """A cache file that parses but is not the S-only document of its own
-    key, byte for byte, is reported as corrupted and rebuilt: an edited,
-    extra or retyped key, the full document of older versions, an S that is
-    not symmetric or not finite, or other whitespace.  A non-finite S is
-    refused by name, before any arithmetic on it could warn."""
-    argv = ["modular-data", "A1", "2", "--cache-dir", str(tmp_path)]
+    """A cache file that is not the saved key and S of its own key, byte for
+    byte, is reported as corrupted and rebuilt: a JSON document, an extra
+    array or trailing bytes, another level's or another algebra's file (A1:3
+    and A3:1 both have four weights and a unitary, symmetric S, so only the
+    stored key tells them apart), a key or S of another dtype or layout, an
+    object array (refused without unpickling it), an S that is not symmetric
+    or not finite, or a truncated file.  A non-finite S is refused by name,
+    before any arithmetic on it could warn."""
+    argv = ["modular-data", "A3", "1", "--cache-dir", str(tmp_path)]
     _, out = _run(capsys, argv)
-    payload = json.loads(out)["payload"]
-    path = tmp_path / cache_key("A", 1, 2)
-    path.write_text(tamper(path.read_text()))
+    path = tmp_path / cache_key("A", 3, 1)
+    blob = path.read_bytes()
+    key, s, _ = _load_cache(path)
+    path.write_bytes(tamper(key, s, blob))
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "corrupted" in captured.err and reason in captured.err
-    assert json.loads(captured.out)["payload"] == payload
-    assert path.read_text() == canonical_json(_projection(payload))
+    assert not UNPICKLED
+    assert captured.out == out
+    assert path.read_bytes() == blob
 
 
 def test_no_cache_flag(capsys, tmp_path):
@@ -393,13 +434,15 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
 
 
 def test_untagged_cache_file_is_ignored(capsys, tmp_path):
-    """Files named as older versions wrote them, without the S-algorithm tag
-    or as a full document under the algorithm tag alone, are neither read
-    nor reported as corrupted."""
+    """Files named as older versions wrote them, without the S-algorithm tag,
+    as a full document under the algorithm tag alone, or as S-only JSON, are
+    neither read nor reported as corrupted."""
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path)]
+    doc = modular_data_to_doc(modular_data("A1", 3))
     old = {
         "A-1-3.json": "{not json",
-        "A-1-3.kpdet.json": canonical_json(modular_data_to_doc(modular_data("A1", 3))),
+        "A-1-3.kpdet.json": canonical_json(doc),
+        "A-1-3.kpdet.s-only.json": canonical_json(_projection(doc)),
     }
     for name, text in old.items():
         (tmp_path / name).write_text(text)
@@ -454,33 +497,35 @@ def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     payload = json.loads(out)["payload"]
-    assert (tmp_path / cache_key("A", 2, 3)).read_text() == canonical_json(_projection(payload))
+    key, s, rest = _load_cache(tmp_path / cache_key("A", 2, 3))
+    assert key.tolist() == [ord("A"), 2, 3] and rest == b""
+    assert s.view(np.float64).tobytes() == np.array(payload["sMatrix"], dtype=np.float64).tobytes()
 
 
 def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
     """A modular-data hit builds its document once, for the report, and
-    writes the cache text once, to compare with the file; it reports what
+    saves the cache bytes once, to compare with the file; it reports what
     the miss reported."""
     argv = ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)]
     _, miss = _run(capsys, argv)
-    docs, texts = [], []
+    docs, blobs = [], []
 
     def counted_doc(md):
         docs.append(md)
         return modular_data_to_doc(md)
 
-    def counted_text(md):
-        texts.append(md)
-        return cache_text(md)
+    def counted_bytes(md):
+        blobs.append(md)
+        return cache_bytes(md)
 
-    cache_text = cache._cache_text
+    cache_bytes = cache._cache_bytes
     monkeypatch.setattr(cli, "modular_data_to_doc", counted_doc)
-    monkeypatch.setattr(cache, "_cache_text", counted_text)
+    monkeypatch.setattr(cache, "_cache_bytes", counted_bytes)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""  # a hit, not a recompute
     assert len(docs) == 1
-    assert len(texts) == 1
+    assert len(blobs) == 1
     assert captured.out == miss
 
 
@@ -540,9 +585,12 @@ def test_sparse_entries_of_a_zero_table():
 
 @pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))
 def test_cache_file_is_canonical_projection(md_of, tmp_path, name, k):
-    """The cache writer, which formats each distinct double once, writes
-    exactly canonical_json of the cached fields (C3:6 and G2 carry -0.0,
-    and many entries need an exponent)."""
+    """The cache file holds exactly two arrays: the int64 key and S, bit for
+    bit (C3:6 and G2 carry -0.0)."""
     md = md_of(name, k)
-    doc = modular_data_to_doc(md)
-    assert cache.cache_store(tmp_path, md).read_text() == canonical_json(_projection(doc))
+    t = md.level_data.lie_type
+    key, s, rest = _load_cache(cache.cache_store(tmp_path, md))
+    assert key.dtype == np.int64 and key.tolist() == [ord(t.series), t.rank, k]
+    assert s.dtype == np.complex128 and s.shape == md.s_matrix.shape
+    assert s.tobytes() == md.s_matrix.tobytes()
+    assert rest == b""

@@ -16,7 +16,6 @@ from wzwkit import (
     verlinde_fusion,
 )
 from wzwkit.affine import t_matrix
-from wzwkit.cache import canonical_json
 from wzwkit.errors import (
     NegativeFusion,
     NonIntegerFusion,
@@ -25,7 +24,7 @@ from wzwkit.errors import (
     WeightNotIntegrable,
 )
 
-from conftest import CATALOG
+from conftest import CATALOG, canonical_json
 
 
 @pytest.mark.parametrize(
