@@ -19,8 +19,9 @@ __version__ = "0.1.0"
 # Public names by home module, in the order of __all__.
 _EXPORTS = {
     "config": ("Config", "DEFAULT_CONFIG"),
+    "lietype": ("SimpleLieType", "parse_lie_type"),
     "affine": (
-        "SimpleLieType", "RootSystem", "LevelData", "ModularData", "parse_lie_type",
+        "RootSystem", "LevelData", "ModularData",
         "build_root_system", "weyl_group", "integrable_weights", "conformal_weight",
         "central_charge", "kac_peterson_S", "verlinde_fusion", "modular_data",
         "modular_data_to_doc", "modular_data_from_doc",

@@ -4,10 +4,11 @@ One binary file per (series, rank, level) and S algorithm, written
 atomically.  It holds only the key and S, as two ``.npy`` arrays one after
 the other: the key ``[ord(series), rank, level]`` as int64, then S as
 complex128.  S is the one expensive quantity, and everything else is
-derived from it.  A load refuses pickles, checks that the file holds the key
-of its own name and a 2-D complex128 S, rebuilds the modular data from S
-(finite, symmetric and unitary), and requires the key and S of the rebuilt
-data to save to the file's exact bytes; a hit returns the modular data only.
+derived from it.  A load refuses anything but ``.npy`` arrays, pickles
+included, checks that the file holds the key of its own name and a 2-D
+complex128 S in C order, rebuilds the modular data from S (finite, symmetric
+and unitary), and requires the key and S of the rebuilt data to save to the
+file's exact bytes; a hit returns the modular data only.
 Corruption is not fatal: the caller recomputes and overwrites, with a
 warning on standard error.
 """
@@ -51,6 +52,18 @@ def _cache_bytes(md: ModularData) -> bytes:
     return buf.getvalue()
 
 
+_NPY_MAGIC = b"\x93NUMPY"
+
+
+def _next_array(fh: io.BytesIO) -> np.ndarray:
+    """The next ``.npy`` array of fh; anything else, pickles included, is refused."""
+    start = fh.tell()
+    if fh.read(len(_NPY_MAGIC)) != _NPY_MAGIC:
+        raise ValueError("stored data is not a .npy array: the \\x93NUMPY magic is missing")
+    fh.seek(start)
+    return np.load(fh)
+
+
 def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
                  config: Config = DEFAULT_CONFIG) -> ModularData | None:
     """Return the cached modular data, or None on miss or corruption."""
@@ -60,11 +73,13 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
     try:
         blob = path.read_bytes()
         fh = io.BytesIO(blob)
-        key, s = np.load(fh), np.load(fh)  # pickles refused
+        key, s = _next_array(fh), _next_array(fh)
         if key.dtype != np.int64 or key.tolist() != [ord(series), rank, level]:
             raise ValueError("stored series, rank or level does not match the file name")
         if s.dtype != np.complex128 or s.ndim != 2:
             raise ValueError("stored S-matrix is not a 2-D complex128 array")
+        if not s.flags.c_contiguous:
+            raise ValueError("stored S-matrix is not in C order")
         n = len(s)
         md = modular_data_from_doc({"series": series, "rank": rank, "level": level,
                                     "sMatrix": s.view(np.float64).reshape(n, n, 2)}, config)

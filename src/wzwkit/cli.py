@@ -6,10 +6,11 @@ tables only behind --pretty.  The cache holds the key and S of the modular
 data, and a hit derives the rest; a modular-data query builds its document
 once, for the report, on a miss and on a hit alike.  Each command imports only
 the modules it uses, so a modular-data query never loads the simple-current
-layers.  Exit codes:
-0 success, 2 user error, 3 mathematical-check failure under --strict
-(selftest is always strict).  A reader that closes standard output early
-ends the run quietly with exit code 0.
+layers, and every input refusal is decided before the first cache read or
+numpy import: --help, a usage error or a refused input never loads numpy.
+Exit codes: 0 success, 2 user error, 3 mathematical-check failure under
+--strict (selftest is always strict).  A reader that closes standard output
+early ends the run quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from typing import TYPE_CHECKING
 # must run before numpy loads OpenBLAS; the library itself leaves it alone.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from . import jsonout
-from .affine import (ModularData, modular_data, modular_data_to_doc, parse_lie_type,
-                     sparse_entries, t_matrix)
-from .cache import cache_lookup, cache_store, default_cache_dir
 from .config import Config
 from .errors import (
     FixedPointsPresent,
@@ -41,9 +36,12 @@ from .errors import (
     QuadraticFormViolation,
     WzwError,
 )
-from .residues import format_rational
+from .lietype import SimpleLieType, _check_weyl_cap, parse_lie_type
 
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .affine import ModularData
     from .schellekens import ClassifiedAlgebra
 
 
@@ -88,19 +86,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> Config:
-    return Config(
+def _validate(args: argparse.Namespace) -> tuple[Config, SimpleLieType | None]:
+    """The Config of args and its algebra's Lie type (None for selftest).
+
+    Every input refusal is raised here, before any cache read, so a cold and
+    a warm cache refuse alike: ValueError for a bad tolerance, cap or level,
+    UnsupportedRank for a bad algebra, GroupTooLarge beyond the Weyl cap.
+    """
+    config = Config(
         tolerance=args.tolerance,
         integrality_tolerance=args.integrality_tolerance,
         weyl_cap=args.weyl_cap,
         rank_cap=args.rank_cap,
     )
-
-
-def _get_modular_data(args: argparse.Namespace, config: Config) -> ModularData:
+    if args.command == "selftest":
+        return config, None
     t = parse_lie_type(args.algebra, config)
     if args.level < 1:
         raise ValueError("level must be a positive integer")
+    _check_weyl_cap(t, config)
+    return config, t
+
+
+def _get_modular_data(args: argparse.Namespace, config: Config, t: SimpleLieType) -> ModularData:
+    from .affine import modular_data
+    from .cache import cache_lookup, cache_store, default_cache_dir
+
     if args.no_cache:
         return modular_data(t, args.level, config)
     cache_dir = Path(args.cache_dir).expanduser() if args.cache_dir else default_cache_dir()
@@ -121,6 +132,8 @@ def _check(name: str, passed: bool, margin: float | None) -> dict:
 
 def _latex_partition(arr: np.ndarray) -> str:
     """Write Z as a sum of c|sum chi|^2 blocks where possible, cross terms otherwise."""
+    import numpy as np
+
     n = len(arr)
     parent = list(range(n))
 
@@ -168,6 +181,10 @@ def _latex_partition(arr: np.ndarray) -> str:
 
 
 def _cmd_modular_data(md: ModularData, args, config: Config):
+    import numpy as np
+
+    from .affine import modular_data_to_doc, t_matrix
+
     s = md.s_matrix
     n = len(md)
     t = t_matrix(md)
@@ -184,6 +201,7 @@ def _cmd_modular_data(md: ModularData, args, config: Config):
 
 def _cmd_picard(md: ModularData, args, config: Config):
     from . import picard
+    from .residues import format_rational
 
     pg = picard.find_simple_currents(md, config)
     checks = []
@@ -216,6 +234,8 @@ def _cmd_picard(md: ModularData, args, config: Config):
 
 def _algebra_blob(ca: ClassifiedAlgebra, config: Config, latex: bool) -> tuple[dict, bool, float | None]:
     from . import schellekens
+    from .affine import sparse_entries
+    from .residues import format_rational
 
     sub = ca.algebra.support
     blob = {
@@ -266,6 +286,7 @@ def _cmd_invariants(md: ModularData, args, config: Config):
 
 def _cmd_boundaries(md: ModularData, args, config: Config):
     from . import boundary, picard, schellekens
+    from .residues import format_rational
 
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(pg)
@@ -311,6 +332,8 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
 
 def _cmd_bimodules(md: ModularData, args, config: Config):
     from . import bimodule, picard, schellekens
+    from .affine import sparse_entries
+    from .residues import format_rational
 
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(pg)
@@ -350,7 +373,10 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
 
 
 def _cmd_twining(md: ModularData, args, config: Config):
+    import numpy as np
+
     from . import picard, twining
+    from .residues import format_rational
 
     pg = picard.find_simple_currents(md, config)
     rows = twining.PhiRows(pg, config)
@@ -512,13 +538,6 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    started = time.monotonic()
-    try:
-        config = _config(args)
-    except ValueError as exc:
-        print(f"wzwkit: {exc}", file=sys.stderr)
-        return 2
-
     handlers = {
         "modular-data": _cmd_modular_data,
         "picard": _cmd_picard,
@@ -531,12 +550,16 @@ def run(argv: list[str]) -> int:
 
     input_blob = None
     try:
-        if args.command == "selftest":
+        config, lie_type = _validate(args)
+        # Only an accepted input loads numpy and the numeric layer, and before
+        # the clock starts, so that --timing reports the work, not the import.
+        from . import cache, jsonout  # noqa: F401
+        started = time.monotonic()
+        if lie_type is None:
             payload, checks = _cmd_selftest(args, config)
         else:
-            md = _get_modular_data(args, config)
-            t = md.level_data.lie_type
-            input_blob = {"series": t.series, "rank": t.rank, "level": md.level_data.level}
+            md = _get_modular_data(args, config, lie_type)
+            input_blob = {"series": lie_type.series, "rank": lie_type.rank, "level": args.level}
             payload, checks = handlers[args.command](md, args, config)
     except WzwError as exc:
         print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wzwkit import cache, classify_algebras, cli, jsonout
+from wzwkit import affine, cache, classify_algebras, cli, jsonout
 from wzwkit.affine import modular_data, modular_data_to_doc, sparse_entries
 from wzwkit.cache import cache_key
 from wzwkit.cli import run
@@ -153,7 +153,7 @@ class _Unpickles:
 
 @pytest.mark.parametrize("tamper,reason", [
     pytest.param(lambda key, s, blob: canonical_json(modular_data_to_doc(modular_data("A3", 1)))
-                 .encode(), "", id="full-document"),
+                 .encode(), "not a .npy array", id="full-document"),
     pytest.param(lambda key, s, blob: blob + _npy(np.array(modular_data("A3", 1).conformal_weights,
                                                             dtype=float)),
                  "byte for byte", id="conformal-weight"),
@@ -167,7 +167,7 @@ class _Unpickles:
                  id="s-complex64"),
     pytest.param(lambda key, s, blob: _npy(key, s.astype(">c16")), "complex128", id="s-big-endian"),
     pytest.param(lambda key, s, blob: _npy(key, s.real), "complex128", id="s-float64"),
-    pytest.param(lambda key, s, blob: _npy(key, np.asfortranarray(s)), "", id="s-fortran-order"),
+    pytest.param(lambda key, s, blob: _npy(key, np.asfortranarray(s)), "C order", id="s-fortran-order"),
     pytest.param(lambda key, s, blob: _npy(key, np.array([_Unpickles()]), allow_pickle=True),
                  "allow_pickle", id="s-object"),
     pytest.param(_s_with((0, 1, 1e-6)), "not symmetric", id="s-asymmetric"),
@@ -175,7 +175,7 @@ class _Unpickles:
     pytest.param(_s_with((1, 2, complex(np.inf, -np.inf)), (2, 1, complex(np.inf, -np.inf))),
                  "not finite", id="s-inf-pair"),
     pytest.param(lambda key, s, blob: blob + b"\0", "byte for byte", id="trailing-bytes"),
-    pytest.param(lambda key, s, blob: blob[:-8], "", id="truncated"),
+    pytest.param(lambda key, s, blob: blob[:-8], "EOF", id="truncated"),
 ])
 def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper, reason):
     """A cache file that is not the saved key and S of its own key, byte for
@@ -217,6 +217,19 @@ def test_user_error_exit_codes(capsys, tmp_path):
                 "--cache-dir", str(tmp_path)]) == 2  # GroupTooLarge surfaced cleanly
     err = capsys.readouterr().err
     assert "GroupTooLarge" in err
+
+
+def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
+    """The Weyl cap is checked before the cache is read: a file stored under a
+    raised cap does not let a query at the default cap through."""
+    fill = ["modular-data", "E7", "2", "--weyl-cap", "3000000", "--cache-dir", str(tmp_path)]
+    assert _run(capsys, fill)[0] == 0
+    assert (tmp_path / cache_key("E", 7, 2)).is_file()
+    for command in ("modular-data", "picard"):
+        assert run([command, "E7", "2", "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "GroupTooLarge" in captured.err
 
 
 @pytest.mark.parametrize("option", ["--tolerance", "--integrality-tolerance"])
@@ -492,7 +505,7 @@ def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
         calls.append(md)
         return modular_data_to_doc(md)
 
-    monkeypatch.setattr(cli, "modular_data_to_doc", counted)
+    monkeypatch.setattr(affine, "modular_data_to_doc", counted)
     code, out = _run(capsys, ["modular-data", "A2", "3", "--cache-dir", str(tmp_path)])
     assert code == 0
     assert len(calls) == 1
@@ -519,7 +532,7 @@ def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
         return cache_bytes(md)
 
     cache_bytes = cache._cache_bytes
-    monkeypatch.setattr(cli, "modular_data_to_doc", counted_doc)
+    monkeypatch.setattr(affine, "modular_data_to_doc", counted_doc)
     monkeypatch.setattr(cache, "_cache_bytes", counted_bytes)
     code = run(argv)
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
-"""Each command loads only the modules it uses, every public name of the
+"""Each command loads only the modules it uses, a launch that only prints
+help or refuses its input never loads numpy, every public name of the
 package still resolves through its lazy re-exports, and only the CLI sets
 BLAS to one thread."""
 
@@ -49,6 +50,35 @@ def test_command_loads_only_its_modules(tmp_path, argv, absent):
     assert not loaded & {f"wzwkit.{name}" for name in absent}
 
 
+# Runs one launch in a fresh interpreter and prints its exit code and
+# whether it loaded numpy.
+NUMPY_LOADED = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from wzwkit import cli
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv,code,numpy", [
+    pytest.param(["--help"], 0, False, id="help"),
+    pytest.param(["modular-data", "--help"], 0, False, id="command-help"),
+    pytest.param(["modular-data", "A1"], 2, False, id="usage-error"),
+    pytest.param(["modular-data", "Q1", "2"], 2, False, id="unknown-series"),
+    pytest.param(["modular-data", "A5", "2", "--rank-cap", "4"], 2, False, id="rank-cap"),
+    pytest.param(["modular-data", "A1", "0"], 2, False, id="level-0"),
+    pytest.param(["modular-data", "E7", "2"], 2, False, id="weyl-cap"),
+    pytest.param(["modular-data", "A1", "3"], 0, True, id="computing"),
+])
+def test_only_a_computing_launch_loads_numpy(tmp_path, argv, code, numpy):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "WZWKIT_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", NUMPY_LOADED, *argv],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert json.loads(done.stdout) == [code, numpy]
+
+
 def test_every_public_name_resolves():
     for name in wzwkit.__all__:
         assert getattr(wzwkit, name) is not None, name
@@ -64,28 +94,34 @@ def test_star_import_binds_all():
     assert set(wzwkit.__all__) <= set(namespace)
 
 
-# Imports one module in a fresh interpreter and prints the BLAS thread
-# setting it leaves and the number of threads the process then runs.
+# Imports one module in a fresh interpreter, runs its `run` on the further
+# arguments if any are given, and prints the BLAS thread setting it leaves
+# and the number of threads the process then runs.
 BLAS = """
-import importlib, json, os, sys
-importlib.import_module(sys.argv[1])
+import importlib, io, json, os, sys
+from contextlib import redirect_stdout
+module = importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
+    with redirect_stdout(io.StringIO()):
+        assert module.run(sys.argv[2:]) == 0
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
 """
 
 
-def _blas_after_import(module, preset=None):
+def _blas_after_import(module, *argv, preset=None):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = str(SRC)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    done = subprocess.run([sys.executable, "-c", BLAS, module],
+    done = subprocess.run([sys.executable, "-c", BLAS, module, *argv],
                           capture_output=True, text=True, env=env, check=True, timeout=120)
     return json.loads(done.stdout)
 
 
 def test_cli_runs_blas_on_one_thread():
-    setting, tasks = _blas_after_import("wzwkit.cli")
+    # a computing command, so that numpy and OpenBLAS are loaded
+    setting, tasks = _blas_after_import("wzwkit.cli", "modular-data", "A1", "3", "--no-cache")
     assert setting == "1"
     if sys.platform.startswith("linux"):
         assert tasks == 1
