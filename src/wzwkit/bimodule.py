@@ -12,60 +12,32 @@ algebra's Picard group, so a ring cannot mix one category's data with
 another's algebra.
 
 The structure constants are filled with integer-coded characters: each
-character of H is numbered once, character addition becomes an integer
-table, and the class of (object, character) after the H-shift becomes an
-integer lookup, so every fusion coefficient lands by one np.add.at.
+character of H is coded once on the grid of the Picard group's
+`charge_den`, character addition becomes an integer table, and the table
+`canon` of the class of (object, character) after the H-shift is the one map
+from pairs to basis positions, so every fusion coefficient lands by one
+np.add.at.  Fractions are formed only for the reported class characters.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import groups
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
-from .residues import mod1
+from .schellekens import _xi_residues
 
 if TYPE_CHECKING:
     from .boundary import OrbitDecomposition
     from .schellekens import SchellekensAlgebra
 
 Character = tuple[Fraction, ...]  # residue values on the support members, in order
-
-
-def _char_add(a: Character, b: Character) -> Character:
-    return tuple(mod1(x + y) for x, y in zip(a, b))
-
-
-def _char_neg(a: Character) -> Character:
-    return tuple(mod1(-x) for x in a)
-
-
-def _all_characters(algebra: SchellekensAlgebra) -> list[Character]:
-    """Every character of H as its value tuple on the member list."""
-    sub = algebra.support
-    decomp = sub.decomposition
-    orders = [o for _, o in decomp]
-    exps = sub.exponents
-    n = len(sub)
-    chars = []
-    for gen_values in groups.characters(orders):
-        chars.append(
-            tuple(
-                mod1(sum((exps[a][i] * gen_values[i] for i in range(len(orders))), Fraction(0)))
-                for a in range(n)
-            )
-        )
-    return sorted(set(chars))
-
-
-def _ksb_character(algebra: SchellekensAlgebra, h_local: int) -> Character:
-    """The character Xi(., h) used to over-parametrize the classes."""
-    ksb = algebra.ksb
-    return tuple(ksb.value(a, h_local) for a in range(len(algebra.support)))
 
 
 @dataclass(frozen=True)
@@ -84,140 +56,105 @@ class BimoduleRing:
     structure: np.ndarray
     unit: int
     pointed: bool
-    _index: dict[BimoduleClass, int]
-    _orbit_rep: dict[int, int]
-    _shift: dict[int, Character]
+    dual: np.ndarray  # [x]: position of the dual class, (i_bar, -psi) for (i, psi)
 
     def __len__(self) -> int:
         return len(self.basis)
-
-    def canonical_class(self, object_index: int, character: Character) -> BimoduleClass:
-        rep = self._orbit_rep[object_index]
-        return BimoduleClass(rep, _char_add(character, self._shift[object_index]))
-
-    def canonical_index(self, object_index: int, character: Character) -> int:
-        return self._index[self.canonical_class(object_index, character)]
 
     def invertible_positions(self) -> tuple[int, ...]:
         pic_objects = {el.object_index for el in self.algebra.picard.elements}
         return tuple(x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects)
 
 
-def _build_ring(
-    algebra: SchellekensAlgebra,
-    objects: list[int],
-    pointed: bool,
-    representative_choice: dict[int, int] | None = None,
-) -> BimoduleRing:
+def _build_ring(algebra: SchellekensAlgebra, objects: list[int], pointed: bool) -> BimoduleRing:
     sub = algebra.support
     pg = algebra.picard
     md = pg.md
-    members = sub.members
-    obj_set = set(objects)
+    den = pg.charge_den
+    objs = np.array(objects, dtype=np.intp)
 
     # orbits of H on the chosen object set; the action must be free
-    orbit_rep: dict[int, int] = {}
-    shift: dict[int, Character] = {}
-    fixed = sorted(
-        i for i in objects for g in members[1:] if pg.act(g, i) == i
-    )
+    act = np.array([pg.elements[g].action for g in sub.members], dtype=np.intp)  # [h, i]
+    moved = act[:, objs]  # [h, k]: g_h . objs[k]
+    fixed = sorted(set(objs[(moved[1:] == objs).any(axis=0)].tolist()))
     if fixed:
-        raise FixedPointsPresent([md.weights[i] for i in sorted(set(fixed))])
-    for i in objects:
-        if i in orbit_rep:
-            continue
-        orbit = sorted(pg.act(g, i) for g in members)
-        if any(j not in obj_set for j in orbit):
-            raise WzwError("object set is not closed under the H-action")
-        rep = orbit[0]
-        if representative_choice is not None:
-            rep = representative_choice.get(orbit[0], orbit[0])
-            if rep not in orbit:
-                raise ValueError(f"representative {rep} is not in orbit {orbit}")
-        for g in members:
-            j = pg.act(g, rep)
-            orbit_rep[j] = rep
-            shift[j] = _ksb_character(algebra, sub.local(g))
+        raise FixedPointsPresent([md.weights[i] for i in fixed])
+    if not np.isin(moved, objs).all():
+        raise WzwError("object set is not closed under the H-action")
+    xi = _xi_residues(algebra.ksb)  # [a, h]: Xi(g_a, g_h)
+    rep = moved.min(axis=0)  # [k]: the least object of the orbit of objs[k]
+    reps = np.array(sorted(set(rep.tolist())), dtype=np.intp)  # not np.unique: it loads numpy.ma
+    shift_by = (act[:, rep] == objs).argmax(axis=0)  # [k]: the h with g_h . rep = objs[k]
 
-    chars = _all_characters(algebra)
-    reps = sorted(set(orbit_rep.values()))
-    basis = []
-    for rep in reps:
-        for ch in chars:
-            basis.append(BimoduleClass(rep, ch))
-    basis_t = tuple(sorted(basis, key=lambda c: (c.object_index, c.character)))
-    index = {cls: x for x, cls in enumerate(basis_t)}
-    expected = len(objects) * len(chars) // len(members)
-    if len(basis_t) != expected:
-        raise WzwError(f"rank {len(basis_t)} != |I||H*|/|H| = {expected}")
+    # character code c: the digits of c in itertools.product order are its
+    # values m_j / o_j on the generators; chars[c] are its values on the members
+    gens = [g for g, _ in sub.decomposition]
+    orders = np.array([o for _, o in sub.decomposition], dtype=np.int64)
+    radix = np.array([prod(orders[j + 1:].tolist()) for j in range(len(gens))], dtype=np.int64)
+    digits = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    nchar = len(digits)
+    exps = np.array([sub.exponents[a] for a in range(len(sub))], dtype=np.int64)
+    chars = digits * (den // orders) @ exps.T % den  # [c, a]
 
-    def canonical(obj: int, ch: Character) -> int:
-        return index[BimoduleClass(orbit_rep[obj], _char_add(ch, shift[obj]))]
+    def code(m: np.ndarray) -> np.ndarray:
+        return m % orders @ radix
 
-    trivial = tuple(mod1(Fraction(0)) for _ in members)
-    # characters coded by their position in `chars`: add[a, b] is chars[a] + chars[b]
-    char_pos = {ch: a for a, ch in enumerate(chars)}
-    nchar = len(chars)
-    add = np.array([[char_pos[_char_add(ca, cb)] for cb in chars] for ca in chars], dtype=np.intp)
-    # canon[k, a]: basis index of the class of (object k, chars[a]); -1 where
-    # k is outside the object set or its shift is not a character of H
+    by_value = np.lexsort(chars.T[::-1])  # the codes in the order of their values
+    rank = np.argsort(by_value)  # [c]: the position of chars[c] in that order
+    add = code(digits[:, None] + digits)  # [c, d]: chars[c] + chars[d]
+    shift = code(xi[gens][:, shift_by].T * orders // den)  # [k]: Xi(., h) for that h
+    basis = tuple(
+        BimoduleClass(r, tuple(Fraction(v, den) for v in ch))
+        for r in reps.tolist() for ch in chars[by_value].tolist()
+    )
+    expected = len(objects) * nchar // len(sub)
+    if len(basis) != expected:
+        raise WzwError(f"rank {len(basis)} != |I||H*|/|H| = {expected}")
+
+    # canon[k, c]: basis position of the class of (object k, chars[c]); -1
+    # where k is outside the object set
     canon = np.full((len(md), nchar), -1, dtype=np.intp)
-    rep_pos = {rep: p for p, rep in enumerate(reps)}
-    for k in objects:
-        sh = char_pos.get(_char_add(trivial, shift[k]))
-        if sh is not None:
-            canon[k] = rep_pos[orbit_rep[k]] * nchar + add[:, sh]
+    canon[objs] = np.searchsorted(reps, rep)[:, None] * nchar + rank[add[:, shift].T]
     fusion = md.fusion[np.ix_(reps, reps)]  # [p, q, k]: basis objects fused
     nz = np.argwhere(fusion)
-    unplaced = nz[canon[nz[:, 2], 0] < 0]
-    if len(unplaced):
-        # raise what a per-entry scan over the basis meets first: the first
-        # (p, q, k) in C order, with both factors at character chars[0]
-        k = int(unplaced[0, 2])
-        if k not in obj_set:
-            raise WzwError("fusion leaves the object set")
-        canonical(k, _char_add(chars[0], chars[0]))  # KeyError: the shift is no character
+    if (canon[nz[:, 2], 0] < 0).any():
+        raise WzwError("fusion leaves the object set")
     p, q, k = nz.T
     a, b = np.arange(nchar)[:, None], np.arange(nchar)[None, :]
-    x = p[:, None, None] * nchar + a
-    y = q[:, None, None] * nchar + b
+    x = p[:, None, None] * nchar + rank[a]
+    y = q[:, None, None] * nchar + rank[b]
     z = canon[k[:, None, None], add[a, b]]
     mult = np.broadcast_to(fusion[p, q, k][:, None, None], z.shape)
-    n = len(basis_t)
+    n = len(basis)
     structure = np.zeros((n, n, n), dtype=np.int64)
     np.add.at(structure, (x, y, z), mult)
-    unit = canonical(md.vacuum, trivial)
-    ring = BimoduleRing(
+    dual = np.empty(n, dtype=np.intp)
+    dual[np.arange(len(reps))[:, None] * nchar + rank] = canon[
+        np.asarray(md.conjugation)[reps][:, None], code(-digits)
+    ]
+    structure.flags.writeable = False
+    dual.flags.writeable = False
+    return BimoduleRing(
         algebra=algebra,
         objects=tuple(sorted(objects)),
-        basis=basis_t,
+        basis=basis,
         structure=structure,
-        unit=unit,
+        unit=int(canon[md.vacuum, 0]),
         pointed=pointed,
-        _index=index,
-        _orbit_rep=orbit_rep,
-        _shift=shift,
+        dual=dual,
     )
-    structure.flags.writeable = False
-    return ring
 
 
-def build_bimodule_ring(
-    algebra: SchellekensAlgebra,
-    representative_choice: dict[int, int] | None = None,
-) -> BimoduleRing:
+def build_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
     """The full bimodule fusion ring; requires H to act freely on P_+^k."""
     objects = list(range(len(algebra.picard.md)))
-    return _build_ring(algebra, objects, False, representative_choice)
+    return _build_ring(algebra, objects, False)
 
 
-def build_pointed_bimodule_ring(
-    algebra: SchellekensAlgebra,
-    representative_choice: dict[int, int] | None = None,
-) -> BimoduleRing:
+def build_pointed_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
     """The bimodule ring restricted to invertible objects (always free)."""
     objects = sorted(el.object_index for el in algebra.picard.elements)
-    return _build_ring(algebra, objects, True, representative_choice)
+    return _build_ring(algebra, objects, True)
 
 
 @dataclass(frozen=True)
@@ -305,10 +242,7 @@ def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
     for x, cls in enumerate(ring.basis):
         if x in invertible:
             continue
-        dual = ring.canonical_index(
-            ring.algebra.picard.md.conjugation[cls.object_index], _char_neg(cls.character)
-        )
-        row = ring.structure[x, dual]
+        row = ring.structure[x, ring.dual[x]]
         if row[ring.unit] != 1:
             raise DualityValidationFailure(
                 f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"

@@ -529,7 +529,10 @@ def _print_pretty(report: dict) -> None:
         lines[0] += f"  {i['series']}{i['rank']} level {i['level']}"
     if report["command"] != "selftest":  # selftest's results are its checks, with their details
         lines += [_status_line(c, c["name"]) for c in report["checks"]]
-    print("\n".join(lines + _PRETTY[report["command"]](report["payload"])))
+    lines += _PRETTY[report["command"]](report["payload"])
+    if report["timingSeconds"] is not None:
+        lines.append(f"  time {report['timingSeconds']} s")
+    print("\n".join(lines))
 
 
 def run(argv: list[str]) -> int:

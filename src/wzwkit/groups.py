@@ -8,7 +8,6 @@ brute force is the right tool.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 Table = tuple[tuple[int, ...], ...]
@@ -179,11 +178,3 @@ def exponent_vectors(table: Table, decomposition: list[tuple[int, int]]) -> dict
         out.setdefault(x, tuple(exps))
     return out
 
-
-def characters(orders: list[int]) -> list[tuple[Fraction, ...]]:
-    """All characters of prod Z_{n_a}, as residue tuples on the generators.
-
-    Sorted lexicographically; the trivial character comes first.
-    """
-    value_sets = [[Fraction(m, o) for m in range(o)] for o in orders]
-    return sorted(itertools.product(*value_sets)) if orders else [()]

@@ -3,13 +3,17 @@ and the matching diagram automorphisms of the affine Dynkin diagram.
 
 Simple currents are detected exactly: the quantum-dimension test is only a
 float pre-filter, membership is decided by the fusion row being a permutation
-matrix.  All charges and twists are exact residues in Q/Z.
+matrix.  All charges and twists are exact residues in Q/Z, held as integers
+over `charge_den`, the common denominator of the conformal weights.  The
+group exponent is checked to divide it, so every residue built from the group
+later on (bicharacter values, characters of subgroups) lies on the same grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -60,6 +64,13 @@ class PicardGroup:
     def charge(self, i: int, a: int) -> Fraction:
         """The monodromy charge Q_i(g_a) mod 1, exact."""
         return Fraction(int(self.charges[i, a]), self.charge_den)
+
+    @cached_property
+    def twist_numerators(self) -> np.ndarray:
+        """twists * charge_den, read-only int64; ValueError for a twist off that grid."""
+        h = numerators(self.twists, self.charge_den)
+        h.flags.writeable = False
+        return h
 
     @property
     def exponent(self) -> int:
@@ -141,10 +152,14 @@ def charge_table(
     and q[i, a] in [0, den) the numerator of Q_i(g_a), as a read-only int64
     array.  Each row is checked to be a character of the group: that holds
     for simple currents, but a corrupted input would otherwise make every
-    character sum over the table wrong.
+    character sum over the table wrong.  The group exponent is checked to
+    divide den: the charges separate the currents, so it does.
     """
     hs = md.conformal_weights
     den = lcm(*(x.denominator for x in hs))
+    exponent = groups.exponent(table)
+    if den % exponent:
+        raise NonIntegerEntry(f"group exponent {exponent} does not divide {den}")
     h = numerators(hs, den)
     act = np.array([g.action for g in elements], dtype=np.intp)  # [a, i]
     currents = np.array([g.object_index for g in elements], dtype=np.intp)
@@ -165,29 +180,36 @@ def quadratic_form(pg: PicardGroup) -> tuple[Fraction, ...]:
 def verify_quadratic(pg: PicardGroup) -> None:
     """Check q(g^n) = n^2 q(g), bi-additivity of b, and b(g,h) = -Q_g(h).
 
-    All identities are exact residue comparisons; the first failure raises
-    QuadraticFormViolation naming the offending pair.
+    All identities are integer array comparisons on the grid of charge_den; a
+    twist off that grid, or the first failure in scan order (every (g, n),
+    then each (g, h) followed by its (g, e, h)), raises QuadraticFormViolation.
     """
-    q = quadratic_form(pg)
+    den = pg.charge_den
+    try:
+        q = -pg.twist_numerators % den
+    except ValueError as exc:
+        raise QuadraticFormViolation(str(exc)) from None
+    t = np.array(pg.table, dtype=np.intp)
     n = len(pg)
-    exp = pg.exponent
-
-    def b(a: int, bb: int) -> Fraction:
-        return mod1(q[pg.table[a][bb]] - q[a] - q[bb])
-
-    for a in range(n):
-        for m in range(exp + 1):
-            lhs = q[groups.power(pg.table, a, m)]
-            rhs = mod1(m * m * q[a])
-            if lhs != rhs:
-                raise QuadraticFormViolation(f"q(g^{m}) != {m}^2 q(g) for element {a}")
-    for a in range(n):
-        for c in range(n):
-            if b(a, c) != mod1(-pg.charge(pg.elements[a].object_index, c)):
-                raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
-            for e in range(n):
-                if b(pg.table[a][e], c) != mod1(b(a, c) + b(e, c)):
-                    raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
+    m = np.arange(pg.exponent + 1)
+    powers = np.zeros((n, len(m)), dtype=np.intp)  # [a, m]: g_a^m
+    for k in m[1:]:
+        powers[:, k] = t[powers[:, k - 1], np.arange(n)]
+    bad = np.argwhere(q[powers] != m * m * q[:, None] % den)
+    if len(bad):
+        a, k = bad[0]
+        raise QuadraticFormViolation(f"q(g^{k}) != {k}^2 q(g) for element {a}")
+    b = (q[t] - q[:, None] - q) % den  # [a, c]: b(g_a, g_c)
+    objects = [el.object_index for el in pg.elements]
+    not_q = b != -pg.charges[objects] % den  # [a, c]
+    not_additive = (b[t] != (b[:, None] + b) % den).transpose(0, 2, 1)  # [a, c, e]
+    bad = np.argwhere(not_q | not_additive.any(axis=2))
+    if len(bad):
+        a, c = bad[0]
+        if not_q[a, c]:
+            raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
+        e = not_additive[a, c].argmax()
+        raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
 
 
 # --- diagram automorphisms -----------------------------------------------------

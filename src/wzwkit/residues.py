@@ -1,9 +1,10 @@
 """Exact arithmetic in Q/Z.
 
 All group-theoretic phases in this package (conformal weights mod 1, monodromy
-charges, bicharacter values) live in Q/Z and are represented as
-`fractions.Fraction` values normalized to [0, 1).  Exponentials exp(2*pi*i*r)
-are formed only at output boundaries.
+charges, bicharacter values) live in Q/Z.  Past the Picard group they are
+integers over one denominator, `PicardGroup.charge_den`; a residue is a
+`fractions.Fraction` in [0, 1) only where it is read in or handed out.
+Exponentials exp(2*pi*i*r) are formed only at output boundaries.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ def mod1(x: Fraction | int) -> Fraction:
 def numerators(residues, den: int) -> np.ndarray:
     """Rational residues (nested sequences of Fractions) as integers mod den.
 
-    den must be a multiple of every denominator.
+    Raises ValueError for a residue that is not a multiple of 1/den.
     """
     arr = np.array(residues, dtype=object)
-    flat = [x.numerator * (den // x.denominator) for x in arr.flat]
+    flat = []
+    for x in arr.flat:
+        if den % x.denominator:
+            raise ValueError(f"residue {x} is not a multiple of 1/{den}")
+        flat.append(x.numerator * (den // x.denominator))
     return np.array(flat, dtype=np.int64).reshape(arr.shape) % den
 
 

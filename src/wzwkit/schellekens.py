@@ -1,12 +1,11 @@
 """Classification of haploid algebras supported on simple currents.
 
 An algebra is the pair (H, Xi): a subgroup H of the Picard group together with
-a bicharacter Xi on H whose diagonal equals the twist residues.  The bulk
-partition matrix is evaluated in exact residue arithmetic: the inner character
-sum collapses to |H| or 0, so every entry is an integer by construction.
-There the monodromy charges of the Picard group's table and the values of Xi
-are integer residues over one common denominator, so the bihomomorphism
-check and the character sums are integer array arithmetic.
+a bicharacter Xi on H whose diagonal equals the twist residues.  Every residue
+here is an integer over the Picard group's `charge_den`: the monodromy charges
+of its table, the twists and the values of Xi, which are therefore enumerated,
+checked and summed as integer arrays.  The bulk partition matrix collapses its
+inner character sum to |H| or 0, so every entry is an integer by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
 from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry
 from .picard import PicardGroup
-from .residues import mod1, numerators
 
 
 @dataclass(frozen=True)
@@ -57,9 +55,6 @@ class Subgroup:
     def local(self, pic_index: int) -> int:
         return self.members.index(pic_index)
 
-    def twist(self, local: int) -> Fraction:
-        return self.picard.twists[self.members[local]]
-
 
 def enumerate_subgroups(pg: PicardGroup) -> list[Subgroup]:
     """All subgroups of Pic(C), sorted by (order, members)."""
@@ -70,87 +65,66 @@ def enumerate_subgroups(pg: PicardGroup) -> list[Subgroup]:
 class KSB:
     """A bicharacter on H with diagonal values equal to the twist residues.
 
-    values[a][b] is the residue of Xi(g_a, g_b) for local indices into
-    support.members.
+    values[a][b] is Xi(g_a, g_b) * charge_den, an integer in [0, charge_den),
+    for local indices into support.members.
     """
 
     support: Subgroup
-    values: tuple[tuple[Fraction, ...], ...]
+    values: tuple[tuple[int, ...], ...]
 
     def value(self, a: int, b: int) -> Fraction:
-        return self.values[a][b]
+        return Fraction(self.values[a][b], self.support.picard.charge_den)
 
     def transpose(self) -> "KSB":
         n = len(self.support)
         return KSB(self.support, tuple(tuple(self.values[b][a] for b in range(n)) for a in range(n)))
 
 
-def _is_bihomomorphism(table: np.ndarray, xi: np.ndarray, den: int) -> bool:
-    """Xi additive in both arguments, for residues xi / den on the local table."""
+def _xi_residues(ksb: KSB) -> np.ndarray:
+    """Xi as an int64 array [a, b] over charge_den; NonIntegerEntry unless it
+    is additive in both arguments on the local table."""
+    den = ksb.support.picard.charge_den
+    table = np.array(ksb.support.local_table, dtype=np.intp)
+    xi = np.array(ksb.values)
+    if xi.dtype.kind != "i":  # Fractions, say, which an int64 cast would truncate
+        raise NonIntegerEntry(f"Xi values are not integer numerators over {den}")
     left = xi[table] - xi[:, None, :] - xi[None, :, :]  # [a, b, c]: Xi(ab, c) - Xi(a, c) - Xi(b, c)
     right = xi[:, table] - xi[:, :, None] - xi[:, None, :]  # [c, a, b]: Xi(c, ab) - Xi(c, a) - ...
-    return not ((left % den).any() or (right % den).any())
+    if (left % den).any() or (right % den).any():
+        raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
+    return xi % den
 
 
-def enumerate_ksbs(support: Subgroup, twists: tuple[Fraction, ...] | None = None) -> list[KSB]:
+def enumerate_ksbs(support: Subgroup) -> list[KSB]:
     """All bicharacters on H with Xi(g, g) = h_g mod 1 for every g in H.
 
-    Brute force over generator-pair values consistent with element orders;
-    the diagonal condition is checked on all elements, not only generators.
-    An empty list is a valid outcome (no algebra with this support).
+    A candidate is fixed by its values G on pairs of generators: the twist on
+    the diagonal, any multiple of 1/gcd of the two orders off it.  Over the
+    exponent matrix E (elements by generators) it is (E @ G @ E.T) mod
+    charge_den, kept when its diagonal is the twist on every element, not
+    only on the generators.  An empty list is a valid outcome (no algebra
+    with this support).
     """
-    n = len(support)
-    if twists is None:
-        twists = tuple(support.twist(a) for a in range(n))
-    if n == 1:
-        return [KSB(support, ((mod1(0),),))]
-    decomp = support.decomposition
-    gens = [g for g, _ in decomp]
-    orders = [o for _, o in decomp]
-    exps = support.exponents
+    den = support.picard.charge_den
+    twists = support.picard.twist_numerators[list(support.members)]
+    gens = [g for g, _ in support.decomposition]
+    orders = [o for _, o in support.decomposition]
     t = len(gens)
-
     # generator diagonal values are forced by the twist; they must be
     # compatible with the generator order, otherwise no KSB exists at all
-    forced_diag = []
-    for g, o in decomp:
-        tw = twists[g]
-        if mod1(o * tw) != 0:
-            return []
-        forced_diag.append(tw)
-
+    if any(o * twists[g] % den for g, o in support.decomposition):
+        return []
+    e = np.array([support.exponents[x] for x in range(len(support))], dtype=np.int64)
     off_pairs = [(a, b) for a in range(t) for b in range(t) if a != b]
-    choice_sets = [
-        [Fraction(m, gcd(orders[a], orders[b])) for m in range(gcd(orders[a], orders[b]))]
-        for a, b in off_pairs
-    ]
-    out = []
-    for combo in itertools.product(*choice_sets):
-        gen_values = [[Fraction(0)] * t for _ in range(t)]
-        for a in range(t):
-            gen_values[a][a] = forced_diag[a]
-        for (a, b), v in zip(off_pairs, combo):
-            gen_values[a][b] = v
-        values = tuple(
-            tuple(
-                mod1(
-                    sum(
-                        (
-                            exps[x][a] * exps[y][b] * gen_values[a][b]
-                            for a in range(t)
-                            for b in range(t)
-                        ),
-                        Fraction(0),
-                    )
-                )
-                for y in range(n)
-            )
-            for x in range(n)
-        )
-        if all(values[a][a] == mod1(twists[a]) for a in range(n)):
-            out.append(KSB(support, values))
-    out.sort(key=lambda k: k.values)
-    return out
+    steps = [gcd(orders[a], orders[b]) for a, b in off_pairs]
+    combos = np.array(list(itertools.product(*map(range, steps))), dtype=np.int64)
+    g = np.zeros((len(combos), t, t), dtype=np.int64)
+    g[:, range(t), range(t)] = twists[gens]
+    for p, ((a, b), step) in enumerate(zip(off_pairs, steps)):
+        g[:, a, b] = combos[:, p] * (den // step)
+    values = e @ g @ e.T % den  # [candidate, x, y]
+    kept = values[(values.diagonal(axis1=1, axis2=2) == twists).all(axis=1)]
+    return [KSB(support, tuple(map(tuple, v))) for v in sorted(kept.tolist())]
 
 
 @dataclass(frozen=True)
@@ -178,14 +152,9 @@ def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     sub = algebra.support
     pg = algebra.picard
     members = list(sub.members)
-    ksb_values = algebra.ksb.values
-    den = lcm(pg.charge_den, *(v.denominator for row in ksb_values for v in row))
-    xi = numerators(ksb_values, den)  # [b, a]: Xi(g_b, g_a)
-    table = np.array(sub.local_table, dtype=np.intp)
-    if not _is_bihomomorphism(table, xi, den):
-        raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    q = pg.charges[:, members] * (den // pg.charge_den)  # [i, a]: Q_i(g_a)
-    trivial = ((q[:, :, None] + xi) % den == 0).all(axis=1)  # [i, a]
+    xi = _xi_residues(algebra.ksb)  # [b, a]: Xi(g_b, g_a)
+    q = pg.charges[:, members]  # [i, a]: Q_i(g_a)
+    trivial = ((q[:, :, None] + xi) % pg.charge_den == 0).all(axis=1)  # [i, a]
     i, a = np.nonzero(trivial)
     act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
     n = len(pg.md)

@@ -106,30 +106,17 @@ def test_picard_order_formula(pic_of):
             assert len(bp) == h * pic // h
 
 
-def test_representative_independence(pic_of):
-    """Building from non-minimal orbit representatives gives the same tensor
-    after relabeling through canonicalization."""
-    algebra = _algebra(pic_of, "A2", 2, 3)
-    base = build_bimodule_ring(algebra)
-    rng = np.random.default_rng(11)
-    pg = algebra.picard
-    for _ in range(4):
-        choice = {}
-        for rep in sorted(set(base._orbit_rep.values())):
-            orbit = sorted({pg.act(g, rep) for g in algebra.support.members})
-            choice[rep] = int(rng.choice(orbit))
-        other = build_bimodule_ring(algebra, representative_choice=choice)
-        relabel = [
-            base.canonical_index(cls.object_index, cls.character) for cls in other.basis
-        ]
-        assert sorted(relabel) == list(range(len(base)))
-        for x in range(len(other)):
-            for y in range(len(other)):
-                for z in range(len(other)):
-                    assert (
-                        other.structure[x, y, z]
-                        == base.structure[relabel[x], relabel[y], relabel[z]]
-                    )
+@pytest.mark.parametrize("name,k", [("A2", 2), ("A3", 1), ("A5", 2), ("D4", 3)])
+def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
+    """N_{x y}^1 = [y = dual(x)], on rings whose characters have order 3, 4 or 6."""
+    for ca in classify_algebras(pic_of(name, k)):
+        for build in (build_bimodule_ring, build_pointed_bimodule_ring):
+            try:
+                ring = build(ca.algebra)
+            except FixedPointsPresent:
+                continue
+            n = len(ring)
+            assert np.array_equal(ring.structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
 
 
 def test_act_on_boundaries_cardy(pic_of):
@@ -186,7 +173,7 @@ def test_invertibles_never_candidates(pic_of):
         ring = build_bimodule_ring(cardy)
         invertible = set(ring.invertible_positions())
         for cls in kramers_wannier_candidates(ring):
-            assert ring._index[cls] not in invertible
+            assert ring.basis.index(cls) not in invertible
 
 
 def test_larger_rank_ring_and_boundaries(pic_of):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -437,6 +438,16 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
 def test_timing_flag(capsys, tmp_path):
     _, out = _run(capsys, ["picard", "A1", "2", "--timing", "--cache-dir", str(tmp_path)])
     assert json.loads(out)["timingSeconds"] >= 0
+
+
+def test_pretty_timing_prints_the_time(capsys, tmp_path):
+    argv = ["picard", "A1", "2", "--pretty", "--cache-dir", str(tmp_path)]
+    _, plain = _run(capsys, argv)
+    code, timed = _run(capsys, argv + ["--timing"])
+    assert code == 0
+    *rest, last = timed.splitlines()
+    assert rest == plain.splitlines()
+    assert re.fullmatch(r"  time [0-9.e-]+ s", last)
 
 
 def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):

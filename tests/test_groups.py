@@ -1,9 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
 from wzwkit.groups import (
-    characters,
     closure,
     cyclic_decomposition,
     element_order,
@@ -83,13 +80,6 @@ def test_cyclic_decomposition_spans():
         assert len(vecs) == len(table)
         for g, o in decomp:
             assert element_order(table, g) == o
-
-
-def test_characters_count_and_triviality():
-    chars = characters([2, 4])
-    assert len(chars) == 8
-    assert chars[0] == (Fraction(0), Fraction(0))
-    assert len(set(chars)) == 8
 
 
 def test_is_abelian_rejects_s3():

@@ -116,6 +116,16 @@ def test_verify_quadratic_catches_corruption(pic_of, md_of):
         verify_quadratic(bad)
 
 
+def test_verify_quadratic_names_an_off_grid_twist(pic_of):
+    import dataclasses
+
+    pg = pic_of("A1", 6)
+    assert pg.charge_den == 32
+    bad = dataclasses.replace(pg, twists=(Fraction(0), Fraction(1, 3)))
+    with pytest.raises(QuadraticFormViolation, match="residue 1/3 is not a multiple of 1/32"):
+        verify_quadratic(bad)
+
+
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])
 def test_diagram_automorphism_reproduces_fusion(name, k, pic_of, md_of):
     """The catalog node permutation, pushed to level-k weights through the

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_root_system, classify_algebras,
-                    count_boundary_conditions, orbit_decomposition)
+from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_ring,
+                    build_root_system, classify_algebras, count_boundary_conditions,
+                    orbit_decomposition)
 from wzwkit.affine import SimpleLieType, t_matrix, weyl_order
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank
 from wzwkit.residues import mod1
@@ -60,6 +61,30 @@ def test_verlinde_matches_einsum_and_is_symmetric(md_of, algebra):
     md = md_of(*algebra)
     assert np.array_equal(md.fusion, einsum_fusion(md.s_matrix))
     assert np.array_equal(md.fusion, md.fusion.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_residues_lie_on_the_charge_grid(pic_of, algebra):
+    """Every algebra of the draw: the group exponent divides charge_den, and
+    the twists, every KSB value and every character of a bimodule class (of
+    the full ring, or the pointed one where H has fixed points) are integers
+    over it."""
+    pg = pic_of(*algebra)
+    den = pg.charge_den
+    assert den % pg.exponent == 0
+
+    def on_grid(residue):
+        return (residue * den).denominator == 1
+
+    assert all(map(on_grid, pg.twists))
+    for ca in classify_algebras(pg):
+        n = len(ca.algebra.support)
+        assert all(on_grid(ca.algebra.ksb.value(a, b)) for a in range(n) for b in range(n))
+        try:
+            ring = build_bimodule_ring(ca.algebra)
+        except FixedPointsPresent:
+            ring = build_pointed_bimodule_ring(ca.algebra)
+        assert all(on_grid(x) for cls in ring.basis for x in cls.character)
 
 
 @given(ALGEBRAS)

@@ -1,5 +1,5 @@
-"""The array kernels of extract_phi, the bimodule ring and partition_function
-against the scalar loops they replaced.
+"""The array kernels of extract_phi, the bimodule ring, partition_function,
+verify_quadratic and enumerate_ksbs against the scalar loops they replaced.
 
 Each oracle below is the per-entry implementation over Fractions and numpy
 scalars that the kernel superseded, kept as it was.  Results must agree
@@ -9,6 +9,7 @@ raise the same exception with the same message as the scalar scan.
 
 import cmath
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,25 +20,31 @@ from wzwkit import (
     build_bimodule_ring,
     build_pointed_bimodule_ring,
     classify_algebras,
+    enumerate_ksbs,
+    enumerate_subgroups,
     extract_phi,
     find_simple_currents,
     fixed_points,
     partition_function,
+    quadratic_form,
     twining_S,
+    verify_quadratic,
 )
-from wzwkit.bimodule import BimoduleClass, _all_characters, _build_ring, _char_add, _ksb_character
+from wzwkit.bimodule import BimoduleClass, _build_ring
 from wzwkit.config import DEFAULT_CONFIG
 from wzwkit.errors import (
     FixedPointsPresent,
     LambdaDependence,
     NegativeEntry,
     NonIntegerEntry,
+    QuadraticFormViolation,
     SnapFailure,
     UnsupportedFolding,
     WzwError,
 )
+from wzwkit.groups import power
 from wzwkit.picard import PicardGroup
-from wzwkit.residues import mod1, snap_to_residue, unit_phase
+from wzwkit.residues import mod1, numerators, snap_to_residue, unit_phase
 from wzwkit.schellekens import KSB, SchellekensAlgebra, Subgroup
 from wzwkit.twining import PhiValues, TwiningSMatrix
 
@@ -45,6 +52,12 @@ from conftest import CATALOG
 
 CASES = [*CATALOG, ("A5", 3), ("D4", 4), ("A3", 6), ("D6", 2), ("A7", 2)]
 IDS = [f"{name}:{k}" for name, k in CASES]
+KSB_CASES = [*CASES, ("A3", 4), ("E6", 3), ("D5", 2), ("A4", 5)]
+KSB_IDS = [f"{name}:{k}" for name, k in KSB_CASES]
+# D4:3 has asymmetric KSBs whose free ring has more than one orbit, so the
+# shift Xi(., h), not Xi(h, .), decides where a product lands
+RING_CASES = [*CASES, ("D4", 3)]
+RING_IDS = [f"{name}:{k}" for name, k in RING_CASES]
 
 
 # -- scalar oracles ----------------------------------------------------------
@@ -114,7 +127,33 @@ def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
     return PhiValues(g, h, out, worst_spread)
 
 
-def scalar_ring(md, algebra, objects, representative_choice=None):
+def _char_add(a, b):
+    return tuple(mod1(x + y) for x, y in zip(a, b))
+
+
+def _all_characters(algebra):
+    """Every character of H as its value tuple on the member list."""
+    sub = algebra.support
+    orders = [o for _, o in sub.decomposition]
+    exps = sub.exponents
+    value_sets = [[Fraction(m, o) for m in range(o)] for o in orders]
+    chars = []
+    for gen_values in itertools.product(*value_sets):
+        chars.append(
+            tuple(
+                mod1(sum((exps[a][i] * gen_values[i] for i in range(len(orders))), Fraction(0)))
+                for a in range(len(sub))
+            )
+        )
+    return sorted(set(chars))
+
+
+def _ksb_character(algebra, h_local):
+    """The character Xi(., h) used to over-parametrize the classes."""
+    return tuple(algebra.ksb.value(a, h_local) for a in range(len(algebra.support)))
+
+
+def scalar_ring(md, algebra, objects):
     """(basis, structure, unit) by the per-entry loop over Fraction characters."""
     sub = algebra.support
     pg = algebra.picard
@@ -132,10 +171,6 @@ def scalar_ring(md, algebra, objects, representative_choice=None):
         if any(j not in obj_set for j in orbit):
             raise WzwError("object set is not closed under the H-action")
         rep = orbit[0]
-        if representative_choice is not None:
-            rep = representative_choice.get(orbit[0], orbit[0])
-            if rep not in orbit:
-                raise ValueError(f"representative {rep} is not in orbit {orbit}")
         for g in members:
             j = pg.act(g, rep)
             orbit_rep[j] = rep
@@ -168,6 +203,12 @@ def scalar_ring(md, algebra, objects, representative_choice=None):
     return basis_t, structure, canonical(md.vacuum, trivial)
 
 
+def _fraction_values(ksb):
+    """Xi as the nested tuple of its Fraction residues."""
+    n = len(ksb.support)
+    return tuple(tuple(ksb.value(a, b) for b in range(n)) for a in range(n))
+
+
 def _scalar_is_bihomomorphism(sub, values):
     table = sub.local_table
     n = len(sub)
@@ -185,7 +226,7 @@ def scalar_partition_function(md, algebra):
     sub = algebra.support
     pg = algebra.picard
     ksb = algebra.ksb
-    if not _scalar_is_bihomomorphism(sub, ksb.values):
+    if not _scalar_is_bihomomorphism(sub, _fraction_values(ksb)):
         raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
     n = len(md)
     members = sub.members
@@ -202,6 +243,79 @@ def scalar_partition_function(md, algebra):
     if any(entry < 0 for row in z for entry in row):
         raise NegativeEntry("negative partition entry")
     return z
+
+
+def scalar_verify_quadratic(pg):
+    """Raise QuadraticFormViolation at the first failing identity of the loop."""
+    q = quadratic_form(pg)
+    n = len(pg)
+    exp = pg.exponent
+
+    def b(a, bb):
+        return mod1(q[pg.table[a][bb]] - q[a] - q[bb])
+
+    for a in range(n):
+        for m in range(exp + 1):
+            lhs = q[power(pg.table, a, m)]
+            rhs = mod1(m * m * q[a])
+            if lhs != rhs:
+                raise QuadraticFormViolation(f"q(g^{m}) != {m}^2 q(g) for element {a}")
+    for a in range(n):
+        for c in range(n):
+            if b(a, c) != mod1(-pg.charge(pg.elements[a].object_index, c)):
+                raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
+            for e in range(n):
+                if b(pg.table[a][e], c) != mod1(b(a, c) + b(e, c)):
+                    raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
+
+
+def scalar_enumerate_ksbs(support):
+    """Every KSB on the support as Fraction value tables, in sorted order."""
+    n = len(support)
+    twists = tuple(support.picard.twists[g] for g in support.members)
+    if n == 1:
+        return [((mod1(0),),)]
+    decomp = support.decomposition
+    orders = [o for _, o in decomp]
+    exps = support.exponents
+    t = len(decomp)
+    forced_diag = []
+    for g, o in decomp:
+        tw = twists[g]
+        if mod1(o * tw) != 0:
+            return []
+        forced_diag.append(tw)
+    off_pairs = [(a, b) for a in range(t) for b in range(t) if a != b]
+    choice_sets = [
+        [Fraction(m, math.gcd(orders[a], orders[b])) for m in range(math.gcd(orders[a], orders[b]))]
+        for a, b in off_pairs
+    ]
+    out = []
+    for combo in itertools.product(*choice_sets):
+        gen_values = [[Fraction(0)] * t for _ in range(t)]
+        for a in range(t):
+            gen_values[a][a] = forced_diag[a]
+        for (a, b), v in zip(off_pairs, combo):
+            gen_values[a][b] = v
+        values = tuple(
+            tuple(
+                mod1(
+                    sum(
+                        (
+                            exps[x][a] * exps[y][b] * gen_values[a][b]
+                            for a in range(t)
+                            for b in range(t)
+                        ),
+                        Fraction(0),
+                    )
+                )
+                for y in range(n)
+            )
+            for x in range(n)
+        )
+        if all(values[a][a] == mod1(twists[a]) for a in range(n)):
+            out.append(values)
+    return sorted(out)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -253,7 +367,7 @@ def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
     assert pairs >= 1  # the identity always has every weight fixed
 
 
-@pytest.mark.parametrize("name,k", CASES, ids=IDS)
+@pytest.mark.parametrize("name,k", RING_CASES, ids=RING_IDS)
 def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
     invertible = sorted(el.object_index for el in pg.elements)
@@ -283,18 +397,13 @@ def test_partition_kernel_matches_scalar_loop(name, k, md_of, pic_of):
         assert new.dtype == np.int64 and not new.flags.writeable
 
 
-def test_ring_kernel_honours_representative_choice(md_of, pic_of):
-    md, pg = md_of("A2", 2), pic_of("A2", 2)
-    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 3)
-    members = algebra.support.members
-    choice = {}
-    for i in range(len(md)):
-        orbit = sorted(pg.act(g, i) for g in members)
-        choice[orbit[0]] = orbit[-1]
-    ring = build_bimodule_ring(algebra, choice)
-    basis, structure, unit = scalar_ring(md, algebra, list(range(len(md))), choice)
-    assert ring.basis == basis and ring.unit == unit
-    assert np.array_equal(ring.structure, structure)
+@pytest.mark.parametrize("name,k", KSB_CASES, ids=KSB_IDS)
+def test_ksb_kernel_matches_scalar_loop(name, k, pic_of):
+    """Every KSB of every subgroup, equal and in the same order."""
+    pg = pic_of(name, k)
+    for sub in enumerate_subgroups(pg):
+        new = [_fraction_values(ksb) for ksb in enumerate_ksbs(sub)]
+        assert new == scalar_enumerate_ksbs(sub)
 
 
 # -- error parity on tampered input ------------------------------------------
@@ -424,7 +533,8 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
         assert old is None
         for algebra in algebras:
             sub = Subgroup(new, algebra.support.members)
-            rebuilt = SchellekensAlgebra(sub, KSB(sub, algebra.ksb.values))
+            values = numerators(_fraction_values(algebra.ksb), new.charge_den)
+            rebuilt = SchellekensAlgebra(sub, KSB(sub, tuple(map(tuple, values.tolist()))))
             z = _outcome(partition_function, rebuilt)
             assert z.tolist() == scalar_partition_function(edited, rebuilt)
     assert any(not msg.endswith("object 0") for msg in failing)
@@ -434,7 +544,7 @@ def test_partition_bicharacter_error_parity(md_of, pic_of):
     md, pg = md_of("A1", 4), pic_of("A1", 4)
     algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 2)
     good = algebra.ksb
-    bad_values = ((Fraction(0), Fraction(1, 3)), (Fraction(0), good.value(1, 1)))
+    bad_values = ((0, pg.charge_den // 3), (0, good.values[1][1]))  # Xi(1, J) = 1/3
     bad = SchellekensAlgebra(algebra.support, KSB(algebra.support, bad_values))
     new = _outcome(partition_function, bad)
     assert new == _outcome(scalar_partition_function, md, bad)
@@ -442,22 +552,53 @@ def test_partition_bicharacter_error_parity(md_of, pic_of):
 
 
 def test_ring_error_parity(md_of, pic_of):
-    """Products the ring cannot place raise what the per-entry loop raised:
-    a fusion product outside the object set, and an object whose shift
-    Xi(., h) is no character of H (a Xi that is not a bicharacter)."""
+    """A fusion product outside the object set raises what the per-entry loop
+    raised.  A Xi that is no bicharacter fails the bihomomorphism check that
+    partition_function runs, where the loop met a shift Xi(., h) that is no
+    character of H and raised KeyError."""
     md, pg = md_of("A2", 2), pic_of("A2", 2)
     algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 3)
     members = algebra.support.members
     currents = {el.object_index for el in pg.elements}
     i = next(i for i in range(len(md)) if i not in currents)
     orbit = sorted(pg.act(g, i) for g in members)  # closed under H, not under fusion
+    new = _outcome(_build_ring, algebra, orbit, False)
+    assert new == _outcome(scalar_ring, md, algebra, orbit)
+    assert new[0] is WzwError
+    den = pg.charge_den  # 15: a skew of 1/3 is on the grid
     values = [list(row) for row in algebra.ksb.values]
-    values[1][2] = mod1(values[1][2] + Fraction(1, 2))
+    values[1][2] = (values[1][2] + den // 3) % den
     skewed = SchellekensAlgebra(algebra.support, KSB(algebra.support, tuple(map(tuple, values))))
-    for alg, objects, exc in (
-        (algebra, orbit, WzwError),
-        (skewed, list(range(len(md))), KeyError),
-    ):
-        new = _outcome(_build_ring, alg, objects, False)
-        assert new == _outcome(scalar_ring, md, alg, objects)
-        assert new[0] is exc
+    objects = list(range(len(md)))
+    new = _outcome(_build_ring, skewed, objects, False)
+    assert new == _outcome(scalar_partition_function, md, skewed)
+    assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
+    assert _outcome(scalar_ring, md, skewed, objects)[0] is KeyError
+
+
+def test_quadratic_error_parity_on_tampered_twists(pic_of):
+    """Twists moved on the grid of charge_den, at one element or several, by
+    single steps or quarter turns: the kernel raises the scalar loop's first
+    violation, word for word, and every kind of violation turns up."""
+    rng = np.random.default_rng(7)
+    kinds = set()
+    for name, k in KSB_CASES:
+        pg = pic_of(name, k)
+        den = pg.charge_den
+        for _ in range(12):
+            nums = pg.twist_numerators.copy()
+            count = rng.integers(1, len(pg) + 1) if rng.integers(4) == 0 else 1
+            for a in rng.choice(len(pg), size=count, replace=False):
+                unit = den // 4 if den % 4 == 0 and rng.integers(2) else 1
+                nums[a] = (nums[a] + unit * rng.integers(1, 4)) % den
+            bad = dataclasses.replace(pg, twists=tuple(Fraction(int(v), den) for v in nums))
+            new = _outcome(verify_quadratic, bad)
+            assert new == _outcome(scalar_verify_quadratic, bad)
+            kinds.add(" ".join(new[1].split(" ")[:2]) if isinstance(new, tuple) else "ok")
+    assert {"q(g^2) !=", "b !=", "b not"} <= kinds
+
+
+def test_numerators_refuse_an_off_grid_residue():
+    assert numerators([Fraction(1, 4), Fraction(0)], 32).tolist() == [8, 0]
+    with pytest.raises(ValueError, match="residue 1/3 is not a multiple of 1/32"):
+        numerators([Fraction(1, 3)], 32)

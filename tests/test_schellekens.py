@@ -63,7 +63,7 @@ def test_ksb_diagonal_holds_on_all_elements(pic_of):
         for sub in enumerate_subgroups(pic_of(name, k)):
             for ksb in enumerate_ksbs(sub):
                 for a in range(len(sub)):
-                    assert ksb.value(a, a) == mod1(sub.twist(a))
+                    assert ksb.value(a, a) == sub.picard.twists[sub.members[a]]
 
 
 def test_ksb_symmetric_part_is_monodromy_pairing(pic_of, md_of):
@@ -160,7 +160,15 @@ def test_all_ones_matrix_fails_t_condition(md_of):
 def test_partition_function_rejects_bad_bicharacter(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
     good = enumerate_ksbs(z2)[0]
-    bad_values = ((Fraction(0), Fraction(1, 3)), (Fraction(0), good.value(1, 1)))
-    bad = KSB(z2, bad_values)
+    third = z2.picard.charge_den // 3
+    bad = KSB(z2, ((0, third), (0, good.values[1][1])))  # Xi(J, J) = h_J, Xi(1, J) = 1/3
     with pytest.raises(NonIntegerEntry):
         partition_function(SchellekensAlgebra(z2, bad))
+
+
+def test_partition_function_refuses_fraction_values(pic_of):
+    """KSB values are numerators over charge_den; Fractions are refused, not truncated."""
+    z2 = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
+    as_fractions = KSB(z2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))))
+    with pytest.raises(NonIntegerEntry, match="not integer numerators over 32"):
+        partition_function(SchellekensAlgebra(z2, as_fractions))
