@@ -10,7 +10,9 @@ layers, and every input refusal is decided before the first cache read or
 numpy import: --help, a usage error or a refused input never loads numpy.
 Exit codes: 0 success, 2 user error, 3 mathematical-check failure under
 --strict (selftest is always strict).  A reader that closes standard output
-early ends the run quietly with exit code 0.
+early ends the run quietly with exit code 0.  ``main()`` flushes and ends
+the process with ``os._exit`` once ``run()`` returns, skipping interpreter
+teardown; ``run()`` itself returns normally.
 """
 
 from __future__ import annotations
@@ -586,8 +588,9 @@ def run(argv: list[str]) -> int:
             jsonout.write(report, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe early: stop quietly, leaving the
-        # interpreter's final flush of standard output nothing to fail on
+        # the reader closed the pipe early: stop quietly, leaving any later
+        # flush of standard output nothing to fail on (main()'s, or the
+        # interpreter's at exit when run() is called from Python)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     failed = any(not c["pass"] for c in checks)
@@ -597,7 +600,16 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point: run() on the command line, flush, and exit
+    without interpreter teardown, which would only spend time finalizing
+    modules after the report is out (every file is closed by then)."""
+    code = run(sys.argv[1:])
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:  # the reader left early: stop quietly, as run() does
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

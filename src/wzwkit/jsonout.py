@@ -9,8 +9,11 @@ The big tables reach the writer as arrays and stay arrays until they become
 text.  An int or float array with at least two axes and no zero-length axis
 (S as [re, im] pairs, the fusion and bimodule structure quadruples, the
 partition matrices' (i, j, Z_ij) triples) takes a literal table: each
-distinct entry is spelt once by ``literal_table``, and the spellings fill one
-repeated nested-row template ``%`` per chunk of rows.  Any other array (bool,
+distinct entry is spelt once by ``literal_table``.  The row layout, split at
+its scalars, gives the few distinct texts that can follow a scalar position
+(the last one closes the row and opens the next), and a token table holds
+every spelling followed by each of them.  A chunk of rows is then one
+``"".join`` of the tokens picked by position and entry.  Any other array (bool,
 0-d, 1-d, with a zero-length axis, or ints spanning more values than it has
 entries) takes the general path as ``tolist()``, as does every list, tuple
 and dict: a recursive walk with the ``json`` module's own rules for scalars
@@ -29,7 +32,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 _INDENT = "  "
-_ITEMS_PER_CHUNK = 16384  # scalars per % call: bounds the argument tuple and text held at once
+_ITEMS_PER_CHUNK = 16384  # scalars per join: bounds the tokens and text held at once
 _INF = float("inf")
 
 
@@ -122,17 +125,19 @@ def _encode_array(a: np.ndarray, level: int) -> Iterator[str]:
         return
     literals, codes = table
     count, width = len(a), a.size // len(a)
-    row = _nested(a.shape[1:], level + 1)
+    # The text after each scalar position of a row, up to the next scalar; after
+    # the last one it closes the row and opens the next.
+    parts = _nested(a.shape[1:], level + 1).split("%s")
+    wrap = ",\n" + _INDENT * (level + 1) + parts[0]
+    gaps, kind = np.unique(np.array(parts[1:-1] + [parts[-1] + wrap], dtype=object),
+                           return_inverse=True)
+    tokens = literals + gaps[:, None]  # tokens[kind, v]: entry v's spelling and the gap after it
+    codes = codes.reshape(count, width)
     step = max(1, _ITEMS_PER_CHUNK // width)
-    size = min(count, step)
-    sep = ",\n" + _INDENT * (level + 1)
-    full = sep.join([row] * size)
-    yield "[\n" + _INDENT * (level + 1)
+    yield "[\n" + _INDENT * (level + 1) + parts[0]
     for start in range(0, count, step):
-        stop = min(start + step, count)
-        template = full if stop - start == size else sep.join([row] * (stop - start))
-        chunk = literals[codes[start * width:stop * width]].tolist()
-        yield (sep if start else "") + template % tuple(chunk)
+        text = "".join(tokens[kind, codes[start:start + step]].ravel().tolist())
+        yield text if start + step < count else text[:-len(wrap)]
     yield "\n" + _INDENT * level + "]"
 
 

@@ -60,6 +60,39 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
     assert err == b""
 
 
+def _launch(tmp_path, argv):
+    """The entry point in a fresh process, standard output going to a regular
+    file and block-buffered, as by default: (exit code, stdout bytes, stderr
+    bytes)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "stdout"
+    with open(out, "wb") as fp:
+        proc = subprocess.run([sys.executable, "-m", "wzwkit.cli", *argv], stdout=fp,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    return proc.returncode, out.read_bytes(), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["modular-data", "A1", "20", "--no-cache"], 0, b""),
+    (["modular-data", "E7", "2", "--no-cache"], 2,
+     b"wzwkit: GroupTooLarge: |W(E7)| = 2903040 exceeds cap 1000000\n"),
+    (["--help"], 0, b""),
+])
+def test_entry_point_exit_path(capsys, monkeypatch, tmp_path, argv, code, err):
+    """main() flushes and ends the process without teardown: the exit code,
+    stdout and stderr are those of an in-process run() of the same query."""
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    assert expected.err.encode() == err
+    got = _launch(tmp_path, argv)
+    assert got == (code, expected.out.encode(), err)
+    assert (got[1] == b"") == (code == 2)
+    if argv == ["--help"]:
+        assert got[1].startswith(b"usage: wzwkit") and b"verify-conjecture" in got[1]
+
+
 def test_picard_report(capsys, tmp_path):
     code, out = _run(capsys, ["picard", "A1", "4", "--cache-dir", str(tmp_path)])
     assert code == 0

@@ -106,6 +106,13 @@ def test_edge_cases(obj):
     np.asfortranarray(np.arange(12).reshape(3, 4)), np.arange(24).reshape(2, 3, 4)[:, ::2, 1:],
     [{"k": [np.eye(3), np.arange(4).reshape(2, 2)]}, {"z": np.zeros((1, 1, 1))}],
     {"k": [[1, 2, 3]] * 6000},
+    np.arange(5).reshape(1, 5),  # one row: the first row's opening, no separator
+    np.arange(7).reshape(7, 1),  # one column
+    np.arange(40000).reshape(2, 20000) % 13,  # a row wider than one chunk
+    (np.arange(18000) / 3).reshape(1, 9000, 2),
+    np.arange(16384).reshape(4096, 4) % 5,  # count * width at one chunk exactly
+    np.arange(16385).reshape(3277, 5) % 5,  # and one scalar past it
+    np.arange(120).reshape(2, 3, 4, 5) - 60,  # four axes
 ])
 def test_array_edge_cases(obj):
     assert "".join(iterencode(obj)) == _oracle(obj)
