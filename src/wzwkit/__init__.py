@@ -22,13 +22,13 @@ _EXPORTS = {
     "lietype": ("SimpleLieType", "parse_lie_type"),
     "affine": (
         "RootSystem", "LevelData", "ModularData",
-        "build_root_system", "weyl_group", "integrable_weights", "conformal_weight",
-        "central_charge", "kac_peterson_S", "verlinde_fusion", "modular_data",
+        "build_root_system", "weyl_group", "integrable_weights", "central_charge",
+        "kac_peterson_S", "verlinde_fusion", "modular_data",
         "modular_data_to_doc", "modular_data_from_doc",
     ),
     "picard": (
         "SimpleCurrent", "PicardGroup", "DiagramAutomorphism", "find_simple_currents",
-        "charge_table", "quadratic_form", "verify_quadratic", "diagram_automorphism",
+        "charge_table", "verify_quadratic", "diagram_automorphism",
     ),
     "schellekens": (
         "Subgroup", "KSB", "SchellekensAlgebra", "ClassifiedAlgebra",
@@ -41,12 +41,11 @@ _EXPORTS = {
     ),
     "bimodule": (
         "BimoduleClass", "BimoduleRing", "BimodulePicard", "build_bimodule_ring",
-        "build_pointed_bimodule_ring", "bimodule_picard", "act_on_boundaries",
-        "kramers_wannier_candidates",
+        "build_pointed_bimodule_ring", "bimodule_picard", "kramers_wannier_candidates",
     ),
     "twining": (
-        "OrbitAlgebraData", "TwiningSMatrix", "PhiTable", "ConjectureReport", "fixed_points",
-        "fold_diagram", "twining_S", "extract_phi", "build_phi_table", "verify_conjecture",
+        "OrbitAlgebraData", "TwiningSMatrix", "ConjectureReport", "fixed_points", "fold_diagram",
+        "twining_S", "extract_phi", "verify_conjecture",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

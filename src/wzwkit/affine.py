@@ -34,7 +34,6 @@ from .errors import (
     NormalizationFailure,
     NotAPermutation,
     UnsupportedRank,
-    WeightNotIntegrable,
 )
 from .lietype import SimpleLieType, _check_weyl_cap, parse_lie_type, weyl_order
 from .residues import format_rational, mod1
@@ -157,10 +156,8 @@ class RootSystem:
     lie_type: SimpleLieType
     cartan: tuple[tuple[int, ...], ...]
     quadratic_form: tuple[tuple[Fraction, ...], ...]  # F_ij = (Lambda_i, Lambda_j)
-    weyl_vector: Weight                               # rho, all labels 1
     dual_coxeter: int
     comarks: tuple[int, ...]
-    marks: tuple[int, ...]
     half_lengths: tuple[Fraction, ...]                # (alpha_i, alpha_i)/2
     dimension: int
     positive_root_count: int
@@ -169,14 +166,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.lie_type.rank
-
-    def inner(self, lam: Weight, mu: Weight) -> Fraction:
-        """(lam, mu) for weights in Dynkin labels."""
-        f = self.quadratic_form
-        return sum(
-            (lam[i] * f[i][j] * mu[j] for i in range(self.rank) for j in range(self.rank)),
-            Fraction(0),
-        )
 
 
 def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> RootSystem:
@@ -191,8 +180,7 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
     positives = _positive_roots(cartan)
     theta = positives[-1]
     assert sum(theta) == max(sum(r) for r in positives)
-    marks = tuple(theta)
-    comarks_frac = [marks[i] * d[i] for i in range(n)]
+    comarks_frac = [theta[i] * d[i] for i in range(n)]  # theta's coefficients are the marks
     assert all(x.denominator == 1 for x in comarks_frac), "comarks must be integers"
     comarks = tuple(int(x) for x in comarks_frac)
     theta_labels = tuple(sum(theta[i] * cartan[i][j] for i in range(n)) for j in range(n))
@@ -202,10 +190,8 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
         quadratic_form=form,
-        weyl_vector=tuple([1] * n),
         dual_coxeter=1 + sum(comarks),
         comarks=comarks,
-        marks=marks,
         half_lengths=tuple(d),
         dimension=n + 2 * len(positives),
         positive_root_count=len(positives),
@@ -226,9 +212,6 @@ class WeylGroup:
 
     def __len__(self) -> int:
         return len(self.signs)
-
-    def __iter__(self):
-        return zip(self.matrices, self.signs)
 
 
 def _simple_reflections(rs: RootSystem) -> list[np.ndarray]:
@@ -319,15 +302,6 @@ def affine_labels(ld: LevelData, weight: Weight) -> tuple[int, ...]:
     return (lam0, *weight)
 
 
-def weight_from_affine(ld: LevelData, labels: tuple[int, ...]) -> Weight:
-    """Drop the node-0 label; the caller guarantees consistency with the level."""
-    finite = tuple(labels[1:])
-    expected = ld.level - sum(c * l for c, l in zip(ld.root_system.comarks, finite))
-    if labels[0] != expected or any(x < 0 for x in labels):
-        raise WeightNotIntegrable(f"affine labels {labels} invalid at level {ld.level}")
-    return finite
-
-
 def _integer_form(rs: RootSystem, d: int = 1) -> tuple[np.ndarray, int]:
     """(F * den, den): the quadratic form as an int64 matrix over den, the
     least common multiple of d and the denominators of F."""
@@ -335,23 +309,15 @@ def _integer_form(rs: RootSystem, d: int = 1) -> tuple[np.ndarray, int]:
     return np.array([[int(f * den) for f in row] for row in rs.quadratic_form], dtype=np.int64), den
 
 
-def _conformal_weights(ld: LevelData, weights) -> list[Fraction]:
+def _conformal_weights(ld: LevelData) -> list[Fraction]:
     """h = (Lambda, Lambda + 2 rho) / (2 (k + h_vee)) for each weight, exact:
     one int64 product over the common denominator of the quadratic form."""
     rs = ld.root_system
     form, den = _integer_form(rs)
-    lam = np.array(weights, dtype=np.int64).reshape(-1, rs.rank)
+    lam = np.array(ld.weights, dtype=np.int64)
     nums = ((lam @ form) * (lam + 2)).sum(axis=1)  # Lambda + 2 rho in labels
     scale = 2 * den * (ld.level + rs.dual_coxeter)
     return [Fraction(int(x), scale) for x in nums]
-
-
-def conformal_weight(ld: LevelData, weight: Weight) -> Fraction:
-    """h_Lambda = (Lambda, Lambda + 2 rho) / (2 (k + h_vee)), exact."""
-    weight = tuple(weight)
-    if weight not in ld.weights:
-        raise WeightNotIntegrable(f"{weight} is not integrable at level {ld.level}")
-    return _conformal_weights(ld, [weight])[0]
 
 
 def central_charge(ld: LevelData) -> Fraction:
@@ -584,7 +550,7 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     """The modular datum of the weights ld and the normalized S: h, c and the
     T-exponents from ld; Verlinde, conjugation and quantum dimensions from S.
     Both the computing and the loading path end here."""
-    hs = tuple(_conformal_weights(ld, ld.weights))
+    hs = tuple(_conformal_weights(ld))
     c = central_charge(ld)
     v = ld.vacuum_index
     return ModularData(

@@ -34,7 +34,6 @@ from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .schellekens import _xi_residues
 
 if TYPE_CHECKING:
-    from .boundary import OrbitDecomposition
     from .schellekens import SchellekensAlgebra
 
 Character = tuple[Fraction, ...]  # residue values on the support members, in order
@@ -51,11 +50,9 @@ class BimoduleRing:
     """Fusion ring of bimodule classes with non-negative integer structure."""
 
     algebra: SchellekensAlgebra
-    objects: tuple[int, ...]
     basis: tuple[BimoduleClass, ...]
     structure: np.ndarray
     unit: int
-    pointed: bool
     dual: np.ndarray  # [x]: position of the dual class, (i_bar, -psi) for (i, psi)
 
     def __len__(self) -> int:
@@ -66,7 +63,7 @@ class BimoduleRing:
         return tuple(x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects)
 
 
-def _build_ring(algebra: SchellekensAlgebra, objects: list[int], pointed: bool) -> BimoduleRing:
+def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing:
     sub = algebra.support
     pg = algebra.picard
     md = pg.md
@@ -136,11 +133,9 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int], pointed: bool) 
     dual.flags.writeable = False
     return BimoduleRing(
         algebra=algebra,
-        objects=tuple(sorted(objects)),
         basis=basis,
         structure=structure,
         unit=int(canon[md.vacuum, 0]),
-        pointed=pointed,
         dual=dual,
     )
 
@@ -148,13 +143,13 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int], pointed: bool) 
 def build_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
     """The full bimodule fusion ring; requires H to act freely on P_+^k."""
     objects = list(range(len(algebra.picard.md)))
-    return _build_ring(algebra, objects, False)
+    return _build_ring(algebra, objects)
 
 
 def build_pointed_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
     """The bimodule ring restricted to invertible objects (always free)."""
     objects = sorted(el.object_index for el in algebra.picard.elements)
-    return _build_ring(algebra, objects, True)
+    return _build_ring(algebra, objects)
 
 
 @dataclass(frozen=True)
@@ -207,28 +202,6 @@ def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
         invariant_factors=factors,
         iso_class_name=name,
     )
-
-
-def act_on_boundaries(
-    ring: BimoduleRing, position: int, orbits: OrbitDecomposition
-) -> tuple[int, ...]:
-    """Permutation of boundary orbits induced by an invertible class.
-
-    The class (g, psi) sends the orbit of i to the orbit of g.i; the character
-    part acts trivially at the label level.
-    """
-    cls = ring.basis[position]
-    pg = ring.algebra.picard
-    try:
-        a = pg.index_of_object(cls.object_index)
-    except KeyError:
-        raise ValueError("only invertible classes act by permutations on boundaries")
-    out = []
-    for orbit in orbits.orbits:
-        out.append(orbits.orbit_of[pg.act(a, orbit.representative)])
-    if sorted(out) != list(range(len(orbits))):
-        raise WzwError("boundary action is not a permutation")
-    return tuple(out)
 
 
 def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:

@@ -4,8 +4,10 @@ Boundary conditions are labeled by an H-orbit of simple objects together with
 an irreducible representation of the twisted group algebra of the stabilizer;
 for abelian stabilizers the irrep count is the order of the radical of the
 alternating form eps_U.  On a cyclic stabilizer eps_U is forced to vanish, so
-the 6j-table phi is consulted only for non-cyclic stabilizers.  Every function
-reads the simple objects and the action from the algebra's Picard group.
+the 6j-table phi is consulted only for non-cyclic stabilizers.  phi is a plain
+mapping (U, g, h) -> Fraction, keyed by weight index and Picard element
+indices.  Every function reads the simple objects and the action from the
+algebra's Picard group.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from .errors import PhiUnavailable, WzwError
 from .residues import mod1
 
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
     from .picard import PicardGroup
     from .schellekens import KSB, SchellekensAlgebra, Subgroup
-    from .twining import PhiTable
 
 
 @dataclass(frozen=True)
@@ -34,9 +37,6 @@ class Orbit:
 class OrbitDecomposition:
     orbits: tuple[Orbit, ...]
     orbit_of: tuple[int, ...]  # weight index -> position in orbits
-
-    def __len__(self) -> int:
-        return len(self.orbits)
 
 
 def orbit_decomposition(sub: Subgroup) -> OrbitDecomposition:
@@ -79,12 +79,15 @@ def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
     return any(pg.elements[g].order == len(stab) for g in stab)
 
 
-def epsilon_form(orbit: Orbit, ksb: KSB, phi: PhiTable | None = None) -> EpsilonForm:
+def epsilon_form(
+    orbit: Orbit, ksb: KSB, phi: Mapping[tuple[int, int, int], Fraction] | None = None
+) -> EpsilonForm:
     """eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the orbit.
 
     For a cyclic stabilizer an alternating bicharacter is identically zero,
-    so the form is returned as such and phi is not consulted.  Otherwise a
-    phi table is required.
+    so the form is returned as such and phi is not consulted.  Otherwise phi
+    must hold (U, g, h) for the orbit's representative U and every g, h in
+    the stabilizer.
     """
     sub = ksb.support
     stab = orbit.stabilizer
@@ -103,9 +106,9 @@ def epsilon_form(orbit: Orbit, ksb: KSB, phi: PhiTable | None = None) -> Epsilon
     for g in stab:
         row = []
         for h in stab:
-            if not phi.has(u, g, h):
+            if (u, g, h) not in phi:
                 raise PhiUnavailable(f"phi table lacks entry (U={u}, g={g}, h={h})")
-            row.append(mod1(phi.value(u, g, h) + ksb.value(sub.local(h), sub.local(g))))
+            row.append(mod1(phi[u, g, h] + ksb.value(sub.members.index(h), sub.members.index(g))))
         rows.append(tuple(row))
     form = EpsilonForm(stab, tuple(rows))
     for a in range(n):
@@ -131,7 +134,7 @@ class BoundaryCount:
 
 def count_boundary_conditions(
     algebra: SchellekensAlgebra,
-    phi: PhiTable | None = None,
+    phi: Mapping[tuple[int, int, int], Fraction] | None = None,
     dec: OrbitDecomposition | None = None,
 ) -> BoundaryCount:
     """Number of simple modules: sum over orbits of #Irr of the twisted

@@ -20,10 +20,6 @@ class GroupTooLarge(WzwError):
     """The Weyl group exceeds the configured element cap."""
 
 
-class WeightNotIntegrable(WzwError):
-    """A weight is not in the level-k integrable set."""
-
-
 class NormalizationFailure(WzwError):
     """An S-matrix could not be normalized to a unitary symmetric matrix."""
 

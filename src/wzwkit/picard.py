@@ -19,10 +19,9 @@ from math import lcm
 import numpy as np
 
 from . import groups
-from .affine import LevelData, ModularData, RootSystem, affine_labels, weight_from_affine
+from .affine import LevelData, ModularData, RootSystem
 from .config import Config, DEFAULT_CONFIG
-from .errors import (ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries,
-                     WeightNotIntegrable)
+from .errors import ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
 from .residues import mod1, numerators
 
 
@@ -51,12 +50,6 @@ class PicardGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def index_of_object(self, object_index: int) -> int:
-        for a, el in enumerate(self.elements):
-            if el.object_index == object_index:
-                return a
-        raise KeyError(object_index)
 
     def act(self, a: int, weight_index: int) -> int:
         return self.elements[a].action[weight_index]
@@ -170,11 +163,6 @@ def charge_table(
         raise NonIntegerEntry(f"monodromy charge not additive at object {int(broken.argmax())}")
     q.flags.writeable = False
     return q, den
-
-
-def quadratic_form(pg: PicardGroup) -> tuple[Fraction, ...]:
-    """q(g) = -h_g mod 1 per element (the twist-eigenvalue quadratic form)."""
-    return tuple(mod1(-t) for t in pg.twists)
 
 
 def verify_quadratic(pg: PicardGroup) -> None:
@@ -345,22 +333,3 @@ def diagram_automorphism(pg: PicardGroup, a: int) -> DiagramAutomorphism:
             f"catalog permutation {perm} does not preserve the affine Cartan matrix"
         )
     return DiagramAutomorphism(perm, _perm_order(perm), a)
-
-
-def weight_action_of_node_permutation(ld: LevelData, perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Permutation of level-k weights induced by an affine-node permutation.
-
-    A weight's affine labels are pushed forward along the node map; the result
-    must again be a valid level-k weight.
-    """
-    out = []
-    for w in ld.weights:
-        labels = affine_labels(ld, w)
-        moved = [0] * len(labels)
-        for i, lab in enumerate(labels):
-            moved[perm[i]] = lab
-        try:
-            out.append(ld.index(weight_from_affine(ld, tuple(moved))))
-        except WeightNotIntegrable as exc:
-            raise UnsupportedSeries(f"node permutation does not act on P_+^k: {exc}") from exc
-    return tuple(out)

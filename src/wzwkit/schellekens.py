@@ -52,9 +52,6 @@ class Subgroup:
     def exponents(self) -> dict[int, tuple[int, ...]]:
         return groups.exponent_vectors(self.local_table, self.decomposition)
 
-    def local(self, pic_index: int) -> int:
-        return self.members.index(pic_index)
-
 
 def enumerate_subgroups(pg: PicardGroup) -> list[Subgroup]:
     """All subgroups of Pic(C), sorted by (order, members)."""
@@ -74,10 +71,6 @@ class KSB:
 
     def value(self, a: int, b: int) -> Fraction:
         return Fraction(self.values[a][b], self.support.picard.charge_den)
-
-    def transpose(self) -> "KSB":
-        n = len(self.support)
-        return KSB(self.support, tuple(tuple(self.values[b][a] for b in range(n)) for a in range(n)))
 
 
 def _xi_residues(ksb: KSB) -> np.ndarray:

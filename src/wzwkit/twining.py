@@ -115,7 +115,7 @@ class TwiningSMatrix:
 
     fixed_points: tuple[int, ...]
     matrix: np.ndarray
-    fold: OrbitAlgebraData | None = field(default=None, compare=False)
+    fold: OrbitAlgebraData = field(compare=False)
 
     def __len__(self) -> int:
         return len(self.fixed_points)
@@ -279,23 +279,6 @@ def extract_phi(
 
 
 @dataclass(frozen=True)
-class PhiTable:
-    """Residue table phi_U(g, h) keyed (fixed-point weight, g, h).
-
-    g and h are Picard element indices; entries exist for every h in the
-    subgroup the table was built for and every fixed point U of g.
-    """
-
-    values: dict[tuple[int, int, int], Fraction]
-
-    def value(self, weight_index: int, g: int, h: int) -> Fraction:
-        return self.values[(weight_index, g, h)]
-
-    def has(self, weight_index: int, g: int, h: int) -> bool:
-        return (weight_index, g, h) in self.values
-
-
-@dataclass(frozen=True)
 class PhiRow:
     """S^w of one g and, for each h in the order asked, the phi values of
     (g, h) or the LambdaDependence or SnapFailure that extracting them raised."""
@@ -335,25 +318,6 @@ class PhiRows:
                     self._phi[g, h] = exc
             phi[h] = self._phi[g, h]
         return PhiRow(g, tsm, phi)
-
-
-def _support_rows(rows: PhiRows, members: tuple[int, ...]):
-    """Rows of every g in `members` with fixed points, against all of `members`."""
-    return (rows.row(g, members) for g in members if fixed_points(rows.pg, g))
-
-
-def build_phi_table(
-    pg: PicardGroup, members: tuple[int, ...], config: Config = DEFAULT_CONFIG
-) -> PhiTable:
-    """phi values for all g in `members` with fixed points, against all h in
-    `members`; the first violation in (g, h) order is raised."""
-    values: dict[tuple[int, int, int], Fraction] = {}
-    for row in _support_rows(PhiRows(pg, config), members):
-        for h, vals in row.phi.items():
-            if not isinstance(vals, PhiValues):
-                raise vals
-            values.update(((u, row.g, h), r) for u, r in vals.by_weight.items())
-    return PhiTable(values)
 
 
 @dataclass(frozen=True)
@@ -448,5 +412,6 @@ def verify_conjecture(
         rows = PhiRows(pg, config)
     elif rows.pg is not pg or rows.config != config:
         raise ValueError("phi rows of another Picard group or Config")
-    support_rows = _support_rows(rows, algebra.support.members)
+    members = algebra.support.members
+    support_rows = (rows.row(g, members) for g in members if fixed_points(pg, g))
     return ConjectureReport(tuple(conjecture_checks(pg, support_rows, config)))

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from wzwkit import (
-    act_on_boundaries,
     bimodule_picard,
     build_bimodule_ring,
     build_pointed_bimodule_ring,
     classify_algebras,
     kramers_wannier_candidates,
-    orbit_decomposition,
 )
 from wzwkit.errors import DualityValidationFailure, FixedPointsPresent
 
@@ -117,41 +115,6 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
                 continue
             n = len(ring)
             assert np.array_equal(ring.structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
-
-
-def test_act_on_boundaries_cardy(pic_of):
-    cardy = _algebra(pic_of, "A1", 2, 1)
-    ring = build_bimodule_ring(cardy)
-    dec = orbit_decomposition(cardy.support)
-    bp = bimodule_picard(ring)
-    identity_perm = act_on_boundaries(ring, ring.unit, dec)
-    assert identity_perm == tuple(range(len(dec)))
-    eps_pos = [x for x in bp.positions if x != ring.unit][0]
-    perm = act_on_boundaries(ring, eps_pos, dec)
-    # fusion with the order-2 current reverses 0 <-> 2 and fixes sigma
-    assert perm == (2, 1, 0)
-
-
-def test_act_on_boundaries_free_case(pic_of):
-    algebra = _algebra(pic_of, "A2", 2, 3)
-    ring = build_bimodule_ring(algebra)
-    dec = orbit_decomposition(algebra.support)
-    for x in bimodule_picard(ring).positions:
-        perm = act_on_boundaries(ring, x, dec)
-        assert sorted(perm) == list(range(len(dec)))
-        # the current maps each vacuum-orbit class into the same orbit
-        assert perm == tuple(range(len(dec)))
-
-
-def test_act_on_boundaries_requires_invertible(pic_of):
-    cardy = _algebra(pic_of, "A1", 2, 1)
-    ring = build_bimodule_ring(cardy)
-    dec = orbit_decomposition(cardy.support)
-    sigma = next(
-        x for x, cls in enumerate(ring.basis) if cls.object_index == 1
-    )
-    with pytest.raises(ValueError):
-        act_on_boundaries(ring, sigma, dec)
 
 
 def test_ising_kramers_wannier(pic_of):

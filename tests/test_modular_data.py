@@ -7,7 +7,6 @@ import pytest
 
 from wzwkit import (
     central_charge,
-    conformal_weight,
     integrable_weights,
     modular_data,
     modular_data_from_doc,
@@ -21,7 +20,6 @@ from wzwkit.errors import (
     NonIntegerFusion,
     NormalizationFailure,
     NotAPermutation,
-    WeightNotIntegrable,
 )
 
 from conftest import CATALOG, canonical_json
@@ -55,15 +53,9 @@ def test_weight_order_is_lexicographic_with_vacuum_first():
         ("A3", 2, (0, 1, 0), Fraction(5, 12)),
     ],
 )
-def test_conformal_weights(name, k, weight, expected):
-    ld = integrable_weights(parse_lie_type(name), k)
-    assert conformal_weight(ld, weight) == expected
-
-
-def test_conformal_weight_rejects_non_integrable():
-    ld = integrable_weights(parse_lie_type("A1"), 2)
-    with pytest.raises(WeightNotIntegrable):
-        conformal_weight(ld, (3,))
+def test_conformal_weights(name, k, weight, expected, md_of):
+    md = md_of(name, k)
+    assert md.conformal_weights[md.level_data.index(weight)] == expected
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,18 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 import numpy as np
 
-from wzwkit import diagram_automorphism, find_simple_currents, quadratic_form, verify_quadratic
-from wzwkit.errors import QuadraticFormViolation, UnsupportedSeries
+from wzwkit import diagram_automorphism, find_simple_currents, verify_quadratic
+from wzwkit.errors import ClosureFailure, QuadraticFormViolation, UnsupportedSeries
 from wzwkit.picard import (
     affine_cartan_matrix,
     _catalog_permutation,
     _preserves_matrix,
-    weight_action_of_node_permutation,
 )
-from wzwkit.affine import build_root_system, parse_lie_type
+from wzwkit.affine import affine_labels, build_root_system, parse_lie_type
 from wzwkit.residues import mod1
 
 from conftest import CATALOG
@@ -21,6 +21,28 @@ from conftest import CATALOG
 CENTER_ORDER = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2,
                 "D": lambda n: 4, "E": {6: 3, 7: 2, 8: 1}, "F": lambda n: 1,
                 "G": lambda n: 1}
+
+
+def weight_from_affine(ld, labels):
+    """Drop the node-0 label of a valid level-k affine weight."""
+    finite = tuple(labels[1:])
+    assert labels[0] == ld.level - sum(c * l for c, l in zip(ld.root_system.comarks, finite))
+    assert min(labels) >= 0, labels
+    return finite
+
+
+def weight_action_of_node_permutation(ld, perm):
+    """Permutation of level-k weights induced by an affine-node permutation:
+    each weight's affine labels are pushed forward along the node map, and the
+    result must again be a valid level-k weight."""
+    out = []
+    for w in ld.weights:
+        labels = affine_labels(ld, w)
+        moved = [0] * len(labels)
+        for i, lab in enumerate(labels):
+            moved[perm[i]] = lab
+        out.append(ld.index(weight_from_affine(ld, tuple(moved))))
+    return tuple(out)
 
 
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 1), ("D3", 2), ("C3", 2), ("B3", 2), ("F4", 1)])
@@ -95,11 +117,11 @@ def test_charge_identities(pic_of, md_of):
 
 
 def test_quadratic_form_values(pic_of):
-    pg4 = pic_of("A1", 4)
-    assert quadratic_form(pg4) == (Fraction(0), Fraction(0))  # h_J = 1
-    pg1 = pic_of("A2", 1)
-    q = quadratic_form(pg1)
-    assert set(q[1:]) == {Fraction(2, 3)}  # -1/3 mod 1
+    def q(pg):  # q(g) = -h_g mod 1
+        return tuple(mod1(-pg.md.conformal_weights[el.object_index]) for el in pg.elements)
+
+    assert q(pic_of("A1", 4)) == (Fraction(0), Fraction(0))  # h_J = 1
+    assert set(q(pic_of("A2", 1))[1:]) == {Fraction(2, 3)}  # -1/3 mod 1
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
@@ -126,6 +148,36 @@ def test_verify_quadratic_names_an_off_grid_twist(pic_of):
         verify_quadratic(bad)
 
 
+def _with_current_row(fusion, i, perm):
+    """fusion with row i replaced by the permutation j -> perm[j]."""
+    out = fusion.copy()
+    out[i] = np.eye(len(perm), dtype=out.dtype)[list(perm)]
+    return out
+
+
+def _vacuum_row_doubled(fusion):
+    out = fusion.copy()
+    out[0, 0, 0] = 2
+    return out
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_vacuum_row_doubled, "vacuum fusion row is not the identity permutation"),
+    # J = (4) sends the vacuum to (2), whose quantum dimension is 2
+    (lambda f: _with_current_row(f, 4, (2, 3, 4, 1, 0)),
+     "product of currents 4 and 0 is 2, not a current"),
+    # J still sends 0 <-> 4, but J*J = 1 no longer acts as the identity
+    (lambda f: _with_current_row(f, 4, (4, 2, 3, 1, 0)), "fusion action of 4*4 is inconsistent"),
+])
+def test_tampered_fusion_fails_closure(tamper, message, md_of):
+    import dataclasses
+
+    md = md_of("A1", 4)
+    bad = dataclasses.replace(md, fusion=tamper(md.fusion))
+    with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
+        find_simple_currents(bad)
+
+
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])
 def test_diagram_automorphism_reproduces_fusion(name, k, pic_of, md_of):
     """The catalog node permutation, pushed to level-k weights through the
@@ -150,7 +202,8 @@ def test_a_series_rotations(pic_of, md_of):
     pg = pic_of("A3", 2)
     md = md_of("A3", 2)
     # J = k Lambda_1 generates; its square rotates by 2
-    j = pg.index_of_object(md.level_data.index((2, 0, 0)))
+    current = md.level_data.index((2, 0, 0))
+    j = next(a for a, el in enumerate(pg.elements) if el.object_index == current)
     jsq = pg.table[j][j]
     aut = diagram_automorphism(pg, jsq)
     assert aut.node_permutation == (2, 3, 0, 1)

@@ -26,7 +26,6 @@ from wzwkit import (
     find_simple_currents,
     fixed_points,
     partition_function,
-    quadratic_form,
     twining_S,
     verify_quadratic,
 )
@@ -174,7 +173,7 @@ def scalar_ring(md, algebra, objects):
         for g in members:
             j = pg.act(g, rep)
             orbit_rep[j] = rep
-            shift[j] = _ksb_character(algebra, sub.local(g))
+            shift[j] = _ksb_character(algebra, members.index(g))
     chars = _all_characters(algebra)
     reps = sorted(set(orbit_rep.values()))
     basis = [BimoduleClass(rep, ch) for rep in reps for ch in chars]
@@ -247,7 +246,7 @@ def scalar_partition_function(md, algebra):
 
 def scalar_verify_quadratic(pg):
     """Raise QuadraticFormViolation at the first failing identity of the loop."""
-    q = quadratic_form(pg)
+    q = [mod1(-t) for t in pg.twists]  # q(g) = -h_g mod 1
     n = len(pg)
     exp = pg.exponent
 
@@ -562,7 +561,7 @@ def test_ring_error_parity(md_of, pic_of):
     currents = {el.object_index for el in pg.elements}
     i = next(i for i in range(len(md)) if i not in currents)
     orbit = sorted(pg.act(g, i) for g in members)  # closed under H, not under fusion
-    new = _outcome(_build_ring, algebra, orbit, False)
+    new = _outcome(_build_ring, algebra, orbit)
     assert new == _outcome(scalar_ring, md, algebra, orbit)
     assert new[0] is WzwError
     den = pg.charge_den  # 15: a skew of 1/3 is on the grid
@@ -570,7 +569,7 @@ def test_ring_error_parity(md_of, pic_of):
     values[1][2] = (values[1][2] + den // 3) % den
     skewed = SchellekensAlgebra(algebra.support, KSB(algebra.support, tuple(map(tuple, values))))
     objects = list(range(len(md)))
-    new = _outcome(_build_ring, skewed, objects, False)
+    new = _outcome(_build_ring, skewed, objects)
     assert new == _outcome(scalar_partition_function, md, skewed)
     assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
     assert _outcome(scalar_ring, md, skewed, objects)[0] is KeyError

@@ -80,7 +80,7 @@ def test_weyl_group_orders(name, order):
     assert signs == [-1, 1]
     # elements preserve the invariant form on labels and det matches the sign
     f = np.array([[float(x) for x in row] for row in rs.quadratic_form])
-    for mat, sign in list(w)[:50]:
+    for mat, sign in list(zip(w.matrices, w.signs))[:50]:
         assert np.allclose(mat.T @ f @ mat, f, atol=1e-12)
         assert round(float(np.linalg.det(mat))) == sign
 

@@ -136,7 +136,8 @@ def test_algebra_counts(pic_of):
 def test_transpose_ksb_transposes_partition(pic_of):
     for name, k in [("A3", 2), ("A3", 3), ("D4", 2), ("A2", 2)]:
         for ca in classify_algebras(pic_of(name, k)):
-            flipped = SchellekensAlgebra(ca.algebra.support, ca.algebra.ksb.transpose())
+            transposed = tuple(zip(*ca.algebra.ksb.values))
+            flipped = SchellekensAlgebra(ca.algebra.support, KSB(ca.algebra.support, transposed))
             zt = partition_function(flipped)
             assert np.array_equal(zt, ca.partition.T)
 
