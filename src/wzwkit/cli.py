@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One JSON report per invocation on standard output, byte-identical to
-``json.dumps(report, indent=2)`` and streamed by ``jsonout``; human-readable
-tables only behind --pretty.  The cache holds the key and S of the modular
+``json.dumps(report, indent=2)``: ``jsonout`` has the standard library write
+all but the big tables, and streams those itself; human-readable tables only
+behind --pretty.  The cache holds the key and S of the modular
 data, and a hit derives the rest; a modular-data query builds its document
 once, for the report, on a miss and on a hit alike.  Each command imports only
 the modules it uses, so a modular-data query never loads the simple-current

@@ -1,32 +1,29 @@
-"""The CLI's JSON writer: the bytes of ``json.dumps(obj, indent=2)``, made fast.
+"""The CLI's JSON writer: the bytes of ``json.dumps(obj, indent=2)``, with
+numpy arrays written as their ``tolist()`` would be.
 
-Python's C encoder refuses ``indent``, so ``json.dumps(obj, indent=2)`` runs
-the pure-Python encoder, one generator step per scalar.  This writer yields
-the same text in chunks instead, and also accepts numpy arrays, written as
-their ``tolist()`` would be.
+The standard library writes the report's skeleton; this module writes only
+its big tables, which reach the writer as arrays and stay arrays until they
+become text.  An int or float array with at least two axes and no
+zero-length axis (S as [re, im] pairs, the fusion and bimodule structure
+quadruples, the partition matrices' (i, j, Z_ij) triples) takes a literal
+table: each distinct entry is spelt once by ``literal_table``.  The row
+layout, split at its scalars, gives the few distinct texts that can follow a
+scalar position (the last one closes the row and opens the next), and a
+token table holds every spelling followed by each of them.  A chunk of rows
+is then one ``"".join`` of the tokens picked by position and entry.
 
-The big tables reach the writer as arrays and stay arrays until they become
-text.  An int or float array with at least two axes and no zero-length axis
-(S as [re, im] pairs, the fusion and bimodule structure quadruples, the
-partition matrices' (i, j, Z_ij) triples) takes a literal table: each
-distinct entry is spelt once by ``literal_table``.  The row layout, split at
-its scalars, gives the few distinct texts that can follow a scalar position
-(the last one closes the row and opens the next), and a token table holds
-every spelling followed by each of them.  A chunk of rows is then one
-``"".join`` of the tokens picked by position and entry.  Any other array (bool,
-0-d, 1-d, with a zero-length axis, or ints spanning more values than it has
-entries) takes the general path as ``tolist()``, as does every list, tuple
-and dict: a recursive walk with the ``json`` module's own rules for scalars
-and dict keys.
-
-Unlike ``json.dumps``, a value that cannot be serialized raises its
-``TypeError`` only when the chunks reach it, and circular containers are not
-detected.
+``json.dumps`` leaves a marker string where each such table goes, and the
+tables are streamed into the skeleton at its markers.  Any other array
+(bool, 0-d, 1-d, with a zero-length axis, or ints spanning more values than
+it has entries) goes to ``json`` as its ``tolist()``.  As in ``json.dumps``,
+an unserializable value raises ``TypeError`` and a circular container
+``ValueError``, both before anything is written.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _encode
+import json
+import os
 from typing import Iterator, TextIO
 
 import numpy as np
@@ -44,33 +41,6 @@ def _float(x: float) -> str:
     if x == -_INF:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _scalar(o) -> str:
-    """A non-container leaf, spelt and type-checked as ``json`` does."""
-    if isinstance(o, str):
-        return _encode(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _encode(k)
-    if isinstance(k, float):
-        return _encode(_float(k))
-    if k is True or k is False or k is None or isinstance(k, int):
-        return _encode(_scalar(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def literal_table(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -107,22 +77,9 @@ def _nested(shape: tuple[int, ...], level: int) -> str:
     return "[\n" + _INDENT * (level + 1) + inner.join([item] * shape[0]) + "\n" + _INDENT * level + "]"
 
 
-def _encode_value(o, level: int) -> Iterator[str]:
-    if isinstance(o, (list, tuple)):
-        yield from _encode_list(o, level)
-    elif isinstance(o, dict):
-        yield from _encode_dict(o, level)
-    elif isinstance(o, np.ndarray):
-        yield from _encode_array(o, level)
-    else:
-        yield _scalar(o)
-
-
-def _encode_array(a: np.ndarray, level: int) -> Iterator[str]:
-    table = literal_table(a) if a.ndim >= 2 and a.size else None
-    if table is None:
-        yield from _encode_value(a.tolist(), level)
-        return
+def _table_chunks(a: np.ndarray, table: tuple[np.ndarray, np.ndarray], level: int) -> Iterator[str]:
+    """Chunks of a's text, as ``json.dumps(a.tolist(), indent=2)`` lays it out
+    at indent level, from its ``literal_table``."""
     literals, codes = table
     count, width = len(a), a.size // len(a)
     # The text after each scalar position of a row, up to the next scalar; after
@@ -141,40 +98,26 @@ def _encode_array(a: np.ndarray, level: int) -> Iterator[str]:
     yield "\n" + _INDENT * level + "]"
 
 
-def _encode_list(lst: list | tuple, level: int) -> Iterator[str]:
-    if not lst:
-        yield "[]"
-        return
-    newline = "\n" + _INDENT * (level + 1)
-    sep = "[" + newline
-    for x in lst:
-        yield sep
-        sep = "," + newline
-        yield from _encode_value(x, level + 1)
-    yield "\n" + _INDENT * level + "]"
-
-
-def _encode_dict(dct: dict, level: int) -> Iterator[str]:
-    if not dct:
-        yield "{}"
-        return
-    newline = "\n" + _INDENT * (level + 1)
-    sep = "{" + newline
-    for k, v in dct.items():
-        yield sep + _key(k) + ": "
-        sep = "," + newline
-        yield from _encode_value(v, level + 1)
-    yield "\n" + _INDENT * level + "}"
-
-
-def iterencode(obj) -> Iterator[str]:
-    """Chunks whose concatenation is ``json.dumps(obj, indent=2)``, an
-    ndarray counting as its ``tolist()``."""
-    return _encode_value(obj, 0)
-
-
 def write(obj, fp: TextIO) -> None:
     """Write ``json.dumps(obj, indent=2)`` and a newline to fp, as ``print`` would,
-    without building the whole text."""
-    fp.writelines(iterencode(obj))
-    fp.write("\n")
+    an ndarray counting as its ``tolist()``; the big tables are streamed."""
+    marker = os.urandom(16).hex()
+    tables = []
+
+    def default(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        table = literal_table(o) if o.ndim >= 2 and o.size else None
+        if table is None:
+            return o.tolist()
+        tables.append((o, table))
+        return marker
+
+    pieces = json.dumps(obj, indent=2, default=default).split(f'"{marker}"')
+    if len(pieces) != len(tables) + 1:
+        raise ValueError("a table marker is missing from the JSON text, or repeated in it")
+    for piece, (a, table) in zip(pieces, tables):
+        fp.write(piece)
+        line = piece[piece.rfind("\n") + 1:]  # the table's line, up to the table
+        fp.writelines(_table_chunks(a, table, (len(line) - len(line.lstrip(" "))) // 2))
+    fp.write(pieces[-1] + "\n")

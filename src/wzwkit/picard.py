@@ -95,7 +95,7 @@ def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> Pi
             if perm is not None:
                 currents[i] = perm
     vac = md.vacuum
-    if vac not in currents:
+    if currents.get(vac) != tuple(range(len(md))):
         raise ClosureFailure("vacuum fusion row is not the identity permutation")
     order_objs = [vac] + sorted(i for i in currents if i != vac)
     index_of = {obj: a for a, obj in enumerate(order_objs)}

@@ -1,4 +1,4 @@
-"""The streaming writer against its oracle, json.dumps(obj, indent=2), with
+"""The report writer against its oracle, json.dumps(obj, indent=2), with
 an ndarray counting as its tolist()."""
 
 import io
@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wzwkit.jsonout import iterencode, write
+from wzwkit.jsonout import write
 
 SPECIAL_FLOATS = [0.0, -0.0, 1e16, 1e-16, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
                   0.1, float("nan"), float("inf"), -float("inf")]
@@ -36,7 +36,7 @@ keys = st.one_of(text, st.integers(), st.floats(), st.booleans(), st.none())
 
 def _rows(items):
     """Lists of equal-length rows, occasionally ragged: tables that reach the
-    writer as lists take its general path."""
+    writer as lists are written by json itself."""
     row = st.integers(0, 5).flatmap(lambda w: st.lists(items, min_size=w, max_size=w))
     equal = st.integers(0, 5).flatmap(
         lambda w: st.lists(st.lists(items, min_size=w, max_size=w), max_size=12))
@@ -72,14 +72,23 @@ def _oracle(obj) -> str:
     return json.dumps(obj, indent=2, default=_tolist)
 
 
+def _text(obj) -> str:
+    """What write() puts out for obj, less the newline that ends it."""
+    buf = io.StringIO()
+    write(obj, buf)
+    text = buf.getvalue()
+    assert text.endswith("\n")
+    return text[:-1]
+
+
 @given(trees)
 def test_matches_json_dumps(obj):
-    assert "".join(iterencode(obj)) == _oracle(obj)
+    assert _text(obj) == _oracle(obj)
 
 
 @given(arrays)
 def test_array_matches_its_tolist(a):
-    assert "".join(iterencode(a)) == json.dumps(a.tolist(), indent=2)
+    assert _text(a) == json.dumps(a.tolist(), indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -90,7 +99,7 @@ def test_array_matches_its_tolist(a):
     [[np.float64(0.1), 0.2]], [[2**100, -5]], [[1], [2, 3]], "\ud800", 1e16,
 ])
 def test_edge_cases(obj):
-    assert "".join(iterencode(obj)) == json.dumps(obj, indent=2)
+    assert _text(obj) == json.dumps(obj, indent=2)
 
 
 @pytest.mark.parametrize("obj", [
@@ -115,7 +124,7 @@ def test_edge_cases(obj):
     np.arange(120).reshape(2, 3, 4, 5) - 60,  # four axes
 ])
 def test_array_edge_cases(obj):
-    assert "".join(iterencode(obj)) == _oracle(obj)
+    assert _text(obj) == _oracle(obj)
 
 
 @pytest.mark.parametrize("obj", [
@@ -127,8 +136,41 @@ def test_type_errors_match_json(obj):
     with pytest.raises(TypeError) as expected:
         _oracle(obj)
     with pytest.raises(TypeError) as got:
-        "".join(iterencode(obj))
+        _text(obj)
     assert str(got.value) == str(expected.value)
+
+
+def _circular_list():
+    lst = [1, {"a": [[1, 2], [3, 4]]}]
+    lst.append(lst)
+    return lst
+
+
+def _circular_dict():
+    dct = {"S": np.eye(3)}
+    dct["self"] = dct
+    return dct
+
+
+@pytest.mark.parametrize("make", [_circular_list, _circular_dict])
+def test_circular_containers_match_json(make):
+    with pytest.raises(ValueError) as expected:
+        _oracle(make())
+    with pytest.raises(ValueError) as got:
+        _text(make())
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("obj", [
+    {"S": np.eye(3), "bad": object()},  # after a table that the writer would stream
+    [np.arange(4).reshape(2, 2), np.int64(3)],
+    _circular_list(), _circular_dict(),
+])
+def test_refused_objects_write_nothing(obj):
+    buf = io.StringIO()
+    with pytest.raises((TypeError, ValueError)):
+        write(obj, buf)
+    assert buf.getvalue() == ""
 
 
 def test_write_matches_print():

@@ -223,6 +223,18 @@ def test_conjugation_rejects_non_permutation():
         conjugation_from_S(q, 0)
 
 
+@pytest.mark.parametrize("cycle,message", [
+    ([1, 2, 0], "S^2 is not a vacuum-fixing permutation"),  # a 3-cycle moves the vacuum
+    ([0, 2, 3, 4, 5, 6, 1], "S^2 is not an involution"),  # fixes 0, a 6-cycle on 1..6
+])
+def test_conjugation_refusals_name_their_check(cycle, message):
+    from wzwkit.affine import conjugation_from_S
+
+    s = np.eye(len(cycle))[cycle].astype(complex)
+    with pytest.raises(NotAPermutation, match=f"^{re.escape(message)}$"):
+        conjugation_from_S(s, 0)
+
+
 def test_json_round_trip(md_of):
     md = md_of("A3", 2)
     doc = modular_data_to_doc(md)

@@ -168,6 +168,9 @@ def _vacuum_row_doubled(fusion):
      "product of currents 4 and 0 is 2, not a current"),
     # J still sends 0 <-> 4, but J*J = 1 no longer acts as the identity
     (lambda f: _with_current_row(f, 4, (4, 2, 3, 1, 0)), "fusion action of 4*4 is inconsistent"),
+    # the vacuum row is a permutation, but J's rather than the identity
+    (lambda f: _with_current_row(f, 0, (4, 3, 2, 1, 0)),
+     "vacuum fusion row is not the identity permutation"),
 ])
 def test_tampered_fusion_fails_closure(tamper, message, md_of):
     import dataclasses

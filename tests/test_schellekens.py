@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,24 @@ def test_all_ones_matrix_fails_t_condition(md_of):
     ones = np.ones((3, 3), dtype=np.int64)
     with pytest.raises(InvarianceViolation):
         verify_modular_invariance(md, ones)
+
+
+def _eye_with(n, i, j, value):
+    z = np.eye(n, dtype=np.int64)
+    z[i, j] = value
+    return z
+
+
+@pytest.mark.parametrize("z,message", [
+    (np.eye(4, dtype=np.int64), "partition matrix has wrong shape"),
+    (_eye_with(5, 1, 3, -1), "negative entry"),
+    (2 * np.eye(5, dtype=np.int64), "Z00 = 2 != 1"),
+    # SZ - ZS is S's column 2 off the diagonal, largest at |S_02| = 1/sqrt(3)
+    (_eye_with(5, 2, 2, 2), "commutator norm 5.774e-01 exceeds tolerance"),
+])
+def test_invariance_refusals_name_their_check(md_of, z, message):
+    with pytest.raises(InvarianceViolation, match=f"^{re.escape(message)}$"):
+        verify_modular_invariance(md_of("A1", 4), z)
 
 
 def test_partition_function_rejects_bad_bicharacter(pic_of):
