@@ -9,7 +9,9 @@ construction does not apply and the builder refuses; the pointed ring
 (restricted to invertible objects, where the action is always free) is the
 fallback.  The simple objects, their fusion and conjugation are read from the
 algebra's Picard group, so a ring cannot mix one category's data with
-another's algebra.
+another's algebra.  The invertible classes are found as the simple currents
+are, by `picard.unit_group`, with the classes over simple currents as the
+cheap prefilter.
 
 The structure constants are filled with integer-coded characters: each
 character of H is coded once on the grid of the Picard group's
@@ -31,6 +33,7 @@ import numpy as np
 
 from . import groups
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
+from .picard import unit_group
 from .schellekens import _xi_residues
 
 if TYPE_CHECKING:
@@ -59,8 +62,11 @@ class BimoduleRing:
         return len(self.basis)
 
     def invertible_positions(self) -> tuple[int, ...]:
+        """The invertible classes, unit first: rows of the structure that are
+        permutation matrices, among the classes over simple currents."""
         pic_objects = {el.object_index for el in self.algebra.picard.elements}
-        return tuple(x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects)
+        over = [x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects]
+        return unit_group(self.structure, self.unit, over)[0]
 
 
 def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing:
@@ -168,36 +174,17 @@ class BimodulePicard:
 
 def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
     """The group of invertible classes, realizing H* x_H Pic(C)."""
-    positions = ring.invertible_positions()
-    if ring.unit not in positions:
-        raise WzwError("unit class is not invertible (corrupt ring)")
-    order = [ring.unit] + [x for x in positions if x != ring.unit]
-    pos_index = {x: a for a, x in enumerate(order)}
-    table_rows = []
-    for x in order:
-        row = []
-        for y in order:
-            prods = np.nonzero(ring.structure[x, y])[0]
-            if len(prods) != 1 or ring.structure[x, y, prods[0]] != 1:
-                raise WzwError("product of invertible classes is not a single class")
-            z = int(prods[0])
-            if z not in pos_index:
-                raise WzwError("invertible classes are not closed under the product")
-            row.append(pos_index[z])
-        table_rows.append(tuple(row))
-    table = tuple(table_rows)
-    for a in range(len(order)):
-        if 0 not in table[a]:
-            raise WzwError(f"invertible class {a} has no inverse")
+    # the confirmed positions again, now for their group table
+    positions, _, table = unit_group(ring.structure, ring.unit, ring.invertible_positions())
     if groups.is_abelian(table):
         factors = groups.invariant_factors(table)
         name = groups.group_name(factors)
     else:
         factors = ()
-        name = f"nonabelian-order-{len(order)}"
+        name = f"nonabelian-order-{len(positions)}"
     return BimodulePicard(
-        elements=tuple(ring.basis[x] for x in order),
-        positions=tuple(order),
+        elements=tuple(ring.basis[x] for x in positions),
+        positions=positions,
         table=table,
         invariant_factors=factors,
         iso_class_name=name,

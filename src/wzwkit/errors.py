@@ -39,7 +39,7 @@ class NotAPermutation(WzwError):
 # --- Picard group ------------------------------------------------------------
 
 class ClosureFailure(WzwError):
-    """The simple-current candidate set is not closed under fusion."""
+    """The invertible candidates of a fusion ring are not closed under fusion."""
 
 
 class QuadraticFormViolation(WzwError):

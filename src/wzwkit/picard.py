@@ -2,15 +2,18 @@
 and the matching diagram automorphisms of the affine Dynkin diagram.
 
 Simple currents are detected exactly: the quantum-dimension test is only a
-float pre-filter, membership is decided by the fusion row being a permutation
-matrix.  All charges and twists are exact residues in Q/Z, held as integers
-over `charge_den`, the common denominator of the conformal weights.  The
-group exponent is checked to divide it, so every residue built from the group
-later on (bicharacter values, characters of subgroups) lies on the same grid.
+float pre-filter, membership is decided by `unit_group`, which finds the basis
+elements of any fusion ring whose rows are permutation matrices; the bimodule
+ring's Picard group is found by it too.  All charges and twists are exact
+residues in Q/Z, held as integers over `charge_den`, the common denominator
+of the conformal weights.  The group exponent is checked to divide it, so
+every residue built from the group later on (bicharacter values, characters
+of subgroups) lies on the same grid.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -70,59 +73,55 @@ class PicardGroup:
         return groups.exponent(self.table)
 
 
-def _permutation_row(fusion: np.ndarray, i: int) -> tuple[int, ...] | None:
-    """The permutation j -> k with N[i, j, k] = 1, or None if row i is not one."""
-    block = fusion[i]
-    n = len(block)
-    perm = []
-    for j in range(n):
-        nz = np.nonzero(block[j])[0]
-        if len(nz) != 1 or block[j, nz[0]] != 1:
-            return None
-        perm.append(int(nz[0]))
-    if sorted(perm) != list(range(n)):
-        return None
-    return tuple(perm)
+def unit_group(
+    structure: np.ndarray, unit: int, candidates: Iterable[int]
+) -> tuple[tuple[int, ...], np.ndarray, groups.Table]:
+    """The invertible basis elements among candidates of a fusion ring.
+
+    x is invertible when structure[x] is a permutation matrix: entries 0 or
+    1, one 1 in each row and each column.  Returns the invertible elements,
+    unit first and then ascending; perm[a, j], the k with N_{x_a j}^k = 1;
+    and the group table.  A unit row that is not the identity, a product that
+    is not invertible, or a composed permutation that is not the product's
+    raises ClosureFailure, the first failing pair in scan order.
+    """
+    cand = np.array(sorted(set(candidates)), dtype=np.intp)
+    rows = structure[cand]  # [c, j, k]
+    is_perm = (((rows == 0) | (rows == 1)).all(axis=(1, 2))
+               & (rows.sum(axis=2) == 1).all(axis=1) & (rows.sum(axis=1) == 1).all(axis=1))
+    found = cand[is_perm]
+    order = np.argsort(found != unit, kind="stable")  # unit first, the rest ascending
+    elements = found[order]
+    perms = rows[is_perm].argmax(axis=2)[order]  # [a, j]
+    n = len(structure)
+    if not len(elements) or elements[0] != unit or (perms[0] != np.arange(n)).any():
+        raise ClosureFailure("vacuum fusion row is not the identity permutation")
+    index_of = np.full(n, -1, dtype=np.intp)
+    index_of[elements] = np.arange(len(elements))
+    product = perms[:, elements]  # [a, b]: x_a x_b
+    table = index_of[product]
+    inconsistent = (perms[:, perms] != perms[table]).any(axis=2)  # x_a (x_b j) vs (x_a x_b) j
+    bad = np.argwhere((table < 0) | inconsistent)
+    if len(bad):
+        a, b = bad[0]
+        x, y = elements[a], elements[b]
+        if table[a, b] < 0:
+            raise ClosureFailure(f"product of currents {x} and {y} is {product[a, b]}, not a current")
+        raise ClosureFailure(f"fusion action of {x}*{y} is inconsistent")
+    return tuple(elements.tolist()), perms, tuple(map(tuple, table.tolist()))
 
 
 def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> PicardGroup:
     """Detect Pic(C) and close it into an abelian group with exact twists."""
-    tol = config.tolerance
-    currents: dict[int, tuple[int, ...]] = {}
-    for i in range(len(md)):
-        if abs(float(md.quantum_dims[i]) - 1.0) < tol:
-            perm = _permutation_row(md.fusion, i)
-            if perm is not None:
-                currents[i] = perm
-    vac = md.vacuum
-    if currents.get(vac) != tuple(range(len(md))):
-        raise ClosureFailure("vacuum fusion row is not the identity permutation")
-    order_objs = [vac] + sorted(i for i in currents if i != vac)
-    index_of = {obj: a for a, obj in enumerate(order_objs)}
-    n = len(order_objs)
-    table_rows = []
-    for a, ga in enumerate(order_objs):
-        row = []
-        for b, gb in enumerate(order_objs):
-            prod_obj = currents[ga][gb]
-            if prod_obj not in index_of:
-                raise ClosureFailure(
-                    f"product of currents {ga} and {gb} is {prod_obj}, not a current"
-                )
-            # the composed permutation must be the product's permutation
-            composed = tuple(currents[ga][currents[gb][j]] for j in range(len(md)))
-            if composed != currents[prod_obj]:
-                raise ClosureFailure(f"fusion action of {ga}*{gb} is inconsistent")
-            row.append(index_of[prod_obj])
-        table_rows.append(tuple(row))
-    table = tuple(table_rows)
+    candidates = np.flatnonzero(abs(md.quantum_dims - 1.0) < config.tolerance)
+    objects, perms, table = unit_group(md.fusion, md.vacuum, candidates)
     if not groups.is_abelian(table):
         raise ClosureFailure("simple-current group is not abelian")
     elements = tuple(
-        SimpleCurrent(obj, currents[obj], groups.element_order(table, a))
-        for a, obj in enumerate(order_objs)
+        SimpleCurrent(obj, tuple(perm), groups.element_order(table, a))
+        for a, (obj, perm) in enumerate(zip(objects, perms.tolist()))
     )
-    twists = tuple(mod1(md.conformal_weights[obj]) for obj in order_objs)
+    twists = tuple(mod1(md.conformal_weights[obj]) for obj in objects)
     assert twists[0] == 0
     charges, charge_den = charge_table(md, elements, table)
     return PicardGroup(

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from wzwkit import (
     classify_algebras,
     kramers_wannier_candidates,
 )
-from wzwkit.errors import DualityValidationFailure, FixedPointsPresent
+from wzwkit.errors import ClosureFailure, DualityValidationFailure, FixedPointsPresent
+
+from test_picard import TAMPERED
 
 
 def _algebra(pic_of, name, k, support_size):
@@ -72,6 +77,17 @@ def test_pointed_ring_sizes(pic_of):
     ringd = build_pointed_bimodule_ring(algd)
     assert len(ringd) == 4  # 4*2/2
     _assert_associative(ringd)
+
+
+@pytest.mark.parametrize("tamper,message", TAMPERED)
+def test_tampered_ring_fails_closure(tamper, message, pic_of):
+    """The A1:4 Cardy ring is its fusion ring, class x over object x: a corrupt
+    structure is refused with the messages of find_simple_currents."""
+    ring = build_bimodule_ring(_algebra(pic_of, "A1", 4, 1))
+    assert [cls.object_index for cls in ring.basis] == list(range(5))
+    bad = dataclasses.replace(ring, structure=tamper(ring.structure))
+    with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
+        bimodule_picard(bad)
 
 
 def test_ising_bimodule_picard(pic_of):
@@ -163,8 +179,6 @@ def test_larger_rank_ring_and_boundaries(pic_of):
 
 
 def test_duality_validation_failure_on_corrupt_ring():
-    import dataclasses
-
     from wzwkit import modular_data, find_simple_currents
     from wzwkit.schellekens import SchellekensAlgebra, enumerate_ksbs, enumerate_subgroups
 

@@ -161,7 +161,8 @@ def _vacuum_row_doubled(fusion):
     return out
 
 
-@pytest.mark.parametrize("tamper,message", [
+# A1:4 tampered fusion rows, each with the ClosureFailure message it must raise
+TAMPERED = [
     (_vacuum_row_doubled, "vacuum fusion row is not the identity permutation"),
     # J = (4) sends the vacuum to (2), whose quantum dimension is 2
     (lambda f: _with_current_row(f, 4, (2, 3, 4, 1, 0)),
@@ -171,7 +172,10 @@ def _vacuum_row_doubled(fusion):
     # the vacuum row is a permutation, but J's rather than the identity
     (lambda f: _with_current_row(f, 0, (4, 3, 2, 1, 0)),
      "vacuum fusion row is not the identity permutation"),
-])
+]
+
+
+@pytest.mark.parametrize("tamper,message", TAMPERED)
 def test_tampered_fusion_fails_closure(tamper, message, md_of):
     import dataclasses
 

@@ -134,12 +134,23 @@ def test_cardy_case_and_boundary_completeness(md_of, pic_of, algebra):
         assert count.total == sum(ca.partition[i, md.conjugation[i]] for i in range(len(md)))
 
 
+def _permutation_rows(structure):
+    """Every x whose row structure[x] is a permutation matrix: its rows, sorted,
+    are the identity's rows, sorted."""
+    identity = sorted(np.eye(len(structure), dtype=int).tolist())
+    return {x for x, row in enumerate(structure.tolist()) if sorted(row) == identity}
+
+
 @given(ALGEBRAS)
 def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
     """For a support acting freely, the simple A-A-bimodules number
     trace(Z Z^T) (Fuchs-Runkel-Schweigert), and their squared dimensions sum
-    to the global dimension 1/|S_00|^2; a support with fixed points is refused."""
+    to the global dimension 1/|S_00|^2; a support with fixed points is refused.
+    The invertible elements, searched over every basis element, are the simple
+    currents and the classes over them: no prefilter drops one."""
     md, pg = md_of(*algebra), pic_of(*algebra)
+    currents = {el.object_index for el in pg.elements}
+    assert _permutation_rows(md.fusion) == currents
     global_dim = 1.0 / abs(md.s_matrix[md.vacuum, md.vacuum]) ** 2
     free = 0
     for ca in classify_algebras(pg):
@@ -154,4 +165,6 @@ def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
         assert len(ring) == np.trace(z @ z.T)
         dims = sum(md.quantum_dims[cls.object_index] ** 2 for cls in ring.basis)
         assert dims == pytest.approx(global_dim, rel=DEFAULT_CONFIG.tolerance)
+        over = {x for x, cls in enumerate(ring.basis) if cls.object_index in currents}
+        assert _permutation_rows(ring.structure) == over == set(ring.invertible_positions())
     assert free >= 1
