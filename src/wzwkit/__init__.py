@@ -27,7 +27,7 @@ _EXPORTS = {
         "modular_data_to_doc", "modular_data_from_doc",
     ),
     "picard": (
-        "SimpleCurrent", "PicardGroup", "DiagramAutomorphism", "find_simple_currents",
+        "SimpleCurrent", "PicardGroup", "find_simple_currents",
         "charge_table", "verify_quadratic", "diagram_automorphism",
     ),
     "schellekens": (
@@ -36,7 +36,7 @@ _EXPORTS = {
         "verify_modular_invariance", "classify_algebras",
     ),
     "boundary": (
-        "OrbitDecomposition", "EpsilonForm", "BoundaryLabel", "BoundaryCount",
+        "OrbitDecomposition", "EpsilonForm", "BoundaryCount",
         "orbit_decomposition", "epsilon_form", "count_boundary_conditions",
     ),
     "bimodule": (

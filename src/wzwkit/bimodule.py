@@ -18,14 +18,13 @@ character of H is coded once on the grid of the Picard group's
 `charge_den`, character addition becomes an integer table, and the table
 `canon` of the class of (object, character) after the H-shift is the one map
 from pairs to basis positions, so every fusion coefficient lands by one
-np.add.at.  Fractions are formed only for the reported class characters.
+np.add.at.  A class keeps its character as those integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -39,7 +38,7 @@ from .schellekens import _xi_residues
 if TYPE_CHECKING:
     from .schellekens import SchellekensAlgebra
 
-Character = tuple[Fraction, ...]  # residue values on the support members, in order
+Character = tuple[int, ...]  # residues * charge_den on the support members, in order
 
 
 @dataclass(frozen=True)
@@ -106,10 +105,8 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing
     rank = np.argsort(by_value)  # [c]: the position of chars[c] in that order
     add = code(digits[:, None] + digits)  # [c, d]: chars[c] + chars[d]
     shift = code(xi[gens][:, shift_by].T * orders // den)  # [k]: Xi(., h) for that h
-    basis = tuple(
-        BimoduleClass(r, tuple(Fraction(v, den) for v in ch))
-        for r in reps.tolist() for ch in chars[by_value].tolist()
-    )
+    characters = list(map(tuple, chars[by_value].tolist()))
+    basis = tuple(BimoduleClass(r, ch) for r in reps.tolist() for ch in characters)
     expected = len(objects) * nchar // len(sub)
     if len(basis) != expected:
         raise WzwError(f"rank {len(basis)} != |I||H*|/|H| = {expected}")

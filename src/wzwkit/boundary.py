@@ -5,19 +5,18 @@ an irreducible representation of the twisted group algebra of the stabilizer;
 for abelian stabilizers the irrep count is the order of the radical of the
 alternating form eps_U.  On a cyclic stabilizer eps_U is forced to vanish, so
 the 6j-table phi is consulted only for non-cyclic stabilizers.  phi is a plain
-mapping (U, g, h) -> Fraction, keyed by weight index and Picard element
-indices.  Every function reads the simple objects and the action from the
-algebra's Picard group.
+mapping (U, g, h) -> int, keyed by weight index and Picard element indices,
+whose values are residues over the Picard group's `charge_den`, as are the
+values of eps_U.  Every function reads the simple objects and the action
+from the algebra's Picard group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import PhiUnavailable, WzwError
-from .residues import mod1
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -65,7 +64,7 @@ class EpsilonForm:
     """The alternating bicharacter eps_U on the stabilizer of an orbit."""
 
     stabilizer: tuple[int, ...]  # pic element indices
-    values: tuple[tuple[Fraction, ...], ...]  # local to the stabilizer tuple
+    values: tuple[tuple[int, ...], ...]  # over charge_den, local to the stabilizer tuple
 
     def radical_size(self) -> int:
         n = len(self.stabilizer)
@@ -80,35 +79,35 @@ def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
 
 
 def epsilon_form(
-    orbit: Orbit, ksb: KSB, phi: Mapping[tuple[int, int, int], Fraction] | None = None
+    orbit: Orbit, ksb: KSB, phi: Mapping[tuple[int, int, int], int] | None = None
 ) -> EpsilonForm:
     """eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the orbit.
 
     For a cyclic stabilizer an alternating bicharacter is identically zero,
     so the form is returned as such and phi is not consulted.  Otherwise phi
     must hold (U, g, h) for the orbit's representative U and every g, h in
-    the stabilizer.
+    the stabilizer.  phi, Xi and eps are residues over charge_den.
     """
     sub = ksb.support
     stab = orbit.stabilizer
     n = len(stab)
     if _stabilizer_is_cyclic(sub.picard, stab):
-        zero = mod1(Fraction(0))
-        values = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-        return EpsilonForm(stab, values)
+        return EpsilonForm(stab, ((0,) * n,) * n)
     if phi is None:
         raise PhiUnavailable(
             f"stabilizer of orbit at weight {orbit.representative} is non-cyclic; "
             "a phi table from the twining module is required"
         )
     u = orbit.representative
+    den = sub.picard.charge_den
     rows = []
     for g in stab:
         row = []
         for h in stab:
             if (u, g, h) not in phi:
                 raise PhiUnavailable(f"phi table lacks entry (U={u}, g={g}, h={h})")
-            row.append(mod1(phi[u, g, h] + ksb.value(sub.members.index(h), sub.members.index(g))))
+            xi = ksb.values[sub.members.index(h)][sub.members.index(g)]
+            row.append((phi[u, g, h] + xi) % den)
         rows.append(tuple(row))
     form = EpsilonForm(stab, tuple(rows))
     for a in range(n):
@@ -118,23 +117,16 @@ def epsilon_form(
 
 
 @dataclass(frozen=True)
-class BoundaryLabel:
-    orbit_representative: int
-    irrep_index: int
-
-
-@dataclass(frozen=True)
 class BoundaryCount:
     total: int
     per_orbit: tuple[tuple[int, int], ...]  # (orbit representative, count)
-    labels: tuple[BoundaryLabel, ...]
     orbits: OrbitDecomposition
     forms: tuple[EpsilonForm, ...]  # eps_U per orbit, in the order of orbits
 
 
 def count_boundary_conditions(
     algebra: SchellekensAlgebra,
-    phi: Mapping[tuple[int, int, int], Fraction] | None = None,
+    phi: Mapping[tuple[int, int, int], int] | None = None,
     dec: OrbitDecomposition | None = None,
 ) -> BoundaryCount:
     """Number of simple modules: sum over orbits of #Irr of the twisted
@@ -146,16 +138,12 @@ def count_boundary_conditions(
     if dec is None:
         dec = orbit_decomposition(algebra.support)
     forms = tuple(epsilon_form(orbit, algebra.ksb, phi) for orbit in dec.orbits)
-    per_orbit = []
-    labels = []
-    for orbit, eps in zip(dec.orbits, forms):
-        count = eps.radical_size()
-        per_orbit.append((orbit.representative, count))
-        labels.extend(BoundaryLabel(orbit.representative, r) for r in range(count))
+    per_orbit = tuple(
+        (orbit.representative, eps.radical_size()) for orbit, eps in zip(dec.orbits, forms)
+    )
     return BoundaryCount(
         total=sum(c for _, c in per_orbit),
-        per_orbit=tuple(per_orbit),
-        labels=tuple(labels),
+        per_orbit=per_orbit,
         orbits=dec,
         forms=forms,
     )

@@ -19,6 +19,7 @@ teardown; ``run()`` itself returns normally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -50,10 +51,9 @@ if TYPE_CHECKING:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=float, default=1e-8)
-    common.add_argument("--integrality-tolerance", type=float, default=1e-6)
-    common.add_argument("--weyl-cap", type=int, default=10**6)
-    common.add_argument("--rank-cap", type=int, default=8)
+    for f in dataclasses.fields(Config):  # --tolerance, ..., --rank-cap
+        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default)
     common.add_argument("--cache-dir", type=str, default=None)
     common.add_argument("--no-cache", action="store_true")
     common.add_argument("--strict", action="store_true",
@@ -96,12 +96,7 @@ def _validate(args: argparse.Namespace) -> tuple[Config, SimpleLieType | None]:
     a warm cache refuse alike: ValueError for a bad tolerance, cap or level,
     UnsupportedRank for a bad algebra, GroupTooLarge beyond the Weyl cap.
     """
-    config = Config(
-        tolerance=args.tolerance,
-        integrality_tolerance=args.integrality_tolerance,
-        weyl_cap=args.weyl_cap,
-        rank_cap=args.rank_cap,
-    )
+    config = Config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Config)})
     if args.command == "selftest":
         return config, None
     t = parse_lie_type(args.algebra, config)
@@ -204,9 +199,10 @@ def _cmd_modular_data(md: ModularData, args, config: Config):
 
 def _cmd_picard(md: ModularData, args, config: Config):
     from . import picard
-    from .residues import format_rational
+    from .residues import format_residue
 
     pg = picard.find_simple_currents(md, config)
+    den = pg.charge_den
     checks = []
     try:
         picard.verify_quadratic(pg)
@@ -223,14 +219,12 @@ def _cmd_picard(md: ModularData, args, config: Config):
                 "objectIndex": el.object_index,
                 "weight": list(md.weights[el.object_index]),
                 "order": el.order,
-                "twist": format_rational(pg.twists[a]),
+                "twist": format_residue(pg.twists[a], den),
             }
             for a, el in enumerate(pg.elements)
         ],
-        "chargeTable": [
-            [format_rational(pg.charge(i, a)) for a in range(len(pg))]
-            for i in range(len(md))
-        ],
+        "chargeTable": [[format_residue(q, den) for q in row]
+                        for row in pg.charges.tolist()],
     }
     return payload, checks
 
@@ -238,9 +232,10 @@ def _cmd_picard(md: ModularData, args, config: Config):
 def _algebra_blob(ca: ClassifiedAlgebra, config: Config, latex: bool) -> tuple[dict, bool, float | None]:
     from . import schellekens
     from .affine import sparse_entries
-    from .residues import format_rational
+    from .residues import format_residue
 
     sub = ca.algebra.support
+    den = sub.picard.charge_den
     blob = {
         "support": {
             "order": len(sub),
@@ -251,9 +246,9 @@ def _algebra_blob(ca: ClassifiedAlgebra, config: Config, latex: bool) -> tuple[d
             ],
         },
         "ksb": [
-            [a, b, format_rational(ca.algebra.ksb.value(a, b))]
-            for a in range(len(sub))
-            for b in range(len(sub))
+            [a, b, format_residue(v, den)]
+            for a, row in enumerate(ca.algebra.ksb.values)
+            for b, v in enumerate(row)
         ],
         "Z": sparse_entries(ca.partition),
     }
@@ -289,7 +284,7 @@ def _cmd_invariants(md: ModularData, args, config: Config):
 
 def _cmd_boundaries(md: ModularData, args, config: Config):
     from . import boundary, picard, schellekens
-    from .residues import format_rational
+    from .residues import format_residue
 
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(pg)
@@ -315,14 +310,13 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
             ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
                 {"representative": orbit.representative,
-                 "values": [[format_rational(v) for v in row] for row in eps.values]}
+                 "values": [[format_residue(v, pg.charge_den) for v in row] for row in eps.values]}
                 for orbit, eps in zip(dec.orbits, count.forms)
             ]
             blob["boundaryCount"] = count.total
             blob["perOrbit"] = [[rep, c] for rep, c in count.per_orbit]
             blob["labels"] = [
-                {"orbit": lab.orbit_representative, "irrep": lab.irrep_index}
-                for lab in count.labels
+                {"orbit": rep, "irrep": r} for rep, c in count.per_orbit for r in range(c)
             ]
             checks.append(_check(
                 f"completeness-algebra-{idx}", count.total == ishibashi, None))
@@ -336,10 +330,16 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
 def _cmd_bimodules(md: ModularData, args, config: Config):
     from . import bimodule, picard, schellekens
     from .affine import sparse_entries
-    from .residues import format_rational
+    from .residues import format_residue
 
     pg = picard.find_simple_currents(md, config)
     algebras = schellekens.classify_algebras(pg)
+
+    def classes(ring_classes) -> list[dict]:
+        return [{"objectIndex": cls.object_index,
+                 "character": [format_residue(x, pg.charge_den) for x in cls.character]}
+                for cls in ring_classes]
+
     blobs = []
     for ca in algebras:
         blob = {
@@ -353,11 +353,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
             blob["pointedOnly"] = True
             blob["fixedWeights"] = [list(w) for w in exc.fixed_weights]
         blob["rank"] = len(ring)
-        blob["basis"] = [
-            {"objectIndex": cls.object_index,
-             "character": [format_rational(x) for x in cls.character]}
-            for cls in ring.basis
-        ]
+        blob["basis"] = classes(ring.basis)
         blob["structure"] = sparse_entries(ring.structure)
         bp = bimodule.bimodule_picard(ring)
         blob["picard"] = {
@@ -365,12 +361,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
             "isoClass": bp.iso_class_name,
             "invariantFactors": list(bp.invariant_factors),
         }
-        kw = bimodule.kramers_wannier_candidates(ring)
-        blob["kramersWannier"] = [
-            {"objectIndex": cls.object_index,
-             "character": [format_rational(x) for x in cls.character]}
-            for cls in kw
-        ]
+        blob["kramersWannier"] = classes(bimodule.kramers_wannier_candidates(ring))
         blobs.append(blob)
     return {"algebras": blobs}, []
 
@@ -379,7 +370,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
     import numpy as np
 
     from . import picard, twining
-    from .residues import format_rational
+    from .residues import format_residue
 
     pg = picard.find_simple_currents(md, config)
     rows = twining.PhiRows(pg, config)
@@ -414,7 +405,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
                 findings.append({"h": h, "violation": f"{type(vals).__name__}: {vals}"})
                 continue
             for u, r in sorted(vals.by_weight.items()):
-                phi[f"{u},{a},{h}"] = format_rational(r)
+                phi[f"{u},{a},{h}"] = format_residue(r, pg.charge_den)
         blob["phi"] = phi
         if findings:
             blob["findings"] = findings

@@ -5,18 +5,17 @@ Simple currents are detected exactly: the quantum-dimension test is only a
 float pre-filter, membership is decided by `unit_group`, which finds the basis
 elements of any fusion ring whose rows are permutation matrices; the bimodule
 ring's Picard group is found by it too.  All charges and twists are exact
-residues in Q/Z, held as integers over `charge_den`, the common denominator
-of the conformal weights.  The group exponent is checked to divide it, so
-every residue built from the group later on (bicharacter values, characters
-of subgroups) lies on the same grid.
+residues in Q/Z, held from the start as read-only int64 arrays over
+`charge_den`, the common denominator of the conformal weights, so a twist
+off that grid cannot be represented.  The group exponent is checked to
+divide it, so every residue built from the group later on (bicharacter
+values, characters of subgroups, the 6j-scalars phi) lies on the same grid.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import groups
 from .affine import LevelData, ModularData, RootSystem
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
-from .residues import mod1, numerators
+from .residues import numerators
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,10 @@ class PicardGroup:
     elements: tuple[SimpleCurrent, ...]
     table: groups.Table
     invariant_factors: tuple[int, ...]
-    twists: tuple[Fraction, ...]  # h_g mod 1 per element
-    # [i, a]: Q_i(g_a) * charge_den, read-only int64 in [0, charge_den);
-    # determined by md and elements, so left out of ==
+    # twists [a]: h_{g_a} * charge_den and charges [i, a]: Q_i(g_a) * charge_den,
+    # read-only int64 in [0, charge_den); determined by md and elements, so
+    # left out of ==
+    twists: np.ndarray = field(compare=False)
     charges: np.ndarray = field(compare=False)
     charge_den: int = field(compare=False)
 
@@ -56,17 +56,6 @@ class PicardGroup:
 
     def act(self, a: int, weight_index: int) -> int:
         return self.elements[a].action[weight_index]
-
-    def charge(self, i: int, a: int) -> Fraction:
-        """The monodromy charge Q_i(g_a) mod 1, exact."""
-        return Fraction(int(self.charges[i, a]), self.charge_den)
-
-    @cached_property
-    def twist_numerators(self) -> np.ndarray:
-        """twists * charge_den, read-only int64; ValueError for a twist off that grid."""
-        h = numerators(self.twists, self.charge_den)
-        h.flags.writeable = False
-        return h
 
     @property
     def exponent(self) -> int:
@@ -121,9 +110,10 @@ def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> Pi
         SimpleCurrent(obj, tuple(perm), groups.element_order(table, a))
         for a, (obj, perm) in enumerate(zip(objects, perms.tolist()))
     )
-    twists = tuple(mod1(md.conformal_weights[obj]) for obj in objects)
-    assert twists[0] == 0
     charges, charge_den = charge_table(md, elements, table)
+    twists = numerators([md.conformal_weights[obj] for obj in objects], charge_den)
+    assert twists[0] == 0
+    twists.flags.writeable = False
     return PicardGroup(
         md=md,
         elements=elements,
@@ -167,15 +157,12 @@ def charge_table(
 def verify_quadratic(pg: PicardGroup) -> None:
     """Check q(g^n) = n^2 q(g), bi-additivity of b, and b(g,h) = -Q_g(h).
 
-    All identities are integer array comparisons on the grid of charge_den; a
-    twist off that grid, or the first failure in scan order (every (g, n),
-    then each (g, h) followed by its (g, e, h)), raises QuadraticFormViolation.
+    All identities are integer array comparisons on the grid of charge_den;
+    the first failure in scan order (every (g, n), then each (g, h) followed
+    by its (g, e, h)) raises QuadraticFormViolation.
     """
     den = pg.charge_den
-    try:
-        q = -pg.twist_numerators % den
-    except ValueError as exc:
-        raise QuadraticFormViolation(str(exc)) from None
+    q = -pg.twists % den
     t = np.array(pg.table, dtype=np.intp)
     n = len(pg)
     m = np.arange(pg.exponent + 1)
@@ -202,19 +189,6 @@ def verify_quadratic(pg: PicardGroup) -> None:
 # --- diagram automorphisms -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
-    """A symmetry of the affine Dynkin diagram attached to a simple current.
-
-    node_permutation acts on affine node indices {0, ..., rank}; it preserves
-    the affine Cartan matrix (validated at construction time).
-    """
-
-    node_permutation: tuple[int, ...]
-    order: int
-    source_current: int  # index into the Picard group element list
-
-
 def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """The untwisted affine Cartan matrix, node 0 first."""
     n = rs.rank
@@ -230,16 +204,6 @@ def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
         for j in range(n):
             a[i + 1][j + 1] = rs.cartan[i][j]
     return tuple(tuple(row) for row in a)
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    order = 1
-    current = perm
-    identity = tuple(range(len(perm)))
-    while current != identity:
-        current = tuple(perm[i] for i in current)
-        order += 1
-    return order
 
 
 def _preserves_matrix(perm: tuple[int, ...], m: tuple[tuple[int, ...], ...]) -> bool:
@@ -317,8 +281,10 @@ def _catalog_permutation(rs: RootSystem, finite_node: int) -> tuple[int, ...]:
     raise UnsupportedSeries(f"no diagram-automorphism catalog for {rs.lie_type}")
 
 
-def diagram_automorphism(pg: PicardGroup, a: int) -> DiagramAutomorphism:
-    """The affine-diagram symmetry induced by Picard element a (catalog data)."""
+def diagram_automorphism(pg: PicardGroup, a: int) -> tuple[int, ...]:
+    """The affine-diagram symmetry induced by Picard element a (catalog data),
+    as a permutation of the affine node indices {0, ..., rank}, checked to
+    preserve the affine Cartan matrix."""
     ld = pg.md.level_data
     rs = ld.root_system
     node = _cominimal_node(ld, pg.elements[a].object_index)
@@ -331,4 +297,4 @@ def diagram_automorphism(pg: PicardGroup, a: int) -> DiagramAutomorphism:
         raise UnsupportedSeries(
             f"catalog permutation {perm} does not preserve the affine Cartan matrix"
         )
-    return DiagramAutomorphism(perm, _perm_order(perm), a)
+    return perm

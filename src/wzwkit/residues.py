@@ -1,16 +1,17 @@
 """Exact arithmetic in Q/Z.
 
 All group-theoretic phases in this package (conformal weights mod 1, monodromy
-charges, bicharacter values) live in Q/Z.  Past the Picard group they are
-integers over one denominator, `PicardGroup.charge_den`; a residue is a
-`fractions.Fraction` in [0, 1) only where it is read in or handed out.
+charges, bicharacter values, the 6j-scalars phi) live in Q/Z.  The conformal
+weights are read in as `fractions.Fraction`s; from the Picard group on, every
+residue is an integer over one denominator, `PicardGroup.charge_den`, and
+`format_residue` is the one place where such an integer becomes "p/q".
 Exponentials exp(2*pi*i*r) are formed only at output boundaries.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -35,25 +36,27 @@ def numerators(residues, den: int) -> np.ndarray:
     return np.array(flat, dtype=np.int64).reshape(arr.shape) % den
 
 
-def unit_phase(r: Fraction) -> complex:
-    """exp(2*pi*i*r) for a rational residue r."""
-    return cmath.exp(2j * cmath.pi * float(mod1(r)))
-
-
 def format_rational(x: Fraction) -> str:
     """Serialize a rational as the string "p/q" (always with denominator)."""
     return f"{x.numerator}/{x.denominator}"
 
 
-def snap_to_residue(phase: float, denominator: int, max_distance: float) -> Fraction | None:
-    """Snap a phase in [0,1) to the nearest p/denominator, or None if too far.
+def format_residue(v: int, den: int) -> str:
+    """The residue v/den mod 1 as "p/q" in lowest terms, "0/1" for zero."""
+    v = int(v) % den
+    d = gcd(v, den)
+    return f"{v // d}/{den // d}"
+
+
+def snap_to_residue(phase: float, denominator: int, max_distance: float) -> int | None:
+    """Snap a phase in [0,1) to the nearest p/denominator: p mod denominator,
+    or None if too far.
 
     Distance is measured circularly in phase units.
     """
     p = round(phase * denominator)
-    candidate = Fraction(p % denominator, denominator)
     dist = abs(phase - p / denominator)
     dist = min(dist, abs(dist - 1.0))
     if dist > max_distance:
         return None
-    return candidate
+    return p % denominator

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -69,9 +68,6 @@ class KSB:
     support: Subgroup
     values: tuple[tuple[int, ...], ...]
 
-    def value(self, a: int, b: int) -> Fraction:
-        return Fraction(self.values[a][b], self.support.picard.charge_den)
-
 
 def _xi_residues(ksb: KSB) -> np.ndarray:
     """Xi as an int64 array [a, b] over charge_den; NonIntegerEntry unless it
@@ -99,7 +95,7 @@ def enumerate_ksbs(support: Subgroup) -> list[KSB]:
     with this support).
     """
     den = support.picard.charge_den
-    twists = support.picard.twist_numerators[list(support.members)]
+    twists = support.picard.twists[list(support.members)]
     gens = [g for g, _ in support.decomposition]
     orders = [o for _, o in support.decomposition]
     t = len(gens)

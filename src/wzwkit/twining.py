@@ -13,9 +13,12 @@ The 6j-scalar phi_{U}(g, h) is recovered from the ratio identity
 
 which must be independent of the reference fixed point `ref`; that
 independence is the testable content of the conjecture and is enforced here,
-never assumed.  theta_ref(h) is evaluated once per reference row, the ratios
-of all columns form one array, and the reference dependence of a column is
-the diameter of its candidate set, taken over all pairs at once.
+never assumed.  theta_ref(h) is evaluated once per reference row from the
+integer charge table, the ratios of all columns form one array, and the
+reference dependence of a column is the diameter of its candidate set, taken
+over all pairs at once.  A snapped phi is a residue over the Picard group's
+`charge_den`, like the twists it is checked against, so the additivity and
+diagonal checks compare integers.
 
 Every consumer of phi uses one engine, `PhiRows` (S^w of one g, then phi(g, h)
 for a list of h, keeping a violation met for one h in the row, each computed
@@ -29,15 +32,14 @@ import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .affine import LevelData, SimpleLieType, affine_labels, integrable_weights, kac_peterson_S
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
-from .picard import DiagramAutomorphism, PicardGroup, diagram_automorphism
-from .residues import mod1, snap_to_residue, unit_phase
+from .picard import PicardGroup, diagram_automorphism
+from .residues import format_residue, snap_to_residue
 
 
 def fixed_points(pg: PicardGroup, a: int) -> tuple[int, ...]:
@@ -64,11 +66,12 @@ def _rotation_amount(perm: tuple[int, ...]) -> int | None:
     return None
 
 
-def fold_diagram(ld: LevelData, aut: DiagramAutomorphism, config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
-    """Fold the affine diagram along an A-series rotation (or the identity)."""
+def fold_diagram(ld: LevelData, perm: tuple[int, ...], config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
+    """Fold the affine diagram along the node permutation `perm`, an A-series
+    rotation or the identity."""
     n = ld.lie_type.rank
     k = ld.level
-    m = _rotation_amount(aut.node_permutation)
+    m = _rotation_amount(perm)
     if m == 0:
         return OrbitAlgebraData(
             folded_series=ld.lie_type.series,
@@ -79,7 +82,7 @@ def fold_diagram(ld: LevelData, aut: DiagramAutomorphism, config: Config = DEFAU
         )
     if ld.lie_type.series != "A" or m is None:
         raise UnsupportedFolding(
-            f"folding supports only A-series cycle rotations, got {aut.node_permutation} "
+            f"folding supports only A-series cycle rotations, got {perm} "
             f"on {ld.lie_type}"
         )
     nodes = n + 1
@@ -141,8 +144,7 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     fixed = fixed_points(pg, a)
     if not fixed:
         raise ValueError(f"Picard element {a} has no fixed points at this level")
-    aut = diagram_automorphism(pg, a)
-    fold = fold_diagram(md.level_data, aut, config)
+    fold = fold_diagram(md.level_data, diagram_automorphism(pg, a), config)
     if sorted(fold.weight_map) != sorted(fixed):
         raise WzwError(
             "label fixed points disagree with the fusion action "
@@ -176,11 +178,12 @@ _PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
 
 @dataclass(frozen=True)
 class PhiValues:
-    """Snapped phi residues for one (g, h) pair, per fixed point of g."""
+    """Snapped phi residues over charge_den for one (g, h) pair, per fixed
+    point of g."""
 
     g: int
     h: int
-    by_weight: dict[int, Fraction]
+    by_weight: dict[int, int]
     spread: float  # worst-case reference dependence of the raw ratio
 
 
@@ -197,7 +200,8 @@ def extract_phi(
     weight, so the candidate is exp(-2 pi i Q_ref(h)) * S^w[ref, U] / S^w[ref, h.U];
     the returned residues are normalized additively so that the diagonal
     phi(g, g) equals +h_g mod 1, matching the KSB tables elsewhere in the
-    package.  Raises LambdaDependence if the ratio varies with the reference
+    package; each is p/exponent, stored as an integer over charge_den.
+    Raises LambdaDependence if the ratio varies with the reference
     weight beyond tolerance (a conjecture violation), SnapFailure if a phase
     is not a small root of unity.
 
@@ -225,7 +229,9 @@ def extract_phi(
     num_small, den_small = small[:, :ncol].T, small[:, c2].T
     mismatch = num_small != den_small
     usable = ~(num_small | den_small)
-    theta = np.array([unit_phase(-pg.charge(ref, h)) for ref in fixed], dtype=np.complex128)
+    grid = pg.charge_den
+    theta = np.array([cmath.exp(2j * cmath.pi * (-q % grid / grid))
+                      for q in pg.charges[list(fixed), h].tolist()], dtype=np.complex128)
     # theta * num spelt out in real arithmetic, which is bit-equal to the
     # scalar complex product (numpy's array complex multiply is not)
     cand = np.empty(num.shape, dtype=np.complex128)
@@ -249,7 +255,7 @@ def extract_phi(
         | (np.abs(modulus - 1.0) > zero_floor)
     )
     stop = int(failing[0]) if len(failing) else ncol
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for c in range(stop):
         # store additively with the +h_g diagonal convention
         phase = (-cmath.phase(value[c]) / (2 * math.pi)) % 1.0
@@ -258,7 +264,7 @@ def extract_phi(
             raise SnapFailure(
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
-        out[fixed[c]] = snapped
+        out[fixed[c]] = snapped * (grid // denom)
     if stop < ncol:
         c = stop
         if mismatch[c].any():
@@ -343,8 +349,8 @@ class ConjectureReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _additive(a: PhiValues, b: PhiValues, ab: PhiValues, weights) -> bool:
-    return all(mod1(a.by_weight[u] + b.by_weight[u]) == ab.by_weight[u] for u in weights)
+def _additive(a: PhiValues, b: PhiValues, ab: PhiValues, weights, den: int) -> bool:
+    return all((a.by_weight[u] + b.by_weight[u]) % den == ab.by_weight[u] for u in weights)
 
 
 def conjecture_checks(
@@ -359,6 +365,7 @@ def conjecture_checks(
     """
     rows = list(rows)
     tol = config.tolerance
+    den = pg.charge_den
     phis = {(row.g, h): v for row in rows for h, v in row.phi.items() if isinstance(v, PhiValues)}
     checks: list[ConjectureCheck] = []
     for row in rows:
@@ -378,12 +385,13 @@ def conjecture_checks(
                 trio = [phis.get((g, h)) for h in (h1, h2, h12)]
                 if None not in trio:
                     checks.append(ConjectureCheck(
-                        "phi-additive-in-h", g, h12, _additive(*trio, trio[2].by_weight),
+                        "phi-additive-in-h", g, h12, _additive(*trio, trio[2].by_weight, den),
                         None, f"h1={h1}, h2={h2}"))
         if (g, g) in phis:
-            ok = all(r == pg.twists[g] for r in phis[(g, g)].by_weight.values())
-            checks.append(ConjectureCheck(
-                "phi-diagonal-equals-twist", g, g, ok, None, f"twist residue {pg.twists[g]}"))
+            twist = int(pg.twists[g])
+            ok = all(r == twist for r in phis[(g, g)].by_weight.values())
+            checks.append(ConjectureCheck("phi-diagonal-equals-twist", g, g, ok, None,
+                                          f"twist residue {format_residue(twist, den)}"))
     for row1 in rows:
         for row2 in rows:
             g1, g2 = row1.g, row2.g
@@ -395,7 +403,7 @@ def conjecture_checks(
                 common = set.intersection(*(set(v.by_weight) for v in trio))
                 if common:
                     checks.append(ConjectureCheck(
-                        "phi-additive-in-g", g12, h, _additive(*trio, common),
+                        "phi-additive-in-g", g12, h, _additive(*trio, common, den),
                         None, f"g1={g1}, g2={g2}"))
     return checks
 

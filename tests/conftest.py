@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,17 @@ from wzwkit.acceptance import CATALOG, Battery  # noqa: F401 (test modules impor
 # the suite stays deterministic.
 settings.register_profile("wzwkit", derandomize=True, deadline=None, database=None)
 settings.load_profile("wzwkit")
+
+# On a failing example Hypothesis imports this module, which imports libcst,
+# whose import warns (DeprecationWarning from mypy_extensions).  Under the
+# suite's filterwarnings = error that warning would end the whole session in
+# INTERNALERROR, so the module is imported once here with it ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst or no such module: nothing to preload
+        pass
 
 _pic_cache = {}
 

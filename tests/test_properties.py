@@ -14,8 +14,8 @@ from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_
                     build_root_system, classify_algebras, count_boundary_conditions,
                     orbit_decomposition)
 from wzwkit.affine import SimpleLieType, t_matrix, weyl_order
-from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank
-from wzwkit.residues import mod1
+from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
+from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
 from test_kac_peterson import einsum_fusion
 from test_picard import CENTER_ORDER
@@ -66,25 +66,42 @@ def test_verlinde_matches_einsum_and_is_symmetric(md_of, algebra):
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
 def test_residues_lie_on_the_charge_grid(pic_of, algebra):
     """Every algebra of the draw: the group exponent divides charge_den, and
-    the twists, every KSB value and every character of a bimodule class (of
-    the full ring, or the pointed one where H has fixed points) are integers
-    over it."""
+    the charges, the twists, every KSB value, every character of a bimodule
+    class (of the full ring, or the pointed one where H has fixed points),
+    every phi of the phi rows and every eps form that needs no phi table are
+    integers in [0, charge_den)."""
     pg = pic_of(*algebra)
     den = pg.charge_den
     assert den % pg.exponent == 0
 
-    def on_grid(residue):
-        return (residue * den).denominator == 1
+    def on_grid(values):
+        return all(type(v) is int and 0 <= v < den for v in values)
 
-    assert all(map(on_grid, pg.twists))
+    assert on_grid(pg.charges.flatten().tolist()) and on_grid(pg.twists.tolist())
     for ca in classify_algebras(pg):
-        n = len(ca.algebra.support)
-        assert all(on_grid(ca.algebra.ksb.value(a, b)) for a in range(n) for b in range(n))
+        assert on_grid(v for row in ca.algebra.ksb.values for v in row)
         try:
             ring = build_bimodule_ring(ca.algebra)
         except FixedPointsPresent:
             ring = build_pointed_bimodule_ring(ca.algebra)
-        assert all(on_grid(x) for cls in ring.basis for x in cls.character)
+        assert on_grid(x for cls in ring.basis for x in cls.character)
+        try:
+            count = count_boundary_conditions(ca.algebra)
+        except PhiUnavailable:
+            continue  # a non-cyclic stabilizer needs phi
+        assert on_grid(v for eps in count.forms for row in eps.values for v in row)
+    rows = PhiRows(pg)
+    everything = range(len(pg))
+    for g in everything:
+        if not fixed_points(pg, g):
+            continue
+        try:
+            row = rows.row(g, everything)
+        except WzwError:
+            continue  # no S^w for g: a fold the catalog lacks
+        for vals in row.phi.values():
+            if isinstance(vals, PhiValues):
+                assert on_grid(vals.by_weight.values())
 
 
 @given(ALGEBRAS)
@@ -112,11 +129,12 @@ def test_picard_order_and_charge_characters(md_of, pic_of, algebra):
     center = rule[int(name[1:])] if isinstance(rule, dict) else rule(int(name[1:]))
     # E8 level 2 has the exceptional simple current of its Ising-like fusion
     assert len(pg) == (2 if algebra == ("E8", 2) else center)
+    q = pg.charges.tolist()  # [i][a]: Q_i(g_a) over charge_den
     for i in range(len(md)):
-        assert pg.charge(i, 0) == 0
+        assert q[i][0] == 0
         for a in range(len(pg)):
             for b in range(len(pg)):
-                assert pg.charge(i, pg.table[a][b]) == mod1(pg.charge(i, a) + pg.charge(i, b))
+                assert q[i][pg.table[a][b]] == (q[i][a] + q[i][b]) % pg.charge_den
 
 
 @given(ALGEBRAS)

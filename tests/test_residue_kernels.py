@@ -2,9 +2,11 @@
 verify_quadratic and enumerate_ksbs against the scalar loops they replaced.
 
 Each oracle below is the per-entry implementation over Fractions and numpy
-scalars that the kernel superseded, kept as it was.  Results must agree
-exactly (phi spreads bit for bit), and on tampered input the kernels must
-raise the same exception with the same message as the scalar scan.
+scalars that the kernel superseded, kept as it was.  The kernels hold every
+residue as an integer v over the Picard group's charge_den, so results are
+compared through Fraction(v, charge_den) and must agree exactly (phi spreads
+bit for bit); on tampered input the kernels must raise the same exception
+with the same message as the scalar scan.
 """
 
 import cmath
@@ -43,7 +45,7 @@ from wzwkit.errors import (
 )
 from wzwkit.groups import power
 from wzwkit.picard import PicardGroup
-from wzwkit.residues import mod1, numerators, snap_to_residue, unit_phase
+from wzwkit.residues import format_rational, format_residue, mod1, numerators, snap_to_residue
 from wzwkit.schellekens import KSB, SchellekensAlgebra, Subgroup
 from wzwkit.twining import PhiValues, TwiningSMatrix
 
@@ -60,6 +62,11 @@ RING_IDS = [f"{name}:{k}" for name, k in RING_CASES]
 
 
 # -- scalar oracles ----------------------------------------------------------
+
+
+def unit_phase(r):
+    """exp(2*pi*i*r) for a rational residue r."""
+    return cmath.exp(2j * cmath.pi * float(mod1(r)))
 
 
 def monodromy_charge(md, pg, i, a):
@@ -122,7 +129,7 @@ def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
             raise SnapFailure(
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
-        out[target_weight] = snapped
+        out[target_weight] = Fraction(snapped, denom)
     return PhiValues(g, h, out, worst_spread)
 
 
@@ -149,7 +156,7 @@ def _all_characters(algebra):
 
 def _ksb_character(algebra, h_local):
     """The character Xi(., h) used to over-parametrize the classes."""
-    return tuple(algebra.ksb.value(a, h_local) for a in range(len(algebra.support)))
+    return tuple(row[h_local] for row in _fraction_values(algebra.ksb))
 
 
 def scalar_ring(md, algebra, objects):
@@ -204,8 +211,8 @@ def scalar_ring(md, algebra, objects):
 
 def _fraction_values(ksb):
     """Xi as the nested tuple of its Fraction residues."""
-    n = len(ksb.support)
-    return tuple(tuple(ksb.value(a, b) for b in range(n)) for a in range(n))
+    den = ksb.support.picard.charge_den
+    return tuple(tuple(Fraction(v, den) for v in row) for row in ksb.values)
 
 
 def _scalar_is_bihomomorphism(sub, values):
@@ -227,6 +234,7 @@ def scalar_partition_function(md, algebra):
     ksb = algebra.ksb
     if not _scalar_is_bihomomorphism(sub, _fraction_values(ksb)):
         raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
+    xi = _fraction_values(ksb)
     n = len(md)
     members = sub.members
     charges = [[monodromy_charge(md, pg, i, g) for g in members] for i in range(n)]
@@ -234,7 +242,7 @@ def scalar_partition_function(md, algebra):
     for i in range(n):
         for a, g in enumerate(members):
             trivial = all(
-                mod1(charges[i][b] + ksb.value(b, a)) == 0 for b in range(len(members))
+                mod1(charges[i][b] + xi[b][a]) == 0 for b in range(len(members))
             )
             if trivial:
                 j = md.conjugation[pg.act(g, i)]
@@ -246,7 +254,7 @@ def scalar_partition_function(md, algebra):
 
 def scalar_verify_quadratic(pg):
     """Raise QuadraticFormViolation at the first failing identity of the loop."""
-    q = [mod1(-t) for t in pg.twists]  # q(g) = -h_g mod 1
+    q = [mod1(-Fraction(t, pg.charge_den)) for t in pg.twists.tolist()]  # q(g) = -h_g mod 1
     n = len(pg)
     exp = pg.exponent
 
@@ -261,7 +269,7 @@ def scalar_verify_quadratic(pg):
                 raise QuadraticFormViolation(f"q(g^{m}) != {m}^2 q(g) for element {a}")
     for a in range(n):
         for c in range(n):
-            if b(a, c) != mod1(-pg.charge(pg.elements[a].object_index, c)):
+            if b(a, c) != mod1(-monodromy_charge(pg.md, pg, pg.elements[a].object_index, c)):
                 raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
             for e in range(n):
                 if b(pg.table[a][e], c) != mod1(b(a, c) + b(e, c)):
@@ -271,7 +279,8 @@ def scalar_verify_quadratic(pg):
 def scalar_enumerate_ksbs(support):
     """Every KSB on the support as Fraction value tables, in sorted order."""
     n = len(support)
-    twists = tuple(support.picard.twists[g] for g in support.members)
+    pg = support.picard
+    twists = tuple(Fraction(int(pg.twists[g]), pg.charge_den) for g in support.members)
     if n == 1:
         return [((mod1(0),),)]
     decomp = support.decomposition
@@ -328,12 +337,12 @@ def _outcome(fn, *args):
         return (type(exc), str(exc))
 
 
-def _assert_same_phi(new, old):
+def _assert_same_phi(new, old, den):
     if isinstance(old, tuple):
         assert new == old
         return
     assert (new.g, new.h) == (old.g, old.h)
-    assert list(new.by_weight.items()) == list(old.by_weight.items())
+    assert [(u, Fraction(v, den)) for u, v in new.by_weight.items()] == list(old.by_weight.items())
     assert float(new.spread).hex() == float(old.spread).hex()
 
 
@@ -361,7 +370,7 @@ def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
         for h in range(len(pg)):
             new = _outcome(extract_phi, pg, tsm, g, h)
             old = _outcome(scalar_extract_phi, md, pg, tsm, g, h)
-            _assert_same_phi(new, old)
+            _assert_same_phi(new, old, pg.charge_den)
             pairs += 1
     assert pairs >= 1  # the identity always has every weight fixed
 
@@ -381,7 +390,8 @@ def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
                 assert new == old
                 continue
             basis, structure, unit = old
-            assert new.basis == basis
+            assert [(cls.object_index, tuple(Fraction(x, pg.charge_den) for x in cls.character))
+                    for cls in new.basis] == [(cls.object_index, cls.character) for cls in basis]
             assert new.unit == unit
             assert new.structure.dtype == structure.dtype
             assert np.array_equal(new.structure, structure)
@@ -505,7 +515,7 @@ def test_phi_error_parity_under_random_tampering(name, k, md_of, pic_of):
             for h in range(len(pg)):
                 new = _outcome(extract_phi, pg, tampered, g, h)
                 old = _outcome(scalar_extract_phi, md, pg, tampered, g, h)
-                _assert_same_phi(new, old)
+                _assert_same_phi(new, old, pg.charge_den)
                 kinds.add(new[1].split(" ")[0] if isinstance(new, tuple) else "ok")
     assert len(kinds) >= 3
 
@@ -585,12 +595,12 @@ def test_quadratic_error_parity_on_tampered_twists(pic_of):
         pg = pic_of(name, k)
         den = pg.charge_den
         for _ in range(12):
-            nums = pg.twist_numerators.copy()
+            nums = pg.twists.copy()
             count = rng.integers(1, len(pg) + 1) if rng.integers(4) == 0 else 1
             for a in rng.choice(len(pg), size=count, replace=False):
                 unit = den // 4 if den % 4 == 0 and rng.integers(2) else 1
                 nums[a] = (nums[a] + unit * rng.integers(1, 4)) % den
-            bad = dataclasses.replace(pg, twists=tuple(Fraction(int(v), den) for v in nums))
+            bad = dataclasses.replace(pg, twists=nums)
             new = _outcome(verify_quadratic, bad)
             assert new == _outcome(scalar_verify_quadratic, bad)
             kinds.add(" ".join(new[1].split(" ")[:2]) if isinstance(new, tuple) else "ok")
@@ -601,3 +611,13 @@ def test_numerators_refuse_an_off_grid_residue():
     assert numerators([Fraction(1, 4), Fraction(0)], 32).tolist() == [8, 0]
     with pytest.raises(ValueError, match="residue 1/3 is not a multiple of 1/32"):
         numerators([Fraction(1, 3)], 32)
+
+
+def test_format_residue_spells_the_residue_mod_1():
+    """Negative numerators, zero and numerators of den or more, as Python and
+    numpy integers, read as the reduced residue in [0, 1)."""
+    den = 24
+    for v in (-49, -24, -9, -1, 0, 1, 6, 23, 24, 30, 72, 101):
+        expected = format_rational(mod1(Fraction(v, den)))
+        assert format_residue(v, den) == format_residue(np.int64(v), den) == expected
+    assert format_residue(0, den) == "0/1"

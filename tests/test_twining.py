@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from wzwkit import (
     verify_conjecture,
 )
 from wzwkit.errors import LambdaDependence, UnsupportedFolding
-from wzwkit.residues import mod1
 from wzwkit.twining import PhiRows, TwiningSMatrix, conjecture_checks
 
 
@@ -131,10 +129,11 @@ def test_phi_values_a3(pic_of):
     jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
     tsm = twining_S(pg, jsq)
     j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
+    half = pg.charge_den // 2  # residues over charge_den
     swap = extract_phi(pg, tsm, jsq, j)
-    assert set(swap.by_weight.values()) == {Fraction(1, 2)}
+    assert set(swap.by_weight.values()) == {half}
     diag = extract_phi(pg, tsm, jsq, jsq)
-    assert set(diag.by_weight.values()) == {Fraction(0)}
+    assert set(diag.by_weight.values()) == {0}
     assert diag.by_weight == {i: pg.twists[jsq] for i in tsm.fixed_points}
 
 
@@ -214,7 +213,8 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
     for row in rows:
         if row.g == g:
             vals = row.phi[h]
-            shifted = {**vals.by_weight, u: mod1(vals.by_weight[u] + Fraction(1, 4))}
+            quarter = pg.charge_den // 4
+            shifted = {**vals.by_weight, u: (vals.by_weight[u] + quarter) % pg.charge_den}
             row = replace(row, phi={**row.phi, h: replace(vals, by_weight=shifted)})
         tampered.append(row)
     assert check not in {c.name for c in conjecture_checks(pg, rows) if not c.passed}
@@ -246,9 +246,9 @@ def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     """Cross-module check: eps = phi + Xi^T built from the twining-extracted
     phi on the stabilizer of the fixed points is exactly alternating."""
     from wzwkit import enumerate_ksbs, enumerate_subgroups
-    from wzwkit.residues import mod1
 
     pg = pic_of("A3", 2)
+    den = pg.charge_den
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
     ksb = enumerate_ksbs(full)[0]
     rows = PhiRows(pg)
@@ -261,16 +261,12 @@ def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     for u in fixed_points(pg, jsq):
         for g in stabilizer:
             for h in stabilizer:
-                eps = mod1(
-                    table[u, g, h]
-                    + ksb.value(full.members.index(h), full.members.index(g))
-                )
+                eps = (table[u, g, h]
+                       + ksb.values[full.members.index(h)][full.members.index(g)]) % den
                 if g == h:
                     assert eps == 0
-                assert eps == mod1(
-                    -(table[u, h, g]
-                      + ksb.value(full.members.index(g), full.members.index(h)))
-                )
+                assert eps == -(table[u, h, g]
+                                + ksb.values[full.members.index(g)][full.members.index(h)]) % den
 
 
 def test_complex_folded_matrix_a5(pic_of):
