@@ -27,16 +27,16 @@ _EXPORTS = {
         "modular_data_to_doc", "modular_data_from_doc",
     ),
     "picard": (
-        "SimpleCurrent", "PicardGroup", "find_simple_currents",
+        "PicardGroup", "find_simple_currents",
         "charge_table", "verify_quadratic", "diagram_automorphism",
     ),
     "schellekens": (
-        "Subgroup", "KSB", "SchellekensAlgebra", "ClassifiedAlgebra",
+        "Subgroup", "SchellekensAlgebra",
         "enumerate_subgroups", "enumerate_ksbs", "partition_function",
         "verify_modular_invariance", "classify_algebras",
     ),
     "boundary": (
-        "OrbitDecomposition", "EpsilonForm", "BoundaryCount",
+        "EpsilonForm", "BoundaryCount",
         "orbit_decomposition", "epsilon_form", "count_boundary_conditions",
     ),
     "bimodule": (

@@ -43,14 +43,14 @@ class CheckResult:
 class Battery:
     """Shared modular-data cache plus the eleven criterion runners."""
 
-    # One memo for every Battery in the process, and so for the test suite's
-    # md_of too; ModularData is immutable.
+    # One memo of each kind for every Battery in the process, and so for the
+    # test suite's md_of and pic_of too; what they hold is immutable.
     _md: dict[tuple[str, int, Config], ModularData] = {}
+    _pic: dict[tuple[str, int, Config], picard.PicardGroup] = {}
+    _algebras: dict[tuple[str, int, Config], list[schellekens.SchellekensAlgebra]] = {}
 
     def __init__(self, config: Config = DEFAULT_CONFIG):
         self.config = config
-        self._pic: dict[tuple[str, int], picard.PicardGroup] = {}
-        self._algebras: dict[tuple[str, int], list[schellekens.ClassifiedAlgebra]] = {}
 
     def md(self, name: str, level: int) -> ModularData:
         key = (name, level, self.config)
@@ -59,20 +59,20 @@ class Battery:
         return self._md[key]
 
     def pic(self, name: str, level: int) -> picard.PicardGroup:
-        key = (name, level)
+        key = (name, level, self.config)
         if key not in self._pic:
             self._pic[key] = picard.find_simple_currents(self.md(name, level), self.config)
         return self._pic[key]
 
-    def algebras(self, name: str, level: int) -> list[schellekens.ClassifiedAlgebra]:
-        key = (name, level)
+    def algebras(self, name: str, level: int) -> list[schellekens.SchellekensAlgebra]:
+        key = (name, level, self.config)
         if key not in self._algebras:
             self._algebras[key] = schellekens.classify_algebras(self.pic(name, level))
         return self._algebras[key]
 
-    def of_order(self, name: str, level: int, order: int) -> list[schellekens.ClassifiedAlgebra]:
+    def of_order(self, name: str, level: int, order: int) -> list[schellekens.SchellekensAlgebra]:
         """The classified algebras whose support has the given order."""
-        return [c for c in self.algebras(name, level) if len(c.algebra.support) == order]
+        return [a for a in self.algebras(name, level) if len(a.support) == order]
 
     # -- 1 ------------------------------------------------------------------
 
@@ -178,13 +178,13 @@ class Battery:
         worst = 0.0
         for name, k in CATALOG:
             md = self.md(name, k)
-            for ca in self.algebras(name, k):
-                if len(ca.algebra.support) == 1:
+            for alg in self.algebras(name, k):
+                if len(alg.support) == 1:
                     conjugation = np.eye(len(md), dtype=np.int64)[list(md.conjugation)]
-                    if not np.array_equal(ca.partition, conjugation):
+                    if not np.array_equal(alg.partition, conjugation):
                         ok = False
                         notes.append(f"Cardy Z != conjugation for {name} level {k}")
-                norm = schellekens.verify_modular_invariance(md, ca.partition, self.config)
+                norm = schellekens.verify_modular_invariance(md, alg.partition, self.config)
                 worst = max(worst, norm)
         deven = self.of_order("A1", 4, 2)
         want = tuple(
@@ -219,7 +219,7 @@ class Battery:
         notes = []
         for name, k, expected in [("A1", 4, 4), ("A1", 6, 5)]:
             alg = self.of_order(name, k, 2)[0]
-            count = boundary.count_boundary_conditions(alg.algebra)
+            count = boundary.count_boundary_conditions(alg)
             if count.total != expected:
                 ok = False
                 notes.append(f"({name},{k}) boundary count {count.total} != {expected}")
@@ -227,19 +227,19 @@ class Battery:
         skipped = 0
         for name, k in CATALOG:
             md = self.md(name, k)
-            for ca in self.algebras(name, k):
+            for alg in self.algebras(name, k):
                 try:
-                    count = boundary.count_boundary_conditions(ca.algebra)
+                    count = boundary.count_boundary_conditions(alg)
                 except PhiUnavailable:
                     skipped += 1  # non-cyclic stabilizer without a supported folding
                     continue
-                ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
+                ishibashi = int(alg.partition[range(len(md)), md.conjugation].sum())
                 checked += 1
                 if count.total != ishibashi:
                     ok = False
                     notes.append(
                         f"completeness fails for {name} level {k} "
-                        f"support {ca.algebra.support.members}: {count.total} != {ishibashi}"
+                        f"support {alg.support.members}: {count.total} != {ishibashi}"
                     )
         detail = (
             "; ".join(notes)
@@ -255,7 +255,7 @@ class Battery:
         ok = True
         notes = []
         alg = self.of_order("A2", 2, 3)[0]
-        ring = bimodule.build_bimodule_ring(alg.algebra)
+        ring = bimodule.build_bimodule_ring(alg)
         if len(ring) != 6:
             ok = False
             notes.append(f"(A2,2) ring rank {len(ring)} != 6")
@@ -268,7 +268,7 @@ class Battery:
             ok = False
             notes.append(f"(A2,2) bimodule Picard order {len(bp)} != 3")
         cardy = self.of_order("A1", 2, 1)[0]
-        ring2 = bimodule.build_bimodule_ring(cardy.algebra)
+        ring2 = bimodule.build_bimodule_ring(cardy)
         bp2 = bimodule.bimodule_picard(ring2)
         if bp2.iso_class_name != "Z2" or bp2.invariant_factors != (2,):
             ok = False
@@ -284,13 +284,13 @@ class Battery:
         ok = True
         notes = []
         cardy = self.of_order("A1", 2, 1)[0]
-        ring = bimodule.build_bimodule_ring(cardy.algebra)
+        ring = bimodule.build_bimodule_ring(cardy)
         kw = bimodule.kramers_wannier_candidates(ring)
         if [c.object_index for c in kw] != [1]:
             ok = False
             notes.append(f"Ising KW candidates {[c.object_index for c in kw]} != [sigma]")
         cardy4 = self.of_order("A1", 4, 1)[0]
-        ring4 = bimodule.build_bimodule_ring(cardy4.algebra)
+        ring4 = bimodule.build_bimodule_ring(cardy4)
         kw4 = bimodule.kramers_wannier_candidates(ring4)
         if kw4:
             ok = False
@@ -307,7 +307,7 @@ class Battery:
         notes = []
         worst = 0.0
         pg = self.pic("A3", 2)
-        g = next(i for i in range(len(pg)) if pg.elements[i].order == 2)
+        g = pg.orders.index(2)
         tsm = twining.twining_S(pg, g, self.config)
         m = tsm.matrix
         if m.shape != (2, 2):
@@ -315,14 +315,14 @@ class Battery:
             notes.append(f"(A3,2) twining matrix is {m.shape}, not 2x2")
         worst = max(worst, tsm.symmetry_residual, tsm.unitarity_residual)
         full = self.of_order("A3", 2, 4)[0]
-        rep = twining.verify_conjecture(full.algebra, self.config)
+        rep = twining.verify_conjecture(full, self.config)
         if not rep.passed:
             ok = False
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
         worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
-            for ca in self.algebras(name, k):
-                rep1 = twining.verify_conjecture(ca.algebra, self.config)
+            for alg in self.algebras(name, k):
+                rep1 = twining.verify_conjecture(alg, self.config)
                 if not rep1.passed:
                     ok = False
                     notes.append(f"1x1 case {name} level {k} fails")
@@ -331,7 +331,7 @@ class Battery:
         perturbed[0, 0] += 1e-3
         h_swap = next(
             a for a in range(len(pg))
-            if pg.elements[a].action[tsm.fixed_points[0]] == tsm.fixed_points[1]
+            if pg.action[a, tsm.fixed_points[0]] == tsm.fixed_points[1]
         )
         try:
             twining.extract_phi(

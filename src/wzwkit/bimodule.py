@@ -63,7 +63,7 @@ class BimoduleRing:
     def invertible_positions(self) -> tuple[int, ...]:
         """The invertible classes, unit first: rows of the structure that are
         permutation matrices, among the classes over simple currents."""
-        pic_objects = {el.object_index for el in self.algebra.picard.elements}
+        pic_objects = set(self.algebra.picard.objects)
         over = [x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects]
         return unit_group(self.structure, self.unit, over)[0]
 
@@ -76,14 +76,14 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing
     objs = np.array(objects, dtype=np.intp)
 
     # orbits of H on the chosen object set; the action must be free
-    act = np.array([pg.elements[g].action for g in sub.members], dtype=np.intp)  # [h, i]
+    act = pg.action[list(sub.members)]  # [h, i]
     moved = act[:, objs]  # [h, k]: g_h . objs[k]
     fixed = sorted(set(objs[(moved[1:] == objs).any(axis=0)].tolist()))
     if fixed:
         raise FixedPointsPresent([md.weights[i] for i in fixed])
     if not np.isin(moved, objs).all():
         raise WzwError("object set is not closed under the H-action")
-    xi = _xi_residues(algebra.ksb)  # [a, h]: Xi(g_a, g_h)
+    xi = _xi_residues(algebra)  # [a, h]: Xi(g_a, g_h)
     rep = moved.min(axis=0)  # [k]: the least object of the orbit of objs[k]
     reps = np.array(sorted(set(rep.tolist())), dtype=np.intp)  # not np.unique: it loads numpy.ma
     shift_by = (act[:, rep] == objs).argmax(axis=0)  # [k]: the h with g_h . rep = objs[k]
@@ -151,7 +151,7 @@ def build_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
 
 def build_pointed_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
     """The bimodule ring restricted to invertible objects (always free)."""
-    objects = sorted(el.object_index for el in algebra.picard.elements)
+    objects = sorted(algebra.picard.objects)
     return _build_ring(algebra, objects)
 
 

@@ -7,8 +7,9 @@ alternating form eps_U.  On a cyclic stabilizer eps_U is forced to vanish, so
 the 6j-table phi is consulted only for non-cyclic stabilizers.  phi is a plain
 mapping (U, g, h) -> int, keyed by weight index and Picard element indices,
 whose values are residues over the Picard group's `charge_den`, as are the
-values of eps_U.  Every function reads the simple objects and the action
-from the algebra's Picard group.
+values of eps_U.  The orbits are read from the rows of the Picard group's
+action, and a count always uses its algebra's own support: no function here
+takes orbits from the caller.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ if TYPE_CHECKING:
     from collections.abc import Mapping
 
     from .picard import PicardGroup
-    from .schellekens import KSB, SchellekensAlgebra, Subgroup
+    from .schellekens import SchellekensAlgebra, Subgroup
 
 
 @dataclass(frozen=True)
@@ -32,31 +33,20 @@ class Orbit:
     stabilizer: tuple[int, ...]  # pic element indices, identity first
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    orbits: tuple[Orbit, ...]
-    orbit_of: tuple[int, ...]  # weight index -> position in orbits
-
-
-def orbit_decomposition(sub: Subgroup) -> OrbitDecomposition:
-    """Partition P_+^k under the permutation action of H, with stabilizers."""
-    pg = sub.picard
-    n = len(pg.md)
-    orbit_of = [-1] * n
-    orbits: list[Orbit] = []
-    for i in range(n):
-        if orbit_of[i] >= 0:
+def orbit_decomposition(sub: Subgroup) -> tuple[Orbit, ...]:
+    """Partition P_+^k under the permutation action of H, with stabilizers,
+    in the order of the least member of each orbit, its representative."""
+    images = sub.picard.action[list(sub.members)].T.tolist()  # [i][h]: g_h . i
+    orbits = []
+    for rep, row in enumerate(images):
+        if min(row) != rep:  # rep is not the least member of its orbit
             continue
-        members = sorted({pg.act(g, i) for g in sub.members})
-        rep = members[0]
-        stab = tuple(g for g in sub.members if pg.act(g, rep) == rep)
+        stab = tuple(g for g, j in zip(sub.members, row) if j == rep)
+        members = tuple(sorted(set(row)))
         if len(members) * len(stab) != len(sub):
             raise WzwError("orbit-stabilizer mismatch (corrupt action)")
-        pos = len(orbits)
-        orbits.append(Orbit(rep, tuple(members), stab))
-        for j in members:
-            orbit_of[j] = pos
-    return OrbitDecomposition(tuple(orbits), tuple(orbit_of))
+        orbits.append(Orbit(rep, members, stab))
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,11 @@ class EpsilonForm:
 
 def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
     """A subgroup of an abelian group is cyclic iff one of its elements has order |stab|."""
-    return any(pg.elements[g].order == len(stab) for g in stab)
+    return any(pg.orders[g] == len(stab) for g in stab)
 
 
 def epsilon_form(
-    orbit: Orbit, ksb: KSB, phi: Mapping[tuple[int, int, int], int] | None = None
+    orbit: Orbit, algebra: SchellekensAlgebra, phi: Mapping[tuple[int, int, int], int] | None = None
 ) -> EpsilonForm:
     """eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the orbit.
 
@@ -88,7 +78,7 @@ def epsilon_form(
     must hold (U, g, h) for the orbit's representative U and every g, h in
     the stabilizer.  phi, Xi and eps are residues over charge_den.
     """
-    sub = ksb.support
+    sub = algebra.support
     stab = orbit.stabilizer
     n = len(stab)
     if _stabilizer_is_cyclic(sub.picard, stab):
@@ -106,7 +96,7 @@ def epsilon_form(
         for h in stab:
             if (u, g, h) not in phi:
                 raise PhiUnavailable(f"phi table lacks entry (U={u}, g={g}, h={h})")
-            xi = ksb.values[sub.members.index(h)][sub.members.index(g)]
+            xi = algebra.xi[sub.members.index(h)][sub.members.index(g)]
             row.append((phi[u, g, h] + xi) % den)
         rows.append(tuple(row))
     form = EpsilonForm(stab, tuple(rows))
@@ -120,30 +110,18 @@ def epsilon_form(
 class BoundaryCount:
     total: int
     per_orbit: tuple[tuple[int, int], ...]  # (orbit representative, count)
-    orbits: OrbitDecomposition
-    forms: tuple[EpsilonForm, ...]  # eps_U per orbit, in the order of orbits
+    forms: tuple[EpsilonForm, ...]  # eps_U per orbit, in the order of per_orbit
 
 
 def count_boundary_conditions(
-    algebra: SchellekensAlgebra,
-    phi: Mapping[tuple[int, int, int], int] | None = None,
-    dec: OrbitDecomposition | None = None,
+    algebra: SchellekensAlgebra, phi: Mapping[tuple[int, int, int], int] | None = None
 ) -> BoundaryCount:
-    """Number of simple modules: sum over orbits of #Irr of the twisted
-    stabilizer algebra, which for abelian stabilizers is |rad eps_U|.
-
-    dec is the orbit decomposition of the algebra's support, computed here
-    unless the caller passes the one it already has.
-    """
-    if dec is None:
-        dec = orbit_decomposition(algebra.support)
-    forms = tuple(epsilon_form(orbit, algebra.ksb, phi) for orbit in dec.orbits)
+    """Number of simple modules: sum over the orbits of the algebra's support
+    of #Irr of the twisted stabilizer algebra, which for abelian stabilizers
+    is |rad eps_U|."""
+    orbits = orbit_decomposition(algebra.support)
+    forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in orbits)
     per_orbit = tuple(
-        (orbit.representative, eps.radical_size()) for orbit, eps in zip(dec.orbits, forms)
+        (orbit.representative, eps.radical_size()) for orbit, eps in zip(orbits, forms)
     )
-    return BoundaryCount(
-        total=sum(c for _, c in per_orbit),
-        per_orbit=per_orbit,
-        orbits=dec,
-        forms=forms,
-    )
+    return BoundaryCount(total=sum(c for _, c in per_orbit), per_orbit=per_orbit, forms=forms)

@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .affine import ModularData
-    from .schellekens import ClassifiedAlgebra
+    from .schellekens import SchellekensAlgebra
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,12 +216,12 @@ def _cmd_picard(md: ModularData, args, config: Config):
         "elements": [
             {
                 "index": a,
-                "objectIndex": el.object_index,
-                "weight": list(md.weights[el.object_index]),
-                "order": el.order,
+                "objectIndex": obj,
+                "weight": list(md.weights[obj]),
+                "order": order,
                 "twist": format_residue(pg.twists[a], den),
             }
-            for a, el in enumerate(pg.elements)
+            for a, (obj, order) in enumerate(zip(pg.objects, pg.orders))
         ],
         "chargeTable": [[format_residue(q, den) for q in row]
                         for row in pg.charges.tolist()],
@@ -229,33 +229,35 @@ def _cmd_picard(md: ModularData, args, config: Config):
     return payload, checks
 
 
-def _algebra_blob(ca: ClassifiedAlgebra, config: Config, latex: bool) -> tuple[dict, bool, float | None]:
+def _algebra_blob(
+    algebra: SchellekensAlgebra, config: Config, latex: bool
+) -> tuple[dict, bool, float | None]:
     from . import schellekens
     from .affine import sparse_entries
     from .residues import format_residue
 
-    sub = ca.algebra.support
-    den = sub.picard.charge_den
+    sub = algebra.support
+    pg = sub.picard
     blob = {
         "support": {
             "order": len(sub),
-            "objectIndices": [sub.picard.elements[g].object_index for g in sub.members],
+            "objectIndices": [pg.objects[g] for g in sub.members],
             "generators": [
-                {"objectIndex": sub.picard.elements[sub.members[g]].object_index, "order": o}
+                {"objectIndex": pg.objects[sub.members[g]], "order": o}
                 for g, o in sub.decomposition
             ],
         },
         "ksb": [
-            [a, b, format_residue(v, den)]
-            for a, row in enumerate(ca.algebra.ksb.values)
+            [a, b, format_residue(v, pg.charge_den)]
+            for a, row in enumerate(algebra.xi)
             for b, v in enumerate(row)
         ],
-        "Z": sparse_entries(ca.partition),
+        "Z": sparse_entries(algebra.partition),
     }
     if latex:
-        blob["latex"] = _latex_partition(ca.partition)
+        blob["latex"] = _latex_partition(algebra.partition)
     try:
-        norm = schellekens.verify_modular_invariance(sub.picard.md, ca.partition, config)
+        norm = schellekens.verify_modular_invariance(pg.md, algebra.partition, config)
         blob["invariance"] = {"pass": True, "commutatorNorm": norm}
         return blob, True, norm
     except InvarianceViolation as exc:
@@ -271,8 +273,8 @@ def _cmd_invariants(md: ModularData, args, config: Config):
     blobs = []
     all_ok = True
     worst = 0.0
-    for ca in algebras:
-        blob, ok, margin = _algebra_blob(ca, config, getattr(args, "latex", False))
+    for algebra in algebras:
+        blob, ok, margin = _algebra_blob(algebra, config, getattr(args, "latex", False))
         blobs.append(blob)
         all_ok = all_ok and ok
         if margin is not None:
@@ -290,28 +292,25 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
     algebras = schellekens.classify_algebras(pg)
     blobs = []
     checks = []
-    for idx, ca in enumerate(algebras):
-        dec = boundary.orbit_decomposition(ca.algebra.support)
+    for idx, algebra in enumerate(algebras):
         blob = {
-            "support": [ca.algebra.picard.elements[g].object_index for g in ca.algebra.support.members],
+            "support": [pg.objects[g] for g in algebra.support.members],
             "orbits": [
                 {
                     "representative": o.representative,
                     "members": list(o.members),
-                    "stabilizerObjectIndices": [
-                        pg.elements[g].object_index for g in o.stabilizer
-                    ],
+                    "stabilizerObjectIndices": [pg.objects[g] for g in o.stabilizer],
                 }
-                for o in dec.orbits
+                for o in boundary.orbit_decomposition(algebra.support)
             ],
         }
         try:
-            count = boundary.count_boundary_conditions(ca.algebra, dec=dec)
-            ishibashi = int(ca.partition[range(len(md)), md.conjugation].sum())
+            count = boundary.count_boundary_conditions(algebra)
+            ishibashi = int(algebra.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
-                {"representative": orbit.representative,
+                {"representative": rep,
                  "values": [[format_residue(v, pg.charge_den) for v in row] for row in eps.values]}
-                for orbit, eps in zip(dec.orbits, count.forms)
+                for (rep, _), eps in zip(count.per_orbit, count.forms)
             ]
             blob["boundaryCount"] = count.total
             blob["perOrbit"] = [[rep, c] for rep, c in count.per_orbit]
@@ -341,15 +340,15 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
                 for cls in ring_classes]
 
     blobs = []
-    for ca in algebras:
+    for algebra in algebras:
         blob = {
-            "support": [pg.elements[g].object_index for g in ca.algebra.support.members],
+            "support": [pg.objects[g] for g in algebra.support.members],
         }
         try:
-            ring = bimodule.build_bimodule_ring(ca.algebra)
+            ring = bimodule.build_bimodule_ring(algebra)
             blob["pointedOnly"] = False
         except FixedPointsPresent as exc:
-            ring = bimodule.build_pointed_bimodule_ring(ca.algebra)
+            ring = bimodule.build_pointed_bimodule_ring(algebra)
             blob["pointedOnly"] = True
             blob["fixedWeights"] = [list(w) for w in exc.fixed_weights]
         blob["rank"] = len(ring)
@@ -381,8 +380,8 @@ def _cmd_twining(md: ModularData, args, config: Config):
         fixed = twining.fixed_points(pg, a)
         blob = {
             "element": a,
-            "objectIndex": pg.elements[a].object_index,
-            "weight": list(md.weights[pg.elements[a].object_index]),
+            "objectIndex": pg.objects[a],
+            "weight": list(md.weights[pg.objects[a]]),
             "fixedPoints": list(fixed),
         }
         blobs.append(blob)
@@ -423,11 +422,11 @@ def _cmd_verify_conjecture(md: ModularData, args, config: Config):
     rows = twining.PhiRows(pg, config)  # each g's row is built once for all supports
     blobs = []
     checks = []
-    for idx, ca in enumerate(algebras):
-        support = [pg.elements[g].object_index for g in ca.algebra.support.members]
+    for idx, algebra in enumerate(algebras):
+        support = [pg.objects[g] for g in algebra.support.members]
         tag = str(idx)
         try:
-            rep = twining.verify_conjecture(ca.algebra, config, rows)
+            rep = twining.verify_conjecture(algebra, config, rows)
         except WzwError as exc:
             blobs.append({
                 "support": support,

@@ -8,7 +8,7 @@ brute force is the right tool.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import lcm
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -36,11 +36,7 @@ def power(table: Table, g: int, n: int) -> int:
 
 
 def exponent(table: Table) -> int:
-    e = 1
-    for g in range(len(table)):
-        o = element_order(table, g)
-        e = e * o // gcd(e, o)
-    return e
+    return lcm(*(element_order(table, g) for g in range(len(table))))
 
 
 def closure(table: Table, generators: set[int]) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ and the matching diagram automorphisms of the affine Dynkin diagram.
 Simple currents are detected exactly: the quantum-dimension test is only a
 float pre-filter, membership is decided by `unit_group`, which finds the basis
 elements of any fusion ring whose rows are permutation matrices; the bimodule
-ring's Picard group is found by it too.  All charges and twists are exact
+ring's Picard group is found by it too.  The Picard group keeps the action
+as `unit_group` returns it, one read-only array `action[a, i]` = g_a . i,
+which every later layer indexes directly.  All charges and twists are exact
 residues in Q/Z, held from the start as read-only int64 arrays over
 `charge_den`, the common denominator of the conformal weights, so a twist
 off that grid cannot be represented.  The group exponent is checked to
@@ -28,38 +30,32 @@ from .residues import numerators
 
 
 @dataclass(frozen=True)
-class SimpleCurrent:
-    """An invertible simple object and its fusion action on P_+^k."""
-
-    object_index: int
-    action: tuple[int, ...]
-    order: int
-
-
-@dataclass(frozen=True)
 class PicardGroup:
-    """The group of simple currents, identity first, with exact twist data."""
+    """The group of simple currents, identity first, with exact twist data.
+
+    Current g_a is the object objects[a] of order orders[a]; action[a, i] is
+    the object g_a . i, as a read-only int64 array.  twists [a]: h_{g_a} *
+    charge_den and charges [i, a]: Q_i(g_a) * charge_den are read-only int64
+    in [0, charge_den).  The arrays are determined by md and objects, so
+    they are left out of ==.
+    """
 
     md: ModularData
-    elements: tuple[SimpleCurrent, ...]
+    objects: tuple[int, ...]
+    orders: tuple[int, ...]
     table: groups.Table
     invariant_factors: tuple[int, ...]
-    # twists [a]: h_{g_a} * charge_den and charges [i, a]: Q_i(g_a) * charge_den,
-    # read-only int64 in [0, charge_den); determined by md and elements, so
-    # left out of ==
+    action: np.ndarray = field(compare=False)
     twists: np.ndarray = field(compare=False)
     charges: np.ndarray = field(compare=False)
     charge_den: int = field(compare=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    def act(self, a: int, weight_index: int) -> int:
-        return self.elements[a].action[weight_index]
+        return len(self.objects)
 
     @property
     def exponent(self) -> int:
-        return groups.exponent(self.table)
+        return lcm(*self.orders)
 
 
 def unit_group(
@@ -103,32 +99,31 @@ def unit_group(
 def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> PicardGroup:
     """Detect Pic(C) and close it into an abelian group with exact twists."""
     candidates = np.flatnonzero(abs(md.quantum_dims - 1.0) < config.tolerance)
-    objects, perms, table = unit_group(md.fusion, md.vacuum, candidates)
+    objects, action, table = unit_group(md.fusion, md.vacuum, candidates)
     if not groups.is_abelian(table):
         raise ClosureFailure("simple-current group is not abelian")
-    elements = tuple(
-        SimpleCurrent(obj, tuple(perm), groups.element_order(table, a))
-        for a, (obj, perm) in enumerate(zip(objects, perms.tolist()))
-    )
-    charges, charge_den = charge_table(md, elements, table)
+    action.flags.writeable = False
+    charges, charge_den = charge_table(md, action, table)
     twists = numerators([md.conformal_weights[obj] for obj in objects], charge_den)
     assert twists[0] == 0
     twists.flags.writeable = False
     return PicardGroup(
         md=md,
-        elements=elements,
+        objects=objects,
+        orders=tuple(groups.element_order(table, a) for a in range(len(table))),
         table=table,
         invariant_factors=groups.invariant_factors(table),
+        action=action,
         twists=twists,
         charges=charges,
         charge_den=charge_den,
     )
 
 
-def charge_table(
-    md: ModularData, elements: tuple[SimpleCurrent, ...], table: groups.Table
-) -> tuple[np.ndarray, int]:
-    """Q_i(g) = h_{g.i} - h_g - h_i mod 1 for every object i and current g.
+def charge_table(md: ModularData, action: np.ndarray, table: groups.Table) -> tuple[np.ndarray, int]:
+    """Q_i(g) = h_{g.i} - h_g - h_i mod 1 for every object i and current g,
+    from the action [a, i] of the currents, whose column at the vacuum holds
+    the currents themselves.
 
     Returns (q, den): den is the common denominator of the conformal weights
     and q[i, a] in [0, den) the numerator of Q_i(g_a), as a read-only int64
@@ -143,9 +138,7 @@ def charge_table(
     if den % exponent:
         raise NonIntegerEntry(f"group exponent {exponent} does not divide {den}")
     h = numerators(hs, den)
-    act = np.array([g.action for g in elements], dtype=np.intp)  # [a, i]
-    currents = np.array([g.object_index for g in elements], dtype=np.intp)
-    q = (h[act.T] - h[currents] - h[:, None]) % den  # [i, a]: Q_i(g_a)
+    q = (h[action.T] - h[action[:, md.vacuum]] - h[:, None]) % den  # [i, a]: Q_i(g_a)
     t = np.array(table, dtype=np.intp)
     broken = ((q[:, t] - q[:, :, None] - q[:, None, :]) % den).any(axis=(1, 2))
     if broken.any():
@@ -174,8 +167,7 @@ def verify_quadratic(pg: PicardGroup) -> None:
         a, k = bad[0]
         raise QuadraticFormViolation(f"q(g^{k}) != {k}^2 q(g) for element {a}")
     b = (q[t] - q[:, None] - q) % den  # [a, c]: b(g_a, g_c)
-    objects = [el.object_index for el in pg.elements]
-    not_q = b != -pg.charges[objects] % den  # [a, c]
+    not_q = b != -pg.charges[list(pg.objects)] % den  # [a, c]
     not_additive = (b[t] != (b[:, None] + b) % den).transpose(0, 2, 1)  # [a, c, e]
     bad = np.argwhere(not_q | not_additive.any(axis=2))
     if len(bad):
@@ -287,7 +279,7 @@ def diagram_automorphism(pg: PicardGroup, a: int) -> tuple[int, ...]:
     preserve the affine Cartan matrix."""
     ld = pg.md.level_data
     rs = ld.root_system
-    node = _cominimal_node(ld, pg.elements[a].object_index)
+    node = _cominimal_node(ld, pg.objects[a])
     if node is None:
         perm = tuple(range(rs.rank + 1))
     else:

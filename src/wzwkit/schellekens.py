@@ -1,17 +1,20 @@
 """Classification of haploid algebras supported on simple currents.
 
-An algebra is the pair (H, Xi): a subgroup H of the Picard group together with
-a bicharacter Xi on H whose diagonal equals the twist residues.  Every residue
-here is an integer over the Picard group's `charge_den`: the monodromy charges
-of its table, the twists and the values of Xi, which are therefore enumerated,
-checked and summed as integer arrays.  The bulk partition matrix collapses its
-inner character sum to |H| or 0, so every entry is an integer by construction.
+An algebra is one value, `SchellekensAlgebra(support, xi)`: a subgroup H of
+the Picard group together with a bicharacter Xi on H whose diagonal equals
+the twist residues, so Xi cannot be paired with another subgroup than the
+one it was made on.  Every residue here is an integer over the Picard
+group's `charge_den`: the monodromy charges of its table, the twists and the
+values of Xi, which are therefore enumerated, checked and summed as integer
+arrays.  `_xi_residues` is the one validator of a hand-made Xi.  The bulk
+partition matrix, the algebra's cached `partition`, collapses its inner
+character sum to |H| or 0, so every entry is an integer by construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -20,7 +23,7 @@ import numpy as np
 from . import groups
 from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
-from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry
+from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry, QuadraticFormViolation
 from .picard import PicardGroup
 
 
@@ -58,34 +61,53 @@ def enumerate_subgroups(pg: PicardGroup) -> list[Subgroup]:
 
 
 @dataclass(frozen=True)
-class KSB:
-    """A bicharacter on H with diagonal values equal to the twist residues.
+class SchellekensAlgebra:
+    """The isomorphism-class datum (support H, bicharacter Xi).
 
-    values[a][b] is Xi(g_a, g_b) * charge_den, an integer in [0, charge_den),
+    xi[a][b] is Xi(g_a, g_b) * charge_den, an integer in [0, charge_den),
     for local indices into support.members.
     """
 
     support: Subgroup
-    values: tuple[tuple[int, ...], ...]
+    xi: tuple[tuple[int, ...], ...]
+
+    @property
+    def picard(self) -> PicardGroup:
+        return self.support.picard
+
+    @cached_property
+    def partition(self) -> np.ndarray:
+        """Z, by partition_function."""
+        return partition_function(self)
 
 
-def _xi_residues(ksb: KSB) -> np.ndarray:
-    """Xi as an int64 array [a, b] over charge_den; NonIntegerEntry unless it
-    is additive in both arguments on the local table."""
-    den = ksb.support.picard.charge_den
-    table = np.array(ksb.support.local_table, dtype=np.intp)
-    xi = np.array(ksb.values)
+def _xi_residues(algebra: SchellekensAlgebra) -> np.ndarray:
+    """Xi as an int64 array [a, b] over charge_den.
+
+    NonIntegerEntry unless Xi is additive in both arguments on the local
+    table; then QuadraticFormViolation unless Xi(g, g) = h_g on every element
+    of H.
+    """
+    sub = algebra.support
+    den = sub.picard.charge_den
+    table = np.array(sub.local_table, dtype=np.intp)
+    xi = np.array(algebra.xi)
     if xi.dtype.kind != "i":  # Fractions, say, which an int64 cast would truncate
         raise NonIntegerEntry(f"Xi values are not integer numerators over {den}")
     left = xi[table] - xi[:, None, :] - xi[None, :, :]  # [a, b, c]: Xi(ab, c) - Xi(a, c) - Xi(b, c)
     right = xi[:, table] - xi[:, :, None] - xi[:, None, :]  # [c, a, b]: Xi(c, ab) - Xi(c, a) - ...
     if (left % den).any() or (right % den).any():
         raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    return xi % den
+    xi %= den
+    off = np.flatnonzero(xi.diagonal() != sub.picard.twists[list(sub.members)])
+    if len(off):
+        raise QuadraticFormViolation(f"Xi(g, g) != h_g for support element {sub.members[off[0]]}")
+    return xi
 
 
-def enumerate_ksbs(support: Subgroup) -> list[KSB]:
-    """All bicharacters on H with Xi(g, g) = h_g mod 1 for every g in H.
+def enumerate_ksbs(support: Subgroup) -> list[SchellekensAlgebra]:
+    """The algebras on H: one per bicharacter Xi with Xi(g, g) = h_g mod 1
+    for every g in H.
 
     A candidate is fixed by its values G on pairs of generators: the twist on
     the diagonal, any multiple of 1/gcd of the two orders off it.  Over the
@@ -113,19 +135,7 @@ def enumerate_ksbs(support: Subgroup) -> list[KSB]:
         g[:, a, b] = combos[:, p] * (den // step)
     values = e @ g @ e.T % den  # [candidate, x, y]
     kept = values[(values.diagonal(axis1=1, axis2=2) == twists).all(axis=1)]
-    return [KSB(support, tuple(map(tuple, v))) for v in sorted(kept.tolist())]
-
-
-@dataclass(frozen=True)
-class SchellekensAlgebra:
-    """The isomorphism-class datum (support H, bicharacter Xi)."""
-
-    support: Subgroup
-    ksb: KSB
-
-    @property
-    def picard(self) -> PicardGroup:
-        return self.support.picard
+    return [SchellekensAlgebra(support, tuple(map(tuple, v))) for v in sorted(kept.tolist())]
 
 
 def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
@@ -141,14 +151,13 @@ def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     sub = algebra.support
     pg = algebra.picard
     members = list(sub.members)
-    xi = _xi_residues(algebra.ksb)  # [b, a]: Xi(g_b, g_a)
+    xi = _xi_residues(algebra)  # [b, a]: Xi(g_b, g_a)
     q = pg.charges[:, members]  # [i, a]: Q_i(g_a)
     trivial = ((q[:, :, None] + xi) % pg.charge_den == 0).all(axis=1)  # [i, a]
     i, a = np.nonzero(trivial)
-    act = np.array([pg.elements[g].action for g in members], dtype=np.intp)  # [a, i]
     n = len(pg.md)
     z = np.zeros((n, n), dtype=np.int64)
-    np.add.at(z, (i, np.asarray(pg.md.conjugation)[act[a, i]]), 1)
+    np.add.at(z, (i, np.asarray(pg.md.conjugation)[pg.action[members][a, i]]), 1)
     if (z < 0).any():
         raise NegativeEntry("negative partition entry")
     z.flags.writeable = False
@@ -181,18 +190,6 @@ def verify_modular_invariance(
     return norm
 
 
-@dataclass(frozen=True)
-class ClassifiedAlgebra:
-    algebra: SchellekensAlgebra
-    # Z, read-only int64 (n, n); determined by the algebra, so left out of ==
-    partition: np.ndarray = field(compare=False)
-
-
-def classify_algebras(pg: PicardGroup) -> list[ClassifiedAlgebra]:
-    """Every (H, Xi) pair with its partition matrix, subgroups in canonical order."""
-    out = []
-    for sub in enumerate_subgroups(pg):
-        for ksb in enumerate_ksbs(sub):
-            algebra = SchellekensAlgebra(sub, ksb)
-            out.append(ClassifiedAlgebra(algebra, partition_function(algebra)))
-    return out
+def classify_algebras(pg: PicardGroup) -> list[SchellekensAlgebra]:
+    """Every (H, Xi) pair, subgroups in canonical order."""
+    return [algebra for sub in enumerate_subgroups(pg) for algebra in enumerate_ksbs(sub)]

@@ -44,7 +44,7 @@ from .residues import format_residue, snap_to_residue
 
 def fixed_points(pg: PicardGroup, a: int) -> tuple[int, ...]:
     """Indices of all weights with g.Lambda = Lambda under the fusion action."""
-    return tuple(i for i, j in enumerate(pg.elements[a].action) if j == i)
+    return tuple(np.flatnonzero(pg.action[a] == np.arange(len(pg.md))).tolist())
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def extract_phi(
     """
     fixed = tsm.fixed_points
     pos = {w: r for r, w in enumerate(fixed)}
-    action = pg.elements[h].action
+    action = pg.action[h].tolist()
     zero_floor = math.sqrt(config.tolerance)
     denom = max(pg.exponent, 1)
     # the scan stops at the first column that h moves off the fixed-point set

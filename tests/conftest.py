@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wzwkit import find_simple_currents
 from wzwkit.acceptance import CATALOG, Battery  # noqa: F401 (test modules import CATALOG from here)
 
 # Property tests draw the same examples on every run and never time out, so
@@ -24,9 +23,6 @@ with warnings.catch_warnings():
     except ImportError:  # no libcst or no such module: nothing to preload
         pass
 
-_pic_cache = {}
-
-
 def canonical_json(doc) -> str:
     """Compact, ASCII-only JSON of doc with each ndarray as its ``tolist()``:
     the byte oracle of the modular-data document tests."""
@@ -40,14 +36,7 @@ def md_of():
 
 
 @pytest.fixture(scope="session")
-def pic_of(md_of):
-    """Session-cached Picard group builder: pic_of('A1', 4)."""
-
-    def build(name, level):
-        key = (name, level)
-        if key not in _pic_cache:
-            _pic_cache[key] = find_simple_currents(md_of(name, level))
-        return _pic_cache[key]
-
-    return build
+def pic_of():
+    """Picard group builder on selftest's memo: pic_of('A1', 4)."""
+    return Battery().pic
 

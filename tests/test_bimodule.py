@@ -17,9 +17,9 @@ from test_picard import TAMPERED
 
 
 def _algebra(pic_of, name, k, support_size):
-    for ca in classify_algebras(pic_of(name, k)):
-        if len(ca.algebra.support) == support_size:
-            return ca.algebra
+    for alg in classify_algebras(pic_of(name, k)):
+        if len(alg.support) == support_size:
+            return alg
     raise AssertionError
 
 
@@ -107,26 +107,26 @@ def test_trivial_support_picard_is_picard(pic_of):
 def test_picard_order_formula(pic_of):
     """|Pic(C_A|A)| = |H*| |Pic| / |H| for free actions."""
     for name, k, size in [("A2", 2, 3), ("A2", 1, 3), ("A3", 1, 4), ("A3", 1, 2)]:
-        for ca in classify_algebras(pic_of(name, k)):
-            if len(ca.algebra.support) != size:
+        for alg in classify_algebras(pic_of(name, k)):
+            if len(alg.support) != size:
                 continue
             try:
-                ring = build_bimodule_ring(ca.algebra)
+                ring = build_bimodule_ring(alg)
             except FixedPointsPresent:
                 continue
             bp = bimodule_picard(ring)
             pic = len(pic_of(name, k))
-            h = len(ca.algebra.support)
+            h = len(alg.support)
             assert len(bp) == h * pic // h
 
 
 @pytest.mark.parametrize("name,k", [("A2", 2), ("A3", 1), ("A5", 2), ("D4", 3)])
 def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
     """N_{x y}^1 = [y = dual(x)], on rings whose characters have order 3, 4 or 6."""
-    for ca in classify_algebras(pic_of(name, k)):
+    for alg in classify_algebras(pic_of(name, k)):
         for build in (build_bimodule_ring, build_pointed_bimodule_ring):
             try:
-                ring = build(ca.algebra)
+                ring = build(alg)
             except FixedPointsPresent:
                 continue
             n = len(ring)
@@ -180,12 +180,12 @@ def test_larger_rank_ring_and_boundaries(pic_of):
 
 def test_duality_validation_failure_on_corrupt_ring():
     from wzwkit import modular_data, find_simple_currents
-    from wzwkit.schellekens import SchellekensAlgebra, enumerate_ksbs, enumerate_subgroups
+    from wzwkit.schellekens import enumerate_ksbs, enumerate_subgroups
 
     md = modular_data("A1", 2)
     pg = find_simple_currents(md)
     trivial = enumerate_subgroups(pg)[0]
-    ring = build_bimodule_ring(SchellekensAlgebra(trivial, enumerate_ksbs(trivial)[0]))
+    ring = build_bimodule_ring(enumerate_ksbs(trivial)[0])
     corrupt = np.array(ring.structure)
     corrupt[1, 1, 0] = 0  # remove the unit from sigma x sigma
     bad = dataclasses.replace(ring, structure=corrupt)

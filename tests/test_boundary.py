@@ -8,26 +8,26 @@ from wzwkit import (
     epsilon_form,
     orbit_decomposition,
 )
-from wzwkit.boundary import _stabilizer_is_cyclic
+from wzwkit.boundary import Orbit, _stabilizer_is_cyclic
 from wzwkit.errors import PhiUnavailable
-from wzwkit.schellekens import SchellekensAlgebra, Subgroup
+from wzwkit.schellekens import Subgroup
 
 from conftest import CATALOG
 
 
 def _algebra_with_support(pg, size):
-    for ca in classify_algebras(pg):
-        if len(ca.algebra.support) == size:
-            return ca
+    for alg in classify_algebras(pg):
+        if len(alg.support) == size:
+            return alg
     raise AssertionError(f"no algebra with support of order {size}")
 
 
 def test_a1_level4_orbits(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
-    dec = orbit_decomposition(sub)
-    orbit_sets = sorted(tuple(o.members) for o in dec.orbits)
+    orbits = orbit_decomposition(sub)
+    orbit_sets = sorted(tuple(o.members) for o in orbits)
     assert orbit_sets == [(0, 4), (1, 3), (2,)]
-    stab_sizes = {tuple(o.members): len(o.stabilizer) for o in dec.orbits}
+    stab_sizes = {tuple(o.members): len(o.stabilizer) for o in orbits}
     assert stab_sizes[(2,)] == 2
     assert stab_sizes[(0, 4)] == 1
 
@@ -35,47 +35,70 @@ def test_a1_level4_orbits(pic_of):
 def test_trivial_support_gives_singletons(md_of, pic_of):
     md = md_of("A2", 2)
     sub = enumerate_subgroups(pic_of("A2", 2))[0]
-    dec = orbit_decomposition(sub)
-    assert len(dec.orbits) == len(md)
-    assert all(len(o.members) == 1 for o in dec.orbits)
+    orbits = orbit_decomposition(sub)
+    assert len(orbits) == len(md)
+    assert all(len(o.members) == 1 for o in orbits)
 
 
 def test_a2_level2_free_orbits(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A2", 2)) if len(s) == 3][0]
-    dec = orbit_decomposition(sub)
-    assert len(dec.orbits) == 2
-    assert all(len(o.members) == 3 and len(o.stabilizer) == 1 for o in dec.orbits)
+    orbits = orbit_decomposition(sub)
+    assert len(orbits) == 2
+    assert all(len(o.members) == 3 and len(o.stabilizer) == 1 for o in orbits)
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
 def test_orbit_stabilizer_identity(name, k, md_of, pic_of):
     md = md_of(name, k)
     for sub in enumerate_subgroups(pic_of(name, k)):
-        dec = orbit_decomposition(sub)
-        assert sum(len(o.members) for o in dec.orbits) == len(md)
-        for o in dec.orbits:
+        orbits = orbit_decomposition(sub)
+        assert sum(len(o.members) for o in orbits) == len(md)
+        for o in orbits:
             assert len(o.members) * len(o.stabilizer) == len(sub)
             assert len(sub) % len(o.members) == 0
 
 
+def scalar_orbit_decomposition(sub):
+    """The per-object loop that reading the action rows replaced: each object
+    not yet placed opens the orbit of its images, led by the least of them."""
+    pg = sub.picard
+    placed = set()
+    orbits = []
+    for i in range(len(pg.md)):
+        if i in placed:
+            continue
+        members = sorted({int(pg.action[g, i]) for g in sub.members})
+        rep = members[0]
+        stab = tuple(g for g in sub.members if pg.action[g, rep] == rep)
+        placed.update(members)
+        orbits.append(Orbit(rep, tuple(members), stab))
+    return tuple(orbits)
+
+
+@pytest.mark.parametrize("name,k", [*CATALOG, ("A5", 3), ("D4", 4), ("D5", 2), ("D6", 2), ("A7", 2)])
+def test_orbits_match_scalar_loop(name, k, pic_of):
+    """The same representatives, members and stabilizers, in the same order,
+    for every subgroup."""
+    for sub in enumerate_subgroups(pic_of(name, k)):
+        assert orbit_decomposition(sub) == scalar_orbit_decomposition(sub)
+
+
 def test_epsilon_trivial_on_cyclic_stabilizer(pic_of):
     sub = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
-    ksb = enumerate_ksbs(sub)[0]
-    dec = orbit_decomposition(sub)
-    fixed = [o for o in dec.orbits if len(o.stabilizer) == 2][0]
-    eps = epsilon_form(fixed, ksb)  # Xi(J,J) = -1 yet eps must vanish
+    algebra = enumerate_ksbs(sub)[0]
+    fixed = [o for o in orbit_decomposition(sub) if len(o.stabilizer) == 2][0]
+    eps = epsilon_form(fixed, algebra)  # Xi(J,J) = -1 yet eps must vanish
     assert all(v == 0 for row in eps.values for v in row)
 
 
 def test_epsilon_needs_phi_for_noncyclic(pic_of):
     pg = pic_of("D4", 2)
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
-    ksb = enumerate_ksbs(full)[0]
-    dec = orbit_decomposition(full)
-    noncyclic = [o for o in dec.orbits if len(o.stabilizer) == 4]
+    algebra = enumerate_ksbs(full)[0]
+    noncyclic = [o for o in orbit_decomposition(full) if len(o.stabilizer) == 4]
     assert noncyclic, "expected a fully-stabilized weight at (D4, 2)"
     with pytest.raises(PhiUnavailable):
-        epsilon_form(noncyclic[0], ksb)
+        epsilon_form(noncyclic[0], algebra)
 
 
 def test_epsilon_with_supplied_phi(pic_of):
@@ -87,21 +110,20 @@ def test_epsilon_with_supplied_phi(pic_of):
     """
     pg = pic_of("D4", 2)
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
-    dec = orbit_decomposition(full)
-    orbit = [o for o in dec.orbits if len(o.stabilizer) == 4][0]
+    orbit = [o for o in orbit_decomposition(full) if len(o.stabilizer) == 4][0]
     u = orbit.representative
     stab_sub = Subgroup(pg, orbit.stabilizer)
     phi_ksbs = enumerate_ksbs(stab_sub)
     assert len(phi_ksbs) == 2  # trivial and the perfect pairing
     radicals = set()
-    for ksb in enumerate_ksbs(full):
+    for algebra in enumerate_ksbs(full):
         for phi_ksb in phi_ksbs:
             table = {
-                (u, g, h): phi_ksb.values[a][b]
+                (u, g, h): phi_ksb.xi[a][b]
                 for a, g in enumerate(orbit.stabilizer)
                 for b, h in enumerate(orbit.stabilizer)
             }
-            eps = epsilon_form(orbit, ksb, table)
+            eps = epsilon_form(orbit, algebra, table)
             n = len(orbit.stabilizer)
             for a in range(n):
                 assert eps.values[a][a] == 0
@@ -113,12 +135,12 @@ def test_epsilon_with_supplied_phi(pic_of):
 
 
 def test_boundary_counts_match_ade_node_counts(pic_of):
-    ca = _algebra_with_support(pic_of("A1", 4), 2)
-    count = count_boundary_conditions(ca.algebra)
+    alg = _algebra_with_support(pic_of("A1", 4), 2)
+    count = count_boundary_conditions(alg)
     assert count.total == 4  # D4 diagram nodes
     assert dict(count.per_orbit) == {0: 1, 1: 1, 2: 2}
-    ca6 = _algebra_with_support(pic_of("A1", 6), 2)
-    count6 = count_boundary_conditions(ca6.algebra)
+    alg6 = _algebra_with_support(pic_of("A1", 6), 2)
+    count6 = count_boundary_conditions(alg6)
     assert count6.total == 5  # D5 diagram nodes
     assert count6.per_orbit == ((0, 1), (1, 1), (2, 1), (3, 2))
 
@@ -127,7 +149,7 @@ def test_cardy_count_is_object_count(md_of, pic_of):
     for name, k in [("A1", 3), ("A2", 2), ("B2", 2)]:
         md = md_of(name, k)
         trivial = enumerate_subgroups(pic_of(name, k))[0]
-        algebra = SchellekensAlgebra(trivial, enumerate_ksbs(trivial)[0])
+        algebra = enumerate_ksbs(trivial)[0]
         assert count_boundary_conditions(algebra).total == len(md)
 
 
@@ -139,31 +161,33 @@ def test_completeness_identity(name, k, md_of, pic_of):
     skipped (reported via PhiUnavailable), not silently accepted.
     """
     md = md_of(name, k)
-    for ca in classify_algebras(pic_of(name, k)):
+    for alg in classify_algebras(pic_of(name, k)):
         try:
-            count = count_boundary_conditions(ca.algebra)
+            count = count_boundary_conditions(alg)
         except PhiUnavailable:
             assert name == "D4", "only D-series stabilizers are non-cyclic here"
             continue
-        ishibashi = sum(ca.partition[i, md.conjugation[i]] for i in range(len(md)))
+        ishibashi = sum(alg.partition[i, md.conjugation[i]] for i in range(len(md)))
         assert count.total == ishibashi
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
 def test_count_carries_each_orbits_epsilon_form(name, k, pic_of):
-    for ca in classify_algebras(pic_of(name, k)):
+    for alg in classify_algebras(pic_of(name, k)):
         try:
-            count = count_boundary_conditions(ca.algebra)
+            count = count_boundary_conditions(alg)
         except PhiUnavailable:
             continue
-        orbits = count.orbits.orbits
-        assert count.forms == tuple(epsilon_form(o, ca.algebra.ksb) for o in orbits)
+        orbits = orbit_decomposition(alg.support)
+        assert count.per_orbit == tuple((o.representative, f.radical_size())
+                                        for o, f in zip(orbits, count.forms))
+        assert count.forms == tuple(epsilon_form(o, alg) for o in orbits)
 
 
 def test_free_action_count_equals_orbit_count(pic_of):
-    ca = _algebra_with_support(pic_of("A2", 2), 3)
-    count = count_boundary_conditions(ca.algebra)
-    assert count.total == 2 == len(count.orbits.orbits)
+    alg = _algebra_with_support(pic_of("A2", 2), 3)
+    count = count_boundary_conditions(alg)
+    assert count.total == 2 == len(orbit_decomposition(alg.support))
 
 
 def test_cyclic_stabilizer_test_matches_decomposition(pic_of):
@@ -173,7 +197,7 @@ def test_cyclic_stabilizer_test_matches_decomposition(pic_of):
     for name, k in [*CATALOG, ("D4", 4)]:
         pg = pic_of(name, k)
         for sub in enumerate_subgroups(pg):
-            for o in orbit_decomposition(sub).orbits:
+            for o in orbit_decomposition(sub):
                 oracle = len(Subgroup(pg, o.stabilizer).decomposition) <= 1
                 assert _stabilizer_is_cyclic(pg, o.stabilizer) == oracle
                 seen.add(oracle)

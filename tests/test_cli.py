@@ -626,9 +626,9 @@ def test_doc_matches_per_element_oracle(md_of, name, k):
 def test_z_is_the_sparse_entries_array(pic_of, name, k):
     """Z reaches the writer as the (m, 3) int64 array of its nonzero
     (i, j, Z_ij), in the order of a scan over the rows."""
-    for ca in classify_algebras(pic_of(name, k)):
-        z = cli._algebra_blob(ca, DEFAULT_CONFIG, False)[0]["Z"]
-        want = [[i, j, v] for i, row in enumerate(ca.partition.tolist())
+    for alg in classify_algebras(pic_of(name, k)):
+        z = cli._algebra_blob(alg, DEFAULT_CONFIG, False)[0]["Z"]
+        want = [[i, j, v] for i, row in enumerate(alg.partition.tolist())
                 for j, v in enumerate(row) if v]
         assert z.dtype == np.int64 and z.shape == (len(want), 3)
         assert z.tolist() == want

@@ -6,6 +6,7 @@ import pytest
 import numpy as np
 
 from wzwkit import diagram_automorphism, find_simple_currents, verify_quadratic
+from wzwkit.groups import exponent
 from wzwkit.errors import ClosureFailure, QuadraticFormViolation, UnsupportedSeries
 from wzwkit.picard import (
     affine_cartan_matrix,
@@ -89,15 +90,15 @@ def test_a1_generator_is_level_weight(pic_of, md_of):
         pg = pic_of("A1", k)
         md = md_of("A1", k)
         assert len(pg) == 2
-        assert md.weights[pg.elements[1].object_index] == (k,)
+        assert md.weights[pg.objects[1]] == (k,)
 
 
 def test_vacuum_orbit_is_current_set(pic_of, md_of):
     for name, k in [("A1", 4), ("A3", 2), ("D4", 2)]:
         pg = pic_of(name, k)
         md = md_of(name, k)
-        orbit = {pg.act(a, md.vacuum) for a in range(len(pg))}
-        assert orbit == {el.object_index for el in pg.elements}
+        orbit = {pg.action[a, md.vacuum] for a in range(len(pg))}
+        assert orbit == set(pg.objects)
 
 
 def test_a1_monodromy_charge_formula(pic_of, md_of):
@@ -119,12 +120,16 @@ def test_charge_identities(pic_of, md_of):
         # the twists h_g mod 1, on the same grid
         assert pg.twists.dtype == np.int64 and not pg.twists.flags.writeable
         assert [Fraction(t, pg.charge_den) for t in pg.twists.tolist()] == [
-            mod1(hs[el.object_index]) for el in pg.elements]
+            mod1(hs[obj]) for obj in pg.objects]
+        # the action [a, i] as unit_group found it, on the same terms
+        assert pg.action.shape == (len(pg), len(md)) and pg.action.dtype == np.int64
+        assert not pg.action.flags.writeable
+        assert pg.exponent == exponent(pg.table)
         assert find_simple_currents(md) == pg
         for i in range(len(md)):
             assert charge(pg, i, 0) == 0
-            for a, g in enumerate(pg.elements):  # the definition, entry by entry
-                assert charge(pg, i, a) == mod1(hs[g.action[i]] - hs[g.object_index] - hs[i])
+            for a, obj in enumerate(pg.objects):  # the definition, entry by entry
+                assert charge(pg, i, a) == mod1(hs[pg.action[a, i]] - hs[obj] - hs[i])
         for a in range(len(pg)):
             assert charge(pg, md.vacuum, a) == 0
         # additivity in the group argument, exact
@@ -136,7 +141,7 @@ def test_charge_identities(pic_of, md_of):
 
 def test_quadratic_form_values(pic_of):
     def q(pg):  # q(g) = -h_g mod 1
-        return tuple(mod1(-pg.md.conformal_weights[el.object_index]) for el in pg.elements)
+        return tuple(mod1(-pg.md.conformal_weights[obj]) for obj in pg.objects)
 
     assert q(pic_of("A1", 4)) == (Fraction(0), Fraction(0))  # h_J = 1
     assert set(q(pic_of("A2", 1))[1:]) == {Fraction(2, 3)}  # -1/3 mod 1
@@ -202,9 +207,9 @@ def test_diagram_automorphism_reproduces_fusion(name, k, pic_of, md_of):
     md = md_of(name, k)
     for a in range(len(pg)):
         perm = diagram_automorphism(pg, a)
-        assert perm_order(perm) % pg.elements[a].order == 0
+        assert perm_order(perm) % pg.orders[a] == 0
         action = weight_action_of_node_permutation(md.level_data, perm)
-        assert action == pg.elements[a].action
+        assert action == tuple(pg.action[a].tolist())
 
 
 def test_identity_automorphism(pic_of):
@@ -219,11 +224,11 @@ def test_a_series_rotations(pic_of, md_of):
     md = md_of("A3", 2)
     # J = k Lambda_1 generates; its square rotates by 2
     current = md.level_data.index((2, 0, 0))
-    j = next(a for a, el in enumerate(pg.elements) if el.object_index == current)
+    j = pg.objects.index(current)
     jsq = pg.table[j][j]
     perm = diagram_automorphism(pg, jsq)
     assert perm == (2, 3, 0, 1)
-    assert perm_order(perm) % pg.elements[jsq].order == 0
+    assert perm_order(perm) % pg.orders[jsq] == 0
 
 
 def test_catalog_permutations_preserve_affine_cartan():
@@ -267,6 +272,6 @@ def test_e6_rotation_matches_fusion(pic_of, md_of):
     assert pg.invariant_factors == (3,)
     for a in range(len(pg)):
         perm = diagram_automorphism(pg, a)
-        assert perm_order(perm) % pg.elements[a].order == 0
+        assert perm_order(perm) % pg.orders[a] == 0
         action = weight_action_of_node_permutation(md.level_data, perm)
-        assert action == pg.elements[a].action
+        assert action == tuple(pg.action[a].tolist())

@@ -78,15 +78,15 @@ def test_residues_lie_on_the_charge_grid(pic_of, algebra):
         return all(type(v) is int and 0 <= v < den for v in values)
 
     assert on_grid(pg.charges.flatten().tolist()) and on_grid(pg.twists.tolist())
-    for ca in classify_algebras(pg):
-        assert on_grid(v for row in ca.algebra.ksb.values for v in row)
+    for alg in classify_algebras(pg):
+        assert on_grid(v for row in alg.xi for v in row)
         try:
-            ring = build_bimodule_ring(ca.algebra)
+            ring = build_bimodule_ring(alg)
         except FixedPointsPresent:
-            ring = build_pointed_bimodule_ring(ca.algebra)
+            ring = build_pointed_bimodule_ring(alg)
         assert on_grid(x for cls in ring.basis for x in cls.character)
         try:
-            count = count_boundary_conditions(ca.algebra)
+            count = count_boundary_conditions(alg)
         except PhiUnavailable:
             continue  # a non-cyclic stabilizer needs phi
         assert on_grid(v for eps in count.forms for row in eps.values for v in row)
@@ -141,15 +141,15 @@ def test_picard_order_and_charge_characters(md_of, pic_of, algebra):
 def test_cardy_case_and_boundary_completeness(md_of, pic_of, algebra):
     md, pg = md_of(*algebra), pic_of(*algebra)
     algebras = classify_algebras(pg)
-    assert len(algebras[0].algebra.support) == 1
+    assert len(algebras[0].support) == 1
     assert np.array_equal(algebras[0].partition,
                           np.eye(len(md), dtype=np.int64)[list(md.conjugation)])
-    for ca in algebras:
+    for alg in algebras:
         try:
-            count = count_boundary_conditions(ca.algebra)
+            count = count_boundary_conditions(alg)
         except PhiUnavailable:
             continue  # a non-cyclic stabilizer needs phi
-        assert count.total == sum(ca.partition[i, md.conjugation[i]] for i in range(len(md)))
+        assert count.total == sum(alg.partition[i, md.conjugation[i]] for i in range(len(md)))
 
 
 def _permutation_rows(structure):
@@ -167,19 +167,19 @@ def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
     The invertible elements, searched over every basis element, are the simple
     currents and the classes over them: no prefilter drops one."""
     md, pg = md_of(*algebra), pic_of(*algebra)
-    currents = {el.object_index for el in pg.elements}
+    currents = set(pg.objects)
     assert _permutation_rows(md.fusion) == currents
     global_dim = 1.0 / abs(md.s_matrix[md.vacuum, md.vacuum]) ** 2
     free = 0
-    for ca in classify_algebras(pg):
-        orbits = orbit_decomposition(ca.algebra.support).orbits
+    for alg in classify_algebras(pg):
+        orbits = orbit_decomposition(alg.support)
         if any(len(o.stabilizer) > 1 for o in orbits):
             with pytest.raises(FixedPointsPresent):
-                build_bimodule_ring(ca.algebra)
+                build_bimodule_ring(alg)
             continue
         free += 1
-        ring = build_bimodule_ring(ca.algebra)
-        z = ca.partition
+        ring = build_bimodule_ring(alg)
+        z = alg.partition
         assert len(ring) == np.trace(z @ z.T)
         dims = sum(md.quantum_dims[cls.object_index] ** 2 for cls in ring.basis)
         assert dims == pytest.approx(global_dim, rel=DEFAULT_CONFIG.tolerance)

@@ -46,7 +46,7 @@ from wzwkit.errors import (
 from wzwkit.groups import power
 from wzwkit.picard import PicardGroup
 from wzwkit.residues import format_rational, format_residue, mod1, numerators, snap_to_residue
-from wzwkit.schellekens import KSB, SchellekensAlgebra, Subgroup
+from wzwkit.schellekens import SchellekensAlgebra, Subgroup
 from wzwkit.twining import PhiValues, TwiningSMatrix
 
 from conftest import CATALOG
@@ -71,9 +71,8 @@ def unit_phase(r):
 
 def monodromy_charge(md, pg, i, a):
     """Q_i(g) = h_{g.i} - h_g - h_i mod 1, from md's conformal weights."""
-    g = pg.elements[a]
     hs = md.conformal_weights
-    return mod1(hs[g.action[i]] - hs[g.object_index] - hs[i])
+    return mod1(hs[pg.action[a, i]] - hs[pg.objects[a]] - hs[i])
 
 
 def scalar_additivity_scan(md, pg):
@@ -90,7 +89,7 @@ def scalar_additivity_scan(md, pg):
 def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
     fixed = tsm.fixed_points
     pos = {w: r for r, w in enumerate(fixed)}
-    action = pg.elements[h].action
+    action = pg.action[h].tolist()
     zero_floor = math.sqrt(config.tolerance)
     denom = max(pg.exponent, 1)
     out = {}
@@ -156,7 +155,7 @@ def _all_characters(algebra):
 
 def _ksb_character(algebra, h_local):
     """The character Xi(., h) used to over-parametrize the classes."""
-    return tuple(row[h_local] for row in _fraction_values(algebra.ksb))
+    return tuple(row[h_local] for row in _fraction_values(algebra))
 
 
 def scalar_ring(md, algebra, objects):
@@ -167,18 +166,18 @@ def scalar_ring(md, algebra, objects):
     obj_set = set(objects)
     orbit_rep = {}
     shift = {}
-    fixed = sorted(i for i in objects for g in members[1:] if pg.act(g, i) == i)
+    fixed = sorted(i for i in objects for g in members[1:] if pg.action[g, i] == i)
     if fixed:
         raise FixedPointsPresent([md.weights[i] for i in sorted(set(fixed))])
     for i in objects:
         if i in orbit_rep:
             continue
-        orbit = sorted(pg.act(g, i) for g in members)
+        orbit = sorted(pg.action[g, i] for g in members)
         if any(j not in obj_set for j in orbit):
             raise WzwError("object set is not closed under the H-action")
         rep = orbit[0]
         for g in members:
-            j = pg.act(g, rep)
+            j = pg.action[g, rep]
             orbit_rep[j] = rep
             shift[j] = _ksb_character(algebra, members.index(g))
     chars = _all_characters(algebra)
@@ -209,10 +208,10 @@ def scalar_ring(md, algebra, objects):
     return basis_t, structure, canonical(md.vacuum, trivial)
 
 
-def _fraction_values(ksb):
+def _fraction_values(algebra):
     """Xi as the nested tuple of its Fraction residues."""
-    den = ksb.support.picard.charge_den
-    return tuple(tuple(Fraction(v, den) for v in row) for row in ksb.values)
+    den = algebra.picard.charge_den
+    return tuple(tuple(Fraction(v, den) for v in row) for row in algebra.xi)
 
 
 def _scalar_is_bihomomorphism(sub, values):
@@ -231,10 +230,9 @@ def _scalar_is_bihomomorphism(sub, values):
 def scalar_partition_function(md, algebra):
     sub = algebra.support
     pg = algebra.picard
-    ksb = algebra.ksb
-    if not _scalar_is_bihomomorphism(sub, _fraction_values(ksb)):
+    xi = _fraction_values(algebra)
+    if not _scalar_is_bihomomorphism(sub, xi):
         raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    xi = _fraction_values(ksb)
     n = len(md)
     members = sub.members
     charges = [[monodromy_charge(md, pg, i, g) for g in members] for i in range(n)]
@@ -245,7 +243,7 @@ def scalar_partition_function(md, algebra):
                 mod1(charges[i][b] + xi[b][a]) == 0 for b in range(len(members))
             )
             if trivial:
-                j = md.conjugation[pg.act(g, i)]
+                j = md.conjugation[pg.action[g, i]]
                 z[i][j] += 1
     if any(entry < 0 for row in z for entry in row):
         raise NegativeEntry("negative partition entry")
@@ -269,7 +267,7 @@ def scalar_verify_quadratic(pg):
                 raise QuadraticFormViolation(f"q(g^{m}) != {m}^2 q(g) for element {a}")
     for a in range(n):
         for c in range(n):
-            if b(a, c) != mod1(-monodromy_charge(pg.md, pg, pg.elements[a].object_index, c)):
+            if b(a, c) != mod1(-monodromy_charge(pg.md, pg, pg.objects[a], c)):
                 raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
             for e in range(n):
                 if b(pg.table[a][e], c) != mod1(b(a, c) + b(e, c)):
@@ -378,14 +376,14 @@ def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
 @pytest.mark.parametrize("name,k", RING_CASES, ids=RING_IDS)
 def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
-    invertible = sorted(el.object_index for el in pg.elements)
-    for ca in classify_algebras(pg):
+    invertible = sorted(pg.objects)
+    for alg in classify_algebras(pg):
         for build, objects in (
             (build_bimodule_ring, list(range(len(md)))),
             (build_pointed_bimodule_ring, invertible),
         ):
-            new = _outcome(build, ca.algebra)
-            old = _outcome(scalar_ring, md, ca.algebra, objects)
+            new = _outcome(build, alg)
+            old = _outcome(scalar_ring, md, alg, objects)
             if isinstance(old, tuple) and isinstance(old[0], type):
                 assert new == old
                 continue
@@ -400,9 +398,9 @@ def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
 @pytest.mark.parametrize("name,k", CASES, ids=IDS)
 def test_partition_kernel_matches_scalar_loop(name, k, md_of, pic_of):
     md, pg = md_of(name, k), pic_of(name, k)
-    for ca in classify_algebras(pg):
-        new = partition_function(ca.algebra)
-        assert new.tolist() == scalar_partition_function(md, ca.algebra)
+    for alg in classify_algebras(pg):
+        new = partition_function(alg)
+        assert new.tolist() == scalar_partition_function(md, alg)
         assert new.dtype == np.int64 and not new.flags.writeable
 
 
@@ -411,7 +409,7 @@ def test_ksb_kernel_matches_scalar_loop(name, k, pic_of):
     """Every KSB of every subgroup, equal and in the same order."""
     pg = pic_of(name, k)
     for sub in enumerate_subgroups(pg):
-        new = [_fraction_values(ksb) for ksb in enumerate_ksbs(sub)]
+        new = [_fraction_values(algebra) for algebra in enumerate_ksbs(sub)]
         assert new == scalar_enumerate_ksbs(sub)
 
 
@@ -420,8 +418,8 @@ def test_ksb_kernel_matches_scalar_loop(name, k, pic_of):
 
 def _a3_swap(md_of, pic_of):
     md, pg = md_of("A3", 2), pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
-    j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
+    jsq = pg.orders.index(2)
+    j = pg.orders.index(4)
     return md, pg, jsq, j, twining_S(pg, jsq)
 
 
@@ -526,7 +524,7 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
     group reports the first failing object of a scalar scan over the whole
     group.  Where Q stays additive, Z still matches the scalar loop."""
     md, pg = md_of(name, k), pic_of(name, k)
-    algebras = [ca.algebra for ca in classify_algebras(pg)]
+    algebras = classify_algebras(pg)
     failing = set()
     for w in range(1, len(md)):
         hs = list(md.conformal_weights)
@@ -542,8 +540,8 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
         assert old is None
         for algebra in algebras:
             sub = Subgroup(new, algebra.support.members)
-            values = numerators(_fraction_values(algebra.ksb), new.charge_den)
-            rebuilt = SchellekensAlgebra(sub, KSB(sub, tuple(map(tuple, values.tolist()))))
+            values = numerators(_fraction_values(algebra), new.charge_den)
+            rebuilt = SchellekensAlgebra(sub, tuple(map(tuple, values.tolist())))
             z = _outcome(partition_function, rebuilt)
             assert z.tolist() == scalar_partition_function(edited, rebuilt)
     assert any(not msg.endswith("object 0") for msg in failing)
@@ -551,10 +549,9 @@ def test_partition_additivity_error_parity(name, k, md_of, pic_of):
 
 def test_partition_bicharacter_error_parity(md_of, pic_of):
     md, pg = md_of("A1", 4), pic_of("A1", 4)
-    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 2)
-    good = algebra.ksb
-    bad_values = ((0, pg.charge_den // 3), (0, good.values[1][1]))  # Xi(1, J) = 1/3
-    bad = SchellekensAlgebra(algebra.support, KSB(algebra.support, bad_values))
+    algebra = next(alg for alg in classify_algebras(pg) if len(alg.support) == 2)
+    bad_values = ((0, pg.charge_den // 3), (0, algebra.xi[1][1]))  # Xi(1, J) = 1/3
+    bad = SchellekensAlgebra(algebra.support, bad_values)
     new = _outcome(partition_function, bad)
     assert new == _outcome(scalar_partition_function, md, bad)
     assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
@@ -566,18 +563,18 @@ def test_ring_error_parity(md_of, pic_of):
     partition_function runs, where the loop met a shift Xi(., h) that is no
     character of H and raised KeyError."""
     md, pg = md_of("A2", 2), pic_of("A2", 2)
-    algebra = next(ca.algebra for ca in classify_algebras(pg) if len(ca.algebra.support) == 3)
+    algebra = next(alg for alg in classify_algebras(pg) if len(alg.support) == 3)
     members = algebra.support.members
-    currents = {el.object_index for el in pg.elements}
+    currents = set(pg.objects)
     i = next(i for i in range(len(md)) if i not in currents)
-    orbit = sorted(pg.act(g, i) for g in members)  # closed under H, not under fusion
+    orbit = sorted(pg.action[g, i] for g in members)  # closed under H, not under fusion
     new = _outcome(_build_ring, algebra, orbit)
     assert new == _outcome(scalar_ring, md, algebra, orbit)
     assert new[0] is WzwError
     den = pg.charge_den  # 15: a skew of 1/3 is on the grid
-    values = [list(row) for row in algebra.ksb.values]
+    values = [list(row) for row in algebra.xi]
     values[1][2] = (values[1][2] + den // 3) % den
-    skewed = SchellekensAlgebra(algebra.support, KSB(algebra.support, tuple(map(tuple, values))))
+    skewed = SchellekensAlgebra(algebra.support, tuple(map(tuple, values)))
     objects = list(range(len(md)))
     new = _outcome(_build_ring, skewed, objects)
     assert new == _outcome(scalar_partition_function, md, skewed)

@@ -5,24 +5,30 @@ import numpy as np
 import pytest
 
 from wzwkit import (
+    build_bimodule_ring,
+    build_pointed_bimodule_ring,
     classify_algebras,
     enumerate_ksbs,
     enumerate_subgroups,
     partition_function,
     verify_modular_invariance,
 )
-from wzwkit.errors import InvarianceViolation, NonIntegerEntry
+from wzwkit.errors import (
+    FixedPointsPresent,
+    InvarianceViolation,
+    NonIntegerEntry,
+    QuadraticFormViolation,
+)
 from wzwkit.residues import mod1
-from wzwkit.schellekens import KSB, SchellekensAlgebra
+from wzwkit.schellekens import SchellekensAlgebra, Subgroup
 
 from conftest import CATALOG
 
 
 def monodromy_charge(md, pg, i, a):
     """Q_i(g) = h_{g.i} - h_g - h_i mod 1, from the definition (independent of pg's table)."""
-    g = pg.elements[a]
     hs = md.conformal_weights
-    return mod1(hs[g.action[i]] - hs[g.object_index] - hs[i])
+    return mod1(hs[pg.action[a, i]] - hs[pg.objects[a]] - hs[i])
 
 
 def test_subgroup_counts(pic_of):
@@ -35,16 +41,16 @@ def test_subgroup_counts(pic_of):
 def test_trivial_subgroup_has_one_ksb(pic_of):
     sub = enumerate_subgroups(pic_of("A1", 5))[0]
     assert len(sub) == 1
-    ksbs = enumerate_ksbs(sub)
-    assert len(ksbs) == 1
-    assert ksbs[0].values == ((0,),)
+    algebras = enumerate_ksbs(sub)
+    assert algebras == [SchellekensAlgebra(sub, ((0,),))]
 
 
 def test_a1_level4_unique_ksb(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
-    ksbs = enumerate_ksbs(z2)
-    assert len(ksbs) == 1
-    assert ksbs[0].values[1][1] == 0  # Xi(J, J) = +1, h_J = 1
+    algebras = enumerate_ksbs(z2)
+    assert len(algebras) == 1
+    assert algebras[0].support == z2
+    assert algebras[0].xi[1][1] == 0  # Xi(J, J) = +1, h_J = 1
 
 
 def test_a1_level5_no_z2_ksb(pic_of):
@@ -54,17 +60,17 @@ def test_a1_level5_no_z2_ksb(pic_of):
 
 def test_a1_level6_ksb_is_minus_one(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
-    ksbs = enumerate_ksbs(z2)
-    assert len(ksbs) == 1
-    assert ksbs[0].values[1][1] == z2.picard.charge_den // 2  # Xi(J, J) = 1/2
+    algebras = enumerate_ksbs(z2)
+    assert len(algebras) == 1
+    assert algebras[0].xi[1][1] == z2.picard.charge_den // 2  # Xi(J, J) = 1/2
 
 
 def test_ksb_diagonal_holds_on_all_elements(pic_of):
     for name, k in CATALOG:
         for sub in enumerate_subgroups(pic_of(name, k)):
-            for ksb in enumerate_ksbs(sub):
+            for algebra in enumerate_ksbs(sub):
                 for a in range(len(sub)):
-                    assert ksb.values[a][a] == sub.picard.twists[sub.members[a]]
+                    assert algebra.xi[a][a] == sub.picard.twists[sub.members[a]]
 
 
 def test_ksb_symmetric_part_is_monodromy_pairing(pic_of, md_of):
@@ -74,11 +80,11 @@ def test_ksb_symmetric_part_is_monodromy_pairing(pic_of, md_of):
         md = md_of(name, k)
         pg = pic_of(name, k)
         for sub in enumerate_subgroups(pg):
-            for ksb in enumerate_ksbs(sub):
+            for algebra in enumerate_ksbs(sub):
                 for a, g in enumerate(sub.members):
                     for b, h in enumerate(sub.members):
-                        q = monodromy_charge(md, pg, pg.elements[g].object_index, h)
-                        xi = ksb.values[a][b] + ksb.values[b][a]
+                        q = monodromy_charge(md, pg, pg.objects[g], h)
+                        xi = algebra.xi[a][b] + algebra.xi[b][a]
                         assert mod1(Fraction(xi, pg.charge_den)) == q
 
 
@@ -86,7 +92,7 @@ def test_cardy_partition_is_conjugation(md_of, pic_of):
     for name, k in [("A1", 3), ("A2", 2), ("D4", 2), ("G2", 3)]:
         md = md_of(name, k)
         trivial = enumerate_subgroups(pic_of(name, k))[0]
-        algebra = SchellekensAlgebra(trivial, enumerate_ksbs(trivial)[0])
+        algebra = enumerate_ksbs(trivial)[0]
         z = partition_function(algebra)
         assert z.dtype == np.int64 and not z.flags.writeable
         for i in range(len(md)):
@@ -96,7 +102,7 @@ def test_cardy_partition_is_conjugation(md_of, pic_of):
 
 def test_a1_level4_d_even_matrix(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
-    algebra = SchellekensAlgebra(z2, enumerate_ksbs(z2)[0])
+    algebra = enumerate_ksbs(z2)[0]
     z = partition_function(algebra)
     expected = {(0, 0): 1, (0, 4): 1, (4, 0): 1, (4, 4): 1, (2, 2): 2}
     for i in range(5):
@@ -106,7 +112,7 @@ def test_a1_level4_d_even_matrix(pic_of):
 
 def test_a1_level6_d_odd_matrix(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
-    algebra = SchellekensAlgebra(z2, enumerate_ksbs(z2)[0])
+    algebra = enumerate_ksbs(z2)[0]
     z = partition_function(algebra)
     for i in range(7):
         for j in range(7):
@@ -119,9 +125,9 @@ def test_a1_level6_d_odd_matrix(pic_of):
 @pytest.mark.parametrize("name,k", CATALOG)
 def test_all_classified_algebras_are_modular_invariant(name, k, md_of, pic_of):
     md = md_of(name, k)
-    for ca in classify_algebras(pic_of(name, k)):
-        assert verify_modular_invariance(md, ca.partition) < 1e-8
-        assert ca.partition[md.vacuum, md.vacuum] == 1
+    for alg in classify_algebras(pic_of(name, k)):
+        assert verify_modular_invariance(md, alg.partition) < 1e-8
+        assert alg.partition[md.vacuum, md.vacuum] == 1
 
 
 def test_algebra_counts(pic_of):
@@ -137,19 +143,18 @@ def test_algebra_counts(pic_of):
 
 def test_transpose_ksb_transposes_partition(pic_of):
     for name, k in [("A3", 2), ("A3", 3), ("D4", 2), ("A2", 2)]:
-        for ca in classify_algebras(pic_of(name, k)):
-            transposed = tuple(zip(*ca.algebra.ksb.values))
-            flipped = SchellekensAlgebra(ca.algebra.support, KSB(ca.algebra.support, transposed))
+        for alg in classify_algebras(pic_of(name, k)):
+            flipped = SchellekensAlgebra(alg.support, tuple(zip(*alg.xi)))
             zt = partition_function(flipped)
-            assert np.array_equal(zt, ca.partition.T)
+            assert np.array_equal(zt, alg.partition.T)
 
 
 def test_multiplicity_bound(pic_of):
     """Each invertible object appears in A with multiplicity at most one:
     supports are duplicate-free element sets by construction."""
     for name, k in [("A1", 4), ("D4", 2)]:
-        for ca in classify_algebras(pic_of(name, k)):
-            members = ca.algebra.support.members
+        for alg in classify_algebras(pic_of(name, k)):
+            members = alg.support.members
             assert len(members) == len(set(members))
 
 
@@ -182,14 +187,32 @@ def test_partition_function_rejects_bad_bicharacter(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
     good = enumerate_ksbs(z2)[0]
     third = z2.picard.charge_den // 3
-    bad = KSB(z2, ((0, third), (0, good.values[1][1])))  # Xi(J, J) = h_J, Xi(1, J) = 1/3
+    bad = SchellekensAlgebra(z2, ((0, third), (0, good.xi[1][1])))  # Xi(J, J) = h_J, Xi(1, J) = 1/3
     with pytest.raises(NonIntegerEntry):
-        partition_function(SchellekensAlgebra(z2, bad))
+        partition_function(bad)
 
 
 def test_partition_function_refuses_fraction_values(pic_of):
-    """KSB values are numerators over charge_den; Fractions are refused, not truncated."""
+    """Xi values are numerators over charge_den; Fractions are refused, not truncated."""
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
-    as_fractions = KSB(z2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))))
+    as_fractions = SchellekensAlgebra(z2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))))
     with pytest.raises(NonIntegerEntry, match="not integer numerators over 32"):
-        partition_function(SchellekensAlgebra(z2, as_fractions))
+        partition_function(as_fractions)
+
+
+def test_xi_off_the_twist_diagonal_is_refused(pic_of):
+    """On D6:2 the current of support (0, 1) has twist 1/2, so Xi = 0, the
+    bicharacter of support (0, 3), is no algebra on it.  Unchecked, Z would
+    fail the T-condition and the pointed ring would come out with rank 4."""
+    pg = pic_of("D6", 2)
+    assert 2 * pg.twists[1] == pg.charge_den
+    zero = enumerate_ksbs(Subgroup(pg, (0, 3)))[0].xi
+    assert zero == ((0, 0), (0, 0))
+    algebra = SchellekensAlgebra(Subgroup(pg, (0, 1)), zero)
+    message = r"^Xi\(g, g\) != h_g for support element 1$"
+    with pytest.raises(QuadraticFormViolation, match=message):
+        partition_function(algebra)
+    with pytest.raises(QuadraticFormViolation, match=message):
+        build_pointed_bimodule_ring(algebra)
+    with pytest.raises(FixedPointsPresent):  # the free-action check comes first
+        build_bimodule_ring(algebra)

@@ -25,7 +25,7 @@ def test_fixed_points_a1(pic_of):
 def test_fixed_points_a3_rotation_by_two(md_of, pic_of):
     md = md_of("A3", 2)
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     fixed = fixed_points(pg, jsq)
     assert tuple(md.weights[i] for i in fixed) == ((0, 1, 0), (1, 0, 1))
 
@@ -51,7 +51,7 @@ def test_fold_a1_swap(md_of, pic_of):
 def test_fold_a3_rotation(md_of, pic_of):
     md = md_of("A3", 2)
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     fold = fold_diagram(md.level_data, diagram_automorphism(pg, jsq))
     assert (fold.folded_series, fold.folded_rank, fold.folded_level) == ("A", 1, 1)
     named = {md.weights[i]: fold.folded_level_data.weights[x] for i, x in fold.weight_map.items()}
@@ -68,14 +68,14 @@ def test_fold_rejects_indivisible_order(md_of, pic_of):
 def test_fold_rejects_non_a_series(md_of, pic_of):
     md = md_of("D4", 2)
     pg = pic_of("D4", 2)
-    nontrivial = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    nontrivial = pg.orders.index(2)
     with pytest.raises(UnsupportedFolding):
         fold_diagram(md.level_data, diagram_automorphism(pg, nontrivial))
 
 
 def test_twining_matrix_a3(pic_of):
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
     expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert np.max(np.abs(tsm.matrix - expected)) < 1e-12
@@ -116,7 +116,7 @@ def test_twining_requires_fixed_points(pic_of):
 
 def test_phi_identity_element_is_zero(pic_of):
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
     vals = extract_phi(pg, tsm, jsq, 0)
     assert all(v == 0 for v in vals.by_weight.values())
@@ -126,9 +126,9 @@ def test_phi_values_a3(pic_of):
     """Frozen from the hand evaluation of the ratio identity with the
     closed-form 2x2 folded S-matrix."""
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
-    j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
+    j = pg.orders.index(4)
     half = pg.charge_den // 2  # residues over charge_den
     swap = extract_phi(pg, tsm, jsq, j)
     assert set(swap.by_weight.values()) == {half}
@@ -140,7 +140,7 @@ def test_phi_values_a3(pic_of):
 def test_phi_ratio_survives_global_phase(pic_of):
     """The candidate is a ratio, so rescaling S^w by any phase is invisible."""
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -154,9 +154,9 @@ def test_phi_ratio_survives_global_phase(pic_of):
 
 def test_perturbation_trips_lambda_independence(pic_of):
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
-    j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
+    j = pg.orders.index(4)
     bad = np.array(tsm.matrix, copy=True)
     bad[0, 0] += 1e-3
     with pytest.raises(LambdaDependence):
@@ -169,8 +169,8 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
     from wzwkit.errors import SnapFailure
 
     pg = pic_of("A3", 2)
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
-    j = next(a for a in range(len(pg)) if pg.elements[a].order == 4)
+    jsq = pg.orders.index(2)
+    j = pg.orders.index(4)
     tsm = twining_S(pg, jsq)
     z = np.exp(2j * np.pi * 0.13)
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
@@ -184,8 +184,8 @@ def _a3_rows(pic_of):
     pg = pic_of("A3", 2)
     members = tuple(range(len(pg)))
     rows = [PhiRows(pg).row(g, members) for g in members if fixed_points(pg, g)]
-    jsq = next(a for a in members if pg.elements[a].order == 2)
-    j = next(a for a in members if pg.elements[a].order == 4)
+    jsq = next(a for a in members if pg.orders[a] == 2)
+    j = next(a for a in members if pg.orders[a] == 4)
     return pg, rows, jsq, j
 
 
@@ -228,18 +228,18 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
 def test_conjecture_suite_passes(name, k, pic_of):
     pg = pic_of(name, k)
     shared = PhiRows(pg)
-    for ca in classify_algebras(pg):
-        report = verify_conjecture(ca.algebra)
+    for alg in classify_algebras(pg):
+        report = verify_conjecture(alg)
         assert report.passed, [c for c in report.findings]
-        assert verify_conjecture(ca.algebra, rows=shared) == report
+        assert verify_conjecture(alg, rows=shared) == report
 
 
 def test_shared_rows_must_belong_to_the_algebra(pic_of):
-    ca = classify_algebras(pic_of("A1", 4))[-1]
+    alg = classify_algebras(pic_of("A1", 4))[-1]
     with pytest.raises(ValueError, match="another Picard group"):
-        verify_conjecture(ca.algebra, rows=PhiRows(pic_of("A1", 2)))
+        verify_conjecture(alg, rows=PhiRows(pic_of("A1", 2)))
     with pytest.raises(ValueError, match="another Picard group"):
-        verify_conjecture(ca.algebra, rows=PhiRows(ca.algebra.picard, Config(tolerance=1e-9)))
+        verify_conjecture(alg, rows=PhiRows(alg.picard, Config(tolerance=1e-9)))
 
 
 def test_epsilon_from_extracted_phi_is_alternating(pic_of):
@@ -250,23 +250,23 @@ def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     pg = pic_of("A3", 2)
     den = pg.charge_den
     full = [s for s in enumerate_subgroups(pg) if len(s) == 4][0]
-    ksb = enumerate_ksbs(full)[0]
+    xi = enumerate_ksbs(full)[0].xi
     rows = PhiRows(pg)
     table = {(u, g, h): r
              for g in full.members if fixed_points(pg, g)
              for h, vals in rows.row(g, full.members).phi.items()
              for u, r in vals.by_weight.items()}
-    jsq = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    jsq = pg.orders.index(2)
     stabilizer = (0, jsq)
     for u in fixed_points(pg, jsq):
         for g in stabilizer:
             for h in stabilizer:
                 eps = (table[u, g, h]
-                       + ksb.values[full.members.index(h)][full.members.index(g)]) % den
+                       + xi[full.members.index(h)][full.members.index(g)]) % den
                 if g == h:
                     assert eps == 0
                 assert eps == -(table[u, h, g]
-                                + ksb.values[full.members.index(g)][full.members.index(h)]) % den
+                                + xi[full.members.index(g)][full.members.index(h)]) % den
 
 
 def test_complex_folded_matrix_a5(pic_of):
@@ -274,18 +274,18 @@ def test_complex_folded_matrix_a5(pic_of):
     whose S-matrix is genuinely complex; the suite is phase-sensitive there."""
     pg = pic_of("A5", 2)
     assert pg.invariant_factors == (6,)
-    g = next(a for a in range(len(pg)) if pg.elements[a].order == 2)
+    g = pg.orders.index(2)
     tsm = twining_S(pg, g)
     assert tsm.matrix.shape == (3, 3)
     assert np.max(np.abs(np.imag(tsm.matrix))) > 0.4
-    for ca in classify_algebras(pg):
-        report = verify_conjecture(ca.algebra)
+    for alg in classify_algebras(pg):
+        report = verify_conjecture(alg)
         assert report.passed, [str(c) for c in report.findings]
 
 
 def test_conjecture_margins_are_tiny(pic_of):
     pg = pic_of("A3", 2)
-    full = [c for c in classify_algebras(pg) if len(c.algebra.support) == 4][0]
-    report = verify_conjecture(full.algebra)
+    full = [c for c in classify_algebras(pg) if len(c.support) == 4][0]
+    report = verify_conjecture(full)
     worst = max(c.margin for c in report.checks if c.margin is not None)
     assert worst < 1e-8
