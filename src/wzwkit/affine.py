@@ -21,7 +21,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -415,12 +415,18 @@ S_ALGORITHM = "kpdet"
 
 
 def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """Unitary symmetric S-matrix from the Kac-Peterson sum, S[0,0] real positive.
+    """The S-matrix from the Kac-Peterson sum, S[0,0] real positive.
 
     Shat = sum_c det(c) exp(-2 pi i (x, c^-1 y)_rest / kappa) D_J(x, c^-1 y), with
     x = L + rho, y = M + rho, c over W/W_J, D_J the determinant form of the
     W_J sum and (.,.)_rest the W_J-invariant rest of the pairing.  Every phase
     is reduced modulo its period in integers before the exponential.
+
+    NormalizationFailure unless Shat Shat^dagger is a positive multiple of the
+    identity (which bounds the unitarity of S), the vacuum entry is nonzero
+    and, where w0 = -1, S is real.  Symmetry and unitarity of the result are
+    checked by its reader: ``_assemble`` for the S of C(g, k), ``twining_S``
+    for a folded one.
     """
     rs = ld.root_system
     order = _check_weyl_cap(ld.lie_type, config)
@@ -456,10 +462,6 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
         if np.max(np.abs(s.imag)) > config.tolerance:
             raise NormalizationFailure("S of a self-conjugate algebra is not real")
         s = s.real.astype(np.complex128)
-    if np.max(np.abs(s - s.T)) > config.tolerance:
-        raise NormalizationFailure("normalized S is not symmetric")
-    if np.max(np.abs(s @ s.conj().T - np.eye(n))) > config.tolerance:
-        raise NormalizationFailure("normalized S is not unitary")
     return s
 
 
@@ -518,6 +520,9 @@ class ModularData:
     """Simple objects, S and T data, fusion and duality of C(g, k).
 
     All arrays are read-only; instances are safe to share across threads.
+    residuals holds max|S - S^T|, max|S S^dagger - 1| and max|(ST)^3 - S^2|
+    under the names of the report's checks, in that order, as measured when
+    the datum was assembled; they are determined by S, so left out of ==.
     """
 
     level_data: LevelData
@@ -528,6 +533,7 @@ class ModularData:
     fusion: np.ndarray
     quantum_dims: np.ndarray
     conjugation: tuple[int, ...]
+    residuals: tuple[tuple[str, float], ...] = field(compare=False)
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -546,22 +552,42 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def s_residuals(s: np.ndarray) -> tuple[float, float]:
+    """(max|S - S^T|, max|S S^dagger - 1|) of a square matrix."""
+    return (float(np.max(np.abs(s - s.T))),
+            float(np.max(np.abs(s @ s.conj().T - np.eye(len(s))))))
+
+
 def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     """The modular datum of the weights ld and the normalized S: h, c and the
     T-exponents from ld; Verlinde, conjugation and quantum dimensions from S.
-    Both the computing and the loading path end here."""
+
+    Both the computing and the loading path end here, so this is where S is
+    checked: NormalizationFailure unless it is symmetric and unitary within
+    the tolerance.  Those two residuals and max|(ST)^3 - S^2| are kept as the
+    datum's residuals.
+    """
+    sym, uni = s_residuals(s)
+    if sym > config.tolerance:
+        raise NormalizationFailure("S is not symmetric")
+    if uni > config.tolerance:
+        raise NormalizationFailure("S is not unitary")
     hs = tuple(_conformal_weights(ld))
     c = central_charge(ld)
+    t_exponents = tuple(mod1(h - c / 24) for h in hs)
+    t = np.diag(np.exp(2j * np.pi * np.array([float(x) for x in t_exponents])))
+    st = float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s)))
     v = ld.vacuum_index
     return ModularData(
         level_data=ld,
         conformal_weights=hs,
         central_charge=c,
-        t_exponents=tuple(mod1(h - c / 24) for h in hs),
+        t_exponents=t_exponents,
         s_matrix=_freeze(s),
         fusion=_freeze(verlinde_fusion(s, config)),
         quantum_dims=_freeze(np.real(s[v] / s[v, v])),
         conjugation=conjugation_from_S(s, v, config),
+        residuals=(("s-symmetric", sym), ("s-unitary", uni), ("st-cubed-is-s-squared", st)),
     )
 
 
@@ -571,12 +597,6 @@ def modular_data(t: SimpleLieType | str, level: int, config: Config = DEFAULT_CO
         t = parse_lie_type(t, config)
     ld = integrable_weights(t, level, config)
     return _assemble(ld, kac_peterson_S(ld, config), config)
-
-
-def t_matrix(md: ModularData) -> np.ndarray:
-    """Diagonal T = exp(2 pi i (h - c/24)) as a dense matrix."""
-    phases = np.exp(2j * np.pi * np.array([float(x) for x in md.t_exponents]))
-    return np.diag(phases)
 
 
 # --- JSON document (CLI payload; the cache keeps its key and S) -------------
@@ -624,8 +644,10 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
 
     Only those four fields are read (S is the one expensive quantity, being
     the Kac-Peterson sum).  S must have the shape of the weight set and be
-    finite, symmetric and unitary, else ValueError; the rest is derived by
-    the same ``_assemble`` as ``modular_data``.  Any other field is ignored here:
+    finite, else ValueError, before any arithmetic on it; the rest is derived
+    and checked by the same ``_assemble`` as ``modular_data``, so an S that
+    is not symmetric or not unitary raises its NormalizationFailure.  Any
+    other field is ignored here:
     ``cache.cache_lookup`` requires that the key and S of the result, saved
     again, reproduce the stored file byte for byte.
     """
@@ -634,11 +656,7 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
     pairs = np.array(doc["sMatrix"], dtype=np.float64)  # a copy: S must not alias doc
     if pairs.shape != (n, n, 2):
         raise ValueError("stored S-matrix has the wrong shape")
-    if not np.isfinite(pairs).all():  # NaN would slip past the tolerance tests below
+    if not np.isfinite(pairs).all():  # NaN would slip past _assemble's tolerance tests
         raise ValueError("stored S-matrix is not finite")
     s = pairs.view(np.complex128)[..., 0]  # exact, signed zeros included
-    if np.max(np.abs(s - s.T)) > config.tolerance:
-        raise ValueError("stored S-matrix is not symmetric")
-    if np.max(np.abs(s @ s.conj().T - np.eye(n))) > config.tolerance:
-        raise ValueError("stored S-matrix is not unitary")
     return _assemble(ld, s, config)

@@ -11,7 +11,9 @@ fallback.  The simple objects, their fusion and conjugation are read from the
 algebra's Picard group, so a ring cannot mix one category's data with
 another's algebra.  The invertible classes are found as the simple currents
 are, by `picard.unit_group`, with the classes over simple currents as the
-cheap prefilter.
+cheap prefilter, once per ring: the ring keeps them with their group table
+as `units`, which `bimodule_picard` and `kramers_wannier_candidates` read.
+Xi is read as its algebra holds it, checked when the algebra was made.
 
 The structure constants are filled with integer-coded characters: each
 character of H is coded once on the grid of the Picard group's
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -33,7 +36,6 @@ import numpy as np
 from . import groups
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .picard import unit_group
-from .schellekens import _xi_residues
 
 if TYPE_CHECKING:
     from .schellekens import SchellekensAlgebra
@@ -60,12 +62,15 @@ class BimoduleRing:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def invertible_positions(self) -> tuple[int, ...]:
-        """The invertible classes, unit first: rows of the structure that are
-        permutation matrices, among the classes over simple currents."""
+    @cached_property
+    def units(self) -> tuple[tuple[int, ...], groups.Table]:
+        """The positions of the invertible classes, unit first, and their
+        group table: rows of the structure that are permutation matrices,
+        among the classes over simple currents."""
         pic_objects = set(self.algebra.picard.objects)
         over = [x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects]
-        return unit_group(self.structure, self.unit, over)[0]
+        positions, _, table = unit_group(self.structure, self.unit, over)
+        return positions, table
 
 
 def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing:
@@ -83,7 +88,7 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing
         raise FixedPointsPresent([md.weights[i] for i in fixed])
     if not np.isin(moved, objs).all():
         raise WzwError("object set is not closed under the H-action")
-    xi = _xi_residues(algebra)  # [a, h]: Xi(g_a, g_h)
+    xi = np.array(algebra.xi)  # [a, h]: Xi(g_a, g_h)
     rep = moved.min(axis=0)  # [k]: the least object of the orbit of objs[k]
     reps = np.array(sorted(set(rep.tolist())), dtype=np.intp)  # not np.unique: it loads numpy.ma
     shift_by = (act[:, rep] == objs).argmax(axis=0)  # [k]: the h with g_h . rep = objs[k]
@@ -171,8 +176,7 @@ class BimodulePicard:
 
 def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
     """The group of invertible classes, realizing H* x_H Pic(C)."""
-    # the confirmed positions again, now for their group table
-    positions, _, table = unit_group(ring.structure, ring.unit, ring.invertible_positions())
+    positions, table = ring.units
     if groups.is_abelian(table):
         factors = groups.invariant_factors(table)
         name = groups.group_name(factors)
@@ -194,7 +198,7 @@ def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
     The dual of (i, psi) is (i_bar, -psi); the pairing is validated by the
     unit appearing with multiplicity exactly one.
     """
-    invertible = set(ring.invertible_positions())
+    invertible = set(ring.units[0])
     out = []
     for x, cls in enumerate(ring.basis):
         if x in invertible:

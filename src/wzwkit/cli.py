@@ -179,21 +179,9 @@ def _latex_partition(arr: np.ndarray) -> str:
 
 
 def _cmd_modular_data(md: ModularData, args, config: Config):
-    import numpy as np
+    from .affine import modular_data_to_doc
 
-    from .affine import modular_data_to_doc, t_matrix
-
-    s = md.s_matrix
-    n = len(md)
-    t = t_matrix(md)
-    sym = float(np.max(np.abs(s - s.T)))
-    uni = float(np.max(np.abs(s @ s.conj().T - np.eye(n))))
-    st = float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s)))
-    checks = [
-        _check("s-symmetric", sym < config.tolerance, sym),
-        _check("s-unitary", uni < config.tolerance, uni),
-        _check("st-cubed-is-s-squared", st < config.tolerance, st),
-    ]
+    checks = [_check(name, r < config.tolerance, r) for name, r in md.residuals]
     return modular_data_to_doc(md), checks
 
 
@@ -408,7 +396,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
         blob["phi"] = phi
         if findings:
             blob["findings"] = findings
-        uni = tsm.unitarity_residual
+        _, uni = tsm.residuals
         checks.append(_check(f"s-omega-unitary-g{a}", uni < config.tolerance, uni))
         checks.append(_check(f"phi-ratio-g{a}", not findings, None))
     return {"elements": blobs}, checks

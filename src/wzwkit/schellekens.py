@@ -6,9 +6,12 @@ the twist residues, so Xi cannot be paired with another subgroup than the
 one it was made on.  Every residue here is an integer over the Picard
 group's `charge_den`: the monodromy charges of its table, the twists and the
 values of Xi, which are therefore enumerated, checked and summed as integer
-arrays.  `_xi_residues` is the one validator of a hand-made Xi.  The bulk
-partition matrix, the algebra's cached `partition`, collapses its inner
-character sum to |H| or 0, so every entry is an integer by construction.
+arrays.  Xi is checked once, when the algebra is made, so every reader of
+`algebra.xi` (Z here, the bimodule rings, the boundary forms) gets a
+bicharacter on H with the twists on its diagonal, reduced mod `charge_den`.
+The bulk partition matrix, the algebra's cached `partition`, collapses its
+inner character sum to |H| or 0, so every entry is an integer by
+construction.
 """
 
 from __future__ import annotations
@@ -65,11 +68,32 @@ class SchellekensAlgebra:
     """The isomorphism-class datum (support H, bicharacter Xi).
 
     xi[a][b] is Xi(g_a, g_b) * charge_den, an integer in [0, charge_den),
-    for local indices into support.members.
+    for local indices into support.members.  Xi is checked when the algebra
+    is made: NonIntegerEntry unless its values are integers additive in both
+    arguments on the local table; then QuadraticFormViolation unless
+    Xi(g, g) = h_g on every element of H.  It is stored reduced mod
+    charge_den.
     """
 
     support: Subgroup
     xi: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        sub = self.support
+        den = sub.picard.charge_den
+        table = np.array(sub.local_table, dtype=np.intp)
+        xi = np.array(self.xi)
+        if xi.dtype.kind != "i":  # Fractions, say, which an int64 cast would truncate
+            raise NonIntegerEntry(f"Xi values are not integer numerators over {den}")
+        left = xi[table] - xi[:, None, :] - xi[None, :, :]  # [a, b, c]: Xi(ab, c) - Xi(a, c) - Xi(b, c)
+        right = xi[:, table] - xi[:, :, None] - xi[:, None, :]  # [c, a, b]: Xi(c, ab) - Xi(c, a) - ...
+        if (left % den).any() or (right % den).any():
+            raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
+        xi %= den
+        off = np.flatnonzero(xi.diagonal() != sub.picard.twists[list(sub.members)])
+        if len(off):
+            raise QuadraticFormViolation(f"Xi(g, g) != h_g for support element {sub.members[off[0]]}")
+        object.__setattr__(self, "xi", tuple(map(tuple, xi.tolist())))
 
     @property
     def picard(self) -> PicardGroup:
@@ -79,30 +103,6 @@ class SchellekensAlgebra:
     def partition(self) -> np.ndarray:
         """Z, by partition_function."""
         return partition_function(self)
-
-
-def _xi_residues(algebra: SchellekensAlgebra) -> np.ndarray:
-    """Xi as an int64 array [a, b] over charge_den.
-
-    NonIntegerEntry unless Xi is additive in both arguments on the local
-    table; then QuadraticFormViolation unless Xi(g, g) = h_g on every element
-    of H.
-    """
-    sub = algebra.support
-    den = sub.picard.charge_den
-    table = np.array(sub.local_table, dtype=np.intp)
-    xi = np.array(algebra.xi)
-    if xi.dtype.kind != "i":  # Fractions, say, which an int64 cast would truncate
-        raise NonIntegerEntry(f"Xi values are not integer numerators over {den}")
-    left = xi[table] - xi[:, None, :] - xi[None, :, :]  # [a, b, c]: Xi(ab, c) - Xi(a, c) - Xi(b, c)
-    right = xi[:, table] - xi[:, :, None] - xi[:, None, :]  # [c, a, b]: Xi(c, ab) - Xi(c, a) - ...
-    if (left % den).any() or (right % den).any():
-        raise NonIntegerEntry("Xi is not a bihomomorphism on H x H")
-    xi %= den
-    off = np.flatnonzero(xi.diagonal() != sub.picard.twists[list(sub.members)])
-    if len(off):
-        raise QuadraticFormViolation(f"Xi(g, g) != h_g for support element {sub.members[off[0]]}")
-    return xi
 
 
 def enumerate_ksbs(support: Subgroup) -> list[SchellekensAlgebra]:
@@ -144,14 +144,14 @@ def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     The h-sum is a character sum: for fixed i and g the map
     h -> Q_i(h) + Xi(h, g) is additive, so the sum is |H| when the residue
     vanishes for every h and 0 otherwise.  The charges Q come from the Picard
-    group's table, whose rows are checked to be characters when it is built;
-    Xi is validated here, so an invalid Xi cannot slip through silently.
+    group's table, whose rows are checked to be characters when it is built,
+    and Xi is checked when the algebra is made.
     Z is returned as a read-only int64 array over the objects of algebra.picard.md.
     """
     sub = algebra.support
     pg = algebra.picard
     members = list(sub.members)
-    xi = _xi_residues(algebra)  # [b, a]: Xi(g_b, g_a)
+    xi = np.array(algebra.xi)  # [b, a]: Xi(g_b, g_a)
     q = pg.charges[:, members]  # [i, a]: Q_i(g_a)
     trivial = ((q[:, :, None] + xi) % pg.charge_den == 0).all(axis=1)  # [i, a]
     i, a = np.nonzero(trivial)

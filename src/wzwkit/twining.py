@@ -32,10 +32,13 @@ import cmath
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .affine import LevelData, SimpleLieType, affine_labels, integrable_weights, kac_peterson_S
+from .affine import (
+    LevelData, SimpleLieType, affine_labels, integrable_weights, kac_peterson_S, s_residuals,
+)
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
 from .picard import PicardGroup, diagram_automorphism
@@ -114,7 +117,11 @@ def fold_diagram(ld: LevelData, perm: tuple[int, ...], config: Config = DEFAULT_
 
 @dataclass(frozen=True)
 class TwiningSMatrix:
-    """Fixed-point set plus the unitary symmetric modular matrix S^w."""
+    """Fixed-point set plus the unitary symmetric modular matrix S^w.
+
+    Making one checks nothing, so the battery can hand a perturbed S^w to
+    extract_phi; twining_S checks the matrices it makes.
+    """
 
     fixed_points: tuple[int, ...]
     matrix: np.ndarray
@@ -123,14 +130,10 @@ class TwiningSMatrix:
     def __len__(self) -> int:
         return len(self.fixed_points)
 
-    @property
-    def symmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
-
-    @property
-    def unitarity_residual(self) -> float:
-        m = self.matrix
-        return float(np.max(np.abs(m @ m.conj().T - np.eye(len(m)))))
+    @cached_property
+    def residuals(self) -> tuple[float, float]:
+        """(max|S^w - S^w^T|, max|S^w S^w^dagger - 1|), measured once."""
+        return s_residuals(self.matrix)
 
 
 def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> TwiningSMatrix:
@@ -166,9 +169,10 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     matrix = matrix * (abs(z) / z)
     matrix.flags.writeable = False
     tsm = TwiningSMatrix(tuple(fixed), matrix, fold)
-    if tsm.symmetry_residual > config.tolerance:
+    sym, uni = tsm.residuals
+    if sym > config.tolerance:
         raise NormalizationFailure("S^w is not symmetric")
-    if tsm.unitarity_residual > config.tolerance:
+    if uni > config.tolerance:
         raise NormalizationFailure("S^w is not unitary")
     return tsm
 
@@ -370,7 +374,7 @@ def conjecture_checks(
     checks: list[ConjectureCheck] = []
     for row in rows:
         g, n = row.g, len(row.tsm)
-        sym, uni = row.tsm.symmetry_residual, row.tsm.unitarity_residual
+        sym, uni = row.tsm.residuals
         checks.append(ConjectureCheck(
             "s-omega-symmetric", g, None, sym <= tol, sym, f"{n}x{n} twining matrix"))
         checks.append(ConjectureCheck("s-omega-unitary", g, None, uni <= tol, uni, ""))

@@ -23,6 +23,12 @@ with warnings.catch_warnings():
     except ImportError:  # no libcst or no such module: nothing to preload
         pass
 
+def t_matrix(md):
+    """Diagonal T = exp(2 pi i (h - c/24)) as a dense matrix."""
+    phases = np.exp(2j * np.pi * np.array([float(x) for x in md.t_exponents]))
+    return np.diag(phases)
+
+
 def canonical_json(doc) -> str:
     """Compact, ASCII-only JSON of doc with each ndarray as its ``tolist()``:
     the byte oracle of the modular-data document tests."""

@@ -98,3 +98,21 @@ def test_selftest_weyl_cap_surfaces_cleanly(capsys):
 
     results = json.loads(out)["payload"]["results"]
     assert any("GroupTooLarge" in r["detail"] for r in results if not r["pass"])
+
+
+def test_a_crashed_criterion_keeps_its_id(monkeypatch):
+    """A runner that raises is reported under its numbered id, failing, with
+    the exception as its detail; the others run as usual."""
+    from wzwkit import acceptance
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(acceptance.picard, "verify_quadratic", boom)
+    monkeypatch.setattr(acceptance.boundary, "count_boundary_conditions", boom)
+    results = {r.criterion: r for r in Battery(Config()).run_all()}
+    assert list(results) == [criterion for criterion, _ in acceptance.CRITERIA]
+    for criterion in ("05-quadratic-form", "07-boundary-counts"):
+        r = results[criterion]
+        assert (r.passed, r.margin, r.detail) == (False, None, "RuntimeError: boom")
+    assert sum(r.passed for r in results.values()) == len(results) - 2

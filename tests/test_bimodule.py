@@ -150,7 +150,7 @@ def test_invertibles_never_candidates(pic_of):
     for name, k in [("A1", 2), ("A2", 2), ("A3", 2)]:
         cardy = _algebra(pic_of, name, k, 1)
         ring = build_bimodule_ring(cardy)
-        invertible = set(ring.invertible_positions())
+        invertible = set(ring.units[0])
         for cls in kramers_wannier_candidates(ring):
             assert ring.basis.index(cls) not in invertible
 
@@ -191,3 +191,25 @@ def test_duality_validation_failure_on_corrupt_ring():
     bad = dataclasses.replace(ring, structure=corrupt)
     with pytest.raises(DualityValidationFailure):
         kramers_wannier_candidates(bad)
+
+
+def test_each_ring_finds_its_units_once(capsys, monkeypatch):
+    """A bimodules report builds one ring per algebra; each ring runs
+    unit_group once, and its Picard group and duality candidates read that."""
+    import json
+
+    from wzwkit import bimodule
+    from wzwkit.cli import run
+
+    calls = []
+    unit_group = bimodule.unit_group
+
+    def counted(*args):
+        calls.append(args)
+        return unit_group(*args)
+
+    monkeypatch.setattr(bimodule, "unit_group", counted)
+    assert run(["bimodules", "A3", "4", "--no-cache"]) == 0
+    rings = len(json.loads(capsys.readouterr().out)["payload"]["algebras"])
+    assert rings > 1
+    assert len(calls) == rings

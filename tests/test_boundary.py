@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from wzwkit import (
@@ -9,8 +11,8 @@ from wzwkit import (
     orbit_decomposition,
 )
 from wzwkit.boundary import Orbit, _stabilizer_is_cyclic
-from wzwkit.errors import PhiUnavailable
-from wzwkit.schellekens import Subgroup
+from wzwkit.errors import NonIntegerEntry, PhiUnavailable, QuadraticFormViolation
+from wzwkit.schellekens import SchellekensAlgebra, Subgroup
 
 from conftest import CATALOG
 
@@ -202,3 +204,17 @@ def test_cyclic_stabilizer_test_matches_decomposition(pic_of):
                 assert _stabilizer_is_cyclic(pg, o.stabilizer) == oracle
                 seen.add(oracle)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("xi,error,message", [
+    (((0, 0), (0, 0)), QuadraticFormViolation, "Xi(g, g) != h_g for support element 1"),
+    (((0, 5), (0, 24)), NonIntegerEntry, "Xi is not a bihomomorphism on H x H"),
+], ids=["off-the-twist-diagonal", "not-a-bihomomorphism"])
+def test_invalid_xi_gets_no_boundary_count(xi, error, message, pic_of):
+    """On D6:2 with support (0, 1), neither Xi is an algebra: the first has
+    Xi(J, J) = 0 where h_J = 1/2, the second is not additive.  The algebra is
+    refused when it is made, so no boundary count is ever taken of it (once a
+    count of 11 came back for both)."""
+    support = Subgroup(pic_of("D6", 2), (0, 1))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        count_boundary_conditions(SchellekensAlgebra(support, xi))

@@ -21,10 +21,9 @@ from wzwkit import (
     verlinde_fusion,
     weyl_group,
 )
-from wzwkit.affine import t_matrix
 from wzwkit.errors import GroupTooLarge
 
-from conftest import CATALOG
+from conftest import CATALOG, t_matrix
 
 EXTRA = [("A5", 3), ("A6", 3), ("B3", 3), ("C3", 4), ("D5", 2), ("D6", 2), ("E6", 2),
          ("F4", 2), ("G2", 5)]

@@ -14,7 +14,6 @@ from wzwkit import (
     parse_lie_type,
     verlinde_fusion,
 )
-from wzwkit.affine import t_matrix
 from wzwkit.errors import (
     NegativeFusion,
     NonIntegerFusion,
@@ -22,7 +21,7 @@ from wzwkit.errors import (
     NotAPermutation,
 )
 
-from conftest import CATALOG, canonical_json
+from conftest import CATALOG, canonical_json, t_matrix
 
 
 @pytest.mark.parametrize(
@@ -117,6 +116,43 @@ def test_modular_relations(name, k, md_of):
     assert np.max(np.abs(s @ s.conj().T - np.eye(n))) < 1e-8
     assert np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s)) < 1e-8
     assert np.max(np.abs(np.linalg.matrix_power(s, 4) - np.eye(n))) < 1e-8
+
+
+def residuals_of(md):
+    """The residuals of S by the expressions the modular-data report once
+    computed itself, under its check names and in its order."""
+    s = md.s_matrix
+    n = len(md)
+    t = t_matrix(md)
+    return (
+        ("s-symmetric", float(np.max(np.abs(s - s.T)))),
+        ("s-unitary", float(np.max(np.abs(s @ s.conj().T - np.eye(n))))),
+        ("st-cubed-is-s-squared", float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s)))),
+    )
+
+
+@pytest.mark.parametrize("name,k", [*CATALOG, ("A1", 80), ("A2", 12), ("C3", 6), ("E6", 3),
+                                    ("D6", 2), ("A6", 3)])
+def test_residuals_are_measured_once_bit_for_bit(name, k, md_of):
+    """The residuals the datum keeps are the report's own expressions, bit
+    for bit, under its check names and in its order."""
+    md = md_of(name, k)
+    assert md.residuals == residuals_of(md)
+
+
+def test_asymmetric_s_is_refused_when_assembled(monkeypatch):
+    from wzwkit import affine
+
+    original = affine.kac_peterson_S
+
+    def asymmetric(ld, config=affine.DEFAULT_CONFIG):
+        s = original(ld, config)
+        s[0, 1] += 1e-6
+        return s
+
+    monkeypatch.setattr(affine, "kac_peterson_S", asymmetric)
+    with pytest.raises(NormalizationFailure, match="not symmetric"):
+        modular_data("A1", 3)
 
 
 @pytest.mark.parametrize("name,k", CATALOG)

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_ring,
                     build_root_system, classify_algebras, count_boundary_conditions,
                     orbit_decomposition)
-from wzwkit.affine import SimpleLieType, t_matrix, weyl_order
+from wzwkit.affine import SimpleLieType, weyl_order
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
+from conftest import t_matrix
 from test_kac_peterson import einsum_fusion
 from test_picard import CENTER_ORDER
 
@@ -184,5 +185,5 @@ def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
         dims = sum(md.quantum_dims[cls.object_index] ** 2 for cls in ring.basis)
         assert dims == pytest.approx(global_dim, rel=DEFAULT_CONFIG.tolerance)
         over = {x for x, cls in enumerate(ring.basis) if cls.object_index in currents}
-        assert _permutation_rows(ring.structure) == over == set(ring.invertible_positions())
+        assert _permutation_rows(ring.structure) == over == set(ring.units[0])
     assert free >= 1

@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +207,12 @@ def scalar_ring(md, algebra, objects):
                 structure[x, y, canonical(k, ch)] += int(row[k])
     trivial = tuple(mod1(Fraction(0)) for _ in members)
     return basis_t, structure, canonical(md.vacuum, trivial)
+
+
+def _unchecked(support, xi):
+    """An algebra record that no constructor has checked, for the oracles:
+    they must meet an invalid Xi where the constructor now refuses it."""
+    return SimpleNamespace(support=support, picard=support.picard, xi=xi)
 
 
 def _fraction_values(algebra):
@@ -551,17 +558,16 @@ def test_partition_bicharacter_error_parity(md_of, pic_of):
     md, pg = md_of("A1", 4), pic_of("A1", 4)
     algebra = next(alg for alg in classify_algebras(pg) if len(alg.support) == 2)
     bad_values = ((0, pg.charge_den // 3), (0, algebra.xi[1][1]))  # Xi(1, J) = 1/3
-    bad = SchellekensAlgebra(algebra.support, bad_values)
-    new = _outcome(partition_function, bad)
-    assert new == _outcome(scalar_partition_function, md, bad)
+    new = _outcome(SchellekensAlgebra, algebra.support, bad_values)
+    assert new == _outcome(scalar_partition_function, md, _unchecked(algebra.support, bad_values))
     assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
 
 
 def test_ring_error_parity(md_of, pic_of):
     """A fusion product outside the object set raises what the per-entry loop
     raised.  A Xi that is no bicharacter fails the bihomomorphism check that
-    partition_function runs, where the loop met a shift Xi(., h) that is no
-    character of H and raised KeyError."""
+    the algebra's constructor runs, where the loop met a shift Xi(., h) that
+    is no character of H and raised KeyError."""
     md, pg = md_of("A2", 2), pic_of("A2", 2)
     algebra = next(alg for alg in classify_algebras(pg) if len(alg.support) == 3)
     members = algebra.support.members
@@ -574,12 +580,12 @@ def test_ring_error_parity(md_of, pic_of):
     den = pg.charge_den  # 15: a skew of 1/3 is on the grid
     values = [list(row) for row in algebra.xi]
     values[1][2] = (values[1][2] + den // 3) % den
-    skewed = SchellekensAlgebra(algebra.support, tuple(map(tuple, values)))
-    objects = list(range(len(md)))
-    new = _outcome(_build_ring, skewed, objects)
-    assert new == _outcome(scalar_partition_function, md, skewed)
+    skewed = tuple(map(tuple, values))
+    new = _outcome(SchellekensAlgebra, algebra.support, skewed)
+    unchecked = _unchecked(algebra.support, skewed)
+    assert new == _outcome(scalar_partition_function, md, unchecked)
     assert new == (NonIntegerEntry, "Xi is not a bihomomorphism on H x H")
-    assert _outcome(scalar_ring, md, skewed, objects)[0] is KeyError
+    assert _outcome(scalar_ring, md, unchecked, list(range(len(md))))[0] is KeyError
 
 
 def test_quadratic_error_parity_on_tampered_twists(pic_of):

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from wzwkit import (
-    build_bimodule_ring,
-    build_pointed_bimodule_ring,
     classify_algebras,
     enumerate_ksbs,
     enumerate_subgroups,
@@ -14,7 +12,6 @@ from wzwkit import (
     verify_modular_invariance,
 )
 from wzwkit.errors import (
-    FixedPointsPresent,
     InvarianceViolation,
     NonIntegerEntry,
     QuadraticFormViolation,
@@ -187,32 +184,26 @@ def test_partition_function_rejects_bad_bicharacter(pic_of):
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 4)) if len(s) == 2][0]
     good = enumerate_ksbs(z2)[0]
     third = z2.picard.charge_den // 3
-    bad = SchellekensAlgebra(z2, ((0, third), (0, good.xi[1][1])))  # Xi(J, J) = h_J, Xi(1, J) = 1/3
-    with pytest.raises(NonIntegerEntry):
-        partition_function(bad)
+    with pytest.raises(NonIntegerEntry):  # Xi(J, J) = h_J, Xi(1, J) = 1/3
+        SchellekensAlgebra(z2, ((0, third), (0, good.xi[1][1])))
 
 
 def test_partition_function_refuses_fraction_values(pic_of):
     """Xi values are numerators over charge_den; Fractions are refused, not truncated."""
     z2 = [s for s in enumerate_subgroups(pic_of("A1", 6)) if len(s) == 2][0]
-    as_fractions = SchellekensAlgebra(z2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))))
     with pytest.raises(NonIntegerEntry, match="not integer numerators over 32"):
-        partition_function(as_fractions)
+        SchellekensAlgebra(z2, ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2))))
 
 
 def test_xi_off_the_twist_diagonal_is_refused(pic_of):
     """On D6:2 the current of support (0, 1) has twist 1/2, so Xi = 0, the
     bicharacter of support (0, 3), is no algebra on it.  Unchecked, Z would
-    fail the T-condition and the pointed ring would come out with rank 4."""
+    fail the T-condition and the pointed ring would come out with rank 4;
+    the algebra is refused when it is made."""
     pg = pic_of("D6", 2)
     assert 2 * pg.twists[1] == pg.charge_den
     zero = enumerate_ksbs(Subgroup(pg, (0, 3)))[0].xi
     assert zero == ((0, 0), (0, 0))
-    algebra = SchellekensAlgebra(Subgroup(pg, (0, 1)), zero)
     message = r"^Xi\(g, g\) != h_g for support element 1$"
     with pytest.raises(QuadraticFormViolation, match=message):
-        partition_function(algebra)
-    with pytest.raises(QuadraticFormViolation, match=message):
-        build_pointed_bimodule_ring(algebra)
-    with pytest.raises(FixedPointsPresent):  # the free-action check comes first
-        build_bimodule_ring(algebra)
+        SchellekensAlgebra(Subgroup(pg, (0, 1)), zero)

@@ -13,7 +13,7 @@ from wzwkit import (
     twining_S,
     verify_conjecture,
 )
-from wzwkit.errors import LambdaDependence, UnsupportedFolding
+from wzwkit.errors import LambdaDependence, NormalizationFailure, UnsupportedFolding
 from wzwkit.twining import PhiRows, TwiningSMatrix, conjecture_checks
 
 
@@ -107,6 +107,24 @@ def test_identity_fold_reuses_s(md_of, pic_of, monkeypatch):
     md = md_of("D4", 2)
     tsm = twining_S(pic_of("D4", 2), 0)
     assert np.array_equal(tsm.matrix, md.s_matrix)
+
+
+def test_asymmetric_folded_s_is_refused(pic_of, monkeypatch):
+    """An A-series fold reads the folded algebra's S from kac_peterson_S,
+    which no longer checks symmetry itself: twining_S does."""
+    from wzwkit import twining
+
+    original = twining.kac_peterson_S
+
+    def asymmetric(ld, config=twining.DEFAULT_CONFIG):
+        s = original(ld, config)
+        s[0, 1] += 1e-6
+        return s
+
+    monkeypatch.setattr(twining, "kac_peterson_S", asymmetric)
+    pg = pic_of("A3", 2)
+    with pytest.raises(NormalizationFailure, match=r"^S\^w is not symmetric$"):
+        twining_S(pg, pg.orders.index(2))
 
 
 def test_twining_requires_fixed_points(pic_of):
