@@ -165,8 +165,6 @@ class BimodulePicard:
     """Invertible bimodule classes: the internal-symmetry group of the CFT."""
 
     elements: tuple[BimoduleClass, ...]
-    positions: tuple[int, ...]  # positions in the ring basis
-    table: groups.Table
     invariant_factors: tuple[int, ...]
     iso_class_name: str
 
@@ -185,8 +183,6 @@ def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
         name = f"nonabelian-order-{len(positions)}"
     return BimodulePicard(
         elements=tuple(ring.basis[x] for x in positions),
-        positions=positions,
-        table=table,
         invariant_factors=factors,
         iso_class_name=name,
     )

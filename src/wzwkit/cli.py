@@ -551,6 +551,9 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"wzwkit: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy raises a private subclass: name the public class
+        print(f"wzwkit: MemoryError: {exc}", file=sys.stderr)
+        return 2
 
     report = {
         "schemaVersion": 1,

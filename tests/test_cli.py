@@ -253,6 +253,21 @@ def test_user_error_exit_codes(capsys, tmp_path):
     assert "GroupTooLarge" in err
 
 
+@pytest.mark.parametrize("command", ["modular-data", "picard"])
+def test_refused_allocation_exits_2(capsys, monkeypatch, command):
+    """An allocation the machine refuses (as numpy's for the n^3 Verlinde
+    tensor of A1 1500) is a refusal of the input: exit 2, one line naming the
+    public MemoryError on stderr, nothing on stdout."""
+    def refuse(s, config=DEFAULT_CONFIG):
+        raise MemoryError("Unable to allocate 25.2 GiB")
+
+    monkeypatch.setattr(affine, "verlinde_fusion", refuse)
+    assert run([command, "A1", "3", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
+
+
 def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
     """The Weyl cap is checked before the cache is read: a file stored under a
     raised cap does not let a query at the default cap through."""

@@ -15,9 +15,11 @@ from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_
                     orbit_decomposition)
 from wzwkit.affine import SimpleLieType, weyl_order
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
+from wzwkit.schellekens import enumerate_subgroups
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
 from conftest import t_matrix
+from test_groups import assert_matches_oracles
 from test_kac_peterson import einsum_fusion
 from test_picard import CENTER_ORDER
 
@@ -103,6 +105,21 @@ def test_residues_lie_on_the_charge_grid(pic_of, algebra):
         for vals in row.phi.values():
             if isinstance(vals, PhiValues):
                 assert on_grid(vals.by_weight.values())
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_group_tables_match_the_oracles(pic_of, algebra):
+    """Every algebra of the draw: on the Picard table, the local table of each
+    of its subgroups and the unit table of each bimodule ring of a freely
+    acting support, the decomposition search and what is read from it equal
+    the general-group algorithms it replaced."""
+    pg = pic_of(*algebra)
+    assert_matches_oracles(pg.table)
+    for sub in enumerate_subgroups(pg):
+        assert_matches_oracles(sub.local_table)
+    for alg in classify_algebras(pg):
+        if all(len(o.stabilizer) == 1 for o in orbit_decomposition(alg.support)):
+            assert_matches_oracles(build_bimodule_ring(alg).units[1])
 
 
 @given(ALGEBRAS)
