@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bimodule, boundary, picard, schellekens, twining
-from .affine import ModularData, modular_data
+from .affine import ModularData, fusion_rows, modular_data
 from .cache import cache_key, cache_lookup, cache_store
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, PhiUnavailable
@@ -141,18 +141,18 @@ class Battery:
     def fusion_checks(self) -> Verdict:
         notes = []
         for k in range(1, 9):
-            md = self.md("A1", k)
+            n = fusion_rows(self.md("A1", k).fusion, range(k + 1), k + 1)
             for a in range(k + 1):
                 for b in range(k + 1):
                     for c in range(k + 1):
                         cg = int(
                             abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0
                         )
-                        if md.fusion[a, b, c] != cg:
+                        if n[a, b, c] != cg:
                             notes.append(f"A1 level {k} CG mismatch at ({a},{b},{c})")
         for name, k in CATALOG:
             md = self.md(name, k)
-            n = md.fusion
+            n = fusion_rows(md.fusion, range(len(md)), len(md))
             lhs = np.einsum("ijm,mkl->ijkl", n, n)
             rhs = np.einsum("jkm,iml->ijkl", n, n)
             if not np.array_equal(lhs, rhs):
@@ -268,7 +268,7 @@ class Battery:
         ring = bimodule.build_bimodule_ring(alg)
         if len(ring) != 6:
             notes.append(f"(A2,2) ring rank {len(ring)} != 6")
-        n = ring.structure
+        n = fusion_rows(ring.structure, range(len(ring)), len(ring))
         if not np.array_equal(np.einsum("ijm,mkl->ijkl", n, n), np.einsum("jkm,iml->ijkl", n, n)):
             notes.append("(A2,2) ring not associative")
         bp = bimodule.bimodule_picard(ring)

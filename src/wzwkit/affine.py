@@ -9,7 +9,10 @@ Conventions:
 * The level-k simple objects are the integrable highest weights with
   sum(comark_i * label_i) <= k, sorted lexicographically (vacuum first).
 * Conformal weights h, the central charge c and all T-data are exact
-  rationals; the S-matrix and the fusion tensor are double precision.
+  rationals; the S-matrix is double precision.
+* The fusion rules are the sorted (m, 4) int64 table of the nonzero
+  (i, j, k, N_ij^k), rounded from Verlinde's formula and checked; no n^3
+  array is made, and ``fusion_rows`` gives the dense rows a reader needs.
 * S is the Kac-Peterson sum
       Shat[L, M] = sum_w det(w) exp(-2 pi i (w(L+rho), M+rho) / (k+hv)),
   normalized by unitarity with S[0,0] real positive, which avoids the
@@ -465,34 +468,97 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
     return s
 
 
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """The integers a in the smallest dtype that holds them."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    return a.astype(np.promote_types(np.min_scalar_type(lo), np.min_scalar_type(hi)))
+
+
+_CHUNK = 1 << 14  # rounded slice entries gathered before their nonzero ones are kept
+
+
 def verlinde_fusion(s: np.ndarray, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m, rounded and checked.
+    """N_ij^k = sum_m S_im S_jm conj(S_km) / S_0m, rounded and checked, as the
+    (m, 4) int64 table of the nonzero (i, j, k, N_ij^k) in lexicographic order.
 
     N_ij^k is symmetric in i and j, so slice i computes only the rows j >= i,
     as the matrix product (S[i:] diag(S_i / S_0)) S^dagger, in real arithmetic
-    when S is real, and fills the column j = i of the later slices from the
-    same rounded block.  Each distinct coefficient is computed and checked
-    once, and the result is the only n^3 array.
+    when S is real.  Each distinct coefficient is computed and checked once.
+    The rows (i, j >= i) are taken in order, a few slices at a time: of each
+    row only the count of its nonzero entries is kept, and their k and N in
+    the narrowest integer dtypes.  Once every slice is checked, the counts
+    place each entry at (i, j, k) and at (j, i, k) of the table.  No n^3 array
+    is made: the table is the largest array, the kept entries next.
     """
     if not s.imag.any():
         s = s.real
     n = len(s)
     sdag = s.conj().T
-    fusion = np.empty((n, n, n), dtype=np.int64)
     errs = np.empty(n)
-    for i, ratio in enumerate(s / s[0]):
-        raw = (s[i:] * ratio) @ sdag
+    per_pair = np.empty(n * (n + 1) // 2, dtype=np.int64)  # nonzero k of each (i, j >= i), in order
+    k_type = np.min_scalar_type(n - 1)
+    kept = []  # (first pair, last pair, k, N) of the nonzero entries of consecutive pairs
+    pending = []
+    pair = 0
+    for i in range(n):
+        raw = (s[i:] * (s[i] / s[0])) @ sdag
         rounded = np.rint(raw.real)
         errs[i] = np.max(np.abs(raw - rounded))
-        fusion[i, i:] = rounded
-        fusion[i + 1:, i] = rounded[1:]
+        pending.append(rounded)
+        if i < n - 1 and sum(map(len, pending)) * n < _CHUNK:
+            continue
+        block = np.concatenate(pending)  # one row per pair (i', j >= i') of the pending slices
+        pending = []
+        first, pair = pair, pair + len(block)
+        if not (errs[:i + 1] <= config.integrality_tolerance).all():
+            continue  # refused below, once every slice has its residual
+        nonzero = block != 0
+        per_pair[first:pair] = np.count_nonzero(nonzero, axis=1)
+        kept.append((first, pair, nonzero.nonzero()[1].astype(k_type), _narrow(block[nonzero])))
     err = np.max(errs)
     if not err <= config.integrality_tolerance:  # also rejects NaN
         raise NonIntegerFusion(f"fusion deviates from integers by {err:.3e}")
-    if np.min(fusion) < 0:
-        i, j, k = np.unravel_index(int(np.argmin(fusion)), fusion.shape)
-        raise NegativeFusion(f"N[{i},{j},{k}] = {fusion[i, j, k]}")
-    return fusion
+    del sdag, block, nonzero
+    upper = np.triu_indices(n)  # the pairs (i, j >= i), in order
+    counts = np.zeros((n, n), dtype=np.int64)
+    counts[upper] = per_pair
+    counts.T[upper] = per_pair
+    start = (np.cumsum(counts) - counts.ravel()).reshape(n, n)  # [i, j]: the table row of (i, j, k_0)
+    m = int(counts.sum())
+    del counts
+    table = np.empty((m, 4), dtype=np.int64)
+    while kept:  # each group is freed once placed
+        first, last, k, v = kept.pop(0)
+        per = per_pair[first:last]
+        of = np.repeat(np.arange(last - first), per)  # the pair of each entry, within the group
+        i, j = upper[0][first:last][of], upper[1][first:last][of]
+        rank = np.arange(len(k))  # then made each entry's rank among its pair's entries
+        rank -= (np.cumsum(per) - per)[of]
+        for a, b in ((i, j), (j, i)):
+            row = start[a, b]
+            row += rank
+            table[row, 0] = a
+            table[row, 1] = b
+            table[row, 2] = k
+            table[row, 3] = v
+    if len(table) and table[:, 3].min() < 0:
+        i, j, k, v = table[table[:, 3].argmin()].tolist()
+        raise NegativeFusion(f"N[{i},{j},{k}] = {v}")
+    return table
+
+
+def fusion_rows(table: np.ndarray, xs, n: int) -> np.ndarray:
+    """The rows xs of a rank-n fusion ring held as its sorted (m, 4) table of
+    nonzero (i, j, k, N_ij^k): the dense int64 block [a, j, k] = N_{xs[a] j}^k
+    of shape (len(xs), n, n)."""
+    xs = np.asarray(xs, dtype=np.intp)
+    first = table[:, 0]
+    lo = np.searchsorted(first, xs)
+    per_row = np.searchsorted(first, xs, side="right") - lo
+    at = np.arange(per_row.sum()) + np.repeat(lo - (np.cumsum(per_row) - per_row), per_row)
+    block = np.zeros((len(xs), n, n), dtype=np.int64)
+    block[np.repeat(np.arange(len(xs)), per_row), table[at, 1], table[at, 2]] = table[at, 3]
+    return block
 
 
 def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
@@ -500,14 +566,13 @@ def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONF
     s2 = s @ s
     c = np.real(s2)
     n = len(c)
-    perm = []
-    for i in range(n):
-        j = int(np.argmax(c[i]))
-        unit = np.arange(n) == j
-        if not (np.max(np.abs(c[i] - unit)) < config.tolerance
-                and np.max(np.abs(np.imag(s2[i]))) < config.tolerance):
-            raise NotAPermutation(f"row {i} of S^2 is not a permutation row")
-        perm.append(j)
+    perm = c.argmax(axis=1)
+    unit = np.arange(n) == perm[:, None]
+    ok = (np.abs(c - unit).max(axis=1) < config.tolerance) & (
+        np.abs(np.imag(s2)).max(axis=1) < config.tolerance)
+    if not ok.all():
+        raise NotAPermutation(f"row {int(np.argmin(ok))} of S^2 is not a permutation row")
+    perm = perm.tolist()
     if sorted(perm) != list(range(n)) or perm[vacuum] != vacuum:
         raise NotAPermutation("S^2 is not a vacuum-fixing permutation")
     if any(perm[perm[i]] != i for i in range(n)):
@@ -519,6 +584,9 @@ def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONF
 class ModularData:
     """Simple objects, S and T data, fusion and duality of C(g, k).
 
+    fusion is the (m, 4) int64 table of the nonzero (i, j, k, N_ij^k), sorted
+    by (i, j, k), as ``verlinde_fusion`` makes it and the report writes it;
+    ``fusion_rows`` reads dense rows from it.  No n^3 array is held.
     All arrays are read-only; instances are safe to share across threads.
     residuals holds max|S - S^T|, max|S S^dagger - 1| and max|(ST)^3 - S^2|
     under the names of the report's checks, in that order, as measured when
@@ -602,22 +670,14 @@ def modular_data(t: SimpleLieType | str, level: int, config: Config = DEFAULT_CO
 # --- JSON document (CLI payload; the cache keeps its key and S) -------------
 
 
-def sparse_entries(a: np.ndarray) -> np.ndarray:
-    """The nonzero entries of an int64 array as the int64 rows (index..., value),
-    in C order, so they come out sorted by index."""
-    idx = np.argwhere(a)
-    return np.column_stack((idx, a[tuple(idx.T)]))
-
-
 def modular_data_to_doc(md: ModularData) -> dict:
     """Serialize to the JSON document of the ``modular-data`` payload.
 
     Weights are integer arrays, rationals are "p/q" strings, complex entries
-    are [re, im] pairs and the fusion tensor is a sparse sorted quadruple list.
+    are [re, im] pairs and the fusion rules are the sorted quadruple table.
     The two big tables stay numpy arrays until they become text: ``sMatrix``
-    is the (n, n, 2) float64 array of [re, im] pairs and ``fusion`` the
-    (m, 4) int64 array of quadruples, and ``jsonout`` writes them from the
-    arrays.
+    is the (n, n, 2) float64 array of [re, im] pairs and ``fusion`` is
+    ``md.fusion`` itself, and ``jsonout`` writes them from the arrays.
     """
     s = md.s_matrix
     return {
@@ -634,7 +694,7 @@ def modular_data_to_doc(md: ModularData) -> dict:
         "quantumDims": md.quantum_dims.tolist(),
         "conjugation": [int(x) for x in md.conjugation],
         "sMatrix": np.stack((s.real, s.imag), -1),
-        "fusion": sparse_entries(md.fusion),
+        "fusion": md.fusion,
     }
 
 

@@ -19,8 +19,12 @@ The structure constants are filled with integer-coded characters: each
 character of H is coded once on the grid of the Picard group's
 `charge_den`, character addition becomes an integer table, and the table
 `canon` of the class of (object, character) after the H-shift is the one map
-from pairs to basis positions, so every fusion coefficient lands by one
-np.add.at.  A class keeps its character as those integers.
+from pairs to basis positions.  A class keeps its character as those
+integers.  Like the fusion rules, the structure is held as the sorted (m, 4)
+int64 table of its nonzero (x, y, z, N_xy^z): the ring is built from the
+quadruples of the fusion table whose i and j are orbit representatives, each
+giving one key (x, y, z) per pair of characters, and equal keys are summed
+into one row.  No rank^3 array is made; `fusion_rows` reads dense rows.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import groups
+from .affine import fusion_rows
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .picard import unit_group
 
@@ -51,7 +56,9 @@ class BimoduleClass:
 
 @dataclass(frozen=True, eq=False)
 class BimoduleRing:
-    """Fusion ring of bimodule classes with non-negative integer structure."""
+    """Fusion ring of bimodule classes with non-negative integer structure,
+    held as the read-only (m, 4) int64 table of the nonzero (x, y, z, N_xy^z)
+    sorted by (x, y, z)."""
 
     algebra: SchellekensAlgebra
     basis: tuple[BimoduleClass, ...]
@@ -69,7 +76,7 @@ class BimoduleRing:
         among the classes over simple currents."""
         pic_objects = set(self.algebra.picard.objects)
         over = [x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects]
-        positions, _, table = unit_group(self.structure, self.unit, over)
+        positions, _, table = unit_group(self.structure, len(self), self.unit, over)
         return positions, table
 
 
@@ -120,19 +127,26 @@ def _build_ring(algebra: SchellekensAlgebra, objects: list[int]) -> BimoduleRing
     # where k is outside the object set
     canon = np.full((len(md), nchar), -1, dtype=np.intp)
     canon[objs] = np.searchsorted(reps, rep)[:, None] * nchar + rank[add[:, shift].T]
-    fusion = md.fusion[np.ix_(reps, reps)]  # [p, q, k]: basis objects fused
-    nz = np.argwhere(fusion)
-    if (canon[nz[:, 2], 0] < 0).any():
+    at = np.full(len(md), -1, dtype=np.intp)  # [i]: the position of i among reps, or -1
+    at[reps] = np.arange(len(reps))
+    quads = md.fusion[(at[md.fusion[:, 0]] >= 0) & (at[md.fusion[:, 1]] >= 0)]
+    if (canon[quads[:, 2], 0] < 0).any():
         raise WzwError("fusion leaves the object set")
-    p, q, k = nz.T
     a, b = np.arange(nchar)[:, None], np.arange(nchar)[None, :]
-    x = p[:, None, None] * nchar + rank[a]
-    y = q[:, None, None] * nchar + rank[b]
-    z = canon[k[:, None, None], add[a, b]]
-    mult = np.broadcast_to(fusion[p, q, k][:, None, None], z.shape)
     n = len(basis)
-    structure = np.zeros((n, n, n), dtype=np.int64)
-    np.add.at(structure, (x, y, z), mult)
+    # key (x n + y) n + z of each product of basis classes x y landing in class z
+    key = (at[quads[:, 0], None, None] * nchar + rank[a]) * n + (
+        at[quads[:, 1], None, None] * nchar + rank[b])
+    key = (key * n + canon[quads[:, 2, None, None], add[a, b]]).ravel()
+    mult = np.broadcast_to(quads[:, 3, None, None], (len(quads), nchar, nchar)).ravel()
+    del quads
+    order = np.argsort(key)
+    key, mult = key[order], mult[order]
+    del order
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each distinct key begins
+    coef = np.add.reduceat(mult, first)
+    key = key[first]
+    structure = np.column_stack((key // (n * n), key // n % n, key % n, coef))
     dual = np.empty(n, dtype=np.intp)
     dual[np.arange(len(reps))[:, None] * nchar + rank] = canon[
         np.asarray(md.conjugation)[reps][:, None], code(-digits)
@@ -199,7 +213,7 @@ def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
     for x, cls in enumerate(ring.basis):
         if x in invertible:
             continue
-        row = ring.structure[x, ring.dual[x]]
+        row = fusion_rows(ring.structure, [x], len(ring))[0, ring.dual[x]]
         if row[ring.unit] != 1:
             raise DualityValidationFailure(
                 f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"

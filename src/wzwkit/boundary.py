@@ -8,8 +8,9 @@ the 6j-table phi is consulted only for non-cyclic stabilizers.  phi is a plain
 mapping (U, g, h) -> int, keyed by weight index and Picard element indices,
 whose values are residues over the Picard group's `charge_den`, as are the
 values of eps_U.  The orbits are read from the rows of the Picard group's
-action, and a count always uses its algebra's own support: no function here
-takes orbits from the caller.
+action, and a count always uses its algebra's own support, whose `orbits`
+are decomposed once for every algebra on it: no function here takes orbits
+from the caller.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def count_boundary_conditions(
     """Number of simple modules: sum over the orbits of the algebra's support
     of #Irr of the twisted stabilizer algebra, which for abelian stabilizers
     is |rad eps_U|."""
-    orbits = orbit_decomposition(algebra.support)
+    orbits = algebra.support.orbits
     forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in orbits)
     per_orbit = tuple(
         (orbit.representative, eps.radical_size()) for orbit, eps in zip(orbits, forms)

@@ -40,7 +40,7 @@ from .errors import (
     QuadraticFormViolation,
     WzwError,
 )
-from .lietype import SimpleLieType, _check_weyl_cap, parse_lie_type
+from .lietype import SimpleLieType, _check_object_cap, _check_weyl_cap, parse_lie_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +94,8 @@ def _validate(args: argparse.Namespace) -> tuple[Config, SimpleLieType | None]:
 
     Every input refusal is raised here, before any cache read, so a cold and
     a warm cache refuse alike: ValueError for a bad tolerance, cap or level,
-    UnsupportedRank for a bad algebra, GroupTooLarge beyond the Weyl cap.
+    UnsupportedRank for a bad algebra, GroupTooLarge beyond the Weyl cap and
+    TooManyObjects beyond the object cap.
     """
     config = Config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Config)})
     if args.command == "selftest":
@@ -103,6 +104,7 @@ def _validate(args: argparse.Namespace) -> tuple[Config, SimpleLieType | None]:
     if args.level < 1:
         raise ValueError("level must be a positive integer")
     _check_weyl_cap(t, config)
+    _check_object_cap(t, args.level, config)
     return config, t
 
 
@@ -220,12 +222,15 @@ def _cmd_picard(md: ModularData, args, config: Config):
 def _algebra_blob(
     algebra: SchellekensAlgebra, config: Config, latex: bool
 ) -> tuple[dict, bool, float | None]:
+    import numpy as np
+
     from . import schellekens
-    from .affine import sparse_entries
     from .residues import format_residue
 
     sub = algebra.support
     pg = sub.picard
+    z = algebra.partition
+    ij = np.argwhere(z)
     blob = {
         "support": {
             "order": len(sub),
@@ -240,7 +245,7 @@ def _algebra_blob(
             for a, row in enumerate(algebra.xi)
             for b, v in enumerate(row)
         ],
-        "Z": sparse_entries(algebra.partition),
+        "Z": np.column_stack((ij, z[tuple(ij.T)])),  # its nonzero (i, j, Z_ij), sorted
     }
     if latex:
         blob["latex"] = _latex_partition(algebra.partition)
@@ -289,7 +294,7 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
                     "members": list(o.members),
                     "stabilizerObjectIndices": [pg.objects[g] for g in o.stabilizer],
                 }
-                for o in boundary.orbit_decomposition(algebra.support)
+                for o in algebra.support.orbits
             ],
         }
         try:
@@ -316,7 +321,6 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
 
 def _cmd_bimodules(md: ModularData, args, config: Config):
     from . import bimodule, picard, schellekens
-    from .affine import sparse_entries
     from .residues import format_residue
 
     pg = picard.find_simple_currents(md, config)
@@ -341,7 +345,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
             blob["fixedWeights"] = [list(w) for w in exc.fixed_weights]
         blob["rank"] = len(ring)
         blob["basis"] = classes(ring.basis)
-        blob["structure"] = sparse_entries(ring.structure)
+        blob["structure"] = ring.structure
         bp = bimodule.bimodule_picard(ring)
         blob["picard"] = {
             "order": len(bp),

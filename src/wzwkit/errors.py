@@ -20,6 +20,10 @@ class GroupTooLarge(WzwError):
     """The Weyl group exceeds the configured element cap."""
 
 
+class TooManyObjects(WzwError):
+    """The level has more integrable weights than the configured object cap."""
+
+
 class NormalizationFailure(WzwError):
     """An S-matrix could not be normalized to a unitary symmetric matrix."""
 

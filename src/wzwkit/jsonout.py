@@ -4,8 +4,9 @@ numpy arrays written as their ``tolist()`` would be.
 The standard library writes the report's skeleton; this module writes only
 its big tables, which reach the writer as arrays and stay arrays until they
 become text.  An int or float array with at least two axes and no
-zero-length axis (S as [re, im] pairs, the fusion and bimodule structure
-quadruples, the partition matrices' (i, j, Z_ij) triples) takes a literal
+zero-length axis (S as [re, im] pairs, the partition matrices' (i, j, Z_ij)
+triples, and the fusion and bimodule structure quadruples, written from the
+(m, 4) tables that ``ModularData`` and ``BimoduleRing`` hold) takes a literal
 table: each distinct entry is spelt once by ``literal_table``.  The row
 layout, split at its scalars, gives the few distinct texts that can follow a
 scalar position (the last one closes the row and opens the next), and a

@@ -1,16 +1,17 @@
-"""Simple Lie types: parsing, rank ranges and Weyl-group orders.
+"""Simple Lie types: parsing, rank ranges, Weyl-group orders and the number
+of integrable weights at a level.
 
-Numpy-free, so the CLI can refuse a bad algebra, rank or Weyl-group size
-before the numeric stack loads.
+Numpy-free, so the CLI can refuse a bad algebra, rank, Weyl-group size or
+weight count before the numeric stack loads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import GroupTooLarge, UnsupportedRank
+from .errors import GroupTooLarge, TooManyObjects, UnsupportedRank
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -76,3 +77,48 @@ def _check_weyl_cap(t: SimpleLieType, config: Config) -> int:
     if order > config.weyl_cap:
         raise GroupTooLarge(f"|W({t})| = {order} exceeds cap {config.weyl_cap}")
     return order
+
+
+def comarks(t: SimpleLieType) -> tuple[int, ...]:
+    """The comarks (dual Coxeter labels) of the nodes, in the node order of
+    ``affine.build_root_system``, from their closed forms."""
+    n = t.rank
+    if t.series in "AC":
+        return (1,) * n
+    if t.series == "B":
+        return (1,) + (2,) * (n - 2) + (1,)
+    if t.series == "D":
+        return (1,) + (2,) * (n - 3) + (1, 1)
+    return {"E": {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1), 8: (2, 3, 4, 6, 5, 4, 3, 2)},
+            "F": {4: (2, 3, 2, 1)}, "G": {2: (1, 2)}}[t.series][n]
+
+
+def object_count(t: SimpleLieType, level: int) -> int:
+    """|P_+^k|: the label vectors with sum(comark_i * label_i) <= level.
+
+    The u nodes of comark 1 fill the room r that the others leave in
+    C(r + u, u) ways, so the count is that binomial summed over the labels of
+    the other nodes: one binomial for A and C.  The sums of those labels are
+    tallied up to the level, so the work grows with the level elsewhere.
+    """
+    cs = comarks(t)
+    ones = cs.count(1)
+    ways = [1] + [0] * level if len(cs) > ones else [1]  # [s]: labels off comark 1 with weighted sum s
+    for c in cs:
+        if c > 1:
+            for s in range(c, level + 1):
+                ways[s] += ways[s - c]
+    return sum(w * comb(level - s + ones, ones) for s, w in enumerate(ways) if w)
+
+
+def _check_object_cap(t: SimpleLieType, level: int, config: Config) -> None:
+    """TooManyObjects when |P_+^k| exceeds config.object_cap.
+
+    Every diagram has a node of comark 1 or 2, so |P_+^k| > k/2, and a level
+    of twice the cap or more is refused without counting: the count's work
+    stays below rank * 2 * cap.
+    """
+    if level >= 2 * config.object_cap or object_count(t, level) > config.object_cap:
+        raise TooManyObjects(
+            f"{t} at level {level} has more than {config.object_cap} integrable weights"
+        )

@@ -3,8 +3,9 @@ and the matching diagram automorphisms of the affine Dynkin diagram.
 
 Simple currents are detected exactly: the quantum-dimension test is only a
 float pre-filter, membership is decided by `unit_group`, which finds the basis
-elements of any fusion ring whose rows are permutation matrices; the bimodule
-ring's Picard group is found by it too.  The Picard group keeps the action
+elements of any fusion ring whose rows are permutation matrices, reading only
+the candidates' rows from the ring's quadruple table; the bimodule ring's
+Picard group is found by it too.  The Picard group keeps the action
 as `unit_group` returns it, one read-only array `action[a, i]` = g_a . i,
 which every later layer indexes directly.  All charges and twists are exact
 residues in Q/Z, held from the start as read-only int64 arrays over
@@ -23,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from . import groups
-from .affine import LevelData, ModularData, RootSystem
+from .affine import LevelData, ModularData, RootSystem, fusion_rows
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
 from .residues import numerators
@@ -59,26 +60,27 @@ class PicardGroup:
 
 
 def unit_group(
-    structure: np.ndarray, unit: int, candidates: Iterable[int]
+    structure: np.ndarray, n: int, unit: int, candidates: Iterable[int]
 ) -> tuple[tuple[int, ...], np.ndarray, groups.Table]:
-    """The invertible basis elements among candidates of a fusion ring.
+    """The invertible basis elements among candidates of a rank-n fusion ring,
+    held as its sorted (m, 4) table of nonzero (i, j, k, N_ij^k).
 
-    x is invertible when structure[x] is a permutation matrix: entries 0 or
-    1, one 1 in each row and each column.  Returns the invertible elements,
-    unit first and then ascending; perm[a, j], the k with N_{x_a j}^k = 1;
-    and the group table.  A unit row that is not the identity, a product that
-    is not invertible, or a composed permutation that is not the product's
-    raises ClosureFailure, the first failing pair in scan order.
+    x is invertible when its row, read by `fusion_rows`, is a permutation
+    matrix: entries 0 or 1, one 1 in each row and each column.  Returns the
+    invertible elements, unit first and then ascending; perm[a, j], the k with
+    N_{x_a j}^k = 1; and the group table.  A unit row that is not the
+    identity, a product that is not invertible, or a composed permutation
+    that is not the product's raises ClosureFailure, the first failing pair
+    in scan order.
     """
     cand = np.array(sorted(set(candidates)), dtype=np.intp)
-    rows = structure[cand]  # [c, j, k]
+    rows = fusion_rows(structure, cand, n)  # [c, j, k]
     is_perm = (((rows == 0) | (rows == 1)).all(axis=(1, 2))
                & (rows.sum(axis=2) == 1).all(axis=1) & (rows.sum(axis=1) == 1).all(axis=1))
     found = cand[is_perm]
     order = np.argsort(found != unit, kind="stable")  # unit first, the rest ascending
     elements = found[order]
     perms = rows[is_perm].argmax(axis=2)[order]  # [a, j]
-    n = len(structure)
     if not len(elements) or elements[0] != unit or (perms[0] != np.arange(n)).any():
         raise ClosureFailure("vacuum fusion row is not the identity permutation")
     index_of = np.full(n, -1, dtype=np.intp)
@@ -99,7 +101,7 @@ def unit_group(
 def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> PicardGroup:
     """Detect Pic(C) and close it into an abelian group with exact twists."""
     candidates = np.flatnonzero(abs(md.quantum_dims - 1.0) < config.tolerance)
-    objects, action, table = unit_group(md.fusion, md.vacuum, candidates)
+    objects, action, table = unit_group(md.fusion, len(md), md.vacuum, candidates)
     if not groups.is_abelian(table):
         raise ClosureFailure("simple-current group is not abelian")
     action.flags.writeable = False

@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
 from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry, QuadraticFormViolation
 from .picard import PicardGroup
+
+if TYPE_CHECKING:
+    from .boundary import Orbit
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,14 @@ class Subgroup:
     @cached_property
     def exponents(self) -> dict[int, tuple[int, ...]]:
         return groups.exponent_vectors(self.local_table, self.decomposition)
+
+    @cached_property
+    def orbits(self) -> tuple[Orbit, ...]:
+        """The orbits of H on the simple objects, by
+        `boundary.orbit_decomposition`, made once for every algebra on H."""
+        from .boundary import orbit_decomposition
+
+        return orbit_decomposition(self)
 
 
 def enumerate_subgroups(pg: PicardGroup) -> list[Subgroup]:

@@ -29,6 +29,34 @@ def t_matrix(md):
     return np.diag(phases)
 
 
+def dense(table, n):
+    """The (n, n, n) int64 array of a rank-n ring held as its (m, 4) table of
+    nonzero (i, j, k, N_ij^k)."""
+    out = np.zeros((n, n, n), dtype=np.int64)
+    i, j, k, v = table.T
+    out[i, j, k] = v
+    return out
+
+
+def quadruples(a):
+    """The nonzero entries of an int64 array as the int64 rows (index..., value),
+    in C order, so sorted by index: the inverse of ``dense``."""
+    idx = np.argwhere(a)
+    return np.column_stack((idx, a[tuple(idx.T)]))
+
+
+def assert_sorted_symmetric_table(table, n):
+    """A rank-n ring's table has int64 rows (i, j, k, N) with nonzero N, its
+    keys (i, j, k) strictly increasing (sorted, no key twice), and holds
+    (j, i, k, N) whenever it holds (i, j, k, N)."""
+    assert table.dtype == np.int64 and table.ndim == 2 and table.shape[1] == 4
+    assert ((table[:, :3] >= 0) & (table[:, :3] < n)).all() and (table[:, 3] != 0).all()
+    key = (table[:, 0] * n + table[:, 1]) * n + table[:, 2]
+    assert (np.diff(key) > 0).all()
+    mirrored = table[:, [1, 0, 2, 3]]
+    assert np.array_equal(mirrored[np.lexsort(mirrored[:, 2::-1].T)], table)
+
+
 def canonical_json(doc) -> str:
     """Compact, ASCII-only JSON of doc with each ndarray as its ``tolist()``:
     the byte oracle of the modular-data document tests."""

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import re
+import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -11,9 +14,82 @@ from wzwkit import (
     classify_algebras,
     kramers_wannier_candidates,
 )
-from wzwkit.errors import ClosureFailure, DualityValidationFailure, FixedPointsPresent
+from wzwkit.bimodule import BimoduleClass
+from wzwkit.errors import ClosureFailure, DualityValidationFailure, FixedPointsPresent, WzwError
 
+from conftest import dense, quadruples
 from test_picard import TAMPERED
+
+
+def add_at_ring(algebra, objects):
+    """(basis, structure, unit, dual) of the bimodule ring on objects, the
+    structure as the dense rank^3 tensor: the library's construction before its
+    quadruple table, which fused the representatives' block of the dense
+    fusion tensor and landed every coefficient by one np.add.at."""
+    sub = algebra.support
+    pg = algebra.picard
+    md = pg.md
+    den = pg.charge_den
+    objs = np.array(objects, dtype=np.intp)
+
+    # orbits of H on the chosen object set; the action must be free
+    act = pg.action[list(sub.members)]  # [h, i]
+    moved = act[:, objs]  # [h, k]: g_h . objs[k]
+    fixed = sorted(set(objs[(moved[1:] == objs).any(axis=0)].tolist()))
+    if fixed:
+        raise FixedPointsPresent([md.weights[i] for i in fixed])
+    if not np.isin(moved, objs).all():
+        raise WzwError("object set is not closed under the H-action")
+    xi = np.array(algebra.xi)  # [a, h]: Xi(g_a, g_h)
+    rep = moved.min(axis=0)  # [k]: the least object of the orbit of objs[k]
+    reps = np.array(sorted(set(rep.tolist())), dtype=np.intp)  # not np.unique: it loads numpy.ma
+    shift_by = (act[:, rep] == objs).argmax(axis=0)  # [k]: the h with g_h . rep = objs[k]
+
+    # character code c: the digits of c in itertools.product order are its
+    # values m_j / o_j on the generators; chars[c] are its values on the members
+    gens = [g for g, _ in sub.decomposition]
+    orders = np.array([o for _, o in sub.decomposition], dtype=np.int64)
+    radix = np.array([prod(orders[j + 1:].tolist()) for j in range(len(gens))], dtype=np.int64)
+    digits = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    nchar = len(digits)
+    exps = np.array([sub.exponents[a] for a in range(len(sub))], dtype=np.int64)
+    chars = digits * (den // orders) @ exps.T % den  # [c, a]
+
+    def code(m: np.ndarray) -> np.ndarray:
+        return m % orders @ radix
+
+    by_value = np.lexsort(chars.T[::-1])  # the codes in the order of their values
+    rank = np.argsort(by_value)  # [c]: the position of chars[c] in that order
+    add = code(digits[:, None] + digits)  # [c, d]: chars[c] + chars[d]
+    shift = code(xi[gens][:, shift_by].T * orders // den)  # [k]: Xi(., h) for that h
+    characters = list(map(tuple, chars[by_value].tolist()))
+    basis = tuple(BimoduleClass(r, ch) for r in reps.tolist() for ch in characters)
+    expected = len(objects) * nchar // len(sub)
+    if len(basis) != expected:
+        raise WzwError(f"rank {len(basis)} != |I||H*|/|H| = {expected}")
+
+    # canon[k, c]: basis position of the class of (object k, chars[c]); -1
+    # where k is outside the object set
+    canon = np.full((len(md), nchar), -1, dtype=np.intp)
+    canon[objs] = np.searchsorted(reps, rep)[:, None] * nchar + rank[add[:, shift].T]
+    fusion = dense(md.fusion, len(md))[np.ix_(reps, reps)]  # [p, q, k]: basis objects fused
+    nz = np.argwhere(fusion)
+    if (canon[nz[:, 2], 0] < 0).any():
+        raise WzwError("fusion leaves the object set")
+    p, q, k = nz.T
+    a, b = np.arange(nchar)[:, None], np.arange(nchar)[None, :]
+    x = p[:, None, None] * nchar + rank[a]
+    y = q[:, None, None] * nchar + rank[b]
+    z = canon[k[:, None, None], add[a, b]]
+    mult = np.broadcast_to(fusion[p, q, k][:, None, None], z.shape)
+    n = len(basis)
+    structure = np.zeros((n, n, n), dtype=np.int64)
+    np.add.at(structure, (x, y, z), mult)
+    dual = np.empty(n, dtype=np.intp)
+    dual[np.arange(len(reps))[:, None] * nchar + rank] = canon[
+        np.asarray(md.conjugation)[reps][:, None], code(-digits)
+    ]
+    return basis, structure, int(canon[md.vacuum, 0]), dual
 
 
 def _algebra(pic_of, name, k, support_size):
@@ -24,7 +100,7 @@ def _algebra(pic_of, name, k, support_size):
 
 
 def _assert_associative(ring):
-    n = ring.structure
+    n = dense(ring.structure, len(ring))
     lhs = np.einsum("ijm,mkl->ijkl", n, n)
     rhs = np.einsum("jkm,iml->ijkl", n, n)
     assert np.array_equal(lhs, rhs)
@@ -33,9 +109,10 @@ def _assert_associative(ring):
 def _assert_unit(ring):
     n = len(ring)
     e = ring.unit
+    structure = dense(ring.structure, n)
     for x in range(n):
-        assert np.array_equal(ring.structure[e, x], np.eye(n, dtype=np.int64)[x])
-        assert np.array_equal(ring.structure[x, e], np.eye(n, dtype=np.int64)[x])
+        assert np.array_equal(structure[e, x], np.eye(n, dtype=np.int64)[x])
+        assert np.array_equal(structure[x, e], np.eye(n, dtype=np.int64)[x])
 
 
 def test_cardy_ring_is_fusion_ring(pic_of):
@@ -85,7 +162,7 @@ def test_tampered_ring_fails_closure(tamper, message, pic_of):
     structure is refused with the messages of find_simple_currents."""
     ring = build_bimodule_ring(_algebra(pic_of, "A1", 4, 1))
     assert [cls.object_index for cls in ring.basis] == list(range(5))
-    bad = dataclasses.replace(ring, structure=tamper(ring.structure))
+    bad = dataclasses.replace(ring, structure=quadruples(tamper(dense(ring.structure, 5))))
     with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
         bimodule_picard(bad)
 
@@ -130,7 +207,8 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
             except FixedPointsPresent:
                 continue
             n = len(ring)
-            assert np.array_equal(ring.structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
+            structure = dense(ring.structure, n)
+            assert np.array_equal(structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
 
 
 def test_ising_kramers_wannier(pic_of):
@@ -186,9 +264,9 @@ def test_duality_validation_failure_on_corrupt_ring():
     pg = find_simple_currents(md)
     trivial = enumerate_subgroups(pg)[0]
     ring = build_bimodule_ring(enumerate_ksbs(trivial)[0])
-    corrupt = np.array(ring.structure)
+    corrupt = dense(ring.structure, len(ring))
     corrupt[1, 1, 0] = 0  # remove the unit from sigma x sigma
-    bad = dataclasses.replace(ring, structure=corrupt)
+    bad = dataclasses.replace(ring, structure=quadruples(corrupt))
     with pytest.raises(DualityValidationFailure):
         kramers_wannier_candidates(bad)
 
@@ -213,3 +291,18 @@ def test_each_ring_finds_its_units_once(capsys, monkeypatch):
     rings = len(json.loads(capsys.readouterr().out)["payload"]["algebras"])
     assert rings > 1
     assert len(calls) == rings
+
+
+def test_ring_build_holds_no_rank_cubed_array(pic_of):
+    """The A3:6 Cardy ring is its fusion ring, of rank 84: building it peaks
+    below the 4.5 MiB that its dense int64 structure alone would take."""
+    algebra = _algebra(pic_of, "A3", 6, 1)
+    tracemalloc.start()
+    try:
+        ring = build_bimodule_ring(algebra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ring) == 84
+    assert np.array_equal(ring.structure, algebra.picard.md.fusion)
+    assert peak < 84**3 * 8

@@ -218,3 +218,26 @@ def test_invalid_xi_gets_no_boundary_count(xi, error, message, pic_of):
     support = Subgroup(pic_of("D6", 2), (0, 1))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         count_boundary_conditions(SchellekensAlgebra(support, xi))
+
+
+def test_boundaries_decompose_each_support_once(capsys, monkeypatch):
+    """A boundaries report reads each algebra's orbits for its blob and its
+    count from the support's one decomposition: D4:4 has 6 algebras on 5
+    supports, so 5 decompositions, where the blob and the count once made
+    12."""
+    import json
+
+    from wzwkit import boundary
+    from wzwkit.cli import run
+
+    calls = []
+    decompose = boundary.orbit_decomposition
+
+    def counted(sub):
+        calls.append(sub)
+        return decompose(sub)
+
+    monkeypatch.setattr(boundary, "orbit_decomposition", counted)
+    assert run(["boundaries", "D4", "4", "--no-cache"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["payload"]["algebras"]) == 6
+    assert len(calls) == len({id(sub) for sub in calls}) == 5

@@ -4,19 +4,20 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wzwkit import affine, cache, classify_algebras, cli, jsonout
-from wzwkit.affine import modular_data, modular_data_to_doc, sparse_entries
+from wzwkit.affine import modular_data, modular_data_to_doc
 from wzwkit.cache import cache_key
 from wzwkit.cli import run
 from wzwkit.config import DEFAULT_CONFIG
 from wzwkit.residues import format_rational
 
-from conftest import CATALOG, canonical_json
+from conftest import CATALOG, canonical_json, dense
 
 # The modular-data queries of the benchmark's cache-miss workload.
 BENCHMARK_MISSES = [("A1", 80), ("A2", 12), ("C3", 6), ("E6", 3), ("D6", 2), ("A6", 3)]
@@ -266,6 +267,29 @@ def test_refused_allocation_exits_2(capsys, monkeypatch, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["modular-data", "A1", "1500"],
+                 "A1 at level 1500 has more than 400 integrable weights", id="A1-1500"),
+    pytest.param(["bimodules", "A2", "30"],  # 496 weights
+                 "A2 at level 30 has more than 400 integrable weights", id="A2-30"),
+    pytest.param(["picard", "E6", "1000000000000"],  # refused without counting
+                 "E6 at level 1000000000000 has more than 400 integrable weights", id="E6-huge"),
+    pytest.param(["modular-data", "A2", "24", "--object-cap", "324"],  # 325 weights
+                 "A2 at level 24 has more than 324 integrable weights", id="A2-24-lowered"),
+])
+def test_object_cap_refuses_up_front(capsys, tmp_path, argv, message):
+    """A level with more integrable weights than the object cap is refused
+    before any cache read or computation: exit 2, one line on stderr, nothing
+    on stdout, and in well under a second even at an absurd level."""
+    started = time.monotonic()
+    assert run([*argv, "--cache-dir", str(tmp_path)]) == 2
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wzwkit: TooManyObjects: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
@@ -604,9 +628,10 @@ def test_hit_builds_one_document(capsys, tmp_path, monkeypatch):
 def per_element_doc(md):
     """The document built one element at a time, as the reference for the
     vectorised modular_data_to_doc."""
+    fusion = dense(md.fusion, len(md))
     quads = [
-        [int(i), int(j), int(k), int(md.fusion[i, j, k])]
-        for i, j, k in sorted(zip(*np.nonzero(md.fusion)))
+        [int(i), int(j), int(k), int(fusion[i, j, k])]
+        for i, j, k in sorted(zip(*np.nonzero(fusion)))
     ]
     return {
         "schemaVersion": 1,
@@ -649,11 +674,9 @@ def test_z_is_the_sparse_entries_array(pic_of, name, k):
         assert z.tolist() == want
 
 
-def test_sparse_entries_of_a_zero_table():
-    entries = sparse_entries(np.zeros((3, 3), dtype=np.int64))
-    assert entries.shape == (0, 3)
+def test_an_empty_entry_table_is_an_empty_list():
     buf = io.StringIO()
-    jsonout.write(entries, buf)
+    jsonout.write(np.zeros((0, 3), dtype=np.int64), buf)
     assert buf.getvalue() == "[]\n"
 
 

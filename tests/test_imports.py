@@ -70,6 +70,7 @@ print(json.dumps([code, "numpy" in sys.modules]))
     pytest.param(["modular-data", "A5", "2", "--rank-cap", "4"], 2, False, id="rank-cap"),
     pytest.param(["modular-data", "A1", "0"], 2, False, id="level-0"),
     pytest.param(["modular-data", "E7", "2"], 2, False, id="weyl-cap"),
+    pytest.param(["modular-data", "A1", "1500"], 2, False, id="object-cap"),
     pytest.param(["modular-data", "A1", "3"], 0, True, id="computing"),
 ])
 def test_only_a_computing_launch_loads_numpy(tmp_path, argv, code, numpy):

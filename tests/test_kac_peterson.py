@@ -1,7 +1,8 @@
 """The structure-aware S-matrix and BLAS Verlinde against their slow oracles.
 
 The oracles are the per-element Weyl sum over all of W, the n^4 einsum
-Verlinde formula and the per-weight rational form of the conformal weights;
+Verlinde formula, the dense slice loop that the quadruple table replaced and
+the per-weight rational form of the conformal weights;
 the E7 and E8 cases, whose Weyl groups are too large for the oracle, are
 checked against closed forms instead.
 """
@@ -23,7 +24,7 @@ from wzwkit import (
 )
 from wzwkit.errors import GroupTooLarge
 
-from conftest import CATALOG, t_matrix
+from conftest import CATALOG, quadruples, t_matrix
 
 EXTRA = [("A5", 3), ("A6", 3), ("B3", 3), ("C3", 4), ("D5", 2), ("D6", 2), ("E6", 2),
          ("F4", 2), ("G2", 5)]
@@ -53,12 +54,28 @@ def einsum_fusion(s):
     return np.rint(np.real(raw)).astype(np.int64)
 
 
+def dense_verlinde(s):
+    """N_ij^k as the dense n^3 tensor, one BLAS slice per i over the rows
+    j >= i with the column j = i of the later slices filled from it: the
+    library's Verlinde loop before its quadruple table."""
+    if not s.imag.any():
+        s = s.real
+    n = len(s)
+    sdag = s.conj().T
+    fusion = np.empty((n, n, n), dtype=np.int64)
+    for i, ratio in enumerate(s / s[0]):
+        rounded = np.rint(((s[i:] * ratio) @ sdag).real)
+        fusion[i, i:] = rounded
+        fusion[i + 1:, i] = rounded[1:]
+    return fusion
+
+
 @pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(EXTRA)))
 def test_s_matches_weyl_sum(name, k):
     ld = integrable_weights(parse_lie_type(name), k)
     s = kac_peterson_S(ld)
     assert np.max(np.abs(s - weyl_sum_S(ld))) <= 1e-12
-    assert np.array_equal(verlinde_fusion(s), einsum_fusion(s))
+    assert np.array_equal(verlinde_fusion(s), quadruples(einsum_fusion(s)))
 
 
 def inner(rs, lam, mu):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from wzwkit.errors import (
     NotAPermutation,
 )
 
-from conftest import CATALOG, canonical_json, t_matrix
+from conftest import CATALOG, canonical_json, dense, t_matrix
 
 
 @pytest.mark.parametrize(
@@ -158,9 +159,9 @@ def test_asymmetric_s_is_refused_when_assembled(monkeypatch):
 @pytest.mark.parametrize("name,k", CATALOG)
 def test_fusion_properties(name, k, md_of):
     md = md_of(name, k)
-    n = md.fusion
-    vac = md.vacuum
     size = len(md)
+    n = dense(md.fusion, size)
+    vac = md.vacuum
     assert np.array_equal(n[vac], np.eye(size, dtype=np.int64))
     assert np.array_equal(n, np.transpose(n, (1, 0, 2)))
     # N_ij^0 = delta_{j, i_bar}
@@ -174,21 +175,21 @@ def test_fusion_properties(name, k, md_of):
 
 def test_a1_fusion_is_truncated_clebsch_gordan(md_of):
     for k in (1, 2, 3, 4, 6):
-        md = md_of("A1", k)
+        fusion = dense(md_of("A1", k).fusion, k + 1)
         for a in range(k + 1):
             for b in range(k + 1):
                 for c in range(k + 1):
                     expected = int(
                         abs(a - b) <= c <= min(a + b, 2 * k - a - b) and (a + b + c) % 2 == 0
                     )
-                    assert md.fusion[a, b, c] == expected
+                    assert fusion[a, b, c] == expected
 
 
 def test_a2_level1_fusion_is_z3(md_of):
-    md = md_of("A2", 1)
+    fusion = dense(md_of("A2", 1).fusion, 3)
     pg_objects = sorted(range(3))
     for i in pg_objects:
-        row = md.fusion[i]
+        row = fusion[i]
         assert np.array_equal(np.sort(row, axis=1)[:, -1], np.ones(3, dtype=np.int64))
         assert row.sum() == 3
 
@@ -199,7 +200,7 @@ def test_quantum_dimensions(name, k, md_of):
     d = md.quantum_dims
     assert abs(d[md.vacuum] - 1) < 1e-10
     assert np.min(d) > 0
-    target = np.einsum("ijk,k->ij", md.fusion, d)
+    target = np.einsum("ijk,k->ij", dense(md.fusion, len(md)), d)
     assert np.max(np.abs(np.outer(d, d) - target)) < 1e-8
 
 
@@ -216,6 +217,19 @@ def test_conjugation_properties(md_of):
 def test_a1_conjugation_is_identity(md_of):
     for k in (1, 2, 5):
         assert md_of("A1", k).conjugation == tuple(range(k + 1))
+
+
+def test_verlinde_holds_no_cubic_array():
+    """A2:16 (n = 153): building its modular data peaks below half of the
+    27 MiB that the dense int64 fusion tensor alone would take."""
+    tracemalloc.start()
+    try:
+        md = modular_data("A2", 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(md) == 153
+    assert peak < 153**3 * 8 / 2
 
 
 def test_verlinde_rejects_garbage():
@@ -271,6 +285,19 @@ def test_conjugation_refusals_name_their_check(cycle, message):
         conjugation_from_S(s, 0)
 
 
+@pytest.mark.parametrize("diagonal,row", [
+    ([1, 1, 0.5, 0.5], 2),  # rows 2 and 3 of S^2 are 1/4: the first is named
+    ([1, 1j, 1, 1], 1),  # row 1 of S^2 is -1 at its argmax
+    ([1, 1, 1, 2], 3),
+])
+def test_conjugation_names_the_first_failing_row(diagonal, row):
+    from wzwkit.affine import conjugation_from_S
+
+    s = np.diag(np.sqrt(np.array(diagonal, dtype=complex)))
+    with pytest.raises(NotAPermutation, match=f"^row {row} of S\\^2 is not a permutation row$"):
+        conjugation_from_S(s, 0)
+
+
 def test_json_round_trip(md_of):
     md = md_of("A3", 2)
     doc = modular_data_to_doc(md)
@@ -308,4 +335,4 @@ def test_arrays_are_read_only(md_of):
     with pytest.raises(ValueError):
         md.s_matrix[0, 0] = 0
     with pytest.raises(ValueError):
-        md.fusion[0, 0, 0] = 5
+        md.fusion[0, 3] = 5

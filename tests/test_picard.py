@@ -16,7 +16,7 @@ from wzwkit.picard import (
 from wzwkit.affine import affine_labels, build_root_system, parse_lie_type
 from wzwkit.residues import mod1
 
-from conftest import CATALOG
+from conftest import CATALOG, dense, quadruples
 
 
 def perm_order(perm):
@@ -194,7 +194,7 @@ def test_tampered_fusion_fails_closure(tamper, message, md_of):
     import dataclasses
 
     md = md_of("A1", 4)
-    bad = dataclasses.replace(md, fusion=tamper(md.fusion))
+    bad = dataclasses.replace(md, fusion=quadruples(tamper(dense(md.fusion, len(md)))))
     with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
         find_simple_currents(bad)
 

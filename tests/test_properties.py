@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 
 from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_ring,
                     build_root_system, classify_algebras, count_boundary_conditions,
-                    orbit_decomposition)
+                    integrable_weights, orbit_decomposition, parse_lie_type)
 from wzwkit.affine import SimpleLieType, weyl_order
+from wzwkit import lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
 from wzwkit.schellekens import enumerate_subgroups
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
-from conftest import t_matrix
+from conftest import assert_sorted_symmetric_table, dense, quadruples, t_matrix
+from test_bimodule import add_at_ring
 from test_groups import assert_matches_oracles
-from test_kac_peterson import einsum_fusion
+from test_kac_peterson import dense_verlinde, einsum_fusion
 from test_picard import CENTER_ORDER
 
 MAX_OBJECTS = 40
@@ -59,11 +61,43 @@ ALGEBRAS = st.sampled_from(WITHIN_BUDGET)
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
 def test_verlinde_matches_einsum_and_is_symmetric(md_of, algebra):
-    """Every algebra of the draw, not a sample: the i <= j slices and their
-    mirrored columns equal the n^4 einsum, and N_ij^k = N_ji^k."""
+    """Every algebra of the draw, not a sample: the table is sorted with
+    unique keys (i, j, k) and symmetric in i and j, and it holds the nonzero
+    entries of the dense slice loop it replaced and of the n^4 einsum."""
     md = md_of(*algebra)
-    assert np.array_equal(md.fusion, einsum_fusion(md.s_matrix))
-    assert np.array_equal(md.fusion, md.fusion.transpose(1, 0, 2))
+    assert_sorted_symmetric_table(md.fusion, len(md))
+    assert np.array_equal(md.fusion, quadruples(dense_verlinde(md.s_matrix)))
+    assert np.array_equal(md.fusion, quadruples(einsum_fusion(md.s_matrix)))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_ring_tables_match_the_add_at_oracle(pic_of, algebra):
+    """Every algebra of the draw: each bimodule ring (the full one, or the
+    pointed one where H has fixed points) is sorted with unique keys and
+    symmetric in x and y, and its basis, unit, duals and structure are those
+    of the np.add.at construction on the dense fusion tensor."""
+    pg = pic_of(*algebra)
+    for alg in classify_algebras(pg):
+        try:
+            ring, objects = build_bimodule_ring(alg), range(len(pg.md))
+        except FixedPointsPresent:
+            ring, objects = build_pointed_bimodule_ring(alg), sorted(pg.objects)
+        assert_sorted_symmetric_table(ring.structure, len(ring))
+        basis, structure, unit, dual = add_at_ring(alg, list(objects))
+        assert ring.basis == basis and ring.unit == unit
+        assert np.array_equal(ring.dual, dual)
+        assert np.array_equal(ring.structure, quadruples(structure))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_object_count_is_the_enumerated_count(algebra):
+    """Every algebra of the draw: the closed-form |P_+^k| the CLI checks
+    against its object cap is the number of weights enumerated, and the
+    closed-form comarks are the root system's."""
+    name, level = algebra
+    t = parse_lie_type(name)
+    assert lietype.comarks(t) == build_root_system(t).comarks
+    assert lietype.object_count(t, level) == len(integrable_weights(t, level))
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
@@ -133,7 +167,7 @@ def test_modular_relations_and_associative_fusion(md_of, algebra):
     assert np.max(np.abs(s @ s.conj().T - np.eye(n))) < tol
     assert np.max(np.abs(np.linalg.matrix_power(s @ t_matrix(md), 3) - s @ s)) < tol
     # sum_m N_ij^m N_mk^l = sum_m N_jk^m N_im^l; the products are exact in float64
-    f = md.fusion.astype(np.float64)
+    f = dense(md.fusion, n).astype(np.float64)
     lhs = f.reshape(n * n, n) @ f.reshape(n, n * n)  # [ij, kl]
     rhs = f.reshape(n * n, n) @ f  # [i, jk, l]
     assert np.array_equal(lhs.reshape(n, n, n, n), rhs.reshape(n, n, n, n))
@@ -186,7 +220,7 @@ def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
     currents and the classes over them: no prefilter drops one."""
     md, pg = md_of(*algebra), pic_of(*algebra)
     currents = set(pg.objects)
-    assert _permutation_rows(md.fusion) == currents
+    assert _permutation_rows(dense(md.fusion, len(md))) == currents
     global_dim = 1.0 / abs(md.s_matrix[md.vacuum, md.vacuum]) ** 2
     free = 0
     for alg in classify_algebras(pg):
@@ -202,5 +236,5 @@ def test_bimodule_ring_rank_and_dimension(md_of, pic_of, algebra):
         dims = sum(md.quantum_dims[cls.object_index] ** 2 for cls in ring.basis)
         assert dims == pytest.approx(global_dim, rel=DEFAULT_CONFIG.tolerance)
         over = {x for x, cls in enumerate(ring.basis) if cls.object_index in currents}
-        assert _permutation_rows(ring.structure) == over == set(ring.units[0])
+        assert _permutation_rows(dense(ring.structure, len(ring))) == over == set(ring.units[0])
     assert free >= 1
