@@ -24,7 +24,9 @@ integers.  Like the fusion rules, the structure is held as the sorted (m, 4)
 int64 table of its nonzero (x, y, z, N_xy^z): the ring is built from the
 quadruples of the fusion table whose i and j are orbit representatives, each
 giving one key (x, y, z) per pair of characters, and equal keys are summed
-into one row.  No rank^3 array is made; `fusion_rows` reads dense rows.
+into one row.  No rank^3 array is made: `unit_group` reads the dense rows
+of the candidates through `fusion_rows`, and the duality test reads every
+b (x) b_dual from the table in one pass.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import groups
-from .affine import fusion_rows
 from .errors import DualityValidationFailure, FixedPointsPresent, WzwError
 from .picard import unit_group
 
@@ -206,18 +207,22 @@ def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
     """Non-invertible classes b with b (x) b_dual supported on invertibles.
 
     The dual of (i, psi) is (i_bar, -psi); the pairing is validated by the
-    unit appearing with multiplicity exactly one.
+    unit appearing with multiplicity exactly one.  Every b (x) b_dual is read
+    at once, as the rows (b, b_dual, z, N) of the table.
     """
-    invertible = set(ring.units[0])
-    out = []
-    for x, cls in enumerate(ring.basis):
-        if x in invertible:
-            continue
-        row = fusion_rows(ring.structure, [x], len(ring))[0, ring.dual[x]]
-        if row[ring.unit] != 1:
-            raise DualityValidationFailure(
-                f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"
-            )
-        if all(int(k) in invertible for k in np.nonzero(row)[0]):
-            out.append(cls)
-    return out
+    n = len(ring)
+    x, z, mult = ring.structure[:, 0], ring.structure[:, 2], ring.structure[:, 3]
+    invertible = np.zeros(n, dtype=bool)
+    invertible[list(ring.units[0])] = True
+    own = (ring.structure[:, 1] == ring.dual[x]) & ~invertible[x]  # the rows of b (x) b_dual
+    unit = np.zeros(n, dtype=np.int64)  # [b]: N_{b b_dual}^unit, held by at most one row
+    at_unit = own & (z == ring.unit)
+    unit[x[at_unit]] = mult[at_unit]
+    bad = np.flatnonzero(~invertible & (unit != 1))
+    if len(bad):
+        raise DualityValidationFailure(
+            f"unit multiplicity {unit[bad[0]]} in b (x) b_dual for basis element {bad[0]}"
+        )
+    leaves = np.zeros(n, dtype=bool)  # [b]: b (x) b_dual holds a non-invertible class
+    leaves[x[own & ~invertible[z]]] = True
+    return [ring.basis[b] for b in np.flatnonzero(~invertible & ~leaves).tolist()]

@@ -51,7 +51,7 @@ class QuadraticFormViolation(WzwError):
 
 
 class UnsupportedSeries(WzwError):
-    """No diagram-automorphism catalog entry for this series/element."""
+    """No diagram automorphism, or more than one, induces the current's fusion action."""
 
 
 # --- algebra classification ---------------------------------------------------

@@ -13,6 +13,11 @@ residues in Q/Z, held from the start as read-only int64 arrays over
 off that grid cannot be represented.  The group exponent is checked to
 divide it, so every residue built from the group later on (bicharacter
 values, characters of subgroups, the 6j-scalars phi) lies on the same grid.
+
+The diagram automorphism of a current is read from that action too: it is
+the one automorphism of the affine Cartan matrix whose relabelling of the
+affine Dynkin labels moves every weight to its image under the current, so
+no table per series is kept and no current is handled by a rule of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from math import lcm
 import numpy as np
 
 from . import groups
-from .affine import LevelData, ModularData, RootSystem, fusion_rows
+from .affine import ModularData, RootSystem, affine_labels, fusion_rows
 from .config import Config, DEFAULT_CONFIG
 from .errors import ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
 from .residues import numerators
@@ -200,95 +205,39 @@ def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _preserves_matrix(perm: tuple[int, ...], m: tuple[tuple[int, ...], ...]) -> bool:
-    n = len(m)
-    return all(m[perm[i]][perm[j]] == m[i][j] for i in range(n) for j in range(n))
-
-
-def _cominimal_node(ld: LevelData, object_index: int) -> int | None:
-    """If the current object is k*Lambda_p, return finite node p; None for vacuum."""
-    w = ld.weights[object_index]
-    nonzero = [p for p, lab in enumerate(w) if lab != 0]
-    if not nonzero:
-        return None
-    if len(nonzero) == 1 and w[nonzero[0]] == ld.level:
-        return nonzero[0]
-    raise UnsupportedSeries(
-        f"current object {w} is not a level multiple of a fundamental weight"
-    )
-
-
-def _catalog_permutation(rs: RootSystem, finite_node: int) -> tuple[int, ...]:
-    """Tabulated affine-node permutation for the current k*Lambda_{finite_node}.
-
-    Affine index convention: 0 is the affine node, finite node p sits at p+1.
-    """
-    n = rs.rank
-    series = rs.lie_type.series
-    target = finite_node + 1
-    if series == "A":
-        m = target  # rotation by m of the (n+1)-cycle
-        return tuple((i + m) % (n + 1) for i in range(n + 1))
-    if series == "B":
-        if target == 1:
-            return tuple([1, 0] + list(range(2, n + 1)))
-        raise UnsupportedSeries(f"no B-series automorphism for node {target}")
-    if series == "C":
-        if target == n:
-            return tuple(n - i for i in range(n + 1))
-        raise UnsupportedSeries(f"no C-series automorphism for node {target}")
-    if series == "D":
-        def vector_swap() -> tuple[int, ...]:
-            perm = list(range(n + 1))
-            perm[0], perm[1] = perm[1], perm[0]
-            perm[n - 1], perm[n] = perm[n], perm[n - 1]
-            return tuple(perm)
-
-        def spinor_map() -> tuple[int, ...]:
-            if n % 2 == 0:
-                return tuple(n - i for i in range(n + 1))
-            perm = list(n - i for i in range(n + 1))
-            # order 4: 0 -> n -> 1 -> n-1 -> 0, middle reversed
-            perm[0], perm[n], perm[1], perm[n - 1] = n, 1, n - 1, 0
-            return tuple(perm)
-
-        if target == 1:
-            return vector_swap()
-        if target == n:
-            return spinor_map()
-        if target == n - 1:
-            sp = spinor_map()
-            vs = vector_swap()
-            return tuple(vs[sp[i]] for i in range(n + 1))
-        raise UnsupportedSeries(f"no D-series automorphism for node {target}")
-    if series == "E" and n == 6:
-        rho = (1, 6, 3, 5, 4, 2, 0)  # order-3 leg rotation with rho(0) = 1
-        if target == 1:
-            return rho
-        if target == 6:
-            return tuple(rho[rho[i]] for i in range(7))
-        raise UnsupportedSeries(f"no E6 automorphism for node {target}")
-    if series == "E" and n == 7:
-        if target == 7:
-            return (7, 6, 2, 5, 4, 3, 1, 0)  # chain reversal, branch node fixed
-        raise UnsupportedSeries(f"no E7 automorphism for node {target}")
-    raise UnsupportedSeries(f"no diagram-automorphism catalog for {rs.lie_type}")
-
-
 def diagram_automorphism(pg: PicardGroup, a: int) -> tuple[int, ...]:
-    """The affine-diagram symmetry induced by Picard element a (catalog data),
-    as a permutation of the affine node indices {0, ..., rank}, checked to
-    preserve the affine Cartan matrix."""
+    """The automorphism of the affine Dynkin diagram that induces the fusion
+    action of Picard element a, as a permutation of the affine node indices
+    {0, ..., rank} (node 0 the affine one), with Python int entries.
+
+    Node i may go to node j when, over all weights w, the label of w at i is
+    the label of g_a . w at j; the automorphisms of the affine Cartan matrix
+    are searched among those moves, node by node.  Any one found relabels
+    every weight into its image under the action, so it induces the action.
+    Raises UnsupportedSeries unless exactly one is found, as for E8 at level
+    2, whose exceptional current no diagram automorphism induces.
+    """
     ld = pg.md.level_data
-    rs = ld.root_system
-    node = _cominimal_node(ld, pg.objects[a])
-    if node is None:
-        perm = tuple(range(rs.rank + 1))
-    else:
-        perm = _catalog_permutation(rs, node)
-    acm = affine_cartan_matrix(rs)
-    if not _preserves_matrix(perm, acm):
+    acm = affine_cartan_matrix(ld.root_system)
+    labels = np.array([affine_labels(ld, w) for w in ld.weights], dtype=np.int64)  # [w, node]
+    moved = labels[pg.action[a]]  # [w, node]: the labels of g_a . w
+    allowed = (labels[:, :, None] == moved[:, None, :]).all(axis=0)  # [i, j]: i may go to j
+    found = []
+
+    def extend(perm: list[int]) -> None:
+        i = len(perm)
+        if i == len(acm):
+            found.append(tuple(perm))
+            return
+        for j in np.flatnonzero(allowed[i]).tolist():
+            if j not in perm and all(acm[i][p] == acm[j][q] and acm[p][i] == acm[q][j]
+                                     for p, q in enumerate(perm)):
+                extend([*perm, j])
+
+    extend([])
+    if len(found) != 1:
         raise UnsupportedSeries(
-            f"catalog permutation {perm} does not preserve the affine Cartan matrix"
+            f"{len(found) or 'no'} automorphisms of the affine {ld.lie_type} diagram induce "
+            f"the action of current {ld.weights[pg.objects[a]]}"
         )
-    return perm
+    return found[0]

@@ -14,6 +14,7 @@ from wzwkit import (
     classify_algebras,
     kramers_wannier_candidates,
 )
+from wzwkit.affine import fusion_rows
 from wzwkit.bimodule import BimoduleClass
 from wzwkit.errors import ClosureFailure, DualityValidationFailure, FixedPointsPresent, WzwError
 
@@ -211,6 +212,25 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
             assert np.array_equal(structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
 
 
+def fusion_rows_kramers_wannier(ring):
+    """The duality candidates as the library found them before it read every
+    b (x) b_dual from the table in one pass: the dense (1, n, n) block of b's
+    row, read by fusion_rows, at column b_dual."""
+    invertible = set(ring.units[0])
+    out = []
+    for x, cls in enumerate(ring.basis):
+        if x in invertible:
+            continue
+        row = fusion_rows(ring.structure, [x], len(ring))[0, ring.dual[x]]
+        if row[ring.unit] != 1:
+            raise DualityValidationFailure(
+                f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"
+            )
+        if all(int(k) in invertible for k in np.nonzero(row)[0]):
+            out.append(cls)
+    return out
+
+
 def test_ising_kramers_wannier(pic_of):
     cardy = _algebra(pic_of, "A1", 2, 1)
     ring = build_bimodule_ring(cardy)
@@ -267,8 +287,11 @@ def test_duality_validation_failure_on_corrupt_ring():
     corrupt = dense(ring.structure, len(ring))
     corrupt[1, 1, 0] = 0  # remove the unit from sigma x sigma
     bad = dataclasses.replace(ring, structure=quadruples(corrupt))
-    with pytest.raises(DualityValidationFailure):
+    message = "^unit multiplicity 0 in b \\(x\\) b_dual for basis element 1$"
+    with pytest.raises(DualityValidationFailure, match=message):
         kramers_wannier_candidates(bad)
+    with pytest.raises(DualityValidationFailure, match=message):
+        fusion_rows_kramers_wannier(bad)
 
 
 def test_each_ring_finds_its_units_once(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -5,14 +6,10 @@ import pytest
 
 import numpy as np
 
-from wzwkit import diagram_automorphism, find_simple_currents, verify_quadratic
+from wzwkit import Config, diagram_automorphism, find_simple_currents, modular_data, verify_quadratic
 from wzwkit.groups import exponent
 from wzwkit.errors import ClosureFailure, QuadraticFormViolation, UnsupportedSeries
-from wzwkit.picard import (
-    affine_cartan_matrix,
-    _catalog_permutation,
-    _preserves_matrix,
-)
+from wzwkit.picard import affine_cartan_matrix
 from wzwkit.affine import affine_labels, build_root_system, parse_lie_type
 from wzwkit.residues import mod1
 
@@ -58,6 +55,107 @@ def weight_action_of_node_permutation(ld, perm):
             moved[perm[i]] = lab
         out.append(ld.index(weight_from_affine(ld, tuple(moved))))
     return tuple(out)
+
+
+# --- the per-series catalog: the oracle of diagram_automorphism's search -------
+
+
+def _preserves_matrix(perm, m):
+    n = len(m)
+    return all(m[perm[i]][perm[j]] == m[i][j] for i in range(n) for j in range(n))
+
+
+def _cominimal_node(ld, object_index):
+    """If the current object is k*Lambda_p, return finite node p; None for vacuum."""
+    w = ld.weights[object_index]
+    nonzero = [p for p, lab in enumerate(w) if lab != 0]
+    if not nonzero:
+        return None
+    if len(nonzero) == 1 and w[nonzero[0]] == ld.level:
+        return nonzero[0]
+    raise UnsupportedSeries(
+        f"current object {w} is not a level multiple of a fundamental weight"
+    )
+
+
+def _catalog_permutation(rs, finite_node):
+    """Tabulated affine-node permutation for the current k*Lambda_{finite_node}.
+
+    Affine index convention: 0 is the affine node, finite node p sits at p+1.
+    """
+    n = rs.rank
+    series = rs.lie_type.series
+    target = finite_node + 1
+    if series == "A":
+        m = target  # rotation by m of the (n+1)-cycle
+        return tuple((i + m) % (n + 1) for i in range(n + 1))
+    if series == "B":
+        if target == 1:
+            return tuple([1, 0] + list(range(2, n + 1)))
+        raise UnsupportedSeries(f"no B-series automorphism for node {target}")
+    if series == "C":
+        if target == n:
+            return tuple(n - i for i in range(n + 1))
+        raise UnsupportedSeries(f"no C-series automorphism for node {target}")
+    if series == "D":
+        def vector_swap():
+            perm = list(range(n + 1))
+            perm[0], perm[1] = perm[1], perm[0]
+            perm[n - 1], perm[n] = perm[n], perm[n - 1]
+            return tuple(perm)
+
+        def spinor_map():
+            if n % 2 == 0:
+                return tuple(n - i for i in range(n + 1))
+            perm = list(n - i for i in range(n + 1))
+            # order 4: 0 -> n -> 1 -> n-1 -> 0, middle reversed
+            perm[0], perm[n], perm[1], perm[n - 1] = n, 1, n - 1, 0
+            return tuple(perm)
+
+        if target == 1:
+            return vector_swap()
+        if target == n:
+            return spinor_map()
+        if target == n - 1:
+            sp = spinor_map()
+            vs = vector_swap()
+            return tuple(vs[sp[i]] for i in range(n + 1))
+        raise UnsupportedSeries(f"no D-series automorphism for node {target}")
+    if series == "E" and n == 6:
+        rho = (1, 6, 3, 5, 4, 2, 0)  # order-3 leg rotation with rho(0) = 1
+        if target == 1:
+            return rho
+        if target == 6:
+            return tuple(rho[rho[i]] for i in range(7))
+        raise UnsupportedSeries(f"no E6 automorphism for node {target}")
+    if series == "E" and n == 7:
+        if target == 7:
+            return (7, 6, 2, 5, 4, 3, 1, 0)  # chain reversal, branch node fixed
+        raise UnsupportedSeries(f"no E7 automorphism for node {target}")
+    raise UnsupportedSeries(f"no diagram-automorphism catalog for {rs.lie_type}")
+
+
+def catalog_automorphism(pg, a):
+    """The catalog's node permutation for Picard element a, checked to
+    preserve the affine Cartan matrix."""
+    ld = pg.md.level_data
+    rs = ld.root_system
+    node = _cominimal_node(ld, pg.objects[a])
+    perm = tuple(range(rs.rank + 1)) if node is None else _catalog_permutation(rs, node)
+    assert _preserves_matrix(perm, affine_cartan_matrix(rs)), perm
+    return perm
+
+
+def assert_search_matches_catalog(pg):
+    """For every current: the search returns Python ints, equals the catalog,
+    has an order the current's order divides, and induces the fusion action."""
+    for a in range(len(pg)):
+        perm = diagram_automorphism(pg, a)
+        assert all(type(x) is int for x in perm)
+        assert perm == catalog_automorphism(pg, a)
+        assert perm_order(perm) % pg.orders[a] == 0
+        action = weight_action_of_node_permutation(pg.md.level_data, perm)
+        assert action == tuple(pg.action[a].tolist())
 
 
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 1), ("D3", 2), ("C3", 2), ("B3", 2), ("F4", 1)])
@@ -153,8 +251,6 @@ def test_verify_quadratic_on_catalog(name, k, pic_of, md_of):
 
 
 def test_verify_quadratic_catches_corruption(pic_of, md_of):
-    import dataclasses
-
     pg = pic_of("A1", 6)
     assert pg.charge_den == 32 and pg.twists.tolist() == [0, 16]  # h_J = 3/2
     bad = dataclasses.replace(pg, twists=np.array([0, 8]))  # 1/4, on the grid
@@ -191,8 +287,6 @@ TAMPERED = [
 
 @pytest.mark.parametrize("tamper,message", TAMPERED)
 def test_tampered_fusion_fails_closure(tamper, message, md_of):
-    import dataclasses
-
     md = md_of("A1", 4)
     bad = dataclasses.replace(md, fusion=quadruples(tamper(dense(md.fusion, len(md)))))
     with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
@@ -200,16 +294,43 @@ def test_tampered_fusion_fails_closure(tamper, message, md_of):
 
 
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])
-def test_diagram_automorphism_reproduces_fusion(name, k, pic_of, md_of):
-    """The catalog node permutation, pushed to level-k weights through the
-    affine labels, must equal the fusion action of the current."""
+def test_diagram_automorphism_reproduces_fusion(name, k, pic_of):
+    """The catalog node permutation equals the one the search reads from the
+    fusion action, and pushed to level-k weights through the affine labels it
+    reproduces that action."""
+    assert_search_matches_catalog(pic_of(name, k))
+
+
+def test_e8_exceptional_current_is_refused():
+    """E8 at level 2 has a simple current outside the center, the weight
+    Lambda_1 of conformal weight 3/2: the affine E8 diagram has no symmetry,
+    so no automorphism induces its action, and the catalog lacks it too."""
+    pg = find_simple_currents(modular_data("E8", 2, Config(weyl_cap=10**9)))
+    assert len(pg) == 2 and pg.md.weights[pg.objects[1]] == (1, 0, 0, 0, 0, 0, 0, 0)
+    assert diagram_automorphism(pg, 0) == tuple(range(9))
+    message = ("no automorphisms of the affine E8 diagram induce the action of current "
+               "(1, 0, 0, 0, 0, 0, 0, 0)")
+    with pytest.raises(UnsupportedSeries, match=f"^{re.escape(message)}$"):
+        diagram_automorphism(pg, 1)
+    with pytest.raises(UnsupportedSeries, match="not a level multiple"):
+        catalog_automorphism(pg, 1)
+
+
+@pytest.mark.parametrize("name,k", [("A1", 4), ("A3", 2)])
+def test_action_no_automorphism_induces_is_refused(name, k, pic_of):
+    """The generator's action row with the images of the vacuum and of
+    object 1 swapped is still a permutation, but it sends the vacuum off the
+    currents, which no diagram automorphism does: the search refuses it,
+    whatever the catalog lists for that current."""
     pg = pic_of(name, k)
-    md = md_of(name, k)
-    for a in range(len(pg)):
-        perm = diagram_automorphism(pg, a)
-        assert perm_order(perm) % pg.orders[a] == 0
-        action = weight_action_of_node_permutation(md.level_data, perm)
-        assert action == tuple(pg.action[a].tolist())
+    a = pg.orders.index(max(pg.orders))
+    action = pg.action.copy()
+    action[a, [0, 1]] = pg.action[a, [1, 0]]
+    assert action[a, 0] not in pg.objects
+    bad = dataclasses.replace(pg, action=action)
+    assert catalog_automorphism(bad, a) == catalog_automorphism(pg, a)
+    with pytest.raises(UnsupportedSeries, match="^no automorphisms of the affine"):
+        diagram_automorphism(bad, a)
 
 
 def test_identity_automorphism(pic_of):
@@ -265,13 +386,8 @@ def test_unsupported_series_raises():
         _catalog_permutation(rs, 2)
 
 
-def test_e6_rotation_matches_fusion(pic_of, md_of):
+def test_e6_rotation_matches_fusion(pic_of):
     """The order-3 leg rotation direction is pinned by the level-1 fusion."""
     pg = pic_of("E6", 1)
-    md = md_of("E6", 1)
     assert pg.invariant_factors == (3,)
-    for a in range(len(pg)):
-        perm = diagram_automorphism(pg, a)
-        assert perm_order(perm) % pg.orders[a] == 0
-        action = weight_action_of_node_permutation(md.level_data, perm)
-        assert action == tuple(pg.action[a].tolist())
+    assert_search_matches_catalog(pg)

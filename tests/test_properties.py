@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_ring,
                     build_root_system, classify_algebras, count_boundary_conditions,
-                    integrable_weights, orbit_decomposition, parse_lie_type)
+                    integrable_weights, kramers_wannier_candidates, orbit_decomposition,
+                    parse_lie_type)
 from wzwkit.affine import SimpleLieType, weyl_order
 from wzwkit import lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
@@ -20,10 +21,10 @@ from wzwkit.schellekens import enumerate_subgroups
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
 from conftest import assert_sorted_symmetric_table, dense, quadruples, t_matrix
-from test_bimodule import add_at_ring
+from test_bimodule import add_at_ring, fusion_rows_kramers_wannier
 from test_groups import assert_matches_oracles
 from test_kac_peterson import dense_verlinde, einsum_fusion
-from test_picard import CENTER_ORDER
+from test_picard import CENTER_ORDER, assert_search_matches_catalog
 
 MAX_OBJECTS = 40
 
@@ -154,6 +155,26 @@ def test_group_tables_match_the_oracles(pic_of, algebra):
     for alg in classify_algebras(pg):
         if all(len(o.stabilizer) == 1 for o in orbit_decomposition(alg.support)):
             assert_matches_oracles(build_bimodule_ring(alg).units[1])
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_diagram_automorphisms_match_the_catalog(pic_of, algebra):
+    """Every algebra of the draw: for each current, the automorphism read
+    from the fusion action is the per-series catalog's, of an order that the
+    current's order divides, and it induces that action on the weights."""
+    assert_search_matches_catalog(pic_of(*algebra))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_kramers_wannier_matches_the_dense_oracle(pic_of, algebra):
+    """Every algebra of the draw: on each full bimodule ring, the duality
+    candidates read from the table in one pass are those read from dense rows."""
+    for alg in classify_algebras(pic_of(*algebra)):
+        try:
+            ring = build_bimodule_ring(alg)
+        except FixedPointsPresent:
+            continue
+        assert kramers_wannier_candidates(ring) == fusion_rows_kramers_wannier(ring)
 
 
 @given(ALGEBRAS)
