@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     NotAPermutation,
     UnsupportedRank,
 )
-from .lietype import SimpleLieType, _check_weyl_cap, parse_lie_type, weyl_order
+from .lietype import SimpleLieType, _check_weyl_cap, comarks, parse_lie_type, weyl_order
 from .residues import format_rational, mod1
 
 Weight = tuple[int, ...]
@@ -119,42 +120,10 @@ def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
-    """All positive roots as coefficient vectors over the simple roots.
-
-    Standard root-string closure: beta + alpha_j is a root iff
-    p - (beta, alpha_j^v) > 0 where p is the depth of the string below beta.
-    """
-    n = len(cartan)
-    roots: set[tuple[int, ...]] = set()
-    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots.update(layer)
-    while layer:
-        nxt = []
-        for beta in layer:
-            labels = [sum(beta[i] * cartan[i][j] for i in range(n)) for j in range(n)]
-            for j in range(n):
-                p = 0
-                probe = list(beta)
-                while True:
-                    probe[j] -= 1
-                    if probe[j] < 0 or tuple(probe) not in roots:
-                        break
-                    p += 1
-                if p - labels[j] > 0:
-                    up = list(beta)
-                    up[j] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        layer = nxt
-    return sorted(roots, key=lambda r: (sum(r), r))
-
-
 @dataclass(frozen=True)
 class RootSystem:
-    """Tabulated data of a simple Lie algebra in the (theta, theta) = 2 norm."""
+    """Tabulated data of a simple Lie algebra in the (theta, theta) = 2 norm;
+    theta, h-vee and dim g are derived from ``lietype.comarks``."""
 
     lie_type: SimpleLieType
     cartan: tuple[tuple[int, ...], ...]
@@ -163,7 +132,6 @@ class RootSystem:
     comarks: tuple[int, ...]
     half_lengths: tuple[Fraction, ...]                # (alpha_i, alpha_i)/2
     dimension: int
-    positive_root_count: int
     highest_root_labels: tuple[int, ...]              # Dynkin labels of theta
 
     @property
@@ -172,7 +140,16 @@ class RootSystem:
 
 
 def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> RootSystem:
-    """Construct Cartan matrix, quadratic form, comarks, h-vee and dim g."""
+    """Construct the Cartan matrix and quadratic form, and derive theta, h-vee
+    and dim g from the closed-form comarks a_i^v:
+
+    * the marks a_i = a_i^v / d_i are theta's coefficients over the simple roots;
+    * theta's Dynkin labels are sum_i a_i A_ij;
+    * h-vee = 1 + sum a_i^v, and dim g = r (h + 1) with h = 1 + sum a_i.
+
+    The asserts check that the comarks fit the Cartan matrix: the marks are
+    integers and (theta, theta) = sum_i a_i^v theta_i = 2.
+    """
     if t.rank > config.rank_cap:
         raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
     cartan = _cartan_matrix(t)
@@ -180,24 +157,20 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
     n = t.rank
     inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in cartan])
     form = tuple(tuple(inv[i][j] * d[j] for j in range(n)) for i in range(n))
-    positives = _positive_roots(cartan)
-    theta = positives[-1]
-    assert sum(theta) == max(sum(r) for r in positives)
-    comarks_frac = [theta[i] * d[i] for i in range(n)]  # theta's coefficients are the marks
-    assert all(x.denominator == 1 for x in comarks_frac), "comarks must be integers"
-    comarks = tuple(int(x) for x in comarks_frac)
-    theta_labels = tuple(sum(theta[i] * cartan[i][j] for i in range(n)) for j in range(n))
-    # (theta, theta) = sum_i comark_i * theta_label_i must be 2 in this norm
-    assert sum(c * l for c, l in zip(comarks, theta_labels)) == 2
+    comark = comarks(t)
+    marks_frac = [c / d[i] for i, c in enumerate(comark)]
+    assert all(x.denominator == 1 for x in marks_frac), "marks must be integers"
+    marks = [int(x) for x in marks_frac]
+    theta_labels = tuple(sum(marks[i] * cartan[i][j] for i in range(n)) for j in range(n))
+    assert sum(c * l for c, l in zip(comark, theta_labels)) == 2, "(theta, theta) must be 2"
     return RootSystem(
         lie_type=t,
         cartan=tuple(tuple(row) for row in cartan),
         quadratic_form=form,
-        dual_coxeter=1 + sum(comarks),
-        comarks=comarks,
+        dual_coxeter=1 + sum(comark),
+        comarks=comark,
         half_lengths=tuple(d),
-        dimension=n + 2 * len(positives),
-        positive_root_count=len(positives),
+        dimension=n * (2 + sum(marks)),
         highest_root_labels=theta_labels,
     )
 
@@ -265,12 +238,12 @@ class LevelData:
     vacuum_index: int
     root_system: RootSystem
 
+    @cached_property
+    def _lookup(self) -> dict[Weight, int]:
+        return {w: i for i, w in enumerate(self.weights)}
+
     def index(self, weight: Weight) -> int:
-        try:
-            return self._lookup[tuple(weight)]
-        except AttributeError:
-            object.__setattr__(self, "_lookup", {w: i for i, w in enumerate(self.weights)})
-            return self._lookup[tuple(weight)]
+        return self._lookup[tuple(weight)]
 
     def __len__(self) -> int:
         return len(self.weights)

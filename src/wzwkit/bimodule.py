@@ -190,16 +190,11 @@ class BimodulePicard:
 def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
     """The group of invertible classes, realizing H* x_H Pic(C)."""
     positions, table = ring.units
-    if groups.is_abelian(table):
-        factors = groups.invariant_factors(table)
-        name = groups.group_name(factors)
-    else:
-        factors = ()
-        name = f"nonabelian-order-{len(positions)}"
+    factors = groups.invariant_factors(table)  # abelian: every ring's table is symmetric
     return BimodulePicard(
         elements=tuple(ring.basis[x] for x in positions),
         invariant_factors=factors,
-        iso_class_name=name,
+        iso_class_name=groups.group_name(factors),
     )
 
 

@@ -57,11 +57,9 @@ class UnsupportedSeries(WzwError):
 # --- algebra classification ---------------------------------------------------
 
 class NonIntegerEntry(WzwError):
-    """Exact evaluation of a partition matrix produced a non-integer."""
-
-
-class NegativeEntry(WzwError):
-    """Exact evaluation of a partition matrix produced a negative entry."""
+    """A residue is off its integer grid: Xi values that are not integer
+    numerators, a group exponent that does not divide the denominator of the
+    conformal weights, or monodromy charges that are not additive."""
 
 
 class InvarianceViolation(WzwError):

@@ -2,12 +2,13 @@
 
 A group is given as a table `table[a][b] = index of a*b` with identity at
 index 0.  Every table here is abelian: `find_simple_currents` refuses any
-other Picard group, its subgroups are abelian with it, and `bimodule_picard`
-names a non-abelian unit group without calling in here.  `subgroups` and
-`cyclic_decomposition` refuse a non-abelian table.  The tables met are tiny
-(over the catalog and the property draw: order at most 9, at most 2
-invariant factors), so brute force is the right tool: one search finds the
-cyclic decomposition, and the invariant factors are its orders.
+other Picard group, its subgroups are abelian with it, and a bimodule ring's
+unit group is abelian because the ring's structure is symmetric in its two
+factors.  `subgroups` and `cyclic_decomposition` (so `invariant_factors`)
+refuse a non-abelian table.  The tables met are tiny (over the catalog and
+the property draw: order at most 9, at most 2 invariant factors), so brute
+force is the right tool: one search finds the cyclic decomposition, and the
+invariant factors are its orders.
 """
 
 from __future__ import annotations

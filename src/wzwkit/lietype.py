@@ -1,6 +1,8 @@
-"""Simple Lie types: parsing, rank ranges, Weyl-group orders and the number
-of integrable weights at a level.
+"""Simple Lie types: parsing, rank ranges, Weyl-group orders, the comarks
+and the number of integrable weights at a level.
 
+The closed-form comarks are the one source of the affine Dynkin data:
+``affine.build_root_system`` derives theta, h-vee and dim g from them.
 Numpy-free, so the CLI can refuse a bad algebra, rank, Weyl-group size or
 weight count before the numeric stack loads.
 """
@@ -81,7 +83,8 @@ def _check_weyl_cap(t: SimpleLieType, config: Config) -> int:
 
 def comarks(t: SimpleLieType) -> tuple[int, ...]:
     """The comarks (dual Coxeter labels) of the nodes, in the node order of
-    ``affine.build_root_system``, from their closed forms."""
+    ``affine.build_root_system``, from their closed forms: the one table of
+    them, from which the root system derives theta, h-vee and dim g."""
     n = t.rank
     if t.series in "AC":
         return (1,) * n

@@ -27,7 +27,7 @@ import numpy as np
 from . import groups
 from .affine import ModularData
 from .config import Config, DEFAULT_CONFIG
-from .errors import InvarianceViolation, NegativeEntry, NonIntegerEntry, QuadraticFormViolation
+from .errors import InvarianceViolation, NonIntegerEntry, QuadraticFormViolation
 from .picard import PicardGroup
 
 if TYPE_CHECKING:
@@ -170,8 +170,6 @@ def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     n = len(pg.md)
     z = np.zeros((n, n), dtype=np.int64)
     np.add.at(z, (i, np.asarray(pg.md.conjugation)[pg.action[members][a, i]]), 1)
-    if (z < 0).any():
-        raise NegativeEntry("negative partition entry")
     z.flags.writeable = False
     return z
 

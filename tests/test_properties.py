@@ -5,18 +5,20 @@ Examples are drawn derandomized (the profile in conftest), so a run is
 repeatable; the oracles are identities of the theory, not recorded values.
 """
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wzwkit import (DEFAULT_CONFIG, build_bimodule_ring, build_pointed_bimodule_ring,
-                    build_root_system, classify_algebras, count_boundary_conditions,
-                    integrable_weights, kramers_wannier_candidates, orbit_decomposition,
-                    parse_lie_type)
-from wzwkit.affine import SimpleLieType, weyl_order
+from wzwkit import (DEFAULT_CONFIG, bimodule_picard, build_bimodule_ring,
+                    build_pointed_bimodule_ring, build_root_system, classify_algebras,
+                    count_boundary_conditions, integrable_weights, kramers_wannier_candidates,
+                    orbit_decomposition, parse_lie_type)
+from wzwkit.affine import weyl_order
 from wzwkit import lietype
-from wzwkit.errors import FixedPointsPresent, PhiUnavailable, UnsupportedRank, WzwError
+from wzwkit.errors import FixedPointsPresent, PhiUnavailable, WzwError
 from wzwkit.schellekens import enumerate_subgroups
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
@@ -25,6 +27,7 @@ from test_bimodule import add_at_ring, fusion_rows_kramers_wannier
 from test_groups import assert_matches_oracles
 from test_kac_peterson import dense_verlinde, einsum_fusion
 from test_picard import CENTER_ORDER, assert_search_matches_catalog
+from test_root_systems import TYPES, oracle_root_system
 
 MAX_OBJECTS = 40
 
@@ -40,19 +43,14 @@ def _object_count(comarks, level):
 
 def _algebras_within_budget():
     out = []
-    for series in "ABCDEFG":
-        for rank in range(1, DEFAULT_CONFIG.rank_cap + 1):
-            try:
-                t = SimpleLieType(series, rank)
-            except UnsupportedRank:
-                continue
-            if weyl_order(t) > DEFAULT_CONFIG.weyl_cap:
-                continue
-            comarks = build_root_system(t).comarks
-            level = 1
-            while _object_count(comarks, level) <= MAX_OBJECTS:
-                out.append((str(t), level))
-                level += 1
+    for t in TYPES:
+        if weyl_order(t) > DEFAULT_CONFIG.weyl_cap:
+            continue
+        comarks = build_root_system(t).comarks
+        level = 1
+        while _object_count(comarks, level) <= MAX_OBJECTS:
+            out.append((str(t), level))
+            level += 1
     return out
 
 
@@ -94,10 +92,10 @@ def test_ring_tables_match_the_add_at_oracle(pic_of, algebra):
 def test_object_count_is_the_enumerated_count(algebra):
     """Every algebra of the draw: the closed-form |P_+^k| the CLI checks
     against its object cap is the number of weights enumerated, and the
-    closed-form comarks are the root system's."""
+    closed-form comarks are those the positive-root closure gives."""
     name, level = algebra
     t = parse_lie_type(name)
-    assert lietype.comarks(t) == build_root_system(t).comarks
+    assert lietype.comarks(t) == oracle_root_system(t)[0].comarks
     assert lietype.object_count(t, level) == len(integrable_weights(t, level))
 
 
@@ -155,6 +153,23 @@ def test_group_tables_match_the_oracles(pic_of, algebra):
     for alg in classify_algebras(pg):
         if all(len(o.stabilizer) == 1 for o in orbit_decomposition(alg.support)):
             assert_matches_oracles(build_bimodule_ring(alg).units[1])
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_unit_tables_are_symmetric(pic_of, algebra):
+    """Every algebra of the draw: the unit table of each bimodule ring, the
+    pointed one and the full one where H acts freely, is symmetric, so
+    `bimodule_picard` names an abelian group of the units' order."""
+    for alg in classify_algebras(pic_of(*algebra)):
+        rings = [build_pointed_bimodule_ring(alg)]
+        try:
+            rings.append(build_bimodule_ring(alg))
+        except FixedPointsPresent:
+            pass
+        for ring in rings:
+            table = np.array(ring.units[1])
+            assert np.array_equal(table, table.T)
+            assert prod(bimodule_picard(ring).invariant_factors) == len(table)
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)

@@ -37,7 +37,6 @@ from wzwkit.config import DEFAULT_CONFIG
 from wzwkit.errors import (
     FixedPointsPresent,
     LambdaDependence,
-    NegativeEntry,
     NonIntegerEntry,
     QuadraticFormViolation,
     SnapFailure,
@@ -252,8 +251,6 @@ def scalar_partition_function(md, algebra):
             if trivial:
                 j = md.conjugation[pg.action[g, i]]
                 z[i][j] += 1
-    if any(entry < 0 for row in z for entry in row):
-        raise NegativeEntry("negative partition entry")
     return z
 
 

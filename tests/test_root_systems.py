@@ -3,8 +3,83 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wzwkit import Config, build_root_system, parse_lie_type, weyl_group
+from wzwkit import DEFAULT_CONFIG, Config, build_root_system, parse_lie_type, weyl_group
+from wzwkit.affine import (RootSystem, SimpleLieType, _cartan_matrix, _invert_fraction_matrix,
+                           _root_lengths)
 from wzwkit.errors import GroupTooLarge, UnsupportedRank
+
+
+def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+    """All positive roots as coefficient vectors over the simple roots.
+
+    Standard root-string closure: beta + alpha_j is a root iff
+    p - (beta, alpha_j^v) > 0 where p is the depth of the string below beta.
+    """
+    n = len(cartan)
+    roots: set[tuple[int, ...]] = set()
+    layer = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots.update(layer)
+    while layer:
+        nxt = []
+        for beta in layer:
+            labels = [sum(beta[i] * cartan[i][j] for i in range(n)) for j in range(n)]
+            for j in range(n):
+                p = 0
+                probe = list(beta)
+                while True:
+                    probe[j] -= 1
+                    if probe[j] < 0 or tuple(probe) not in roots:
+                        break
+                    p += 1
+                if p - labels[j] > 0:
+                    up = list(beta)
+                    up[j] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        nxt.append(cand)
+        layer = nxt
+    return sorted(roots, key=lambda r: (sum(r), r))
+
+
+def oracle_root_system(t: SimpleLieType) -> tuple[RootSystem, int]:
+    """(root system, |Delta_+|) read from the positive-root closure: theta is
+    the highest root, its coefficients are the marks, and dim g = r + 2|Delta_+|."""
+    cartan = _cartan_matrix(t)
+    d = _root_lengths(cartan)
+    n = t.rank
+    inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in cartan])
+    positives = _positive_roots(cartan)
+    theta = positives[-1]
+    assert sum(theta) == max(sum(r) for r in positives)
+    comarks = tuple(theta[i] * d[i] for i in range(n))
+    assert all(x.denominator == 1 for x in comarks)
+    rs = RootSystem(
+        lie_type=t,
+        cartan=tuple(tuple(row) for row in cartan),
+        quadratic_form=tuple(tuple(inv[i][j] * d[j] for j in range(n)) for i in range(n)),
+        dual_coxeter=1 + int(sum(comarks)),
+        comarks=tuple(int(x) for x in comarks),
+        half_lengths=tuple(d),
+        dimension=n + 2 * len(positives),
+        highest_root_labels=tuple(sum(theta[i] * cartan[i][j] for i in range(n)) for j in range(n)),
+    )
+    return rs, len(positives)
+
+
+def _types_within_rank_cap() -> list[SimpleLieType]:
+    """A1-A8, B2-B8, C2-C8, D3-D8, E6-E8, F4 and G2 under the default cap."""
+    out = []
+    for series in "ABCDEFG":
+        for rank in range(1, DEFAULT_CONFIG.rank_cap + 1):
+            try:
+                out.append(SimpleLieType(series, rank))
+            except UnsupportedRank:
+                pass
+    return out
+
+
+TYPES = _types_within_rank_cap()
 
 
 @pytest.mark.parametrize(
@@ -29,8 +104,35 @@ def test_standard_tables(name, hv, dim, npos):
     rs = build_root_system(parse_lie_type(name))
     assert rs.dual_coxeter == hv
     assert rs.dimension == dim
-    assert rs.positive_root_count == npos
-    assert rs.dimension == rs.rank + 2 * rs.positive_root_count
+    _, positives = oracle_root_system(rs.lie_type)
+    assert positives == npos
+    assert rs.dimension == rs.rank + 2 * positives
+
+
+@pytest.mark.parametrize("t", TYPES, ids=str)
+def test_derived_root_system_matches_the_closure(t):
+    """Every type the default rank cap admits: theta, the comarks, h-vee and
+    dim g derived from the closed-form comarks are those the positive-root
+    closure gives, the form satisfies A F = D, and 2|Delta_+| = r h with the
+    Coxeter number h = 1 + the sum of the marks."""
+    rs = build_root_system(t)
+    oracle, positives = oracle_root_system(t)
+    assert rs == oracle
+    n = rs.rank
+    for i in range(n):
+        for j in range(n):
+            entry = sum(rs.cartan[i][k] * rs.quadratic_form[k][j] for k in range(n))
+            assert entry == (rs.half_lengths[i] if i == j else 0)
+    coxeter = 1 + sum(c / d for c, d in zip(rs.comarks, rs.half_lengths))
+    assert 2 * positives == n * coxeter
+
+
+def test_tampered_comarks_are_refused(monkeypatch):
+    """B3 with comarks (1, 2, 2): the marks (1, 2, 4) give theta the labels
+    (0, -1, 4) and (theta, theta) = 6."""
+    monkeypatch.setattr("wzwkit.affine.comarks", lambda t: (1, 2, 2))
+    with pytest.raises(AssertionError, match=r"\(theta, theta\) must be 2"):
+        build_root_system(parse_lie_type("B3"))
 
 
 def test_a1_is_forced_by_normalization():
