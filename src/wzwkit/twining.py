@@ -1,11 +1,12 @@
 """Fixed points of simple-current automorphisms, diagram foldings, the
 twining S-matrices, and the extraction of the gauge-invariant 6j-scalars.
 
-The folding catalog covers trivial automorphisms and A-series cycle rotations
-(which includes the rank-1 affine swap).  A rotation of order d on the
-(n+1)-cycle folds to the cycle of length (n+1)/d at level k/d; fixed-point
-weights restrict to the folded weight set by reading off one affine label per
-node orbit.
+The fixed points of an element are read once, from the Picard group's fusion
+action, and the fold keeps exactly those weights: the diagram automorphism it
+folds along induces that action.  Folding covers the identity and A-series
+cycle rotations (which include the rank-1 affine swap).  A rotation of order d
+on the (n+1)-cycle folds to the cycle of length (n+1)/d at level k/d; a fixed
+weight restricts to the folded weight set by its labels on one cycle.
 
 The 6j-scalar phi_{U}(g, h) is recovered from the ratio identity
 
@@ -37,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .affine import (
-    LevelData, SimpleLieType, affine_labels, integrable_weights, kac_peterson_S, s_residuals,
+    LevelData, SimpleLieType, integrable_weights, kac_peterson_S, s_residuals,
 )
 from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
@@ -61,55 +62,35 @@ class OrbitAlgebraData:
     folded_level_data: LevelData | None  # None when the folded rank is 0
 
 
-def _rotation_amount(perm: tuple[int, ...]) -> int | None:
-    n = len(perm)
+def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
+    """Fold the affine diagram along the automorphism that induces the action
+    of Picard element a, an A-series rotation or the identity, keeping the
+    fixed points of g_a.  The rotation moves node 0 to m = perm[0], where the
+    current's weight has label k, so m is 0 only for the identity; the labels
+    of a fixed weight repeat along its cycles, so its order divides k, and a
+    single cycle keeps only the weight whose labels are all equal."""
+    fixed = fixed_points(pg, a)
+    if not fixed:
+        raise ValueError(f"Picard element {a} has no fixed points at this level")
+    perm = diagram_automorphism(pg, a)
+    ld = pg.md.level_data
     m = perm[0]
-    if all(perm[i] == (i + m) % n for i in range(n)):
-        return m
-    return None
-
-
-def fold_diagram(ld: LevelData, perm: tuple[int, ...], config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
-    """Fold the affine diagram along the node permutation `perm`, an A-series
-    rotation or the identity."""
-    n = ld.lie_type.rank
-    k = ld.level
-    m = _rotation_amount(perm)
     if m == 0:
-        return OrbitAlgebraData(
-            folded_series=ld.lie_type.series,
-            folded_rank=n,
-            folded_level=k,
-            weight_map={i: i for i in range(len(ld.weights))},
-            folded_level_data=ld,
-        )
-    if ld.lie_type.series != "A" or m is None:
+        return OrbitAlgebraData(ld.lie_type.series, ld.lie_type.rank, ld.level,
+                                {i: i for i in fixed}, ld)
+    if ld.lie_type.series != "A":
         raise UnsupportedFolding(
             f"folding supports only A-series cycle rotations, got {perm} "
             f"on {ld.lie_type}"
         )
-    nodes = n + 1
-    cycle_len = math.gcd(m, nodes)   # folded cycle length
-    d = nodes // cycle_len           # rotation order
-    if k % d != 0:
-        raise UnsupportedFolding(
-            f"rotation order {d} does not divide level {k}; the fixed-point set is empty"
-        )
-    folded_level = k // d
-    fixed_labels = {}
-    for idx, w in enumerate(ld.weights):
-        labels = affine_labels(ld, w)
-        if all(labels[i] == labels[(i + m) % nodes] for i in range(nodes)):
-            fixed_labels[idx] = labels
+    nodes = ld.lie_type.rank + 1
+    cycle_len = math.gcd(m, nodes)  # folded cycle length
+    folded_level = ld.level // (nodes // cycle_len)  # k over the rotation order
     if cycle_len == 1:
-        if len(fixed_labels) != 1:
-            raise UnsupportedFolding(
-                f"expected a single fixed point for total folding, found {len(fixed_labels)}"
-            )
-        return OrbitAlgebraData("A", 0, folded_level, dict.fromkeys(fixed_labels, 0), None)
+        return OrbitAlgebraData("A", 0, folded_level, dict.fromkeys(fixed, 0), None)
     folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, config)
-    weight_map = {idx: folded_ld.index(tuple(labels[1:cycle_len]))
-                  for idx, labels in fixed_labels.items()}
+    # a fixed weight's labels at nodes 1 .. cycle_len - 1 are its folded weight
+    weight_map = {i: folded_ld.index(ld.weights[i][:cycle_len - 1]) for i in fixed}
     if sorted(weight_map.values()) != list(range(len(folded_ld))):
         raise UnsupportedFolding("fixed points do not biject onto the folded weight set")
     return OrbitAlgebraData("A", cycle_len - 1, folded_level, weight_map, folded_ld)
@@ -142,14 +123,11 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     Computed as the Kac-Peterson matrix of the folded algebra pulled back
     along the weight dictionary; the overall scalar is fixed by making the
     diagonal entry at the minimal-conformal-weight fixed point real positive.
-    The automorphism induces the fusion action, so the weights the fold keeps
-    are the fixed points of g.
+    The fold keeps the fixed points of g, in index order.
     """
     md = pg.md
-    fixed = fixed_points(pg, a)
-    if not fixed:
-        raise ValueError(f"Picard element {a} has no fixed points at this level")
-    fold = fold_diagram(md.level_data, diagram_automorphism(pg, a), config)
+    fold = fold_diagram(pg, a, config)
+    fixed = tuple(fold.weight_map)
     if fold.folded_rank == 0:
         matrix = np.ones((1, 1), dtype=np.complex128)
     else:
@@ -157,7 +135,7 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
             s_f = md.s_matrix
         else:
             s_f = kac_peterson_S(fold.folded_level_data, config)
-        rows = [fold.weight_map[i] for i in fixed]
+        rows = list(fold.weight_map.values())
         matrix = s_f[np.ix_(rows, rows)]
     anchor = min(range(len(fixed)), key=lambda r: (md.conformal_weights[fixed[r]], fixed[r]))
     z = matrix[anchor, anchor]
@@ -165,7 +143,7 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
         raise NormalizationFailure("anchor entry of S^w vanishes; cannot fix the phase")
     matrix = matrix * (abs(z) / z)
     matrix.flags.writeable = False
-    tsm = TwiningSMatrix(tuple(fixed), matrix, fold)
+    tsm = TwiningSMatrix(fixed, matrix, fold)
     sym, uni = tsm.residuals
     if sym > config.tolerance:
         raise NormalizationFailure("S^w is not symmetric")
@@ -204,7 +182,8 @@ def extract_phi(
     package; each is p/exponent, stored as an integer over charge_den.
     Raises LambdaDependence if the ratio varies with the reference
     weight beyond tolerance (a conjecture violation), SnapFailure if a phase
-    is not a small root of unity.
+    is not a small root of unity, ValueError if tsm is not on the fixed
+    points of g.
 
     The columns are checked as arrays but reported as a scan in column order
     would: the first failing column raises, and within it the first of
@@ -212,22 +191,18 @@ def extract_phi(
     modulus and snap that fails.
     """
     fixed = tsm.fixed_points
-    pos = {w: r for r, w in enumerate(fixed)}
-    action = pg.action[h].tolist()
+    if fixed != fixed_points(pg, g):
+        raise ValueError(f"S^w is not on the fixed points of element {g}")
     zero_floor = math.sqrt(config.tolerance)
     denom = max(pg.exponent, 1)
-    # the scan stops at the first column that h moves off the fixed-point set
-    partner = []
-    for w in fixed:
-        if action[w] not in pos:
-            break
-        partner.append(pos[action[w]])
-    ncol = len(partner)
-    c2 = np.array(partner, dtype=np.intp)
+    # h commutes with g, so it permutes the fixed points of g: column c pairs
+    # with the column of h.fixed[c]
+    ncol = len(fixed)
+    c2 = np.searchsorted(fixed, pg.action[h, list(fixed)])
     m = tsm.matrix
     small = np.hypot(m.real, m.imag) < zero_floor
-    num, den = m[:, :ncol].T, m[:, c2].T  # [column, reference row]
-    num_small, den_small = small[:, :ncol].T, small[:, c2].T
+    num, den = m.T, m[:, c2].T  # [column, reference row]
+    num_small, den_small = small.T, small[:, c2].T
     mismatch = num_small != den_small
     usable = ~(num_small | den_small)
     grid = pg.charge_den
@@ -271,7 +246,7 @@ def extract_phi(
         if mismatch[c].any():
             ref = fixed[int(mismatch[c].argmax())]
             raise LambdaDependence(
-                f"|S^w| mismatch between columns {c} and {partner[c]} at reference {ref}"
+                f"|S^w| mismatch between columns {c} and {c2[c]} at reference {ref}"
             )
         if not usable[c].any():
             raise LambdaDependence(f"no usable reference row for fixed point {fixed[c]}")
@@ -280,8 +255,6 @@ def extract_phi(
                 f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
             )
         raise LambdaDependence(f"phi candidate has modulus {modulus[c]:.6f}, not 1")
-    if ncol < len(fixed):
-        raise ValueError(f"element {h} does not preserve the fixed-point set of {g}")
     return PhiValues(g, h, out, float(spread.max(initial=0.0)))
 
 

@@ -28,6 +28,7 @@ from test_groups import assert_matches_oracles
 from test_kac_peterson import dense_verlinde, einsum_fusion
 from test_picard import CENTER_ORDER, assert_search_matches_catalog
 from test_root_systems import TYPES, oracle_root_system
+from test_twining import assert_fold_matches_the_scan
 
 MAX_OBJECTS = 40
 
@@ -178,6 +179,14 @@ def test_diagram_automorphisms_match_the_catalog(pic_of, algebra):
     from the fusion action is the per-series catalog's, of an order that the
     current's order divides, and it induces that action on the weights."""
     assert_search_matches_catalog(pic_of(*algebra))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_fixed_points_match_the_label_scan(pic_of, algebra):
+    """Every algebra of the draw: the fixed points read from the fusion action
+    are those the all-weights label scan under each element's automorphism
+    finds, and the fold keeps them as that scan did."""
+    assert_fold_matches_the_scan(pic_of(*algebra))
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,68 @@ from wzwkit import (
     twining_S,
     verify_conjecture,
 )
-from wzwkit.errors import LambdaDependence, NormalizationFailure, UnsupportedFolding
+from wzwkit.affine import affine_labels
+from wzwkit.errors import LambdaDependence, NormalizationFailure, UnsupportedFolding, UnsupportedSeries
 from wzwkit.twining import PhiRows, TwiningSMatrix, conjecture_checks
+
+
+# -- the all-weights label scan the fold once ran: the oracle of its fixed points --
+
+
+def rotation_amount(perm):
+    """m if perm is the rotation i -> i + m of the affine nodes, else None."""
+    n = len(perm)
+    m = perm[0]
+    if all(perm[i] == (i + m) % n for i in range(n)):
+        return m
+    return None
+
+
+def label_scan(ld, perm):
+    """{index: affine labels} of every weight whose labels the node
+    permutation perm leaves as they are, read over all weights."""
+    out = {}
+    for idx, w in enumerate(ld.weights):
+        labels = affine_labels(ld, w)
+        if all(labels[i] == labels[perm[i]] for i in range(len(perm))):
+            out[idx] = labels
+    return out
+
+
+def assert_fold_matches_the_scan(pg):
+    """For each element with fixed points whose automorphism is found: the
+    automorphism is the identity only for the identity, and the fixed points
+    are the weights its label scan keeps.  On A it is the rotation by
+    perm[0], its order divides k, the fold maps each scanned weight to its
+    labels at nodes 1 .. cycle_len - 1, and a fold onto one cycle keeps one
+    weight.  Elsewhere any fold but the identity's is refused."""
+    ld = pg.md.level_data
+    for a in range(len(pg)):
+        fixed = fixed_points(pg, a)
+        if not fixed:
+            continue
+        try:
+            perm = diagram_automorphism(pg, a)
+        except UnsupportedSeries:
+            continue  # E8 2's exceptional current
+        assert (perm[0] == 0) == (a == 0)
+        scan = label_scan(ld, perm)
+        assert fixed == tuple(scan)
+        if ld.lie_type.series != "A":
+            if a:
+                with pytest.raises(UnsupportedFolding):
+                    fold_diagram(pg, a)
+            continue
+        assert rotation_amount(perm) == perm[0]
+        cycle_len = math.gcd(perm[0], len(perm))
+        assert ld.level % (len(perm) // cycle_len) == 0
+        fold = fold_diagram(pg, a)
+        assert fold.folded_rank == cycle_len - 1
+        if cycle_len == 1:
+            assert len(fixed) == 1 and fold.weight_map == {fixed[0]: 0}
+        else:
+            index = fold.folded_level_data.index
+            assert fold.weight_map == {i: index(labels[1:cycle_len]) for i, labels in scan.items()}
 
 
 def test_fixed_points_a1(pic_of):
@@ -32,17 +93,14 @@ def test_fixed_points_a3_rotation_by_two(md_of, pic_of):
 
 def test_fold_identity(md_of, pic_of):
     md = md_of("A1", 4)
-    pg = pic_of("A1", 4)
-    fold = fold_diagram(md.level_data, diagram_automorphism(pg, 0))
+    fold = fold_diagram(pic_of("A1", 4), 0)
     assert fold.folded_rank == md.level_data.lie_type.rank
     assert fold.folded_level == 4
     assert fold.weight_map == {i: i for i in range(len(md))}
 
 
-def test_fold_a1_swap(md_of, pic_of):
-    md = md_of("A1", 4)
-    pg = pic_of("A1", 4)
-    fold = fold_diagram(md.level_data, diagram_automorphism(pg, 1))
+def test_fold_a1_swap(pic_of):
+    fold = fold_diagram(pic_of("A1", 4), 1)
     assert fold.folded_rank == 0
     assert fold.folded_level == 2
     assert list(fold.weight_map) == [2]
@@ -52,25 +110,23 @@ def test_fold_a3_rotation(md_of, pic_of):
     md = md_of("A3", 2)
     pg = pic_of("A3", 2)
     jsq = pg.orders.index(2)
-    fold = fold_diagram(md.level_data, diagram_automorphism(pg, jsq))
+    fold = fold_diagram(pg, jsq)
     assert (fold.folded_series, fold.folded_rank, fold.folded_level) == ("A", 1, 1)
     named = {md.weights[i]: fold.folded_level_data.weights[x] for i, x in fold.weight_map.items()}
     assert named == {(0, 1, 0): (0,), (1, 0, 1): (1,)}
 
 
-def test_fold_rejects_indivisible_order(md_of, pic_of):
-    md = md_of("A1", 5)
-    pg = pic_of("A1", 5)
-    with pytest.raises(UnsupportedFolding):
-        fold_diagram(md.level_data, diagram_automorphism(pg, 1))
+def test_fold_rejects_indivisible_order(pic_of):
+    """A rotation whose order does not divide k fixes no weight."""
+    with pytest.raises(ValueError, match="^Picard element 1 has no fixed points at this level$"):
+        fold_diagram(pic_of("A1", 5), 1)
 
 
-def test_fold_rejects_non_a_series(md_of, pic_of):
-    md = md_of("D4", 2)
+def test_fold_rejects_non_a_series(pic_of):
     pg = pic_of("D4", 2)
     nontrivial = pg.orders.index(2)
     with pytest.raises(UnsupportedFolding):
-        fold_diagram(md.level_data, diagram_automorphism(pg, nontrivial))
+        fold_diagram(pg, nontrivial)
 
 
 def test_twining_matrix_a3(pic_of):
@@ -194,6 +250,27 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
     with pytest.raises(SnapFailure):
         extract_phi(pg, TwiningSMatrix(tsm.fixed_points, crafted, tsm.fold), jsq, j)
+
+
+def test_phi_refuses_another_elements_twining_matrix(pic_of):
+    """S^w of jsq is on its two fixed points: extracting phi for another g,
+    or from a matrix grown by a weight that h moves off the set, is refused
+    before any column is read, even a column that would fail its own check."""
+    pg = pic_of("A3", 2)
+    jsq = pg.orders.index(2)
+    j = pg.orders.index(4)
+    tsm = twining_S(pg, jsq)
+    for g in range(len(pg)):
+        if g != jsq:
+            with pytest.raises(ValueError, match=rf"^S\^w is not on the fixed points of element {g}$"):
+                extract_phi(pg, tsm, g, j)
+    other = next(i for i in range(len(pg.md)) if i not in tsm.fixed_points)
+    for m in (tsm.matrix, np.zeros((2, 2))):
+        grown = np.eye(3, dtype=np.complex128)
+        grown[:2, :2] = m
+        bad = TwiningSMatrix(tsm.fixed_points + (other,), grown, tsm.fold)
+        with pytest.raises(ValueError, match="is not on the fixed points of element"):
+            extract_phi(pg, bad, jsq, j)
 
 
 def _a3_rows(pic_of):
