@@ -476,6 +476,24 @@ def test_phi_error_parity(tamper, use_swap, exc, prefix, md_of, pic_of):
     assert new[0] is exc and new[1].startswith(prefix)
 
 
+@pytest.mark.parametrize("tamper", [None, _mismatch], ids=["clean", "mismatch-first"])
+def test_phi_moved_column_raises_after_earlier_columns(tamper, md_of, pic_of):
+    """A matrix grown by a weight that h moves off the fixed set: the scalar
+    scan raised ValueError at the moved column, but only after the columns
+    before it had passed their own checks; the kernel refuses the matrix as
+    not on Fix(g) before any column is read, whatever those columns hold."""
+    md, pg, jsq, j, tsm = _a3_swap(md_of, pic_of)
+    other = next(i for i in range(len(md)) if i not in tsm.fixed_points)
+    m = tsm.matrix if tamper is None else tamper(tsm.matrix)
+    grown = np.eye(3, dtype=np.complex128)
+    grown[:2, :2] = m
+    bad = TwiningSMatrix(tsm.fixed_points + (other,), grown, tsm.fold)
+    new = _outcome(extract_phi, pg, bad, jsq, j)
+    old = _outcome(scalar_extract_phi, md, pg, bad, jsq, j)
+    assert new == (ValueError, f"S^w is not on the fixed points of element {jsq}")
+    assert old[0] is (ValueError if tamper is None else LambdaDependence)
+
+
 @pytest.mark.parametrize("name,k", [("A3", 2), ("A5", 3), ("D4", 4)])
 def test_phi_error_parity_under_random_tampering(name, k, md_of, pic_of):
     """Random zeroed, nudged, rescaled and rotated entries: the kernel reports

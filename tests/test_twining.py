@@ -253,9 +253,8 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
 
 
 def test_phi_refuses_another_elements_twining_matrix(pic_of):
-    """S^w of jsq is on its two fixed points: extracting phi for another g,
-    or from a matrix grown by a weight that h moves off the set, is refused
-    before any column is read, even a column that would fail its own check."""
+    """S^w of jsq is on its two fixed points: extracting phi for another g is
+    refused before any column is read."""
     pg = pic_of("A3", 2)
     jsq = pg.orders.index(2)
     j = pg.orders.index(4)
@@ -264,13 +263,6 @@ def test_phi_refuses_another_elements_twining_matrix(pic_of):
         if g != jsq:
             with pytest.raises(ValueError, match=rf"^S\^w is not on the fixed points of element {g}$"):
                 extract_phi(pg, tsm, g, j)
-    other = next(i for i in range(len(pg.md)) if i not in tsm.fixed_points)
-    for m in (tsm.matrix, np.zeros((2, 2))):
-        grown = np.eye(3, dtype=np.complex128)
-        grown[:2, :2] = m
-        bad = TwiningSMatrix(tsm.fixed_points + (other,), grown, tsm.fold)
-        with pytest.raises(ValueError, match="is not on the fixed points of element"):
-            extract_phi(pg, bad, jsq, j)
 
 
 def _a3_rows(pic_of):
