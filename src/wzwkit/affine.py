@@ -5,7 +5,8 @@ Conventions:
 * Weights are tuples of non-negative Dynkin labels in the fundamental-weight
   basis; the invariant form is normalized so the highest root has length
   squared 2, hence the quadratic form on weights is F = A^{-1} D with A the
-  Cartan matrix and D = diag((alpha_i, alpha_i)/2).
+  Cartan matrix and D = diag((alpha_i, alpha_i)/2).  D is a table per series
+  and A^{-1} = adj(A) / det(A), checked exactly in integers.
 * The level-k simple objects are the integrable highest weights with
   sum(comark_i * label_i) <= k, sorted lexicographically (vacuum first).
 * Conformal weights h, the central charge c and all T-data are exact
@@ -84,40 +85,23 @@ def _cartan_matrix(t: SimpleLieType) -> list[list[int]]:
     return a
 
 
-def _root_lengths(cartan: list[list[int]]) -> list[Fraction]:
-    """Half length squares d_i = (alpha_i, alpha_i)/2 with long roots at 1.
-
-    Solved from the symmetry constraint d_j * A_ij = d_i * A_ji along bonds.
-    """
-    n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
-                queue.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram not connected"
-    top = max(d)  # type: ignore[type-var]
-    return [x / top for x in d]  # type: ignore[operator]
+def _half_lengths(t: SimpleLieType) -> tuple[Fraction, ...]:
+    """d_i = (alpha_i, alpha_i)/2 in the node order of ``_cartan_matrix``: 1 on
+    the long roots, 1/2 on the short ones of B, C and F4 and 1/3 on G2's."""
+    n = t.rank
+    short = {"B": (n - 1,), "C": range(n - 1), "F": (2, 3), "G": (0,)}.get(t.series, ())
+    d = Fraction(1, 3) if t.series == "G" else Fraction(1, 2)
+    return tuple(d if i in short else Fraction(1) for i in range(n))
 
 
-def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _adjugate(a: list[list[int]]) -> tuple[np.ndarray, int]:
+    """(adj A, det A) of an integer matrix, read from the float inverse and
+    checked exactly: adj A @ A = det A * 1 in int64."""
+    m = np.array(a, dtype=np.int64)
+    det = round(np.linalg.det(m))
+    adj = np.rint(np.linalg.inv(m) * det).astype(np.int64)
+    assert (adj @ m == det * np.eye(len(m), dtype=np.int64)).all(), "adj(A) A must be det(A) 1"
+    return adj, det
 
 
 @dataclass(frozen=True)
@@ -140,23 +124,26 @@ class RootSystem:
 
 
 def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> RootSystem:
-    """Construct the Cartan matrix and quadratic form, and derive theta, h-vee
-    and dim g from the closed-form comarks a_i^v:
+    """Read the root system from closed forms: the Cartan matrix A, the
+    half-lengths d_i of ``_half_lengths`` and the comarks a_i^v of
+    ``lietype.comarks``.  The quadratic form is F = adj(A) D / det(A), and
 
     * the marks a_i = a_i^v / d_i are theta's coefficients over the simple roots;
     * theta's Dynkin labels are sum_i a_i A_ij;
     * h-vee = 1 + sum a_i^v, and dim g = r (h + 1) with h = 1 + sum a_i.
 
-    The asserts check that the comarks fit the Cartan matrix: the marks are
-    integers and (theta, theta) = sum_i a_i^v theta_i = 2.
+    The asserts check that the tables fit the Cartan matrix: d_j A_ij =
+    d_i A_ji, the marks are integers and (theta, theta) = 2.
     """
     if t.rank > config.rank_cap:
         raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
     cartan = _cartan_matrix(t)
-    d = _root_lengths(cartan)
+    d = _half_lengths(t)
     n = t.rank
-    inv = _invert_fraction_matrix([[Fraction(x) for x in row] for row in cartan])
-    form = tuple(tuple(inv[i][j] * d[j] for j in range(n)) for i in range(n))
+    assert all(d[j] * cartan[i][j] == d[i] * cartan[j][i] for i in range(n) for j in range(i)), \
+        "d_j A_ij must be d_i A_ji"
+    adj, det = _adjugate(cartan)
+    form = tuple(tuple(Fraction(x, det) * d[j] for j, x in enumerate(row)) for row in adj.tolist())
     comark = comarks(t)
     marks_frac = [c / d[i] for i, c in enumerate(comark)]
     assert all(x.denominator == 1 for x in marks_frac), "marks must be integers"
@@ -169,7 +156,7 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
         quadratic_form=form,
         dual_coxeter=1 + sum(comark),
         comarks=comark,
-        half_lengths=tuple(d),
+        half_lengths=d,
         dimension=n * (2 + sum(marks)),
         highest_root_labels=theta_labels,
     )
@@ -390,19 +377,13 @@ def _longest_element_is_minus_one(t: SimpleLieType) -> bool:
 S_ALGORITHM = "kpdet"
 
 
-def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
-    """The S-matrix from the Kac-Peterson sum, S[0,0] real positive.
+def _kac_peterson_sum(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """The Kac-Peterson sum, sqrt(scale) S up to a phase:
 
     Shat = sum_c det(c) exp(-2 pi i (x, c^-1 y)_rest / kappa) D_J(x, c^-1 y), with
     x = L + rho, y = M + rho, c over W/W_J, D_J the determinant form of the
     W_J sum and (.,.)_rest the W_J-invariant rest of the pairing.  Every phase
     is reduced modulo its period in integers before the exponential.
-
-    NormalizationFailure unless Shat Shat^dagger is a positive multiple of the
-    identity (which bounds the unitarity of S), the vacuum entry is nonzero
-    and, where w0 = -1, S is real.  Symmetry and unitarity of the result are
-    checked by its reader: ``_assemble`` for the S of C(g, k), ``twining_S``
-    for a folded one.
     """
     rs = ld.root_system
     order = _check_weyl_cap(ld.lie_type, config)
@@ -423,12 +404,19 @@ def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray
         prod = (xe[:, None, :, None] * ye[None, :, None, :]) % (d * kappa)
         theta = (2 * np.pi / (d * kappa)) * prod
         shat += sign * np.exp((-2j * np.pi / (den * kappa)) * rest) * _alternating_sum(sub.series, theta)
-    gram = shat @ shat.conj().T
-    scale = float(np.mean(np.real(np.diag(gram))))
-    if scale <= 0 or np.max(np.abs(gram - scale * np.eye(n))) > config.tolerance * max(scale, 1.0):
-        raise NormalizationFailure(
-            f"Shat Shat^dagger is not a positive multiple of the identity for {ld.lie_type} level {ld.level}"
-        )
+    return shat
+
+
+def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+    """Shat / sqrt(scale), scale the mean of the diagonal of Shat Shat^dagger,
+    with S[0,0] real positive.  NormalizationFailure unless scale is positive,
+    the vacuum entry is nonzero and, where w0 = -1, S is real.  Its readers
+    check its symmetry and unitarity: ``_assemble`` the S of C(g, k),
+    ``twining_S`` a folded one."""
+    shat = _kac_peterson_sum(ld, config)
+    scale = float(np.mean(np.real(np.diag(shat @ shat.conj().T))))
+    if scale <= 0:
+        raise NormalizationFailure(f"Shat of {ld.lie_type} level {ld.level} has no positive scale")
     s = shat / np.sqrt(scale)
     z = s[ld.vacuum_index, ld.vacuum_index]
     if abs(z) < config.tolerance:
@@ -535,22 +523,21 @@ def fusion_rows(table: np.ndarray, xs, n: int) -> np.ndarray:
 
 
 def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
-    """The permutation C with S^2 = C entrywise, as i -> i_bar."""
+    """The permutation C with S^2 = C entrywise, as i -> i_bar: NotAPermutation
+    unless each row of S^2 is a permutation row and C fixes the vacuum.  The
+    one caller, ``_assemble``, has checked S symmetric and unitary, so S^2 is
+    its own inverse and those rows make a bijective involution."""
     s2 = s @ s
     c = np.real(s2)
-    n = len(c)
     perm = c.argmax(axis=1)
-    unit = np.arange(n) == perm[:, None]
+    unit = np.arange(len(c)) == perm[:, None]
     ok = (np.abs(c - unit).max(axis=1) < config.tolerance) & (
         np.abs(np.imag(s2)).max(axis=1) < config.tolerance)
     if not ok.all():
         raise NotAPermutation(f"row {int(np.argmin(ok))} of S^2 is not a permutation row")
-    perm = perm.tolist()
-    if sorted(perm) != list(range(n)) or perm[vacuum] != vacuum:
+    if perm[vacuum] != vacuum:
         raise NotAPermutation("S^2 is not a vacuum-fixing permutation")
-    if any(perm[perm[i]] != i for i in range(n)):
-        raise NotAPermutation("S^2 is not an involution")
-    return tuple(perm)
+    return tuple(perm.tolist())
 
 
 @dataclass(frozen=True)

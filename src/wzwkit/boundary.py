@@ -36,17 +36,15 @@ class Orbit:
 
 def orbit_decomposition(sub: Subgroup) -> tuple[Orbit, ...]:
     """Partition P_+^k under the permutation action of H, with stabilizers,
-    in the order of the least member of each orbit, its representative."""
+    in the order of the least member of each orbit, its representative.
+    `unit_group` has checked the action to be a group action."""
     images = sub.picard.action[list(sub.members)].T.tolist()  # [i][h]: g_h . i
     orbits = []
     for rep, row in enumerate(images):
         if min(row) != rep:  # rep is not the least member of its orbit
             continue
         stab = tuple(g for g, j in zip(sub.members, row) if j == rep)
-        members = tuple(sorted(set(row)))
-        if len(members) * len(stab) != len(sub):
-            raise WzwError("orbit-stabilizer mismatch (corrupt action)")
-        orbits.append(Orbit(rep, members, stab))
+        orbits.append(Orbit(rep, tuple(sorted(set(row))), stab))
     return tuple(orbits)
 
 

@@ -51,7 +51,7 @@ if TYPE_CHECKING:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for f in dataclasses.fields(Config):  # --tolerance, ..., --rank-cap
+    for f in dataclasses.fields(Config):  # --tolerance, ..., --object-cap
         common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
                             default=f.default)
     common.add_argument("--cache-dir", type=str, default=None)

@@ -1,13 +1,13 @@
 """Finite abelian group utilities over explicit multiplication tables.
 
 A group is given as a table `table[a][b] = index of a*b` with identity at
-index 0.  Every table here is abelian: `find_simple_currents` refuses any
-other Picard group, its subgroups are abelian with it, and a bimodule ring's
-unit group is abelian because the ring's structure is symmetric in its two
-factors.  `subgroups` and `cyclic_decomposition` (so `invariant_factors`)
-refuse a non-abelian table.  The tables met are tiny (over the catalog and
-the property draw: order at most 9, at most 2 invariant factors), so brute
-force is the right tool: one search finds the cyclic decomposition, and the
+index 0.  Every table here is abelian: a Picard table is read from a fusion
+table symmetric in its two factors, its subgroups are abelian with it, and so
+is a bimodule ring's unit group, the ring's structure being symmetric too.
+`subgroups` and `cyclic_decomposition` (so `invariant_factors`) refuse a
+non-abelian table.  The tables met are tiny (over the catalog and the
+property draw: order at most 9, at most 2 invariant factors), so brute force
+is the right tool: one search finds the cyclic decomposition, and the
 invariant factors are its orders.
 """
 

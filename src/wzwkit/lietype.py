@@ -1,10 +1,10 @@
 """Simple Lie types: parsing, rank ranges, Weyl-group orders, the comarks
 and the number of integrable weights at a level.
 
-The closed-form comarks are the one source of the affine Dynkin data:
-``affine.build_root_system`` derives theta, h-vee and dim g from them.
-Numpy-free, so the CLI can refuse a bad algebra, rank, Weyl-group size or
-weight count before the numeric stack loads.
+The closed-form comarks and ``affine``'s half-length table are the one source
+of the affine Dynkin data: ``affine.build_root_system`` reads theta, h-vee and
+dim g from them.  Numpy- and fractions-free, so the CLI can refuse a bad
+algebra, rank, Weyl-group size or weight count before the numeric stack loads.
 """
 
 from __future__ import annotations

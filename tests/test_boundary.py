@@ -15,6 +15,7 @@ from wzwkit.errors import NonIntegerEntry, PhiUnavailable, QuadraticFormViolatio
 from wzwkit.schellekens import SchellekensAlgebra, Subgroup
 
 from conftest import CATALOG
+from test_properties import WITHIN_BUDGET
 
 
 def _algebra_with_support(pg, size):
@@ -49,8 +50,11 @@ def test_a2_level2_free_orbits(pic_of):
     assert all(len(o.members) == 3 and len(o.stabilizer) == 1 for o in orbits)
 
 
-@pytest.mark.parametrize("name,k", CATALOG)
+@pytest.mark.parametrize("name,k", [*CATALOG, *(a for a in WITHIN_BUDGET if a not in CATALOG)])
 def test_orbit_stabilizer_identity(name, k, md_of, pic_of):
+    """The catalog and every algebra of the property draw: the orbits of each
+    support partition the weights, and |orbit| |stabilizer| = |H|, which
+    orbit_decomposition leaves to unit_group's check of the action."""
     md = md_of(name, k)
     for sub in enumerate_subgroups(pic_of(name, k)):
         orbits = orbit_decomposition(sub)

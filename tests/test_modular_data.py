@@ -255,12 +255,22 @@ def test_verlinde_rejects_negative_fusion(md_of, name, k, flip, message):
         verlinde_fusion(sign[:, None] * s * sign)
 
 
-def test_kac_peterson_normalization_check_is_live():
-    from wzwkit import Config, kac_peterson_S, integrable_weights
+def test_kac_peterson_normalization_check_is_live(pic_of):
+    """kac_peterson_S leaves the unitarity of S to its readers, and they
+    check it: below the rounding error, _assemble refuses the S of C(g, k)
+    and twining_S refuses S^w, the identity's as S^w itself and the folded
+    one (A1 at level 1, real) already as kac_peterson_S's S."""
+    from wzwkit import Config
+    from wzwkit.twining import twining_S
 
-    ld = integrable_weights(parse_lie_type("A2"), 3)
+    tight = Config(tolerance=1e-17)
+    with pytest.raises(NormalizationFailure, match=r"^S is not (symmetric|unitary)$"):
+        modular_data("A2", 3, tight)
+    pg = pic_of("A3", 2)
+    with pytest.raises(NormalizationFailure, match=r"^S\^w is not (symmetric|unitary)$"):
+        twining_S(pg, 0, tight)
     with pytest.raises(NormalizationFailure):
-        kac_peterson_S(ld, Config(tolerance=1e-17))
+        twining_S(pg, 2, tight)
 
 
 def test_conjugation_rejects_non_permutation():
@@ -275,7 +285,6 @@ def test_conjugation_rejects_non_permutation():
 
 @pytest.mark.parametrize("cycle,message", [
     ([1, 2, 0], "S^2 is not a vacuum-fixing permutation"),  # a 3-cycle moves the vacuum
-    ([0, 2, 3, 4, 5, 6, 1], "S^2 is not an involution"),  # fixes 0, a 6-cycle on 1..6
 ])
 def test_conjugation_refusals_name_their_check(cycle, message):
     from wzwkit.affine import conjugation_from_S

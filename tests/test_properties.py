@@ -16,7 +16,7 @@ from wzwkit import (DEFAULT_CONFIG, bimodule_picard, build_bimodule_ring,
                     build_pointed_bimodule_ring, build_root_system, classify_algebras,
                     count_boundary_conditions, integrable_weights, kramers_wannier_candidates,
                     orbit_decomposition, parse_lie_type)
-from wzwkit.affine import weyl_order
+from wzwkit.affine import _kac_peterson_sum, weyl_order
 from wzwkit import lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, WzwError
 from wzwkit.schellekens import enumerate_subgroups
@@ -199,6 +199,38 @@ def test_kramers_wannier_matches_the_dense_oracle(pic_of, algebra):
         except FixedPointsPresent:
             continue
         assert kramers_wannier_candidates(ring) == fusion_rows_kramers_wannier(ring)
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_kac_peterson_gram_is_a_multiple_of_the_identity(md_of, algebra):
+    """Every algebra of the draw: Shat Shat^dagger is within tolerance * scale
+    of scale * 1, scale the mean of its diagonal, which kac_peterson_S
+    divides out without comparing."""
+    shat = _kac_peterson_sum(md_of(*algebra).level_data)
+    gram = shat @ shat.conj().T
+    scale = np.mean(np.real(np.diag(gram)))
+    assert scale > 0
+    assert np.max(np.abs(gram - scale * np.eye(len(gram)))) <= DEFAULT_CONFIG.tolerance * scale
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_conjugation_is_a_vacuum_fixing_involution(md_of, algebra):
+    """Every algebra of the draw: the conjugation, whose rows
+    conjugation_from_S reads one at a time, is a bijection, fixes the vacuum
+    and is its own inverse."""
+    md = md_of(*algebra)
+    c = md.conjugation
+    assert sorted(c) == list(range(len(md)))
+    assert c[md.vacuum] == md.vacuum
+    assert all(c[c[i]] == i for i in range(len(md)))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_picard_table_is_symmetric(pic_of, algebra):
+    """Every algebra of the draw: the Picard group's table is abelian, as
+    find_simple_currents leaves to the symmetry of the fusion table."""
+    table = np.array(pic_of(*algebra).table)
+    assert np.array_equal(table, table.T)
 
 
 @given(ALGEBRAS)

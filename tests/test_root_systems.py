@@ -4,9 +4,47 @@ import numpy as np
 import pytest
 
 from wzwkit import DEFAULT_CONFIG, Config, build_root_system, parse_lie_type, weyl_group
-from wzwkit.affine import (RootSystem, SimpleLieType, _cartan_matrix, _invert_fraction_matrix,
-                           _root_lengths)
+from wzwkit.affine import RootSystem, SimpleLieType, _adjugate, _cartan_matrix, _half_lengths
 from wzwkit.errors import GroupTooLarge, UnsupportedRank
+
+
+def _root_lengths(cartan: list[list[int]]) -> list[Fraction]:
+    """Half length squares d_i = (alpha_i, alpha_i)/2 with long roots at 1.
+
+    Solved from the symmetry constraint d_j * A_ij = d_i * A_ji along bonds:
+    the breadth-first search that the per-series table replaced.
+    """
+    n = len(cartan)
+    d: list[Fraction | None] = [None] * n
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                queue.append(j)
+    assert all(x is not None for x in d), "Dynkin diagram not connected"
+    top = max(d)  # type: ignore[type-var]
+    return [x / top for x in d]  # type: ignore[operator]
+
+
+def _invert_fraction_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination over the rationals: the exact inverse that
+    the checked adjugate replaced."""
+    n = len(m)
+    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
@@ -125,6 +163,26 @@ def test_derived_root_system_matches_the_closure(t):
             assert entry == (rs.half_lengths[i] if i == j else 0)
     coxeter = 1 + sum(c / d for c, d in zip(rs.comarks, rs.half_lengths))
     assert 2 * positives == n * coxeter
+
+
+@pytest.mark.parametrize("t", TYPES, ids=str)
+def test_closed_forms_match_the_solved_ones(t):
+    """Every type the default rank cap admits: the half-length table is what
+    the search along the bonds solves for, and adj(A) / det(A) is the
+    inverse that elimination over the rationals finds."""
+    cartan = _cartan_matrix(t)
+    assert _half_lengths(t) == tuple(_root_lengths(cartan))
+    adj, det = _adjugate(cartan)
+    inverse = _invert_fraction_matrix([[Fraction(x) for x in row] for row in cartan])
+    assert [[Fraction(x, det) for x in row] for row in adj.tolist()] == inverse
+
+
+def test_tampered_half_lengths_are_refused(monkeypatch):
+    """B3 with every half-length 1: the double bond between nodes 1 and 2
+    is not symmetrized, -2 * 1 != -1 * 1."""
+    monkeypatch.setattr("wzwkit.affine._half_lengths", lambda t: (Fraction(1),) * t.rank)
+    with pytest.raises(AssertionError, match=r"^d_j A_ij must be d_i A_ji$"):
+        build_root_system(parse_lie_type("B3"))
 
 
 def test_tampered_comarks_are_refused(monkeypatch):
