@@ -88,7 +88,7 @@ class Battery:
     def pic(self, name: str, level: int) -> picard.PicardGroup:
         key = (name, level, self.config)
         if key not in self._pic:
-            self._pic[key] = picard.find_simple_currents(self.md(name, level), self.config)
+            self._pic[key] = picard.find_simple_currents(self.md(name, level))
         return self._pic[key]
 
     def algebras(self, name: str, level: int) -> list[schellekens.SchellekensAlgebra]:

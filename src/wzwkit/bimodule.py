@@ -10,10 +10,10 @@ construction does not apply and the builder refuses; the pointed ring
 fallback.  The simple objects, their fusion and conjugation are read from the
 algebra's Picard group, so a ring cannot mix one category's data with
 another's algebra.  The invertible classes are found as the simple currents
-are, by `picard.unit_group`, with the classes over simple currents as the
-cheap prefilter, once per ring: the ring keeps them with their group table
-as `units`, which `bimodule_picard` and `kramers_wannier_candidates` read.
-Xi is read as its algebra holds it, checked when the algebra was made.
+are, by `picard.unit_group` counting the rows of each class, once per ring:
+the ring keeps them with their group table as `units`, which
+`bimodule_picard` and `kramers_wannier_candidates` read.  Xi is read as its
+algebra holds it, checked when the algebra was made.
 
 The structure constants are filled with integer-coded characters: each
 character of H is coded once on the grid of the Picard group's
@@ -24,9 +24,10 @@ integers.  Like the fusion rules, the structure is held as the sorted (m, 4)
 int64 table of its nonzero (x, y, z, N_xy^z): the ring is built from the
 quadruples of the fusion table whose i and j are orbit representatives, each
 giving one key (x, y, z) per pair of characters, and equal keys are summed
-into one row.  No rank^3 array is made: `unit_group` reads the dense rows
-of the candidates through `fusion_rows`, and the duality test reads every
-b (x) b_dual from the table in one pass.
+into one row.  No rank^3 array is made: `unit_group` reads the units'
+action from the table's columns, and the duality test reads every
+b (x) b_dual from the table in one pass.  The construction makes a fusion
+ring, its unit and duals included, so neither reader checks them again.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import groups
-from .errors import DualityValidationFailure, FixedPointsPresent
+from .errors import FixedPointsPresent
 from .picard import unit_group
 
 if TYPE_CHECKING:
@@ -73,11 +74,8 @@ class BimoduleRing:
     @cached_property
     def units(self) -> tuple[tuple[int, ...], groups.Table]:
         """The positions of the invertible classes, unit first, and their
-        group table: rows of the structure that are permutation matrices,
-        among the classes over simple currents."""
-        pic_objects = set(self.algebra.picard.objects)
-        over = [x for x, cls in enumerate(self.basis) if cls.object_index in pic_objects]
-        positions, _, table = unit_group(self.structure, len(self), self.unit, over)
+        group table, as `unit_group` reads them from the structure."""
+        positions, _, table = unit_group(self.structure, len(self), self.unit)
         return positions, table
 
 
@@ -194,23 +192,15 @@ def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
 def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:
     """Non-invertible classes b with b (x) b_dual supported on invertibles.
 
-    The dual of (i, psi) is (i_bar, -psi); the pairing is validated by the
-    unit appearing with multiplicity exactly one.  Every b (x) b_dual is read
-    at once, as the rows (b, b_dual, z, N) of the table.
+    The dual of (i, psi) is (i_bar, -psi), the class that pairs with b to the
+    unit.  Every b (x) b_dual is read at once, as the rows (b, b_dual, z, N)
+    of the table.
     """
     n = len(ring)
-    x, z, mult = ring.structure[:, 0], ring.structure[:, 2], ring.structure[:, 3]
+    x, z = ring.structure[:, 0], ring.structure[:, 2]
     invertible = np.zeros(n, dtype=bool)
     invertible[list(ring.units[0])] = True
     own = (ring.structure[:, 1] == ring.dual[x]) & ~invertible[x]  # the rows of b (x) b_dual
-    unit = np.zeros(n, dtype=np.int64)  # [b]: N_{b b_dual}^unit, held by at most one row
-    at_unit = own & (z == ring.unit)
-    unit[x[at_unit]] = mult[at_unit]
-    bad = np.flatnonzero(~invertible & (unit != 1))
-    if len(bad):
-        raise DualityValidationFailure(
-            f"unit multiplicity {unit[bad[0]]} in b (x) b_dual for basis element {bad[0]}"
-        )
     leaves = np.zeros(n, dtype=bool)  # [b]: b (x) b_dual holds a non-invertible class
     leaves[x[own & ~invertible[z]]] = True
     return [ring.basis[b] for b in np.flatnonzero(~invertible & ~leaves).tolist()]

@@ -37,7 +37,8 @@ class Orbit:
 def orbit_decomposition(sub: Subgroup) -> tuple[Orbit, ...]:
     """Partition P_+^k under the permutation action of H, with stabilizers,
     in the order of the least member of each orbit, its representative.
-    `unit_group` has checked the action to be a group action."""
+    The action is a group action, being read from an associative fusion
+    table."""
     images = sub.picard.action[list(sub.members)].T.tolist()  # [i][h]: g_h . i
     orbits = []
     for rep, row in enumerate(images):

@@ -2,13 +2,15 @@
 
 One binary file per (series, rank, level) and S algorithm, written
 atomically.  It holds only the key and S, as two ``.npy`` arrays one after
-the other: the key ``[ord(series), rank, level]`` as int64, then S as
-complex128.  S is the one expensive quantity, and everything else is
-derived from it.  A load refuses anything but ``.npy`` arrays, pickles
-included, checks that the file holds the key of its own name and a 2-D
-complex128 S in C order, rebuilds the modular data from S (finite, symmetric
-and unitary), and requires the key and S of the rebuilt data to save to the
-file's exact bytes; a hit returns the modular data only.
+the other: the key ``[ord(series), rank, level, crc32 of S's bytes]`` as
+int64, then S as complex128.  S is the one expensive quantity, and
+everything else is derived from it.  A load refuses anything but ``.npy``
+arrays, pickles included, checks that the file holds the key of its own name
+and a 2-D complex128 S in C order, rebuilds the modular data from S (finite,
+symmetric and unitary), compares S's checksum with the stored one, so a
+flipped bit that keeps S within tolerance is caught too, and requires the
+key and S of the rebuilt data to save to the file's exact bytes; a hit
+returns the modular data only.
 Corruption is not fatal: the caller recomputes and overwrites, with a
 warning on standard error.
 """
@@ -19,6 +21,7 @@ import io
 import os
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,16 +41,23 @@ def default_cache_dir() -> Path:
 
 def cache_key(series: str, rank: int, level: int) -> str:
     """File name of a cached S-matrix, tagged with the S algorithm and the
-    S-only binary format; files of another algorithm or format (the JSON
-    files of older versions included) are never read."""
-    return f"{series}-{rank}-{level}.{S_ALGORITHM}.s-only.npy"
+    checksummed S-only binary format; files of another algorithm or format
+    (the unchecksummed ``.s-only.npy`` and the JSON files of older versions
+    included) are never read."""
+    return f"{series}-{rank}-{level}.{S_ALGORITHM}.s-crc32.npy"
+
+
+def _checksum(s: np.ndarray) -> int:
+    return zlib.crc32(s.tobytes())
 
 
 def _cache_bytes(md: ModularData) -> bytes:
-    """The cache file of md: its key, then its S, each saved by ``np.save``."""
+    """The cache file of md: its key with S's checksum, then its S, each
+    saved by ``np.save``."""
     t = md.level_data.lie_type
+    key = [ord(t.series), t.rank, md.level_data.level, _checksum(md.s_matrix)]
     buf = io.BytesIO()
-    np.save(buf, np.array([ord(t.series), t.rank, md.level_data.level], dtype=np.int64))
+    np.save(buf, np.array(key, dtype=np.int64))
     np.save(buf, md.s_matrix)
     return buf.getvalue()
 
@@ -74,7 +84,8 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         blob = path.read_bytes()
         fh = io.BytesIO(blob)
         key, s = _next_array(fh), _next_array(fh)
-        if key.dtype != np.int64 or key.tolist() != [ord(series), rank, level]:
+        if (key.dtype != np.int64 or key.shape != (4,)
+                or key[:3].tolist() != [ord(series), rank, level]):
             raise ValueError("stored series, rank or level does not match the file name")
         if s.dtype != np.complex128 or s.ndim != 2:
             raise ValueError("stored S-matrix is not a 2-D complex128 array")
@@ -83,6 +94,8 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
         n = len(s)
         md = modular_data_from_doc({"series": series, "rank": rank, "level": level,
                                     "sMatrix": s.view(np.float64).reshape(n, n, 2)}, config)
+        if _checksum(s) != key[3]:
+            raise ValueError("stored S-matrix does not match its checksum")
         if _cache_bytes(md) != blob:
             raise ValueError("stored file is not the saved key and S of its data, byte for byte")
         return md

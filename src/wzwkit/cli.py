@@ -191,7 +191,7 @@ def _cmd_picard(md: ModularData, args, config: Config):
     from . import picard
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     den = pg.charge_den
     checks = []
     try:
@@ -261,7 +261,7 @@ def _algebra_blob(
 def _cmd_invariants(md: ModularData, args, config: Config):
     from . import picard, schellekens
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     algebras = schellekens.classify_algebras(pg)
     blobs = []
     all_ok = True
@@ -281,7 +281,7 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
     from . import boundary, picard, schellekens
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     algebras = schellekens.classify_algebras(pg)
     blobs = []
     checks = []
@@ -323,7 +323,7 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
     from . import bimodule, picard, schellekens
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     algebras = schellekens.classify_algebras(pg)
 
     def classes(ring_classes) -> list[dict]:
@@ -363,7 +363,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
     from . import picard, twining
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     rows = twining.PhiRows(pg, config)
     everything = range(len(pg))
     blobs = []
@@ -409,7 +409,7 @@ def _cmd_twining(md: ModularData, args, config: Config):
 def _cmd_verify_conjecture(md: ModularData, args, config: Config):
     from . import picard, schellekens, twining
 
-    pg = picard.find_simple_currents(md, config)
+    pg = picard.find_simple_currents(md)
     algebras = schellekens.classify_algebras(pg)
     rows = twining.PhiRows(pg, config)  # each g's row is built once for all supports
     blobs = []

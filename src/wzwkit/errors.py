@@ -42,10 +42,6 @@ class NotAPermutation(WzwError):
 
 # --- Picard group ------------------------------------------------------------
 
-class ClosureFailure(WzwError):
-    """The invertible candidates of a fusion ring are not closed under fusion."""
-
-
 class QuadraticFormViolation(WzwError):
     """The twist fails a quadratic-form identity; names the offending pair."""
 
@@ -83,10 +79,6 @@ class FixedPointsPresent(WzwError):
             f"support fixes weights {list(self.fixed_weights)}; "
             "use build_pointed_bimodule_ring instead"
         )
-
-
-class DualityValidationFailure(WzwError):
-    """A candidate dual class fails the unit-multiplicity test."""
 
 
 # --- twining ---------------------------------------------------------------------

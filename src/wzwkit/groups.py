@@ -1,14 +1,13 @@
 """Finite abelian group utilities over explicit multiplication tables.
 
 A group is given as a table `table[a][b] = index of a*b` with identity at
-index 0.  Every table here is abelian: a Picard table is read from a fusion
-table symmetric in its two factors, its subgroups are abelian with it, and so
-is a bimodule ring's unit group, the ring's structure being symmetric too.
-`subgroups` and `cyclic_decomposition` (so `invariant_factors`) refuse a
-non-abelian table.  The tables met are tiny (over the catalog and the
-property draw: order at most 9, at most 2 invariant factors), so brute force
-is the right tool: one search finds the cyclic decomposition, and the
-invariant factors are its orders.
+index 0.  Every table here is abelian by construction, and is trusted to be:
+a Picard table is read from a fusion table symmetric in its two factors, its
+subgroups are abelian with it, and so is a bimodule ring's unit group, the
+ring's structure being symmetric too.  The tables met are tiny (over the
+catalog and the property draw: order at most 9, at most 2 invariant
+factors), so brute force is the right tool: one search finds the cyclic
+decomposition, and the invariant factors are its orders.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ from collections.abc import Iterator
 from math import lcm, prod
 
 Table = tuple[tuple[int, ...], ...]
-
-
-def is_abelian(table: Table) -> bool:
-    n = len(table)
-    return all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
-
-
-def _require_abelian(table: Table) -> None:
-    if not is_abelian(table):
-        raise ValueError("group is not abelian")
 
 
 def element_order(table: Table, g: int) -> int:
@@ -56,7 +45,6 @@ def subgroups(table: Table) -> list[tuple[int, ...]]:
 
     In an abelian group the product of two subgroups is a subgroup, so each
     one is grown from a smaller one as sub * <g>."""
-    _require_abelian(table)
     cyclic = [{power(table, g, e) for e in range(element_order(table, g))}
               for g in range(len(table))]
     found = {(0,)}
@@ -93,7 +81,6 @@ def cyclic_decomposition(table: Table) -> list[tuple[int, int]]:
     multiplying to |G| and whose products are all distinct.  The invariant
     factors are unique, so its orders are the invariant factors, largest last.
     """
-    _require_abelian(table)
     n = len(table)
     orders = [element_order(table, g) for g in range(n)]
     for r in range(n.bit_length()):  # r <= log2 n: every factor is at least 2

@@ -1,18 +1,18 @@
 """Invertible objects of C(g, k): detection, charges, quadratic form,
 and the matching diagram automorphisms of the affine Dynkin diagram.
 
-Simple currents are detected exactly: the quantum-dimension test is only a
-float pre-filter, membership is decided by `unit_group`, which finds the basis
-elements of any fusion ring whose rows are permutation matrices, reading only
-the candidates' rows from the ring's quadruple table; the bimodule ring's
-Picard group is found by it too.  The Picard group keeps the action
-as `unit_group` returns it, one read-only array `action[a, i]` = g_a . i,
-which every later layer indexes directly.  All charges and twists are exact
-residues in Q/Z, held from the start as read-only int64 arrays over
-`charge_den`, the common denominator of the conformal weights, so a twist
-off that grid cannot be represented.  The group exponent is checked to
-divide it, so every residue built from the group later on (bicharacter
-values, characters of subgroups, the 6j-scalars phi) lies on the same grid.
+Simple currents are detected exactly, by `unit_group`, which finds the
+invertible basis elements of any fusion ring by counting rows of its
+quadruple table: x is invertible exactly when its block holds n rows, one
+per j.  The bimodule ring's Picard group is found by it too.  The Picard
+group keeps the action as `unit_group` returns it, one read-only array
+`action[a, i]` = g_a . i, which every later layer indexes directly.  All
+charges and twists are exact residues in Q/Z, held from the start as
+read-only int64 arrays over `charge_den`, the common denominator of the
+conformal weights, so a twist off that grid cannot be represented.  The
+group exponent is checked to divide it, so every residue built from the
+group later on (bicharacter values, characters of subgroups, the 6j-scalars
+phi) lies on the same grid.
 
 The diagram automorphism of a current is read from that action too: it is
 the one automorphism of the affine Cartan matrix whose relabelling of the
@@ -22,16 +22,14 @@ no table per series is kept and no current is handled by a rule of its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import lcm
 
 import numpy as np
 
 from . import groups
-from .affine import ModularData, RootSystem, affine_labels, fusion_rows
-from .config import Config, DEFAULT_CONFIG
-from .errors import ClosureFailure, NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
+from .affine import ModularData, RootSystem, affine_labels
+from .errors import NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
 from .residues import numerators
 
 
@@ -65,49 +63,33 @@ class PicardGroup:
 
 
 def unit_group(
-    structure: np.ndarray, n: int, unit: int, candidates: Iterable[int]
+    structure: np.ndarray, n: int, unit: int
 ) -> tuple[tuple[int, ...], np.ndarray, groups.Table]:
-    """The invertible basis elements among candidates of a rank-n fusion ring,
-    held as its sorted (m, 4) table of nonzero (i, j, k, N_ij^k).
+    """The invertible basis elements of a rank-n fusion ring, held as its
+    sorted (m, 4) table of nonzero (i, j, k, N_ij^k).
 
-    x is invertible when its row, read by `fusion_rows`, is a permutation
-    matrix: entries 0 or 1, one 1 in each row and each column.  Returns the
-    invertible elements, unit first and then ascending; perm[a, j], the k with
-    N_{x_a j}^k = 1; and the group table.  A unit row that is not the
-    identity, a product that is not invertible, or a composed permutation
-    that is not the product's raises ClosureFailure, the first failing pair
-    in scan order.
+    x is invertible exactly when x (x) j is simple for every j.  Each j gives
+    x's block at least one row, so those x are the ones whose block holds
+    exactly n rows: then x (x) x_bar, which holds the unit once, is the unit,
+    and the block is (x, j, x.j, 1) in the order of j.  Returns them, unit
+    first and then ascending; perm[a, j] = x_a . j, the k column of x_a's
+    block; and the group table read off that action.
     """
-    cand = np.array(sorted(set(candidates)), dtype=np.intp)
-    rows = fusion_rows(structure, cand, n)  # [c, j, k]
-    is_perm = (((rows == 0) | (rows == 1)).all(axis=(1, 2))
-               & (rows.sum(axis=2) == 1).all(axis=1) & (rows.sum(axis=1) == 1).all(axis=1))
-    found = cand[is_perm]
-    order = np.argsort(found != unit, kind="stable")  # unit first, the rest ascending
-    elements = found[order]
-    perms = rows[is_perm].argmax(axis=2)[order]  # [a, j]
-    if not len(elements) or elements[0] != unit or (perms[0] != np.arange(n)).any():
-        raise ClosureFailure("vacuum fusion row is not the identity permutation")
+    first, xs = structure[:, 0], np.arange(n)
+    lo = np.searchsorted(first, xs)
+    found = xs[np.searchsorted(first, xs, side="right") - lo == n]
+    elements = found[np.argsort(found != unit, kind="stable")]  # unit first, the rest ascending
+    perms = structure[lo[elements, None] + xs, 2]  # [a, j]
     index_of = np.full(n, -1, dtype=np.intp)
     index_of[elements] = np.arange(len(elements))
-    product = perms[:, elements]  # [a, b]: x_a x_b
-    table = index_of[product]
-    inconsistent = (perms[:, perms] != perms[table]).any(axis=2)  # x_a (x_b j) vs (x_a x_b) j
-    bad = np.argwhere((table < 0) | inconsistent)
-    if len(bad):
-        a, b = bad[0]
-        x, y = elements[a], elements[b]
-        if table[a, b] < 0:
-            raise ClosureFailure(f"product of currents {x} and {y} is {product[a, b]}, not a current")
-        raise ClosureFailure(f"fusion action of {x}*{y} is inconsistent")
+    table = index_of[perms[:, elements]]  # [a, b]: x_a x_b
     return tuple(elements.tolist()), perms, tuple(map(tuple, table.tolist()))
 
 
-def find_simple_currents(md: ModularData, config: Config = DEFAULT_CONFIG) -> PicardGroup:
-    """Detect Pic(C) as the group `unit_group` closes, with exact twists; its
+def find_simple_currents(md: ModularData) -> PicardGroup:
+    """Detect Pic(C) as the units of the fusion table, with exact twists; its
     table is abelian, as Verlinde's fusion table is symmetric in i and j."""
-    candidates = np.flatnonzero(abs(md.quantum_dims - 1.0) < config.tolerance)
-    objects, action, table = unit_group(md.fusion, len(md), md.vacuum, candidates)
+    objects, action, table = unit_group(md.fusion, len(md), md.vacuum)
     action.flags.writeable = False
     charges, charge_den = charge_table(md, action, table)
     twists = numerators([md.conformal_weights[obj] for obj in objects], charge_den)

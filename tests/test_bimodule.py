@@ -16,10 +16,10 @@ from wzwkit import (
 )
 from wzwkit.affine import fusion_rows
 from wzwkit.bimodule import BimoduleClass
-from wzwkit.errors import ClosureFailure, DualityValidationFailure, FixedPointsPresent, WzwError
+from wzwkit.errors import FixedPointsPresent, WzwError
 
 from conftest import dense, quadruples
-from test_picard import TAMPERED
+from test_picard import TAMPERED, dense_unit_group
 
 
 def add_at_ring(algebra, objects):
@@ -159,13 +159,14 @@ def test_pointed_ring_sizes(pic_of):
 
 @pytest.mark.parametrize("tamper,message", TAMPERED)
 def test_tampered_ring_fails_closure(tamper, message, pic_of):
-    """The A1:4 Cardy ring is its fusion ring, class x over object x: a corrupt
-    structure is refused with the messages of find_simple_currents."""
+    """The A1:4 Cardy ring is its fusion ring, class x over object x: the
+    dense oracle that the properties run on every ring refuses a corrupt
+    structure with the messages it gives on the fusion table."""
     ring = build_bimodule_ring(_algebra(pic_of, "A1", 4, 1))
     assert [cls.object_index for cls in ring.basis] == list(range(5))
-    bad = dataclasses.replace(ring, structure=quadruples(tamper(dense(ring.structure, 5))))
-    with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
-        bimodule_picard(bad)
+    bad = quadruples(tamper(dense(ring.structure, 5)))
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        dense_unit_group(bad, len(ring), ring.unit)
 
 
 def test_ising_bimodule_picard(pic_of):
@@ -215,15 +216,16 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
 def fusion_rows_kramers_wannier(ring):
     """The duality candidates as the library found them before it read every
     b (x) b_dual from the table in one pass: the dense (1, n, n) block of b's
-    row, read by fusion_rows, at column b_dual."""
-    invertible = set(ring.units[0])
+    row, read by fusion_rows, at column b_dual, whose unit multiplicity must
+    be one, with the invertible classes found by the dense oracle."""
+    invertible = set(dense_unit_group(ring.structure, len(ring), ring.unit)[0])
     out = []
     for x, cls in enumerate(ring.basis):
         if x in invertible:
             continue
         row = fusion_rows(ring.structure, [x], len(ring))[0, ring.dual[x]]
         if row[ring.unit] != 1:
-            raise DualityValidationFailure(
+            raise AssertionError(
                 f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"
             )
         if all(int(k) in invertible for k in np.nonzero(row)[0]):
@@ -277,6 +279,8 @@ def test_larger_rank_ring_and_boundaries(pic_of):
 
 
 def test_duality_validation_failure_on_corrupt_ring():
+    """The dense duality oracle, run on every full ring of the draw, refuses
+    a ring whose b (x) b_dual misses the unit."""
     from wzwkit import modular_data, find_simple_currents
     from wzwkit.schellekens import enumerate_ksbs, enumerate_subgroups
 
@@ -288,9 +292,7 @@ def test_duality_validation_failure_on_corrupt_ring():
     corrupt[1, 1, 0] = 0  # remove the unit from sigma x sigma
     bad = dataclasses.replace(ring, structure=quadruples(corrupt))
     message = "^unit multiplicity 0 in b \\(x\\) b_dual for basis element 1$"
-    with pytest.raises(DualityValidationFailure, match=message):
-        kramers_wannier_candidates(bad)
-    with pytest.raises(DualityValidationFailure, match=message):
+    with pytest.raises(AssertionError, match=message):
         fusion_rows_kramers_wannier(bad)
 
 

@@ -54,7 +54,7 @@ def test_a2_level2_free_orbits(pic_of):
 def test_orbit_stabilizer_identity(name, k, md_of, pic_of):
     """The catalog and every algebra of the property draw: the orbits of each
     support partition the weights, and |orbit| |stabilizer| = |H|, which
-    orbit_decomposition leaves to unit_group's check of the action."""
+    orbit_decomposition leaves to the action being a group action."""
     md = md_of(name, k)
     for sub in enumerate_subgroups(pic_of(name, k)):
         orbits = orbit_decomposition(sub)

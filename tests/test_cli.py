@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,17 @@ def _s_with(*entries):
     return tamper
 
 
+def _flip(offset):
+    """Tamper: the lowest bit of the stored S's byte at offset flipped (0:
+    S[0, 0]'s real part, 8: its zero imaginary part), which leaves S
+    symmetric and unitary within tolerance."""
+    def tamper(key, s, blob):
+        flipped = bytearray(blob)
+        flipped[len(blob) - s.nbytes + offset] ^= 1  # S's entries end the file
+        return bytes(flipped)
+    return tamper
+
+
 UNPICKLED = []
 
 
@@ -209,6 +221,8 @@ class _Unpickles:
     pytest.param(_s_with((1, 1, complex("nan"))), "not finite", id="s-nan"),
     pytest.param(_s_with((1, 2, complex(np.inf, -np.inf)), (2, 1, complex(np.inf, -np.inf))),
                  "not finite", id="s-inf-pair"),
+    pytest.param(_flip(0), "does not match its checksum", id="s-low-bit"),
+    pytest.param(_flip(8), "does not match its checksum", id="s-zero-imaginary-bit"),
     pytest.param(lambda key, s, blob: blob + b"\0", "byte for byte", id="trailing-bytes"),
     pytest.param(lambda key, s, blob: blob[:-8], "EOF", id="truncated"),
 ])
@@ -219,7 +233,8 @@ def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper, reason):
     and A3:1 both have four weights and a unitary, symmetric S, so only the
     stored key tells them apart), a key or S of another dtype or layout, an
     object array (refused without unpickling it), an S that is not symmetric
-    or not finite, or a truncated file.  A non-finite S is refused by name,
+    or not finite, an S with one flipped bit that passes every other check
+    and only its checksum refuses, or a truncated file.  A non-finite S is refused by name,
     before any arithmetic on it could warn."""
     argv = ["modular-data", "A3", "1", "--cache-dir", str(tmp_path)]
     _, out = _run(capsys, argv)
@@ -531,25 +546,28 @@ def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
 
 def test_untagged_cache_file_is_ignored(capsys, tmp_path):
     """Files named as older versions wrote them, without the S-algorithm tag,
-    as a full document under the algorithm tag alone, or as S-only JSON, are
-    neither read nor reported as corrupted."""
+    as a full document under the algorithm tag alone, as S-only JSON, or as
+    the key and S without a checksum, are neither read nor reported as
+    corrupted."""
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path)]
-    doc = modular_data_to_doc(modular_data("A1", 3))
+    md = modular_data("A1", 3)
+    doc = modular_data_to_doc(md)
     old = {
-        "A-1-3.json": "{not json",
-        "A-1-3.kpdet.json": canonical_json(doc),
-        "A-1-3.kpdet.s-only.json": canonical_json(_projection(doc)),
+        "A-1-3.json": b"{not json",
+        "A-1-3.kpdet.json": canonical_json(doc).encode(),
+        "A-1-3.kpdet.s-only.json": canonical_json(_projection(doc)).encode(),
+        "A-1-3.kpdet.s-only.npy": _npy(np.array([ord("A"), 1, 3], dtype=np.int64), md.s_matrix),
     }
-    for name, text in old.items():
-        (tmp_path / name).write_text(text)
+    for name, blob in old.items():
+        (tmp_path / name).write_bytes(blob)
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "corrupted" not in captured.err
     assert json.loads(captured.out)["payload"]["centralCharge"] == "9/5"
     assert (tmp_path / cache_key("A", 1, 3)).is_file()
-    for name, text in old.items():
-        assert (tmp_path / name).read_text() == text
+    for name, blob in old.items():
+        assert (tmp_path / name).read_bytes() == blob
 
 
 @pytest.mark.parametrize("argv", [
@@ -594,7 +612,7 @@ def test_miss_builds_one_document(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     payload = json.loads(out)["payload"]
     key, s, rest = _load_cache(tmp_path / cache_key("A", 2, 3))
-    assert key.tolist() == [ord("A"), 2, 3] and rest == b""
+    assert key.tolist() == [ord("A"), 2, 3, zlib.crc32(s.tobytes())] and rest == b""
     assert s.view(np.float64).tobytes() == np.array(payload["sMatrix"], dtype=np.float64).tobytes()
 
 
@@ -682,12 +700,13 @@ def test_an_empty_entry_table_is_an_empty_list():
 
 @pytest.mark.parametrize("name,k", sorted(set(CATALOG) | set(BENCHMARK_MISSES)))
 def test_cache_file_is_canonical_projection(md_of, tmp_path, name, k):
-    """The cache file holds exactly two arrays: the int64 key and S, bit for
-    bit (C3:6 and G2 carry -0.0)."""
+    """The cache file holds exactly two arrays: the int64 key with the CRC-32
+    of S's bytes, and S, bit for bit (C3:6 and G2 carry -0.0)."""
     md = md_of(name, k)
     t = md.level_data.lie_type
     key, s, rest = _load_cache(cache.cache_store(tmp_path, md))
-    assert key.dtype == np.int64 and key.tolist() == [ord(t.series), t.rank, k]
+    assert key.dtype == np.int64
+    assert key.tolist() == [ord(t.series), t.rank, k, zlib.crc32(md.s_matrix.tobytes())]
     assert s.dtype == np.complex128 and s.shape == md.s_matrix.shape
     assert s.tobytes() == md.s_matrix.tobytes()
     assert rest == b""

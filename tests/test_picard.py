@@ -8,9 +8,9 @@ import numpy as np
 
 from wzwkit import Config, diagram_automorphism, find_simple_currents, modular_data, verify_quadratic
 from wzwkit.groups import exponent
-from wzwkit.errors import ClosureFailure, QuadraticFormViolation, UnsupportedSeries
+from wzwkit.errors import QuadraticFormViolation, UnsupportedSeries
 from wzwkit.picard import affine_cartan_matrix
-from wzwkit.affine import affine_labels, build_root_system, parse_lie_type
+from wzwkit.affine import affine_labels, build_root_system, fusion_rows, parse_lie_type
 from wzwkit.residues import mod1
 
 from conftest import CATALOG, dense, quadruples
@@ -23,6 +23,39 @@ def perm_order(perm):
         current = tuple(perm[i] for i in current)
         order += 1
     return order
+
+
+def dense_unit_group(structure, n, unit):
+    """The invertible basis elements of a rank-n fusion ring as the library
+    found them before it counted rows: every element's dense row block, read
+    by fusion_rows, tested for a permutation matrix, and the group they make
+    checked to close.  Returns (elements, perms, table) as unit_group does;
+    a unit row that is not the identity, a product that is not invertible or
+    a composed permutation that is not the product's raises AssertionError,
+    the first failing pair in scan order."""
+    cand = np.arange(n)
+    rows = fusion_rows(structure, cand, n)  # [c, j, k]
+    is_perm = (((rows == 0) | (rows == 1)).all(axis=(1, 2))
+               & (rows.sum(axis=2) == 1).all(axis=1) & (rows.sum(axis=1) == 1).all(axis=1))
+    found = cand[is_perm]
+    order = np.argsort(found != unit, kind="stable")  # unit first, the rest ascending
+    elements = found[order]
+    perms = rows[is_perm].argmax(axis=2)[order]  # [a, j]
+    if not len(elements) or elements[0] != unit or (perms[0] != np.arange(n)).any():
+        raise AssertionError("vacuum fusion row is not the identity permutation")
+    index_of = np.full(n, -1, dtype=np.intp)
+    index_of[elements] = np.arange(len(elements))
+    product = perms[:, elements]  # [a, b]: x_a x_b
+    table = index_of[product]
+    inconsistent = (perms[:, perms] != perms[table]).any(axis=2)  # x_a (x_b j) vs (x_a x_b) j
+    bad = np.argwhere((table < 0) | inconsistent)
+    if len(bad):
+        a, b = bad[0]
+        x, y = elements[a], elements[b]
+        if table[a, b] < 0:
+            raise AssertionError(f"product of currents {x} and {y} is {product[a, b]}, not a current")
+        raise AssertionError(f"fusion action of {x}*{y} is inconsistent")
+    return tuple(elements.tolist()), perms, tuple(map(tuple, table.tolist()))
 
 
 def charge(pg, i, a):
@@ -271,7 +304,8 @@ def _vacuum_row_doubled(fusion):
     return out
 
 
-# A1:4 tampered fusion rows, each with the ClosureFailure message it must raise
+# A1:4 tampered fusion rows, each with the message dense_unit_group's closure
+# checks must fail with
 TAMPERED = [
     (_vacuum_row_doubled, "vacuum fusion row is not the identity permutation"),
     # J = (4) sends the vacuum to (2), whose quantum dimension is 2
@@ -287,10 +321,12 @@ TAMPERED = [
 
 @pytest.mark.parametrize("tamper,message", TAMPERED)
 def test_tampered_fusion_fails_closure(tamper, message, md_of):
+    """The oracle's closure checks, which the properties over the draw run on
+    every fusion ring, catch each corruption of A1:4's fusion table."""
     md = md_of("A1", 4)
-    bad = dataclasses.replace(md, fusion=quadruples(tamper(dense(md.fusion, len(md)))))
-    with pytest.raises(ClosureFailure, match=f"^{re.escape(message)}$"):
-        find_simple_currents(bad)
+    bad = quadruples(tamper(dense(md.fusion, len(md))))
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        dense_unit_group(bad, len(md), md.vacuum)
 
 
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])
