@@ -36,8 +36,7 @@ _EXPORTS = {
         "verify_modular_invariance", "classify_algebras",
     ),
     "boundary": (
-        "EpsilonForm", "BoundaryCount",
-        "orbit_decomposition", "epsilon_form", "count_boundary_conditions",
+        "BoundaryCount", "orbit_decomposition", "epsilon_form", "count_boundary_conditions",
     ),
     "bimodule": (
         "BimoduleClass", "BimoduleRing", "BimodulePicard", "build_bimodule_ring",

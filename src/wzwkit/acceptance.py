@@ -328,14 +328,11 @@ class Battery:
         # liveness: a perturbed twining matrix must trip the reference test
         perturbed = np.array(m, copy=True)
         perturbed[0, 0] += 1e-3
-        h_swap = next(
-            a for a in range(len(pg))
-            if pg.action[a, tsm.fixed_points[0]] == tsm.fixed_points[1]
-        )
+        u, v = tsm.fixed_points[:2]
+        h_swap = next(a for a in range(len(pg)) if pg.action[a, u] == v)
         try:
-            twining.extract_phi(
-                pg, twining.TwiningSMatrix(tsm.fixed_points, perturbed, tsm.fold),
-                g, h_swap, self.config)
+            twining.extract_phi(pg, twining.TwiningSMatrix(perturbed, tsm.fold), g, h_swap,
+                                self.config)
             notes.append("perturbed S^w was not detected (test is dead)")
         except LambdaDependence:
             pass

@@ -25,7 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -162,12 +162,12 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylGroup:
     """All Weyl group elements as integer matrices on Dynkin labels.
 
     matrices has shape (|W|, rank, rank); matrices[w] @ labels applies w.
-    signs[w] is det(w) = (-1)^(word length).
+    signs[w] is det(w) = (-1)^(word length).  Compares by identity.
     """
 
     matrices: np.ndarray
@@ -217,13 +217,16 @@ def weyl_group(rs: RootSystem, config: Config = DEFAULT_CONFIG) -> WeylGroup:
 
 @dataclass(frozen=True)
 class LevelData:
-    """The level-k integrable weight set P_+^k in canonical order."""
+    """The level-k integrable weights P_+^k of a root system, in canonical order."""
 
-    lie_type: SimpleLieType
+    root_system: RootSystem
     level: int
     weights: tuple[Weight, ...]
     vacuum_index: int
-    root_system: RootSystem
+
+    @property
+    def lie_type(self) -> SimpleLieType:
+        return self.root_system.lie_type
 
     @cached_property
     def _lookup(self) -> dict[Weight, int]:
@@ -256,7 +259,7 @@ def integrable_weights(t: SimpleLieType, level: int, config: Config = DEFAULT_CO
     extend([], level, 0)
     out.sort()
     vacuum = out.index(tuple([0] * rs.rank))
-    return LevelData(t, level, tuple(out), vacuum, rs)
+    return LevelData(rs, level, tuple(out), vacuum)
 
 
 def affine_labels(ld: LevelData, weight: Weight) -> tuple[int, ...]:
@@ -522,12 +525,11 @@ def fusion_rows(table: np.ndarray, xs, n: int) -> np.ndarray:
     return block
 
 
-def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
-    """The permutation C with S^2 = C entrywise, as i -> i_bar: NotAPermutation
-    unless each row of S^2 is a permutation row and C fixes the vacuum.  The
-    one caller, ``_assemble``, has checked S symmetric and unitary, so S^2 is
+def conjugation_from_S(s2: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
+    """The permutation C = S^2 as i -> i_bar, read from the S^2 given:
+    NotAPermutation unless each row of S^2 is a permutation row and C fixes
+    the vacuum.  ``_assemble`` has checked S symmetric and unitary, so S^2 is
     its own inverse and those rows make a bijective involution."""
-    s2 = s @ s
     c = np.real(s2)
     perm = c.argmax(axis=1)
     unit = np.arange(len(c)) == perm[:, None]
@@ -540,7 +542,7 @@ def conjugation_from_S(s: np.ndarray, vacuum: int, config: Config = DEFAULT_CONF
     return tuple(perm.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModularData:
     """Simple objects, S and T data, fusion and duality of C(g, k).
 
@@ -550,7 +552,7 @@ class ModularData:
     All arrays are read-only; instances are safe to share across threads.
     residuals holds max|S - S^T|, max|S S^dagger - 1| and max|(ST)^3 - S^2|
     under the names of the report's checks, in that order, as measured when
-    the datum was assembled; they are determined by S, so left out of ==.
+    the datum was assembled.  A datum compares and hashes by identity.
     """
 
     level_data: LevelData
@@ -561,7 +563,7 @@ class ModularData:
     fusion: np.ndarray
     quantum_dims: np.ndarray
     conjugation: tuple[int, ...]
-    residuals: tuple[tuple[str, float], ...] = field(compare=False)
+    residuals: tuple[tuple[str, float], ...]
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -593,7 +595,7 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     Both the computing and the loading path end here, so this is where S is
     checked: NormalizationFailure unless it is symmetric and unitary within
     the tolerance.  Those two residuals and max|(ST)^3 - S^2| are kept as the
-    datum's residuals.
+    datum's residuals; the one S^2 serves that residual and the conjugation.
     """
     sym, uni = s_residuals(s)
     if sym > config.tolerance:
@@ -604,7 +606,8 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     c = central_charge(ld)
     t_exponents = tuple(mod1(h - c / 24) for h in hs)
     t = np.diag(np.exp(2j * np.pi * np.array([float(x) for x in t_exponents])))
-    st = float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s)))
+    s2 = s @ s
+    st = float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s2)))
     v = ld.vacuum_index
     return ModularData(
         level_data=ld,
@@ -614,7 +617,7 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
         s_matrix=_freeze(s),
         fusion=_freeze(verlinde_fusion(s, config)),
         quantum_dims=_freeze(np.real(s[v] / s[v, v])),
-        conjugation=conjugation_from_S(s, v, config),
+        conjugation=conjugation_from_S(s2, v, config),
         residuals=(("s-symmetric", sym), ("s-unitary", uni), ("st-cubed-is-s-squared", st)),
     )
 

@@ -10,7 +10,8 @@ whose values are residues over the Picard group's `charge_den`, as are the
 values of eps_U.  The orbits are read from the rows of the Picard group's
 action, and a count always uses its algebra's own support, whose `orbits`
 are decomposed once for every algebra on it: no function here takes orbits
-from the caller.
+from the caller.  A form eps_U is held as its values alone, a square of
+residues indexed like the orbit's `stabilizer` tuple.
 """
 
 from __future__ import annotations
@@ -49,20 +50,6 @@ def orbit_decomposition(sub: Subgroup) -> tuple[Orbit, ...]:
     return tuple(orbits)
 
 
-@dataclass(frozen=True)
-class EpsilonForm:
-    """The alternating bicharacter eps_U on the stabilizer of an orbit."""
-
-    stabilizer: tuple[int, ...]  # pic element indices
-    values: tuple[tuple[int, ...], ...]  # over charge_den, local to the stabilizer tuple
-
-    def radical_size(self) -> int:
-        n = len(self.stabilizer)
-        return sum(
-            1 for a in range(n) if all(self.values[a][b] == 0 for b in range(n))
-        )
-
-
 def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
     """A subgroup of an abelian group is cyclic iff one of its elements has order |stab|."""
     return any(pg.orders[g] == len(stab) for g in stab)
@@ -70,11 +57,12 @@ def _stabilizer_is_cyclic(pg: PicardGroup, stab: tuple[int, ...]) -> bool:
 
 def epsilon_form(
     orbit: Orbit, algebra: SchellekensAlgebra, phi: Mapping[tuple[int, int, int], int] | None = None
-) -> EpsilonForm:
-    """eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the orbit.
+) -> tuple[tuple[int, ...], ...]:
+    """The values eps_U(g, h) = phi_U(g, h) + Xi(h, g) on the stabilizer of the
+    orbit, [a][b] for its a-th and b-th elements.
 
     For a cyclic stabilizer an alternating bicharacter is identically zero,
-    so the form is returned as such and phi is not consulted.  Otherwise phi
+    so the zero form is returned and phi is not consulted.  Otherwise phi
     must hold (U, g, h) for the orbit's representative U and every g, h in
     the stabilizer.  phi, Xi and eps are residues over charge_den.
     """
@@ -82,7 +70,7 @@ def epsilon_form(
     stab = orbit.stabilizer
     n = len(stab)
     if _stabilizer_is_cyclic(sub.picard, stab):
-        return EpsilonForm(stab, ((0,) * n,) * n)
+        return ((0,) * n,) * n
     if phi is None:
         raise PhiUnavailable(
             f"stabilizer of orbit at weight {orbit.representative} is non-cyclic; "
@@ -99,18 +87,17 @@ def epsilon_form(
             xi = algebra.xi[sub.members.index(h)][sub.members.index(g)]
             row.append((phi[u, g, h] + xi) % den)
         rows.append(tuple(row))
-    form = EpsilonForm(stab, tuple(rows))
     for a in range(n):
-        if form.values[a][a] != 0:
+        if rows[a][a] != 0:
             raise WzwError(f"eps_U is not alternating at stabilizer element {stab[a]}")
-    return form
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
 class BoundaryCount:
     total: int
     per_orbit: tuple[tuple[int, int], ...]  # (orbit representative, count)
-    forms: tuple[EpsilonForm, ...]  # eps_U per orbit, in the order of per_orbit
+    forms: tuple[tuple[tuple[int, ...], ...], ...]  # eps_U's values per orbit, in that order
 
 
 def count_boundary_conditions(
@@ -118,10 +105,9 @@ def count_boundary_conditions(
 ) -> BoundaryCount:
     """Number of simple modules: sum over the orbits of the algebra's support
     of #Irr of the twisted stabilizer algebra, which for abelian stabilizers
-    is |rad eps_U|."""
+    is |rad eps_U|: the stabilizer elements whose row of eps_U vanishes."""
     orbits = algebra.support.orbits
     forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in orbits)
-    per_orbit = tuple(
-        (orbit.representative, eps.radical_size()) for orbit, eps in zip(orbits, forms)
-    )
+    per_orbit = tuple((orbit.representative, sum(not any(row) for row in eps))
+                      for orbit, eps in zip(orbits, forms))
     return BoundaryCount(total=sum(c for _, c in per_orbit), per_orbit=per_orbit, forms=forms)

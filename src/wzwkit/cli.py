@@ -49,10 +49,22 @@ if TYPE_CHECKING:
     from .schellekens import SchellekensAlgebra
 
 
+def _ascii_number(kind: type):
+    """kind as an argparse type that refuses text that is not ASCII or holds
+    "_", as parse_lie_type does: int() reads "٣" as 3 and "1_0" as 10."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)  # argparse's "invalid int value: ..." usage error
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names it in that message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for f in dataclasses.fields(Config):  # --tolerance, ..., --object-cap
-        common.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+        common.add_argument("--" + f.name.replace("_", "-"), type=_ascii_number(type(f.default)),
                             default=f.default)
     common.add_argument("--cache-dir", type=str, default=None)
     common.add_argument("--no-cache", action="store_true")
@@ -72,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def with_algebra(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.add_argument("algebra", help="series plus rank, e.g. A1 or D4")
-        p.add_argument("level", type=int, help="positive integer level")
+        p.add_argument("level", type=_ascii_number(int), help="positive integer level")
         return p
 
     with_algebra("modular-data", help="weights, S, T, fusion, quantum dimensions")
@@ -302,7 +314,7 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
             ishibashi = int(algebra.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
                 {"representative": rep,
-                 "values": [[format_residue(v, pg.charge_den) for v in row] for row in eps.values]}
+                 "values": [[format_residue(v, pg.charge_den) for v in row] for row in eps]}
                 for (rep, _), eps in zip(count.per_orbit, count.forms)
             ]
             blob["boundaryCount"] = count.total

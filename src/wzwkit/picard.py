@@ -40,8 +40,9 @@ class PicardGroup:
     Current g_a is the object objects[a] of order orders[a]; action[a, i] is
     the object g_a . i, as a read-only int64 array.  twists [a]: h_{g_a} *
     charge_den and charges [i, a]: Q_i(g_a) * charge_den are read-only int64
-    in [0, charge_den).  The arrays are determined by md and objects, so
-    they are left out of ==.
+    in [0, charge_den).  A group is a hashable value, equal to a group of the
+    same datum md (compared by identity) with the same currents; the arrays
+    and charge_den are determined by md and objects, so left out of ==.
     """
 
     md: ModularData

@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -96,20 +96,25 @@ def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Or
     return OrbitAlgebraData("A", cycle_len - 1, folded_level, weight_map, folded_ld)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwiningSMatrix:
-    """Fixed-point set plus the unitary symmetric modular matrix S^w.
+    """The unitary symmetric modular matrix S^w on the fixed points its fold
+    keeps, the keys of ``fold.weight_map`` in index order.
 
     Making one checks nothing, so the battery can hand a perturbed S^w to
-    extract_phi; twining_S checks the matrices it makes.
+    extract_phi; twining_S checks the matrices it makes.  Compares and
+    hashes by identity.
     """
 
-    fixed_points: tuple[int, ...]
     matrix: np.ndarray
-    fold: OrbitAlgebraData = field(compare=False)
+    fold: OrbitAlgebraData
+
+    @property
+    def fixed_points(self) -> tuple[int, ...]:
+        return tuple(self.fold.weight_map)
 
     def __len__(self) -> int:
-        return len(self.fixed_points)
+        return len(self.fold.weight_map)
 
     @cached_property
     def residuals(self) -> tuple[float, float]:
@@ -131,10 +136,8 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     if fold.folded_rank == 0:
         matrix = np.ones((1, 1), dtype=np.complex128)
     else:
-        if fold.folded_level_data is md.level_data:  # identity fold: S^w is S
-            s_f = md.s_matrix
-        else:
-            s_f = kac_peterson_S(fold.folded_level_data, config)
+        identity = fold.folded_level_data is md.level_data  # then S^w is S
+        s_f = md.s_matrix if identity else kac_peterson_S(fold.folded_level_data, config)
         rows = list(fold.weight_map.values())
         matrix = s_f[np.ix_(rows, rows)]
     anchor = min(range(len(fixed)), key=lambda r: (md.conformal_weights[fixed[r]], fixed[r]))
@@ -143,7 +146,7 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
         raise NormalizationFailure("anchor entry of S^w vanishes; cannot fix the phase")
     matrix = matrix * (abs(z) / z)
     matrix.flags.writeable = False
-    tsm = TwiningSMatrix(fixed, matrix, fold)
+    tsm = TwiningSMatrix(matrix, fold)
     sym, uni = tsm.residuals
     if sym > config.tolerance:
         raise NormalizationFailure("S^w is not symmetric")
@@ -158,10 +161,8 @@ _PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
 @dataclass(frozen=True)
 class PhiValues:
     """Snapped phi residues over charge_den for one (g, h) pair, per fixed
-    point of g."""
+    point of g; the pair is the key ``PhiRows`` files them under."""
 
-    g: int
-    h: int
     by_weight: dict[int, int]
     spread: float  # worst-case reference dependence of the raw ratio
 
@@ -255,7 +256,7 @@ def extract_phi(
                 f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
             )
         raise LambdaDependence(f"phi candidate has modulus {modulus[c]:.6f}, not 1")
-    return PhiValues(g, h, out, float(spread.max(initial=0.0)))
+    return PhiValues(out, float(spread.max(initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -339,6 +339,43 @@ def test_non_ascii_rank_is_a_user_error(capsys, tmp_path, algebra):
     assert not any(tmp_path.iterdir())
 
 
+# One launch in a fresh interpreter: its exit code, standard output, standard
+# error and whether it loaded numpy.
+LAUNCH = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from wzwkit import cli
+out, err = io.StringIO(), io.StringIO()
+with redirect_stdout(out), redirect_stderr(err):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("argv,refused", [
+    pytest.param(["A1", "\u0663"], "level: invalid int value: '\u0663'", id="arabic-level"),
+    pytest.param(["A1", "1_0"], "level: invalid int value: '1_0'", id="underscore-level"),
+    pytest.param(["A1", "3", "--tolerance", "\u0661e-8"],
+                 "--tolerance: invalid float value: '\u0661e-8'", id="arabic-tolerance"),
+    pytest.param(["A1", "3", "--object-cap", "\u0664\u0660\u0660"],
+                 "--object-cap: invalid int value: '\u0664\u0660\u0660'", id="arabic-object-cap"),
+    pytest.param(["A1", "3", "--weyl-cap", "10_000"],
+                 "--weyl-cap: invalid int value: '10_000'", id="underscore-weyl-cap"),
+])
+def test_numbers_are_ascii_without_underscores(tmp_path, argv, refused):
+    """int() and float() read "\u0663" as 3 and "1_0" as 10; the level and
+    every Config option refuse both, as parse_lie_type refuses a rank "A\u0663":
+    a usage error, exit 2 with nothing on stdout, and numpy never loaded."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "WZWKIT_CACHE_DIR": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", LAUNCH, "modular-data", *argv],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    code, out, err, numpy = json.loads(done.stdout)
+    assert (code, out, numpy) == (2, "", False)
+    assert err.endswith(f"error: argument {refused}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_is_usage_error(capsys, tmp_path):
     assert run(["frobnicate", "A1", "2"]) == 2
     capsys.readouterr()

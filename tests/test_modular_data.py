@@ -280,7 +280,7 @@ def test_conjugation_rejects_non_permutation():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(m)
     with pytest.raises(NotAPermutation):
-        conjugation_from_S(q, 0)
+        conjugation_from_S(q @ q, 0)
 
 
 @pytest.mark.parametrize("cycle,message", [
@@ -291,20 +291,20 @@ def test_conjugation_refusals_name_their_check(cycle, message):
 
     s = np.eye(len(cycle))[cycle].astype(complex)
     with pytest.raises(NotAPermutation, match=f"^{re.escape(message)}$"):
-        conjugation_from_S(s, 0)
+        conjugation_from_S(s @ s, 0)
 
 
 @pytest.mark.parametrize("diagonal,row", [
-    ([1, 1, 0.5, 0.5], 2),  # rows 2 and 3 of S^2 are 1/4: the first is named
-    ([1, 1j, 1, 1], 1),  # row 1 of S^2 is -1 at its argmax
+    ([1, 1, 0.5, 0.5], 2),  # rows 2 and 3 of S^2 hold 1/2: the first is named
+    ([1, 1j, 1, 1], 1),  # row 1 of S^2 is i, not real
     ([1, 1, 1, 2], 3),
 ])
 def test_conjugation_names_the_first_failing_row(diagonal, row):
     from wzwkit.affine import conjugation_from_S
 
-    s = np.diag(np.sqrt(np.array(diagonal, dtype=complex)))
+    s2 = np.diag(np.array(diagonal, dtype=complex))
     with pytest.raises(NotAPermutation, match=f"^row {row} of S\\^2 is not a permutation row$"):
-        conjugation_from_S(s, 0)
+        conjugation_from_S(s2, 0)
 
 
 def test_json_round_trip(md_of):

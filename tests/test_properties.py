@@ -6,6 +6,7 @@ repeatable; the oracles are identities of the theory, not recorded values.
 """
 
 import itertools
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 
 from wzwkit import (DEFAULT_CONFIG, bimodule_picard, build_bimodule_ring,
                     build_pointed_bimodule_ring, build_root_system, classify_algebras,
-                    count_boundary_conditions, integrable_weights, kramers_wannier_candidates,
-                    orbit_decomposition, parse_lie_type)
+                    count_boundary_conditions, find_simple_currents, integrable_weights,
+                    kramers_wannier_candidates, modular_data_from_doc, modular_data_to_doc,
+                    orbit_decomposition, parse_lie_type, twining_S)
 from wzwkit.affine import _kac_peterson_sum, weyl_order
 from wzwkit import lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, WzwError
+from wzwkit.residues import mod1
 from wzwkit.schellekens import enumerate_subgroups
 from wzwkit.twining import PhiRows, PhiValues, fixed_points
 
@@ -28,7 +31,7 @@ from test_bimodule import add_at_ring, fusion_rows_kramers_wannier
 from test_groups import assert_matches_oracles
 from test_kac_peterson import dense_verlinde, einsum_fusion
 from test_picard import CENTER_ORDER, assert_search_matches_catalog, dense_unit_group
-from test_root_systems import TYPES, oracle_root_system
+from test_root_systems import TYPES, _positive_roots, oracle_root_system
 from test_twining import assert_fold_matches_the_scan
 
 MAX_OBJECTS = 40
@@ -127,7 +130,7 @@ def test_residues_lie_on_the_charge_grid(pic_of, algebra):
             count = count_boundary_conditions(alg)
         except PhiUnavailable:
             continue  # a non-cyclic stabilizer needs phi
-        assert on_grid(v for eps in count.forms for row in eps.values for v in row)
+        assert on_grid(v for eps in count.forms for row in eps for v in row)
     rows = PhiRows(pg)
     everything = range(len(pg))
     for g in everything:
@@ -301,6 +304,74 @@ def test_picard_table_is_symmetric(pic_of, algebra):
     find_simple_currents leaves to the symmetry of the fusion table."""
     table = np.array(pic_of(*algebra).table)
     assert np.array_equal(table, table.T)
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_computed_data_compare_by_identity(pic_of, algebra):
+    """Every algebra of the draw: the Picard group, each support and each
+    algebra are hashable values, so the classified algebras fill a set with
+    one member each, and the group found again on the same datum is equal.
+    Modular data and twining matrices compare and hash by identity: each is
+    equal to itself and unequal to a recomputed copy, and comparing never
+    raises."""
+    pg = pic_of(*algebra)
+    md = pg.md
+    algebras = classify_algebras(pg)
+    assert len(set(algebras)) == len(algebras)
+    assert all(isinstance(hash(x), int) for x in (pg, *(alg.support for alg in algebras)))
+    assert find_simple_currents(md) == pg
+    again = modular_data_from_doc(modular_data_to_doc(md))  # a cache hit's datum
+    assert md == md and md != again and len({md, again}) == 2
+    assert find_simple_currents(again) != pg
+    for g in range(len(pg)):
+        try:
+            tsm = twining_S(pg, g)
+        except (ValueError, WzwError):
+            continue  # no fixed points, or a fold the catalog lacks
+        assert tsm == tsm and tsm != twining_S(pg, g) and isinstance(hash(tsm), int)
+
+
+def _two_rho_vee(rs):
+    """The Dynkin labels of 2 rho-vee, the sum of the positive coroots
+    alpha-vee = 2 alpha / (alpha, alpha), from the positive-root closure with
+    (alpha_i, alpha_j) = d_j A_ij."""
+    n, d, a = rs.rank, rs.half_lengths, rs.cartan
+    out = [Fraction(0)] * n
+    for c in _positive_roots([list(row) for row in a]):
+        half_length = sum(c[i] * c[j] * d[j] * a[i][j] for i in range(n) for j in range(n)) / 2
+        for j in range(n):
+            out[j] += c[j] * d[j] / half_length
+    assert all(x.denominator == 1 for x in out)
+    return [int(x) for x in out]
+
+
+def _frobenius_schur_error(md, s):
+    """max_i |nu_2(i) - expected|, nu_2(i) = sum_{j,k} N_jk^i S_0j S_0k
+    (theta_j / theta_k)^2 with theta = exp(2 pi i h) (Bantay): 0 unless i is
+    self-conjugate, and then (-1)^<lambda, 2 rho-vee>."""
+    n = len(md)
+    theta2 = np.exp(2j * np.pi * np.array([float(mod1(2 * h)) for h in md.conformal_weights]))
+    s0 = s[md.vacuum]
+    nu2 = np.einsum("jki,j,k->i", dense(md.fusion, n).astype(np.float64), s0 * theta2, s0 / theta2)
+    two_rho_vee = _two_rho_vee(md.level_data.root_system)
+    expected = [(-1) ** sum(l * r for l, r in zip(w, two_rho_vee)) if md.conjugation[i] == i else 0
+                for i, w in enumerate(md.weights)]
+    return float(np.max(np.abs(nu2 - expected)))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_frobenius_schur_indicators(md_of, algebra):
+    """Every algebra of the draw: the second Frobenius-Schur indicator read
+    from S, T and the fusion rules is 0 on each complex object and the sign
+    (-1)^<lambda, 2 rho-vee> on each self-conjugate one, real or
+    pseudo-real.  S with S_{0,n-1} = S_{n-1,0} negated fails the check."""
+    md = md_of(*algebra)
+    tol = DEFAULT_CONFIG.tolerance
+    assert _frobenius_schur_error(md, md.s_matrix) < tol
+    flipped = np.array(md.s_matrix)
+    v, last = md.vacuum, len(md) - 1
+    flipped[v, last] = flipped[last, v] = -md.s_matrix[v, last]
+    assert _frobenius_schur_error(md, flipped) > tol
 
 
 @given(ALGEBRAS)

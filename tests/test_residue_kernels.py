@@ -129,7 +129,7 @@ def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
         out[target_weight] = Fraction(snapped, denom)
-    return PhiValues(g, h, out, worst_spread)
+    return PhiValues(out, worst_spread)
 
 
 def _char_add(a, b):
@@ -343,7 +343,6 @@ def _assert_same_phi(new, old, den):
     if isinstance(old, tuple):
         assert new == old
         return
-    assert (new.g, new.h) == (old.g, old.h)
     assert [(u, Fraction(v, den)) for u, v in new.by_weight.items()] == list(old.by_weight.items())
     assert float(new.spread).hex() == float(old.spread).hex()
 
@@ -470,7 +469,7 @@ def _snap(m):
 def test_phi_error_parity(tamper, use_swap, exc, prefix, md_of, pic_of):
     md, pg, jsq, j, tsm = _a3_swap(md_of, pic_of)
     h = j if use_swap else 0
-    bad = TwiningSMatrix(tsm.fixed_points, tamper(tsm.matrix), tsm.fold)
+    bad = TwiningSMatrix(tamper(tsm.matrix), tsm.fold)
     new = _outcome(extract_phi, pg, bad, jsq, h)
     assert new == _outcome(scalar_extract_phi, md, pg, bad, jsq, h)
     assert new[0] is exc and new[1].startswith(prefix)
@@ -487,7 +486,8 @@ def test_phi_moved_column_raises_after_earlier_columns(tamper, md_of, pic_of):
     m = tsm.matrix if tamper is None else tamper(tsm.matrix)
     grown = np.eye(3, dtype=np.complex128)
     grown[:2, :2] = m
-    bad = TwiningSMatrix(tsm.fixed_points + (other,), grown, tsm.fold)
+    bad = TwiningSMatrix(grown, dataclasses.replace(
+        tsm.fold, weight_map={**tsm.fold.weight_map, other: len(tsm)}))
     new = _outcome(extract_phi, pg, bad, jsq, j)
     old = _outcome(scalar_extract_phi, md, pg, bad, jsq, j)
     assert new == (ValueError, f"S^w is not on the fixed points of element {jsq}")
@@ -516,7 +516,7 @@ def test_phi_error_parity_under_random_tampering(name, k, md_of, pic_of):
                     bad[:, c] *= 1.0 + 10.0 ** rng.uniform(-8, -1)
                 else:
                     bad[:, c] *= np.exp(2j * np.pi * 0.13)
-            tampered = TwiningSMatrix(tsm.fixed_points, bad, tsm.fold)
+            tampered = TwiningSMatrix(bad, tsm.fold)
             for h in range(len(pg)):
                 new = _outcome(extract_phi, pg, tampered, g, h)
                 old = _outcome(scalar_extract_phi, md, pg, tampered, g, h)

@@ -219,7 +219,7 @@ def test_phi_ratio_survives_global_phase(pic_of):
     rng = np.random.default_rng(3)
     for _ in range(3):
         phase = np.exp(2j * np.pi * rng.uniform())
-        spun = TwiningSMatrix(tsm.fixed_points, tsm.matrix * phase, tsm.fold)
+        spun = TwiningSMatrix(tsm.matrix * phase, tsm.fold)
         for h in range(len(pg)):
             a = extract_phi(pg, tsm, jsq, h)
             b = extract_phi(pg, spun, jsq, h)
@@ -234,7 +234,7 @@ def test_perturbation_trips_lambda_independence(pic_of):
     bad = np.array(tsm.matrix, copy=True)
     bad[0, 0] += 1e-3
     with pytest.raises(LambdaDependence):
-        extract_phi(pg, TwiningSMatrix(tsm.fixed_points, bad, tsm.fold), jsq, j)
+        extract_phi(pg, TwiningSMatrix(bad, tsm.fold), jsq, j)
 
 
 def test_snap_failure_on_consistent_irrational_phase(pic_of):
@@ -249,7 +249,7 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
     z = np.exp(2j * np.pi * 0.13)
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
     with pytest.raises(SnapFailure):
-        extract_phi(pg, TwiningSMatrix(tsm.fixed_points, crafted, tsm.fold), jsq, j)
+        extract_phi(pg, TwiningSMatrix(crafted, tsm.fold), jsq, j)
 
 
 def test_phi_refuses_another_elements_twining_matrix(pic_of):
