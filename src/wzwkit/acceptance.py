@@ -309,30 +309,30 @@ class Battery:
         notes = []
         worst = 0.0
         pg = self.pic("A3", 2)
-        g = pg.orders.index(2)
-        tsm = twining.twining_S(pg, g, self.config)
+        rows = twining.PhiRows(pg, self.config)  # one phi engine per Picard group
+        tsm = rows.row(pg.orders.index(2), ()).tsm
         m = tsm.matrix
         if m.shape != (2, 2):
             notes.append(f"(A3,2) twining matrix is {m.shape}, not 2x2")
         worst = max(worst, *tsm.residuals)
         full = self.of_order("A3", 2, 4)[0]
-        rep = twining.verify_conjecture(full, self.config)
+        rep = twining.verify_conjecture(full, rows)
         if not rep.passed:
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
         worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
+            rows1 = twining.PhiRows(self.pic(name, k), self.config)
             for alg in self.algebras(name, k):
-                rep1 = twining.verify_conjecture(alg, self.config)
+                rep1 = twining.verify_conjecture(alg, rows1)
                 if not rep1.passed:
                     notes.append(f"1x1 case {name} level {k} fails")
         # liveness: a perturbed twining matrix must trip the reference test
         perturbed = np.array(m, copy=True)
         perturbed[0, 0] += 1e-3
-        u, v = tsm.fixed_points[:2]
+        u, v = tsm.fold.fixed_points[:2]
         h_swap = next(a for a in range(len(pg)) if pg.action[a, u] == v)
         try:
-            twining.extract_phi(pg, twining.TwiningSMatrix(perturbed, tsm.fold), g, h_swap,
-                                self.config)
+            twining.extract_phi(twining.TwiningSMatrix(perturbed, tsm.fold), h_swap, self.config)
             notes.append("perturbed S^w was not detected (test is dead)")
         except LambdaDependence:
             pass

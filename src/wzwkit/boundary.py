@@ -10,8 +10,9 @@ whose values are residues over the Picard group's `charge_den`, as are the
 values of eps_U.  The orbits are read from the rows of the Picard group's
 action, and a count always uses its algebra's own support, whose `orbits`
 are decomposed once for every algebra on it: no function here takes orbits
-from the caller.  A form eps_U is held as its values alone, a square of
-residues indexed like the orbit's `stabilizer` tuple.
+from the caller.  An orbit's least member is its representative.  A form
+eps_U is held as its values alone, a square of residues indexed like the
+orbit's `stabilizer` tuple; a count holds one per orbit of `orbits`.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Orbit:
-    representative: int
-    members: tuple[int, ...]
+    members: tuple[int, ...]  # ascending: members[0] is the representative
     stabilizer: tuple[int, ...]  # pic element indices, identity first
 
 
@@ -46,7 +46,7 @@ def orbit_decomposition(sub: Subgroup) -> tuple[Orbit, ...]:
         if min(row) != rep:  # rep is not the least member of its orbit
             continue
         stab = tuple(g for g, j in zip(sub.members, row) if j == rep)
-        orbits.append(Orbit(rep, tuple(sorted(set(row))), stab))
+        orbits.append(Orbit(tuple(sorted(set(row))), stab))
     return tuple(orbits)
 
 
@@ -73,10 +73,10 @@ def epsilon_form(
         return ((0,) * n,) * n
     if phi is None:
         raise PhiUnavailable(
-            f"stabilizer of orbit at weight {orbit.representative} is non-cyclic; "
+            f"stabilizer of orbit at weight {orbit.members[0]} is non-cyclic; "
             "a phi table from the twining module is required"
         )
-    u = orbit.representative
+    u = orbit.members[0]
     den = sub.picard.charge_den
     rows = []
     for g in stab:
@@ -95,19 +95,21 @@ def epsilon_form(
 
 @dataclass(frozen=True)
 class BoundaryCount:
-    total: int
-    per_orbit: tuple[tuple[int, int], ...]  # (orbit representative, count)
-    forms: tuple[tuple[tuple[int, ...], ...], ...]  # eps_U's values per orbit, in that order
+    """Per orbit of `support.orbits`: its boundary conditions and eps_U."""
+
+    per_orbit: tuple[int, ...]
+    forms: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_orbit)
 
 
 def count_boundary_conditions(
     algebra: SchellekensAlgebra, phi: Mapping[tuple[int, int, int], int] | None = None
 ) -> BoundaryCount:
-    """Number of simple modules: sum over the orbits of the algebra's support
-    of #Irr of the twisted stabilizer algebra, which for abelian stabilizers
-    is |rad eps_U|: the stabilizer elements whose row of eps_U vanishes."""
-    orbits = algebra.support.orbits
-    forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in orbits)
-    per_orbit = tuple((orbit.representative, sum(not any(row) for row in eps))
-                      for orbit, eps in zip(orbits, forms))
-    return BoundaryCount(total=sum(c for _, c in per_orbit), per_orbit=per_orbit, forms=forms)
+    """Simple modules per orbit of the algebra's support: #Irr of the twisted
+    stabilizer algebra, which for abelian stabilizers is |rad eps_U|: the
+    stabilizer elements whose row of eps_U vanishes.  `total` sums them."""
+    forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in algebra.support.orbits)
+    return BoundaryCount(tuple(sum(not any(row) for row in eps) for eps in forms), forms)

@@ -298,29 +298,31 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
     blobs = []
     checks = []
     for idx, algebra in enumerate(algebras):
+        orbits = algebra.support.orbits
         blob = {
             "support": [pg.objects[g] for g in algebra.support.members],
             "orbits": [
                 {
-                    "representative": o.representative,
+                    "representative": o.members[0],
                     "members": list(o.members),
                     "stabilizerObjectIndices": [pg.objects[g] for g in o.stabilizer],
                 }
-                for o in algebra.support.orbits
+                for o in orbits
             ],
         }
         try:
             count = boundary.count_boundary_conditions(algebra)
             ishibashi = int(algebra.partition[range(len(md)), md.conjugation].sum())
             blob["epsilon"] = [
-                {"representative": rep,
+                {"representative": o.members[0],
                  "values": [[format_residue(v, pg.charge_den) for v in row] for row in eps]}
-                for (rep, _), eps in zip(count.per_orbit, count.forms)
+                for o, eps in zip(orbits, count.forms)
             ]
             blob["boundaryCount"] = count.total
-            blob["perOrbit"] = [[rep, c] for rep, c in count.per_orbit]
+            blob["perOrbit"] = [[o.members[0], c] for o, c in zip(orbits, count.per_orbit)]
             blob["labels"] = [
-                {"orbit": rep, "irrep": r} for rep, c in count.per_orbit for r in range(c)
+                {"orbit": o.members[0], "irrep": r} for o, c in zip(orbits, count.per_orbit)
+                for r in range(c)
             ]
             checks.append(_check(
                 f"completeness-algebra-{idx}", count.total == ishibashi, None))
@@ -398,16 +400,17 @@ def _cmd_twining(md: ModularData, args, config: Config):
             continue
         tsm = row.tsm
         fold = tsm.fold
-        blob["folded"] = {"series": fold.folded_series, "rank": fold.folded_rank,
-                          "level": fold.folded_level}
+        ld = fold.folded_level_data
+        series, rank = ("A", 0) if ld is None else (ld.lie_type.series, ld.lie_type.rank)
+        blob["folded"] = {"series": series, "rank": rank, "level": fold.folded_level}
         blob["sOmega"] = np.stack((tsm.matrix.real, tsm.matrix.imag), -1)
         phi = {}
         findings = []
-        for h, vals in row.phi.items():
+        for h, vals in row.phi:
             if isinstance(vals, WzwError):
                 findings.append({"h": h, "violation": f"{type(vals).__name__}: {vals}"})
                 continue
-            for u, r in sorted(vals.by_weight.items()):
+            for u, r in zip(fold.fixed_points, vals.residues):
                 phi[f"{u},{a},{h}"] = format_residue(r, pg.charge_den)
         blob["phi"] = phi
         if findings:
@@ -430,7 +433,7 @@ def _cmd_verify_conjecture(md: ModularData, args, config: Config):
         support = [pg.objects[g] for g in algebra.support.members]
         tag = str(idx)
         try:
-            rep = twining.verify_conjecture(algebra, config, rows)
+            rep = twining.verify_conjecture(algebra, rows)
         except WzwError as exc:
             blobs.append({
                 "support": support,

@@ -1,12 +1,12 @@
 """Fixed points of simple-current automorphisms, diagram foldings, the
 twining S-matrices, and the extraction of the gauge-invariant 6j-scalars.
 
-The fixed points of an element are read once, from the Picard group's fusion
-action, and the fold keeps exactly those weights: the diagram automorphism it
-folds along induces that action.  Folding covers the identity and A-series
-cycle rotations (which include the rank-1 affine swap).  A rotation of order d
-on the (n+1)-cycle folds to the cycle of length (n+1)/d at level k/d; a fixed
-weight restricts to the folded weight set by its labels on one cycle.
+The fold of a Picard element g is the one record of its fixed points, read
+once from the group's fusion action; S^w, phi and a phi row read the group,
+g and the fixed points from it, and every value here hashes.  Folding covers
+the identity and A-series cycle rotations (which include the rank-1 affine
+swap): a rotation of order d on the (n+1)-cycle folds to the cycle of length
+(n+1)/d at level k/d, and a fixed weight to its labels on one cycle.
 
 The 6j-scalar phi_{U}(g, h) is recovered from the ratio identity
 
@@ -53,13 +53,19 @@ def fixed_points(pg: PicardGroup, a: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class OrbitAlgebraData:
-    """Folded algebra identification plus the fixed-point weight dictionary."""
+    """The fold of Picard element `element`, the one record of its fixed
+    points (read once from the group's action): the folded level, the folded
+    weights (None at rank 0) and `folded`, each fixed point's index in them."""
 
-    folded_series: str
-    folded_rank: int
+    picard: PicardGroup
+    element: int
     folded_level: int
-    weight_map: dict[int, int]  # original weight index -> folded weight index
-    folded_level_data: LevelData | None  # None when the folded rank is 0
+    folded_level_data: LevelData | None
+    folded: tuple[int, ...]
+
+    @cached_property
+    def fixed_points(self) -> tuple[int, ...]:
+        return fixed_points(self.picard, self.element)
 
 
 def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
@@ -76,8 +82,7 @@ def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Or
     ld = pg.md.level_data
     m = perm[0]
     if m == 0:
-        return OrbitAlgebraData(ld.lie_type.series, ld.lie_type.rank, ld.level,
-                                {i: i for i in fixed}, ld)
+        return OrbitAlgebraData(pg, a, ld.level, ld, fixed)
     if ld.lie_type.series != "A":
         raise UnsupportedFolding(
             f"folding supports only A-series cycle rotations, got {perm} "
@@ -87,34 +92,35 @@ def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Or
     cycle_len = math.gcd(m, nodes)  # folded cycle length
     folded_level = ld.level // (nodes // cycle_len)  # k over the rotation order
     if cycle_len == 1:
-        return OrbitAlgebraData("A", 0, folded_level, dict.fromkeys(fixed, 0), None)
+        return OrbitAlgebraData(pg, a, folded_level, None, (0,))
     folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, config)
     # a fixed weight's labels at nodes 1 .. cycle_len - 1 are its folded weight
-    weight_map = {i: folded_ld.index(ld.weights[i][:cycle_len - 1]) for i in fixed}
-    if sorted(weight_map.values()) != list(range(len(folded_ld))):
+    folded = tuple(folded_ld.index(ld.weights[i][:cycle_len - 1]) for i in fixed)
+    if sorted(folded) != list(range(len(folded_ld))):
         raise UnsupportedFolding("fixed points do not biject onto the folded weight set")
-    return OrbitAlgebraData("A", cycle_len - 1, folded_level, weight_map, folded_ld)
+    return OrbitAlgebraData(pg, a, folded_level, folded_ld, folded)
 
 
 @dataclass(frozen=True, eq=False)
 class TwiningSMatrix:
-    """The unitary symmetric modular matrix S^w on the fixed points its fold
-    keeps, the keys of ``fold.weight_map`` in index order.
+    """The unitary symmetric modular matrix S^w on the fixed points of its
+    fold, in index order.
 
-    Making one checks nothing, so the battery can hand a perturbed S^w to
-    extract_phi; twining_S checks the matrices it makes.  Compares and
-    hashes by identity.
+    Making one checks only its shape, one row and column per fixed point,
+    so the battery can hand a perturbed S^w to extract_phi; twining_S checks
+    the matrices it makes.  Compares and hashes by identity.
     """
 
     matrix: np.ndarray
     fold: OrbitAlgebraData
 
-    @property
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(self.fold.weight_map)
+    def __post_init__(self) -> None:
+        n = len(self)
+        if self.matrix.shape != (n, n):
+            raise ValueError(f"S^w of shape {self.matrix.shape} is not {n}x{n} on its fold's fixed points")
 
     def __len__(self) -> int:
-        return len(self.fold.weight_map)
+        return len(self.fold.folded)
 
     @cached_property
     def residuals(self) -> tuple[float, float]:
@@ -126,20 +132,20 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     """S^w for the automorphism attached to Picard element a.
 
     Computed as the Kac-Peterson matrix of the folded algebra pulled back
-    along the weight dictionary; the overall scalar is fixed by making the
-    diagonal entry at the minimal-conformal-weight fixed point real positive.
-    The fold keeps the fixed points of g, in index order.
+    along the fold's folded weights; the overall scalar is fixed by making
+    the diagonal entry at the minimal-conformal-weight fixed point real
+    positive.
     """
     md = pg.md
     fold = fold_diagram(pg, a, config)
-    fixed = tuple(fold.weight_map)
-    if fold.folded_rank == 0:
+    fixed = fold.fixed_points
+    ld = fold.folded_level_data
+    if ld is None:
         matrix = np.ones((1, 1), dtype=np.complex128)
     else:
-        identity = fold.folded_level_data is md.level_data  # then S^w is S
-        s_f = md.s_matrix if identity else kac_peterson_S(fold.folded_level_data, config)
-        rows = list(fold.weight_map.values())
-        matrix = s_f[np.ix_(rows, rows)]
+        identity = ld is md.level_data  # then S^w is S
+        s_f = md.s_matrix if identity else kac_peterson_S(ld, config)
+        matrix = s_f[np.ix_(fold.folded, fold.folded)]
     anchor = min(range(len(fixed)), key=lambda r: (md.conformal_weights[fixed[r]], fixed[r]))
     z = matrix[anchor, anchor]
     if abs(z) < config.tolerance:
@@ -160,21 +166,16 @@ _PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
 
 @dataclass(frozen=True)
 class PhiValues:
-    """Snapped phi residues over charge_den for one (g, h) pair, per fixed
-    point of g; the pair is the key ``PhiRows`` files them under."""
+    """Snapped phi residues over charge_den for one (g, h) pair, one per
+    fixed point of g in the order of its fold; a ``PhiRow`` files them under h."""
 
-    by_weight: dict[int, int]
+    residues: tuple[int, ...]
     spread: float  # worst-case reference dependence of the raw ratio
 
 
-def extract_phi(
-    pg: PicardGroup,
-    tsm: TwiningSMatrix,
-    g: int,
-    h: int,
-    config: Config = DEFAULT_CONFIG,
-) -> PhiValues:
-    """phi_{U}(g, h) for every fixed point U of g, via the ratio identity.
+def extract_phi(tsm: TwiningSMatrix, h: int, config: Config = DEFAULT_CONFIG) -> PhiValues:
+    """phi_{U}(g, h) for every fixed point U of g, via the ratio identity,
+    with the Picard group and g those of the fold of tsm.
 
     Twist eigenvalues are exponentials of minus 2*pi*i times the conformal
     weight, so the candidate is exp(-2 pi i Q_ref(h)) * S^w[ref, U] / S^w[ref, h.U];
@@ -183,19 +184,16 @@ def extract_phi(
     package; each is p/exponent, stored as an integer over charge_den.
     Raises LambdaDependence if the ratio varies with the reference
     weight beyond tolerance (a conjecture violation), SnapFailure if a phase
-    is not a small root of unity, ValueError if tsm is not on the fixed
-    points of g.
+    is not a small root of unity.
 
     The columns are checked as arrays but reported as a scan in column order
     would: the first failing column raises, and within it the first of
     |S^w| mismatch (at its first reference row), no usable row, spread,
     modulus and snap that fails.
     """
-    fixed = tsm.fixed_points
-    if fixed != fixed_points(pg, g):
-        raise ValueError(f"S^w is not on the fixed points of element {g}")
+    pg, g, fixed = tsm.fold.picard, tsm.fold.element, tsm.fold.fixed_points
     zero_floor = math.sqrt(config.tolerance)
-    denom = max(pg.exponent, 1)
+    denom = pg.exponent
     # h commutes with g, so it permutes the fixed points of g: column c pairs
     # with the column of h.fixed[c]
     ncol = len(fixed)
@@ -232,7 +230,7 @@ def extract_phi(
         | (np.abs(modulus - 1.0) > zero_floor)
     )
     stop = int(failing[0]) if len(failing) else ncol
-    out: dict[int, int] = {}
+    out = []
     for c in range(stop):
         # store additively with the +h_g diagonal convention
         phase = (-cmath.phase(value[c]) / (2 * math.pi)) % 1.0
@@ -241,7 +239,7 @@ def extract_phi(
             raise SnapFailure(
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
-        out[fixed[c]] = snapped * (grid // denom)
+        out.append(snapped * (grid // denom))
     if stop < ncol:
         c = stop
         if mismatch[c].any():
@@ -256,17 +254,16 @@ def extract_phi(
                 f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
             )
         raise LambdaDependence(f"phi candidate has modulus {modulus[c]:.6f}, not 1")
-    return PhiValues(out, float(spread.max(initial=0.0)))
+    return PhiValues(tuple(out), float(spread.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
 class PhiRow:
-    """S^w of one g and, for each h in the order asked, the phi values of
-    (g, h) or the LambdaDependence or SnapFailure that extracting them raised."""
+    """S^w of one g, its fold's element, and for each h asked (h, the phi values
+    of (g, h) or the LambdaDependence or SnapFailure extracting them raised)."""
 
-    g: int
     tsm: TwiningSMatrix
-    phi: dict[int, PhiValues | LambdaDependence | SnapFailure]
+    phi: tuple[tuple[int, PhiValues | LambdaDependence | SnapFailure], ...]
 
 
 class PhiRows:
@@ -290,15 +287,15 @@ class PhiRows:
         tsm = self._tsm[g]
         if isinstance(tsm, WzwError):
             raise tsm
-        phi = {}
+        phi = []
         for h in hs:
             if (g, h) not in self._phi:
                 try:
-                    self._phi[g, h] = extract_phi(self.pg, tsm, g, h, self.config)
+                    self._phi[g, h] = extract_phi(tsm, h, self.config)
                 except (LambdaDependence, SnapFailure) as exc:
                     self._phi[g, h] = exc
-            phi[h] = self._phi[g, h]
-        return PhiRow(g, tsm, phi)
+            phi.append((h, self._phi[g, h]))
+        return PhiRow(tsm, tuple(phi))
 
 
 @dataclass(frozen=True)
@@ -324,8 +321,8 @@ class ConjectureReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _additive(a: PhiValues, b: PhiValues, ab: PhiValues, weights, den: int) -> bool:
-    return all((a.by_weight[u] + b.by_weight[u]) % den == ab.by_weight[u] for u in weights)
+def _additive(a: dict[int, int], b: dict[int, int], ab: dict[int, int], weights, den: int) -> bool:
+    return all((a[u] + b[u]) % den == ab[u] for u in weights)
 
 
 def conjecture_checks(
@@ -341,41 +338,42 @@ def conjecture_checks(
     rows = list(rows)
     tol = config.tolerance
     den = pg.charge_den
-    phis = {(row.g, h): v for row in rows for h, v in row.phi.items() if isinstance(v, PhiValues)}
+    phis = {(row.tsm.fold.element, h): dict(zip(row.tsm.fold.fixed_points, v.residues))
+            for row in rows for h, v in row.phi if isinstance(v, PhiValues)}
     checks: list[ConjectureCheck] = []
     for row in rows:
-        g, n = row.g, len(row.tsm)
+        g, n = row.tsm.fold.element, len(row.tsm)
         sym, uni = row.tsm.residuals
         checks.append(ConjectureCheck(
             "s-omega-symmetric", g, None, sym <= tol, sym, f"{n}x{n} twining matrix"))
         checks.append(ConjectureCheck("s-omega-unitary", g, None, uni <= tol, uni, ""))
-        for h, vals in row.phi.items():
+        for h, vals in row.phi:
             ok = isinstance(vals, PhiValues)
             checks.append(ConjectureCheck(
                 "phi-ratio-reference-independent", g, h, ok,
                 vals.spread if ok else None, "" if ok else str(vals)))
-        for h1 in row.phi:
-            for h2 in row.phi:
+        for h1, _ in row.phi:
+            for h2, _ in row.phi:
                 h12 = pg.table[h1][h2]
                 trio = [phis.get((g, h)) for h in (h1, h2, h12)]
                 if None not in trio:
                     checks.append(ConjectureCheck(
-                        "phi-additive-in-h", g, h12, _additive(*trio, trio[2].by_weight, den),
+                        "phi-additive-in-h", g, h12, _additive(*trio, trio[2], den),
                         None, f"h1={h1}, h2={h2}"))
         if (g, g) in phis:
             twist = int(pg.twists[g])
-            ok = all(r == twist for r in phis[(g, g)].by_weight.values())
+            ok = all(r == twist for r in phis[(g, g)].values())
             checks.append(ConjectureCheck("phi-diagonal-equals-twist", g, g, ok, None,
                                           f"twist residue {format_residue(twist, den)}"))
     for row1 in rows:
         for row2 in rows:
-            g1, g2 = row1.g, row2.g
+            g1, g2 = row1.tsm.fold.element, row2.tsm.fold.element
             g12 = pg.table[g1][g2]
-            for h in row1.phi:
+            for h, _ in row1.phi:
                 trio = [phis.get((g, h)) for g in (g1, g2, g12)]
                 if None in trio:
                     continue
-                common = set.intersection(*(set(v.by_weight) for v in trio))
+                common = set.intersection(*map(set, trio))
                 if common:
                     checks.append(ConjectureCheck(
                         "phi-additive-in-g", g12, h, _additive(*trio, common, den),
@@ -383,18 +381,14 @@ def conjecture_checks(
     return checks
 
 
-def verify_conjecture(
-    algebra, config: Config = DEFAULT_CONFIG, rows: PhiRows | None = None
-) -> ConjectureReport:
+def verify_conjecture(algebra, rows: PhiRows) -> ConjectureReport:
     """Property suite for the twining/6j relation over the support of an
-    algebra: the validator over the rows of every g in H with fixed points,
-    each against every h in H.  Algebras of one Picard group can share `rows`,
-    so that each S^w and phi value is computed once for all of them."""
+    algebra: the validator, under the Config of `rows`, over the rows of
+    every g in H with fixed points, each against every h in H.  `rows` is the
+    phi engine of the algebra's Picard group, shared by its algebras."""
     pg = algebra.picard
-    if rows is None:
-        rows = PhiRows(pg, config)
-    elif rows.pg is not pg or rows.config != config:
-        raise ValueError("phi rows of another Picard group or Config")
+    if rows.pg is not pg:
+        raise ValueError("phi rows of another Picard group")
     members = algebra.support.members
     support_rows = (rows.row(g, members) for g in members if fixed_points(pg, g))
-    return ConjectureReport(tuple(conjecture_checks(pg, support_rows, config)))
+    return ConjectureReport(tuple(conjecture_checks(pg, support_rows, rows.config)))

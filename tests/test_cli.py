@@ -481,10 +481,10 @@ def broken_ratio(monkeypatch):
 
     extract = twining.extract_phi
 
-    def failing(pg, tsm, g, h, config):
-        if (g, h) == (2, 1):
+    def failing(tsm, h, config):
+        if (tsm.fold.element, h) == (2, 1):
             raise LambdaDependence("injected reference dependence")
-        return extract(pg, tsm, g, h, config)
+        return extract(tsm, h, config)
 
     monkeypatch.setattr(twining, "extract_phi", failing)
 
@@ -524,9 +524,9 @@ def test_verify_conjecture_reports_an_engine_violation(capsys, tmp_path, broken_
 def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
                                                 name, level, unshared):
     """verify-conjecture computes S^w once per g and phi once per (g, h) for
-    all algebras of the run, with the report of rows built per algebra, whose
-    twining_S call count is `unshared`; a twining_S error (D4) still skips
-    every algebra it affects with the same text."""
+    all algebras of the run, with the report of a fresh phi engine per
+    algebra, whose twining_S call count is `unshared`; a twining_S error (D4)
+    still skips every algebra it affects with the same text."""
     from wzwkit import twining
 
     argv = ["verify-conjecture", name, level, "--cache-dir", str(tmp_path)]
@@ -537,9 +537,9 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
         tsm_calls.append(g)
         return twining_S(pg, g, config)
 
-    def counted_extract_phi(pg, tsm, g, h, config):
-        phi_calls.append((g, h))
-        return extract_phi(pg, tsm, g, h, config)
+    def counted_extract_phi(tsm, h, config):
+        phi_calls.append((tsm.fold.element, h))
+        return extract_phi(tsm, h, config)
 
     monkeypatch.setattr(twining, "twining_S", counted_twining_S)
     monkeypatch.setattr(twining, "extract_phi", counted_extract_phi)
@@ -553,7 +553,7 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
 
     verify = twining.verify_conjecture
     monkeypatch.setattr(twining, "verify_conjecture",
-                        lambda algebra, config, rows: verify(algebra, config))
+                        lambda algebra, rows: verify(algebra, twining.PhiRows(rows.pg, rows.config)))
     tsm_calls.clear()
     assert _run(capsys, argv) == (0, shared)
     assert len(tsm_calls) == unshared

@@ -6,6 +6,7 @@ repeatable; the oracles are identities of the theory, not recorded values.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import prod
 
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from wzwkit import (DEFAULT_CONFIG, bimodule_picard, build_bimodule_ring,
                     build_pointed_bimodule_ring, build_root_system, classify_algebras,
-                    count_boundary_conditions, find_simple_currents, integrable_weights,
-                    kramers_wannier_candidates, modular_data_from_doc, modular_data_to_doc,
-                    orbit_decomposition, parse_lie_type, twining_S)
+                    count_boundary_conditions, find_simple_currents, fold_diagram,
+                    integrable_weights, kramers_wannier_candidates, modular_data_from_doc,
+                    modular_data_to_doc, orbit_decomposition, parse_lie_type, twining_S)
 from wzwkit.affine import _kac_peterson_sum, weyl_order
 from wzwkit import lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, WzwError
@@ -140,9 +141,9 @@ def test_residues_lie_on_the_charge_grid(pic_of, algebra):
             row = rows.row(g, everything)
         except WzwError:
             continue  # no S^w for g: a fold the catalog lacks
-        for vals in row.phi.values():
+        for _, vals in row.phi:
             if isinstance(vals, PhiValues):
-                assert on_grid(vals.by_weight.values())
+                assert on_grid(vals.residues)
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
@@ -308,27 +309,35 @@ def test_picard_table_is_symmetric(pic_of, algebra):
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
 def test_computed_data_compare_by_identity(pic_of, algebra):
-    """Every algebra of the draw: the Picard group, each support and each
-    algebra are hashable values, so the classified algebras fill a set with
-    one member each, and the group found again on the same datum is equal.
-    Modular data and twining matrices compare and hash by identity: each is
-    equal to itself and unequal to a recomputed copy, and comparing never
-    raises."""
+    """Every algebra of the draw: the Picard group, each support, each
+    algebra, each orbit of a support, each fold, each phi row and each phi
+    value are hashable values, so the classified algebras fill a set with
+    one member each, the group found again on the same datum is equal, and
+    so is a fold made again.  Modular data and twining matrices compare and
+    hash by identity: each is equal to itself and unequal to a recomputed
+    copy, and comparing never raises."""
     pg = pic_of(*algebra)
     md = pg.md
     algebras = classify_algebras(pg)
     assert len(set(algebras)) == len(algebras)
     assert all(isinstance(hash(x), int) for x in (pg, *(alg.support for alg in algebras)))
+    assert all(isinstance(hash(o), int) for alg in algebras for o in alg.support.orbits)
     assert find_simple_currents(md) == pg
     again = modular_data_from_doc(modular_data_to_doc(md))  # a cache hit's datum
     assert md == md and md != again and len({md, again}) == 2
     assert find_simple_currents(again) != pg
-    for g in range(len(pg)):
+    rows = PhiRows(pg)
+    everything = range(len(pg))
+    for g in everything:
         try:
             tsm = twining_S(pg, g)
         except (ValueError, WzwError):
             continue  # no fixed points, or a fold the catalog lacks
         assert tsm == tsm and tsm != twining_S(pg, g) and isinstance(hash(tsm), int)
+        assert isinstance(hash(tsm.fold), int) and fold_diagram(pg, g) == tsm.fold
+        row = rows.row(g, everything)
+        assert isinstance(hash(row), int)
+        assert all(isinstance(hash(vals), int) for _, vals in row.phi)
 
 
 def _two_rho_vee(rs):
@@ -372,6 +381,92 @@ def test_frobenius_schur_indicators(md_of, algebra):
     v, last = md.vacuum, len(md) - 1
     flipped[v, last] = flipped[last, v] = -md.s_matrix[v, last]
     assert _frobenius_schur_error(md, flipped) > tol
+
+
+def _coroot_ball(gram, radius):
+    """The integer vectors n with n^T gram n <= radius, by the Fincke-Pohst
+    recursion on gram = r^T r, r upper triangular, last coordinate first."""
+    r = np.linalg.cholesky(gram).T
+    rank = len(gram)
+    out = []
+
+    def extend(i, tail, left):
+        if i < 0:
+            out.append(tail)
+            return
+        c = sum(r[i, j] * n for j, n in zip(range(i + 1, rank), tail))
+        half = math.sqrt(max(left, 0.0))
+        for n in range(math.ceil((-half - c) / r[i, i] - 1e-9),
+                       math.floor((half - c) / r[i, i] + 1e-9) + 1):
+            extend(i - 1, [n, *tail], left - (r[i, i] * n + c) ** 2)
+
+    extend(rank - 1, [], radius)
+    n = np.array(out, dtype=np.float64)
+    return n[np.einsum("bi,ij,bj->b", n, gram, n) <= radius]
+
+
+def _eta(t):
+    """Dedekind's eta at tau = it: q^(1/24) prod_n (1 - q^n), q = exp(-2 pi t)."""
+    q = math.exp(-2 * math.pi * t)
+    out, qn = q ** (1 / 24), q
+    while qn > 1e-17:
+        out *= 1 - qn
+        qn *= q
+    return out
+
+
+def _characters(md, t, cut=60.0):
+    """(chi(it), chi(i/t)), chi_lambda for every weight from the Kac-Peterson
+    lattice sum, which reads the root system and never S:
+
+        eta^(-dim g) sum_beta prod_{alpha>0} (x + kappa beta, alpha) / (rho, alpha)
+                     q^(|x + kappa beta|^2 / (2 kappa)),
+
+    x = lambda + rho, kappa = k + h-vee, beta in the coroot lattice.  Vectors
+    are Dynkin labels: (y, y') = y F y'^T, the coroot alpha_i / d_i has the
+    labels A_i / d_i and the Gram matrix (alpha_i-vee, alpha_j-vee) = A_ij / d_i,
+    and (y, sum_j c_j alpha_j) = sum_j y_j c_j d_j.  The norm cut on beta
+    drops exactly the terms whose Gaussian, at the slower side s = min(t, 1/t),
+    is below e^-cut of the beta = 0 term's: as |x + kappa beta|^2 - |x|^2 >=
+    kappa^2 |beta|^2 - 2 kappa |x| |beta|, those are the beta with
+    |beta| > (|x| + sqrt(|x|^2 + kappa cut / (pi s))) / kappa for the largest |x|."""
+    rs = md.level_data.root_system
+    a = np.array(rs.cartan, dtype=np.float64)
+    d = np.array([float(v) for v in rs.half_lengths])
+    f = np.array([[float(v) for v in row] for row in rs.quadratic_form])
+    pairing = np.array(_positive_roots([list(row) for row in rs.cartan]), dtype=np.float64) * d
+    kappa = md.level_data.level + rs.dual_coxeter
+    x = np.array(md.weights, dtype=np.float64) + 1
+    largest = math.sqrt(np.einsum("wi,ij,wj->w", x, f, x).max())
+    slow = min(t, 1 / t)
+    radius = ((largest + math.sqrt(largest ** 2 + kappa * cut / (math.pi * slow))) / kappa) ** 2
+    beta = (_coroot_ball(a / d[:, None], radius) / d) @ a
+    y = x[:, None, :] + kappa * beta  # [weight, beta, label]
+    weyl = np.prod(y @ pairing.T / pairing.sum(axis=1), axis=-1)
+    norm = np.einsum("wbi,ij,wbj->wb", y, f, y)
+    return tuple(_eta(u) ** -rs.dimension * (weyl * np.exp(-np.pi * u * norm / kappa)).sum(axis=1)
+                 for u in (t, 1 / t))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_s_transforms_the_characters(md_of, algebra):
+    """Every algebra of the draw: at tau = 1.3i, S carries the specialized
+    Kac-Peterson characters at tau to those at -1/tau, chi(-1/tau) = S chi(tau),
+    to a relative 1e-12.  The characters are even under conjugation, so this
+    sees S summed over conjugate columns.  S with S_01 = S_10 negated (0 the
+    vacuum) fails the check."""
+    md = md_of(*algebra)
+    near, far = _characters(md, 1.3)
+
+    def residual(s):
+        return np.max(np.abs(far - s @ near)) / np.max(np.abs(far))
+
+    bound = 1e-12
+    assert md.vacuum == 0
+    assert residual(md.s_matrix) < bound
+    flipped = np.array(md.s_matrix)
+    flipped[0, 1] = flipped[1, 0] = -md.s_matrix[0, 1]
+    assert residual(flipped) > bound
 
 
 @given(ALGEBRAS)

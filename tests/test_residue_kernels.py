@@ -87,7 +87,7 @@ def scalar_additivity_scan(md, pg):
 
 
 def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
-    fixed = tsm.fixed_points
+    fixed = tsm.fold.fixed_points
     pos = {w: r for r, w in enumerate(fixed)}
     action = pg.action[h].tolist()
     zero_floor = math.sqrt(config.tolerance)
@@ -129,7 +129,7 @@ def scalar_extract_phi(md, pg, tsm, g, h, config=DEFAULT_CONFIG):
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
         out[target_weight] = Fraction(snapped, denom)
-    return PhiValues(out, worst_spread)
+    return PhiValues(tuple(out.values()), worst_spread)
 
 
 def _char_add(a, b):
@@ -343,7 +343,7 @@ def _assert_same_phi(new, old, den):
     if isinstance(old, tuple):
         assert new == old
         return
-    assert [(u, Fraction(v, den)) for u, v in new.by_weight.items()] == list(old.by_weight.items())
+    assert tuple(Fraction(v, den) for v in new.residues) == old.residues
     assert float(new.spread).hex() == float(old.spread).hex()
 
 
@@ -369,7 +369,7 @@ def test_phi_kernel_matches_scalar_scan(name, k, md_of, pic_of):
     pairs = 0
     for g, tsm in _twining_matrices(pg):
         for h in range(len(pg)):
-            new = _outcome(extract_phi, pg, tsm, g, h)
+            new = _outcome(extract_phi, tsm, h)
             old = _outcome(scalar_extract_phi, md, pg, tsm, g, h)
             _assert_same_phi(new, old, pg.charge_den)
             pairs += 1
@@ -470,7 +470,7 @@ def test_phi_error_parity(tamper, use_swap, exc, prefix, md_of, pic_of):
     md, pg, jsq, j, tsm = _a3_swap(md_of, pic_of)
     h = j if use_swap else 0
     bad = TwiningSMatrix(tamper(tsm.matrix), tsm.fold)
-    new = _outcome(extract_phi, pg, bad, jsq, h)
+    new = _outcome(extract_phi, bad, h)
     assert new == _outcome(scalar_extract_phi, md, pg, bad, jsq, h)
     assert new[0] is exc and new[1].startswith(prefix)
 
@@ -478,19 +478,19 @@ def test_phi_error_parity(tamper, use_swap, exc, prefix, md_of, pic_of):
 @pytest.mark.parametrize("tamper", [None, _mismatch], ids=["clean", "mismatch-first"])
 def test_phi_moved_column_raises_after_earlier_columns(tamper, md_of, pic_of):
     """A matrix grown by a weight that h moves off the fixed set: the scalar
-    scan raised ValueError at the moved column, but only after the columns
-    before it had passed their own checks; the kernel refuses the matrix as
-    not on Fix(g) before any column is read, whatever those columns hold."""
+    scan, on the grown fixed set, raised ValueError at the moved column, but
+    only after the columns before it had passed their own checks; over the
+    fold of g, which has two fixed points, the 3x3 matrix is refused where it
+    is made, before any column is read, whatever those columns hold."""
     md, pg, jsq, j, tsm = _a3_swap(md_of, pic_of)
-    other = next(i for i in range(len(md)) if i not in tsm.fixed_points)
+    other = next(i for i in range(len(md)) if i not in tsm.fold.fixed_points)
     m = tsm.matrix if tamper is None else tamper(tsm.matrix)
     grown = np.eye(3, dtype=np.complex128)
     grown[:2, :2] = m
-    bad = TwiningSMatrix(grown, dataclasses.replace(
-        tsm.fold, weight_map={**tsm.fold.weight_map, other: len(tsm)}))
-    new = _outcome(extract_phi, pg, bad, jsq, j)
-    old = _outcome(scalar_extract_phi, md, pg, bad, jsq, j)
-    assert new == (ValueError, f"S^w is not on the fixed points of element {jsq}")
+    new = _outcome(lambda: extract_phi(TwiningSMatrix(grown, tsm.fold), j))
+    grown_fold = SimpleNamespace(fixed_points=(*tsm.fold.fixed_points, other))
+    old = _outcome(scalar_extract_phi, md, pg, SimpleNamespace(matrix=grown, fold=grown_fold), jsq, j)
+    assert new == (ValueError, "S^w of shape (3, 3) is not 2x2 on its fold's fixed points")
     assert old[0] is (ValueError if tamper is None else LambdaDependence)
 
 
@@ -518,7 +518,7 @@ def test_phi_error_parity_under_random_tampering(name, k, md_of, pic_of):
                     bad[:, c] *= np.exp(2j * np.pi * 0.13)
             tampered = TwiningSMatrix(bad, tsm.fold)
             for h in range(len(pg)):
-                new = _outcome(extract_phi, pg, tampered, g, h)
+                new = _outcome(extract_phi, tampered, h)
                 old = _outcome(scalar_extract_phi, md, pg, tampered, g, h)
                 _assert_same_phi(new, old, pg.charge_den)
                 kinds.add(new[1].split(" ")[0] if isinstance(new, tuple) else "ok")

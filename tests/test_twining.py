@@ -1,11 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wzwkit import (
-    Config,
     classify_algebras,
     diagram_automorphism,
     extract_phi,
@@ -48,7 +48,8 @@ def assert_fold_matches_the_scan(pg):
     are the weights its label scan keeps.  On A it is the rotation by
     perm[0], its order divides k, the fold maps each scanned weight to its
     labels at nodes 1 .. cycle_len - 1, and a fold onto one cycle keeps one
-    weight.  Elsewhere any fold but the identity's is refused."""
+    weight.  Each fold is the record of its element's fixed points.
+    Elsewhere any fold but the identity's is refused."""
     ld = pg.md.level_data
     for a in range(len(pg)):
         fixed = fixed_points(pg, a)
@@ -70,12 +71,14 @@ def assert_fold_matches_the_scan(pg):
         cycle_len = math.gcd(perm[0], len(perm))
         assert ld.level % (len(perm) // cycle_len) == 0
         fold = fold_diagram(pg, a)
-        assert fold.folded_rank == cycle_len - 1
+        assert (fold.picard, fold.element, fold.fixed_points) == (pg, a, fixed)
+        folded_ld = fold.folded_level_data
         if cycle_len == 1:
-            assert len(fixed) == 1 and fold.weight_map == {fixed[0]: 0}
+            assert len(fixed) == 1 and fold.folded == (0,) and folded_ld is None
         else:
-            index = fold.folded_level_data.index
-            assert fold.weight_map == {i: index(labels[1:cycle_len]) for i, labels in scan.items()}
+            assert (folded_ld.lie_type.series, folded_ld.lie_type.rank) == ("A", cycle_len - 1)
+            assert fold.folded == tuple(folded_ld.index(labels[1:cycle_len])
+                                        for labels in scan.values())
 
 
 def test_fixed_points_a1(pic_of):
@@ -94,16 +97,16 @@ def test_fixed_points_a3_rotation_by_two(md_of, pic_of):
 def test_fold_identity(md_of, pic_of):
     md = md_of("A1", 4)
     fold = fold_diagram(pic_of("A1", 4), 0)
-    assert fold.folded_rank == md.level_data.lie_type.rank
+    assert fold.folded_level_data is md.level_data
     assert fold.folded_level == 4
-    assert fold.weight_map == {i: i for i in range(len(md))}
+    assert fold.fixed_points == fold.folded == tuple(range(len(md)))
 
 
 def test_fold_a1_swap(pic_of):
     fold = fold_diagram(pic_of("A1", 4), 1)
-    assert fold.folded_rank == 0
+    assert fold.folded_level_data is None  # rank 0
     assert fold.folded_level == 2
-    assert list(fold.weight_map) == [2]
+    assert fold.fixed_points == (2,) and fold.folded == (0,)
 
 
 def test_fold_a3_rotation(md_of, pic_of):
@@ -111,8 +114,9 @@ def test_fold_a3_rotation(md_of, pic_of):
     pg = pic_of("A3", 2)
     jsq = pg.orders.index(2)
     fold = fold_diagram(pg, jsq)
-    assert (fold.folded_series, fold.folded_rank, fold.folded_level) == ("A", 1, 1)
-    named = {md.weights[i]: fold.folded_level_data.weights[x] for i, x in fold.weight_map.items()}
+    ld = fold.folded_level_data
+    assert (ld.lie_type.series, ld.lie_type.rank, fold.folded_level) == ("A", 1, 1)
+    named = {md.weights[i]: ld.weights[x] for i, x in zip(fold.fixed_points, fold.folded)}
     assert named == {(0, 1, 0): (0,), (1, 0, 1): (1,)}
 
 
@@ -192,8 +196,8 @@ def test_phi_identity_element_is_zero(pic_of):
     pg = pic_of("A3", 2)
     jsq = pg.orders.index(2)
     tsm = twining_S(pg, jsq)
-    vals = extract_phi(pg, tsm, jsq, 0)
-    assert all(v == 0 for v in vals.by_weight.values())
+    vals = extract_phi(tsm, 0)
+    assert vals.residues == (0, 0)
 
 
 def test_phi_values_a3(pic_of):
@@ -204,11 +208,10 @@ def test_phi_values_a3(pic_of):
     tsm = twining_S(pg, jsq)
     j = pg.orders.index(4)
     half = pg.charge_den // 2  # residues over charge_den
-    swap = extract_phi(pg, tsm, jsq, j)
-    assert set(swap.by_weight.values()) == {half}
-    diag = extract_phi(pg, tsm, jsq, jsq)
-    assert set(diag.by_weight.values()) == {0}
-    assert diag.by_weight == {i: pg.twists[jsq] for i in tsm.fixed_points}
+    swap = extract_phi(tsm, j)
+    assert swap.residues == (half, half)
+    diag = extract_phi(tsm, jsq)
+    assert diag.residues == (0, 0) == (pg.twists[jsq],) * len(tsm)
 
 
 def test_phi_ratio_survives_global_phase(pic_of):
@@ -221,9 +224,9 @@ def test_phi_ratio_survives_global_phase(pic_of):
         phase = np.exp(2j * np.pi * rng.uniform())
         spun = TwiningSMatrix(tsm.matrix * phase, tsm.fold)
         for h in range(len(pg)):
-            a = extract_phi(pg, tsm, jsq, h)
-            b = extract_phi(pg, spun, jsq, h)
-            assert a.by_weight == b.by_weight
+            a = extract_phi(tsm, h)
+            b = extract_phi(spun, h)
+            assert a.residues == b.residues
 
 
 def test_perturbation_trips_lambda_independence(pic_of):
@@ -234,7 +237,7 @@ def test_perturbation_trips_lambda_independence(pic_of):
     bad = np.array(tsm.matrix, copy=True)
     bad[0, 0] += 1e-3
     with pytest.raises(LambdaDependence):
-        extract_phi(pg, TwiningSMatrix(bad, tsm.fold), jsq, j)
+        extract_phi(TwiningSMatrix(bad, tsm.fold), j)
 
 
 def test_snap_failure_on_consistent_irrational_phase(pic_of):
@@ -249,20 +252,38 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
     z = np.exp(2j * np.pi * 0.13)
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
     with pytest.raises(SnapFailure):
-        extract_phi(pg, TwiningSMatrix(crafted, tsm.fold), jsq, j)
+        extract_phi(TwiningSMatrix(crafted, tsm.fold), j)
 
 
-def test_phi_refuses_another_elements_twining_matrix(pic_of):
-    """S^w of jsq is on its two fixed points: extracting phi for another g is
-    refused before any column is read."""
+def test_phi_reads_the_group_and_g_from_the_fold(pic_of):
+    """extract_phi takes the Picard group, g and the fixed points from the
+    fold of its S^w: one residue per fixed point of that fold's element,
+    and a reference dependence reported under that g."""
     pg = pic_of("A3", 2)
-    jsq = pg.orders.index(2)
     j = pg.orders.index(4)
-    tsm = twining_S(pg, jsq)
     for g in range(len(pg)):
-        if g != jsq:
-            with pytest.raises(ValueError, match=rf"^S\^w is not on the fixed points of element {g}$"):
-                extract_phi(pg, tsm, g, j)
+        if not fixed_points(pg, g):
+            continue
+        tsm = twining_S(pg, g)
+        assert (tsm.fold.picard, tsm.fold.element) == (pg, g)
+        assert len(extract_phi(tsm, j).residues) == len(fixed_points(pg, g)) == len(tsm)
+        bad = np.array(tsm.matrix, copy=True)
+        bad[0, 0] += 1e-3
+        with pytest.raises(LambdaDependence, match=rf"^phi ratio for \(g={g}, h={j}\) varies"):
+            extract_phi(TwiningSMatrix(bad, tsm.fold), j)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 3)], ids=["3x3", "1x1", "2x3"])
+def test_misshapen_twining_matrix_is_refused(shape, pic_of):
+    """S^w has one row and column per fixed point of its fold: any other
+    shape is refused where the matrix is made, before extract_phi or the
+    residuals read a column."""
+    pg = pic_of("A3", 2)
+    tsm = twining_S(pg, pg.orders.index(2))
+    assert len(tsm) == 2
+    message = f"S^w of shape {shape} is not 2x2 on its fold's fixed points"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TwiningSMatrix(np.ones(shape, dtype=np.complex128), tsm.fold)
 
 
 def _a3_rows(pic_of):
@@ -295,14 +316,16 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
     the identity)."""
     pg, rows, jsq, j = _a3_rows(pic_of)
     g, h = ({"1": 0, "jsq": jsq, "j": j}[x] for x in tamper)
-    u = next(row for row in rows if row.g == jsq).tsm.fixed_points[0]
+    u = fixed_points(pg, jsq)[0]
     tampered = []
     for row in rows:
-        if row.g == g:
-            vals = row.phi[h]
-            quarter = pg.charge_den // 4
-            shifted = {**vals.by_weight, u: (vals.by_weight[u] + quarter) % pg.charge_den}
-            row = replace(row, phi={**row.phi, h: replace(vals, by_weight=shifted)})
+        if row.tsm.fold.element == g:
+            vals = dict(row.phi)[h]
+            shifted = list(vals.residues)
+            at = row.tsm.fold.fixed_points.index(u)
+            shifted[at] = (shifted[at] + pg.charge_den // 4) % pg.charge_den
+            row = replace(row, phi=tuple(
+                (x, replace(v, residues=tuple(shifted)) if x == h else v) for x, v in row.phi))
         tampered.append(row)
     assert check not in {c.name for c in conjecture_checks(pg, rows) if not c.passed}
     assert check in {c.name for c in conjecture_checks(pg, tampered) if not c.passed}
@@ -316,17 +339,15 @@ def test_conjecture_suite_passes(name, k, pic_of):
     pg = pic_of(name, k)
     shared = PhiRows(pg)
     for alg in classify_algebras(pg):
-        report = verify_conjecture(alg)
+        report = verify_conjecture(alg, PhiRows(pg))
         assert report.passed, [c for c in report.findings]
-        assert verify_conjecture(alg, rows=shared) == report
+        assert verify_conjecture(alg, shared) == report
 
 
 def test_shared_rows_must_belong_to_the_algebra(pic_of):
     alg = classify_algebras(pic_of("A1", 4))[-1]
-    with pytest.raises(ValueError, match="another Picard group"):
-        verify_conjecture(alg, rows=PhiRows(pic_of("A1", 2)))
-    with pytest.raises(ValueError, match="another Picard group"):
-        verify_conjecture(alg, rows=PhiRows(alg.picard, Config(tolerance=1e-9)))
+    with pytest.raises(ValueError, match="^phi rows of another Picard group$"):
+        verify_conjecture(alg, PhiRows(pic_of("A1", 2)))
 
 
 def test_epsilon_from_extracted_phi_is_alternating(pic_of):
@@ -341,8 +362,8 @@ def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     rows = PhiRows(pg)
     table = {(u, g, h): r
              for g in full.members if fixed_points(pg, g)
-             for h, vals in rows.row(g, full.members).phi.items()
-             for u, r in vals.by_weight.items()}
+             for h, vals in rows.row(g, full.members).phi
+             for u, r in zip(fixed_points(pg, g), vals.residues)}
     jsq = pg.orders.index(2)
     stabilizer = (0, jsq)
     for u in fixed_points(pg, jsq):
@@ -365,14 +386,15 @@ def test_complex_folded_matrix_a5(pic_of):
     tsm = twining_S(pg, g)
     assert tsm.matrix.shape == (3, 3)
     assert np.max(np.abs(np.imag(tsm.matrix))) > 0.4
+    rows = PhiRows(pg)
     for alg in classify_algebras(pg):
-        report = verify_conjecture(alg)
+        report = verify_conjecture(alg, rows)
         assert report.passed, [str(c) for c in report.findings]
 
 
 def test_conjecture_margins_are_tiny(pic_of):
     pg = pic_of("A3", 2)
     full = [c for c in classify_algebras(pg) if len(c.support) == 4][0]
-    report = verify_conjecture(full)
+    report = verify_conjecture(full, PhiRows(pg))
     worst = max(c.margin for c in report.checks if c.margin is not None)
     assert worst < 1e-8
