@@ -43,7 +43,7 @@ _EXPORTS = {
         "build_pointed_bimodule_ring", "bimodule_picard", "kramers_wannier_candidates",
     ),
     "twining": (
-        "OrbitAlgebraData", "TwiningSMatrix", "ConjectureReport", "fixed_points", "fold_diagram",
+        "OrbitAlgebraData", "TwiningSMatrix", "ConjectureReport", "fold_diagram",
         "twining_S", "extract_phi", "verify_conjecture",
     ),
 }

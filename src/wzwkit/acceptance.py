@@ -203,7 +203,7 @@ class Battery:
                     conjugation = np.eye(len(md), dtype=np.int64)[list(md.conjugation)]
                     if not np.array_equal(alg.partition, conjugation):
                         notes.append(f"Cardy Z != conjugation for {name} level {k}")
-                norm = schellekens.verify_modular_invariance(md, alg.partition, self.config)
+                norm = schellekens.verify_modular_invariance(md, alg.partition)
                 worst = max(worst, norm)
         deven = self.of_order("A1", 4, 2)
         want = tuple(
@@ -309,7 +309,7 @@ class Battery:
         notes = []
         worst = 0.0
         pg = self.pic("A3", 2)
-        rows = twining.PhiRows(pg, self.config)  # one phi engine per Picard group
+        rows = twining.PhiRows(pg)  # one phi engine per Picard group
         tsm = rows.row(pg.orders.index(2), ()).tsm
         m = tsm.matrix
         if m.shape != (2, 2):
@@ -321,7 +321,7 @@ class Battery:
             notes.extend(f"{c.name} g={c.g} h={c.h}" for c in rep.findings)
         worst = max([worst, *(c.margin for c in rep.checks if c.margin is not None)])
         for name, k in [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3)]:
-            rows1 = twining.PhiRows(self.pic(name, k), self.config)
+            rows1 = twining.PhiRows(self.pic(name, k))
             for alg in self.algebras(name, k):
                 rep1 = twining.verify_conjecture(alg, rows1)
                 if not rep1.passed:
@@ -332,7 +332,7 @@ class Battery:
         u, v = tsm.fold.fixed_points[:2]
         h_swap = next(a for a in range(len(pg)) if pg.action[a, u] == v)
         try:
-            twining.extract_phi(twining.TwiningSMatrix(perturbed, tsm.fold), h_swap, self.config)
+            twining.extract_phi(twining.TwiningSMatrix(perturbed, tsm.fold), h_swap)
             notes.append("perturbed S^w was not detected (test is dead)")
         except LambdaDependence:
             pass

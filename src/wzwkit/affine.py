@@ -552,7 +552,9 @@ class ModularData:
     All arrays are read-only; instances are safe to share across threads.
     residuals holds max|S - S^T|, max|S S^dagger - 1| and max|(ST)^3 - S^2|
     under the names of the report's checks, in that order, as measured when
-    the datum was assembled.  A datum compares and hashes by identity.
+    the datum was assembled, and config is the Config it was assembled and
+    checked under, which every later layer reads its tolerance from.  A datum
+    compares and hashes by identity.
     """
 
     level_data: LevelData
@@ -564,6 +566,7 @@ class ModularData:
     quantum_dims: np.ndarray
     conjugation: tuple[int, ...]
     residuals: tuple[tuple[str, float], ...]
+    config: Config
 
     @property
     def weights(self) -> tuple[Weight, ...]:
@@ -619,6 +622,7 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
         quantum_dims=_freeze(np.real(s[v] / s[v, v])),
         conjugation=conjugation_from_S(s2, v, config),
         residuals=(("s-symmetric", sym), ("s-unitary", uni), ("st-cubed-is-s-squared", st)),
+        config=config,
     )
 
 

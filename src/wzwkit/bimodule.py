@@ -89,11 +89,11 @@ def _build_ring(algebra: SchellekensAlgebra, pointed: bool) -> BimoduleRing:
     objs = np.array(sorted(pg.objects) if pointed else range(len(md)), dtype=np.intp)
 
     # orbits of H on the object set; the action must be free
+    fixed = {i for h in sub.members[1:] for i in pg.fixed_points[h]}.intersection(objs.tolist())
+    if fixed:
+        raise FixedPointsPresent([md.weights[i] for i in sorted(fixed)])
     act = pg.action[list(sub.members)]  # [h, i]
     moved = act[:, objs]  # [h, k]: g_h . objs[k]
-    fixed = sorted(set(objs[(moved[1:] == objs).any(axis=0)].tolist()))
-    if fixed:
-        raise FixedPointsPresent([md.weights[i] for i in fixed])
     xi = np.array(algebra.xi)  # [a, h]: Xi(g_a, g_h)
     rep = moved.min(axis=0)  # [k]: the least object of the orbit of objs[k]
     reps = np.array(sorted(set(rep.tolist())), dtype=np.intp)  # not np.unique: it loads numpy.ma

@@ -10,9 +10,12 @@ and a 2-D complex128 S in C order, rebuilds the modular data from S (finite,
 symmetric and unitary), compares S's checksum with the stored one, so a
 flipped bit that keeps S within tolerance is caught too, and requires the
 key and S of the rebuilt data to save to the file's exact bytes; a hit
-returns the modular data only.
+returns the modular data only, carrying the Config of the lookup as a fresh
+computation would.
 Corruption is not fatal: the caller recomputes and overwrites, with a
-warning on standard error.
+warning on standard error.  An S that matches its checksum is the one that
+was stored, so when the lookup's Config refuses it (a tighter tolerance,
+say) that refusal is raised as it would be on a miss, and the file is kept.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 
 from .affine import S_ALGORITHM, ModularData, modular_data_from_doc
 from .config import Config, DEFAULT_CONFIG
+from .errors import WzwError
 
 
 def default_cache_dir() -> Path:
@@ -76,10 +80,12 @@ def _next_array(fh: io.BytesIO) -> np.ndarray:
 
 def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
                  config: Config = DEFAULT_CONFIG) -> ModularData | None:
-    """Return the cached modular data, or None on miss or corruption."""
+    """Return the cached modular data, or None on miss or corruption.  A
+    WzwError of rebuilding a stored S that matches its checksum propagates."""
     path = cache_dir / cache_key(series, rank, level)
     if not path.is_file():
         return None
+    intact = False
     try:
         blob = path.read_bytes()
         fh = io.BytesIO(blob)
@@ -91,15 +97,18 @@ def cache_lookup(cache_dir: Path, series: str, rank: int, level: int,
             raise ValueError("stored S-matrix is not a 2-D complex128 array")
         if not s.flags.c_contiguous:
             raise ValueError("stored S-matrix is not in C order")
+        intact = _checksum(s) == key[3]
         n = len(s)
         md = modular_data_from_doc({"series": series, "rank": rank, "level": level,
                                     "sMatrix": s.view(np.float64).reshape(n, n, 2)}, config)
-        if _checksum(s) != key[3]:
+        if not intact:
             raise ValueError("stored S-matrix does not match its checksum")
         if _cache_bytes(md) != blob:
             raise ValueError("stored file is not the saved key and S of its data, byte for byte")
         return md
     except Exception as exc:  # corrupted cache: recompute and overwrite
+        if intact and isinstance(exc, WzwError):
+            raise  # the stored S itself is refused, as a computed one would be
         print(f"wzwkit: cache file {path} is corrupted ({exc}); recomputing",
               file=sys.stderr)
         return None

@@ -192,14 +192,14 @@ def _latex_partition(arr: np.ndarray) -> str:
 # --- payload builders -----------------------------------------------------------
 
 
-def _cmd_modular_data(md: ModularData, args, config: Config):
+def _cmd_modular_data(md: ModularData, args):
     from .affine import modular_data_to_doc
 
-    checks = [_check(name, r < config.tolerance, r) for name, r in md.residuals]
+    checks = [_check(name, r < md.config.tolerance, r) for name, r in md.residuals]
     return modular_data_to_doc(md), checks
 
 
-def _cmd_picard(md: ModularData, args, config: Config):
+def _cmd_picard(md: ModularData, args):
     from . import picard
     from .residues import format_residue
 
@@ -231,9 +231,7 @@ def _cmd_picard(md: ModularData, args, config: Config):
     return payload, checks
 
 
-def _algebra_blob(
-    algebra: SchellekensAlgebra, config: Config, latex: bool
-) -> tuple[dict, bool, float | None]:
+def _algebra_blob(algebra: SchellekensAlgebra, latex: bool) -> tuple[dict, bool, float | None]:
     import numpy as np
 
     from . import schellekens
@@ -262,7 +260,7 @@ def _algebra_blob(
     if latex:
         blob["latex"] = _latex_partition(algebra.partition)
     try:
-        norm = schellekens.verify_modular_invariance(pg.md, algebra.partition, config)
+        norm = schellekens.verify_modular_invariance(pg.md, algebra.partition)
         blob["invariance"] = {"pass": True, "commutatorNorm": norm}
         return blob, True, norm
     except InvarianceViolation as exc:
@@ -270,7 +268,7 @@ def _algebra_blob(
         return blob, False, None
 
 
-def _cmd_invariants(md: ModularData, args, config: Config):
+def _cmd_invariants(md: ModularData, args):
     from . import picard, schellekens
 
     pg = picard.find_simple_currents(md)
@@ -279,7 +277,7 @@ def _cmd_invariants(md: ModularData, args, config: Config):
     all_ok = True
     worst = 0.0
     for algebra in algebras:
-        blob, ok, margin = _algebra_blob(algebra, config, getattr(args, "latex", False))
+        blob, ok, margin = _algebra_blob(algebra, getattr(args, "latex", False))
         blobs.append(blob)
         all_ok = all_ok and ok
         if margin is not None:
@@ -289,7 +287,7 @@ def _cmd_invariants(md: ModularData, args, config: Config):
     return payload, checks
 
 
-def _cmd_boundaries(md: ModularData, args, config: Config):
+def _cmd_boundaries(md: ModularData, args):
     from . import boundary, picard, schellekens
     from .residues import format_residue
 
@@ -333,7 +331,7 @@ def _cmd_boundaries(md: ModularData, args, config: Config):
     return {"algebras": blobs}, checks
 
 
-def _cmd_bimodules(md: ModularData, args, config: Config):
+def _cmd_bimodules(md: ModularData, args):
     from . import bimodule, picard, schellekens
     from .residues import format_residue
 
@@ -371,19 +369,19 @@ def _cmd_bimodules(md: ModularData, args, config: Config):
     return {"algebras": blobs}, []
 
 
-def _cmd_twining(md: ModularData, args, config: Config):
+def _cmd_twining(md: ModularData, args):
     import numpy as np
 
     from . import picard, twining
     from .residues import format_residue
 
     pg = picard.find_simple_currents(md)
-    rows = twining.PhiRows(pg, config)
+    rows = twining.PhiRows(pg)
     everything = range(len(pg))
     blobs = []
     checks = []
     for a in everything:
-        fixed = twining.fixed_points(pg, a)
+        fixed = pg.fixed_points[a]
         blob = {
             "element": a,
             "objectIndex": pg.objects[a],
@@ -416,17 +414,17 @@ def _cmd_twining(md: ModularData, args, config: Config):
         if findings:
             blob["findings"] = findings
         _, uni = tsm.residuals
-        checks.append(_check(f"s-omega-unitary-g{a}", uni < config.tolerance, uni))
+        checks.append(_check(f"s-omega-unitary-g{a}", uni < md.config.tolerance, uni))
         checks.append(_check(f"phi-ratio-g{a}", not findings, None))
     return {"elements": blobs}, checks
 
 
-def _cmd_verify_conjecture(md: ModularData, args, config: Config):
+def _cmd_verify_conjecture(md: ModularData, args):
     from . import picard, schellekens, twining
 
     pg = picard.find_simple_currents(md)
     algebras = schellekens.classify_algebras(pg)
-    rows = twining.PhiRows(pg, config)  # each g's row is built once for all supports
+    rows = twining.PhiRows(pg)  # each g's row is built once for all supports
     blobs = []
     checks = []
     for idx, algebra in enumerate(algebras):
@@ -563,7 +561,7 @@ def run(argv: list[str]) -> int:
         else:
             md = _get_modular_data(args, config, lie_type)
             input_blob = {"series": lie_type.series, "rank": lie_type.rank, "level": args.level}
-            payload, checks = handlers[args.command](md, args, config)
+            payload, checks = handlers[args.command](md, args)
     except WzwError as exc:
         print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ invertible basis elements of any fusion ring by counting rows of its
 quadruple table: x is invertible exactly when its block holds n rows, one
 per j.  The bimodule ring's Picard group is found by it too.  The Picard
 group keeps the action as `unit_group` returns it, one read-only array
-`action[a, i]` = g_a . i, which every later layer indexes directly.  All
+`action[a, i]` = g_a . i, which every later layer indexes directly, and
+the objects each current fixes as `fixed_points[a]`, read from it once.  All
 charges and twists are exact residues in Q/Z, held from the start as
 read-only int64 arrays over `charge_den`, the common denominator of the
 conformal weights, so a twist off that grid cannot be represented.  The
@@ -23,6 +24,7 @@ no table per series is kept and no current is handled by a rule of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -40,9 +42,10 @@ class PicardGroup:
     Current g_a is the object objects[a] of order orders[a]; action[a, i] is
     the object g_a . i, as a read-only int64 array.  twists [a]: h_{g_a} *
     charge_den and charges [i, a]: Q_i(g_a) * charge_den are read-only int64
-    in [0, charge_den).  A group is a hashable value, equal to a group of the
-    same datum md (compared by identity) with the same currents; the arrays
-    and charge_den are determined by md and objects, so left out of ==.
+    in [0, charge_den).  fixed_points[a] holds the objects g_a fixes.  A group
+    is a hashable value, equal to a group of the same datum md (compared by
+    identity) with the same currents; the arrays and charge_den are
+    determined by md and objects, so left out of ==.
     """
 
     md: ModularData
@@ -61,6 +64,13 @@ class PicardGroup:
     @property
     def exponent(self) -> int:
         return lcm(*self.orders)
+
+    @cached_property
+    def fixed_points(self) -> tuple[tuple[int, ...], ...]:
+        """[a]: the objects i with g_a . i = i, ascending, read by one
+        compare over the action and held once for every reader."""
+        fixed = self.action == np.arange(self.action.shape[1])
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in fixed)
 
 
 def unit_group(

@@ -11,7 +11,8 @@ arrays.  Xi is checked once, when the algebra is made, so every reader of
 bicharacter on H with the twists on its diagonal, reduced mod `charge_den`.
 The bulk partition matrix, the algebra's cached `partition`, collapses its
 inner character sum to |H| or 0, so every entry is an integer by
-construction.
+construction.  Its modular invariance is checked under the Config its
+datum carries, the one S was accepted under; nothing here takes a Config.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import groups
 from .affine import ModularData
-from .config import Config, DEFAULT_CONFIG
 from .errors import InvarianceViolation, NonIntegerEntry, QuadraticFormViolation
 from .picard import PicardGroup
 
@@ -174,10 +174,9 @@ def partition_function(algebra: SchellekensAlgebra) -> np.ndarray:
     return z
 
 
-def verify_modular_invariance(
-    md: ModularData, z: np.ndarray, config: Config = DEFAULT_CONFIG
-) -> float:
-    """Check [S, Z] within tolerance, TZ = ZT exactly, Z00 = 1, entries >= 0.
+def verify_modular_invariance(md: ModularData, z: np.ndarray) -> float:
+    """Check [S, Z] within the tolerance md was assembled under (its
+    config), TZ = ZT exactly, Z00 = 1, entries >= 0.
 
     Returns the commutator norm max |SZ - ZS|; any failed check raises
     InvarianceViolation.
@@ -195,7 +194,7 @@ def verify_modular_invariance(
             )
     s = md.s_matrix
     norm = float(np.max(np.abs(s @ z - z @ s)))
-    if norm > config.tolerance:
+    if norm > md.config.tolerance:
         raise InvarianceViolation(f"commutator norm {norm:.3e} exceeds tolerance")
     return norm
 

@@ -1,9 +1,12 @@
-"""Fixed points of simple-current automorphisms, diagram foldings, the
-twining S-matrices, and the extraction of the gauge-invariant 6j-scalars.
+"""Diagram foldings along simple-current automorphisms, the twining
+S-matrices, and the extraction of the gauge-invariant 6j-scalars.
 
-The fold of a Picard element g is the one record of its fixed points, read
-once from the group's fusion action; S^w, phi and a phi row read the group,
-g and the fixed points from it, and every value here hashes.  Folding covers
+The fold of a Picard element g reads its fixed points from the group's
+`fixed_points`, which holds them once; S^w, phi and a phi row read the
+group, g and the fixed points from it, and every value here hashes.  No
+function here takes a Config: each reads the one its modular datum was
+assembled and checked under, `pg.md.config`, so S^w, phi and their checks
+are held to the tolerance S was accepted under.  Folding covers
 the identity and A-series cycle rotations (which include the rank-1 affine
 swap): a rotation of order d on the (n+1)-cycle folds to the cycle of length
 (n+1)/d at level k/d, and a fixed weight to its labels on one cycle.
@@ -40,22 +43,16 @@ import numpy as np
 from .affine import (
     LevelData, SimpleLieType, integrable_weights, kac_peterson_S, s_residuals,
 )
-from .config import Config, DEFAULT_CONFIG
 from .errors import LambdaDependence, NormalizationFailure, SnapFailure, UnsupportedFolding, WzwError
 from .picard import PicardGroup, diagram_automorphism
 from .residues import format_residue, snap_to_residue
 
 
-def fixed_points(pg: PicardGroup, a: int) -> tuple[int, ...]:
-    """Indices of all weights with g.Lambda = Lambda under the fusion action."""
-    return tuple(np.flatnonzero(pg.action[a] == np.arange(len(pg.md))).tolist())
-
-
 @dataclass(frozen=True)
 class OrbitAlgebraData:
-    """The fold of Picard element `element`, the one record of its fixed
-    points (read once from the group's action): the folded level, the folded
-    weights (None at rank 0) and `folded`, each fixed point's index in them."""
+    """The fold of Picard element `element`: the folded level, the folded
+    weights (None at rank 0) and `folded`, the index in them of each fixed
+    point, as the group holds them in `picard.fixed_points[element]`."""
 
     picard: PicardGroup
     element: int
@@ -63,19 +60,19 @@ class OrbitAlgebraData:
     folded_level_data: LevelData | None
     folded: tuple[int, ...]
 
-    @cached_property
+    @property
     def fixed_points(self) -> tuple[int, ...]:
-        return fixed_points(self.picard, self.element)
+        return self.picard.fixed_points[self.element]
 
 
-def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> OrbitAlgebraData:
+def fold_diagram(pg: PicardGroup, a: int) -> OrbitAlgebraData:
     """Fold the affine diagram along the automorphism that induces the action
     of Picard element a, an A-series rotation or the identity, keeping the
     fixed points of g_a.  The rotation moves node 0 to m = perm[0], where the
     current's weight has label k, so m is 0 only for the identity; the labels
     of a fixed weight repeat along its cycles, so its order divides k, and a
     single cycle keeps only the weight whose labels are all equal."""
-    fixed = fixed_points(pg, a)
+    fixed = pg.fixed_points[a]
     if not fixed:
         raise ValueError(f"Picard element {a} has no fixed points at this level")
     perm = diagram_automorphism(pg, a)
@@ -93,7 +90,7 @@ def fold_diagram(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Or
     folded_level = ld.level // (nodes // cycle_len)  # k over the rotation order
     if cycle_len == 1:
         return OrbitAlgebraData(pg, a, folded_level, None, (0,))
-    folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, config)
+    folded_ld = integrable_weights(SimpleLieType("A", cycle_len - 1), folded_level, pg.md.config)
     # a fixed weight's labels at nodes 1 .. cycle_len - 1 are its folded weight
     folded = tuple(folded_ld.index(ld.weights[i][:cycle_len - 1]) for i in fixed)
     if sorted(folded) != list(range(len(folded_ld))):
@@ -128,7 +125,7 @@ class TwiningSMatrix:
         return s_residuals(self.matrix)
 
 
-def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> TwiningSMatrix:
+def twining_S(pg: PicardGroup, a: int) -> TwiningSMatrix:
     """S^w for the automorphism attached to Picard element a.
 
     Computed as the Kac-Peterson matrix of the folded algebra pulled back
@@ -137,7 +134,8 @@ def twining_S(pg: PicardGroup, a: int, config: Config = DEFAULT_CONFIG) -> Twini
     positive.
     """
     md = pg.md
-    fold = fold_diagram(pg, a, config)
+    config = md.config
+    fold = fold_diagram(pg, a)
     fixed = fold.fixed_points
     ld = fold.folded_level_data
     if ld is None:
@@ -173,7 +171,7 @@ class PhiValues:
     spread: float  # worst-case reference dependence of the raw ratio
 
 
-def extract_phi(tsm: TwiningSMatrix, h: int, config: Config = DEFAULT_CONFIG) -> PhiValues:
+def extract_phi(tsm: TwiningSMatrix, h: int) -> PhiValues:
     """phi_{U}(g, h) for every fixed point U of g, via the ratio identity,
     with the Picard group and g those of the fold of tsm.
 
@@ -192,7 +190,8 @@ def extract_phi(tsm: TwiningSMatrix, h: int, config: Config = DEFAULT_CONFIG) ->
     modulus and snap that fails.
     """
     pg, g, fixed = tsm.fold.picard, tsm.fold.element, tsm.fold.fixed_points
-    zero_floor = math.sqrt(config.tolerance)
+    tol = pg.md.config.tolerance
+    zero_floor = math.sqrt(tol)
     denom = pg.exponent
     # h commutes with g, so it permutes the fixed points of g: column c pairs
     # with the column of h.fixed[c]
@@ -226,7 +225,7 @@ def extract_phi(tsm: TwiningSMatrix, h: int, config: Config = DEFAULT_CONFIG) ->
     value = cand[np.arange(ncol), first_usable]
     modulus = np.hypot(value.real, value.imag)
     failing = np.flatnonzero(
-        mismatch.any(axis=1) | ~usable.any(axis=1) | (spread > config.tolerance)
+        mismatch.any(axis=1) | ~usable.any(axis=1) | (spread > tol)
         | (np.abs(modulus - 1.0) > zero_floor)
     )
     stop = int(failing[0]) if len(failing) else ncol
@@ -249,7 +248,7 @@ def extract_phi(tsm: TwiningSMatrix, h: int, config: Config = DEFAULT_CONFIG) ->
             )
         if not usable[c].any():
             raise LambdaDependence(f"no usable reference row for fixed point {fixed[c]}")
-        if spread[c] > config.tolerance:
+        if spread[c] > tol:
             raise LambdaDependence(
                 f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
             )
@@ -271,8 +270,8 @@ class PhiRows:
     each pair are computed at most once, however many rows ask for them.  An
     error of twining_S is kept and raised again for every row of its g."""
 
-    def __init__(self, pg: PicardGroup, config: Config = DEFAULT_CONFIG) -> None:
-        self.pg, self.config = pg, config
+    def __init__(self, pg: PicardGroup) -> None:
+        self.pg = pg
         self._tsm: dict[int, TwiningSMatrix | WzwError] = {}
         self._phi: dict[tuple[int, int], PhiValues | LambdaDependence | SnapFailure] = {}
 
@@ -281,7 +280,7 @@ class PhiRows:
         `hs`, in that order, a violation met for one h kept in the row."""
         if g not in self._tsm:
             try:
-                self._tsm[g] = twining_S(self.pg, g, self.config)
+                self._tsm[g] = twining_S(self.pg, g)
             except WzwError as exc:
                 self._tsm[g] = exc
         tsm = self._tsm[g]
@@ -291,7 +290,7 @@ class PhiRows:
         for h in hs:
             if (g, h) not in self._phi:
                 try:
-                    self._phi[g, h] = extract_phi(tsm, h, self.config)
+                    self._phi[g, h] = extract_phi(tsm, h)
                 except (LambdaDependence, SnapFailure) as exc:
                     self._phi[g, h] = exc
             phi.append((h, self._phi[g, h]))
@@ -325,9 +324,7 @@ def _additive(a: dict[int, int], b: dict[int, int], ab: dict[int, int], weights,
     return all((a[u] + b[u]) % den == ab[u] for u in weights)
 
 
-def conjecture_checks(
-    pg: PicardGroup, rows: Iterable[PhiRow], config: Config = DEFAULT_CONFIG
-) -> list[ConjectureCheck]:
+def conjecture_checks(pg: PicardGroup, rows: Iterable[PhiRow]) -> list[ConjectureCheck]:
     """The validator: the property suite over phi rows that share one list of h.
 
     Per row, in order: S^w symmetry and unitarity, reference independence of
@@ -336,7 +333,7 @@ def conjecture_checks(
     Violations are returned as failed checks, never raised.
     """
     rows = list(rows)
-    tol = config.tolerance
+    tol = pg.md.config.tolerance
     den = pg.charge_den
     phis = {(row.tsm.fold.element, h): dict(zip(row.tsm.fold.fixed_points, v.residues))
             for row in rows for h, v in row.phi if isinstance(v, PhiValues)}
@@ -383,12 +380,12 @@ def conjecture_checks(
 
 def verify_conjecture(algebra, rows: PhiRows) -> ConjectureReport:
     """Property suite for the twining/6j relation over the support of an
-    algebra: the validator, under the Config of `rows`, over the rows of
-    every g in H with fixed points, each against every h in H.  `rows` is the
-    phi engine of the algebra's Picard group, shared by its algebras."""
+    algebra: the validator over the rows of every g in H with fixed points,
+    each against every h in H.  `rows` is the phi engine of the algebra's
+    Picard group, or of one equal to it, shared by its algebras."""
     pg = algebra.picard
-    if rows.pg is not pg:
+    if rows.pg != pg:
         raise ValueError("phi rows of another Picard group")
     members = algebra.support.members
-    support_rows = (rows.row(g, members) for g in members if fixed_points(pg, g))
-    return ConjectureReport(tuple(conjecture_checks(pg, support_rows, rows.config)))
+    support_rows = (rows.row(g, members) for g in members if pg.fixed_points[g])
+    return ConjectureReport(tuple(conjecture_checks(pg, support_rows)))

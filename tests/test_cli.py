@@ -251,6 +251,28 @@ def test_tampered_cache_is_recomputed(capsys, tmp_path, tamper, reason):
     assert path.read_bytes() == blob
 
 
+def test_a_tighter_tolerance_refuses_alike_on_a_warm_and_a_cold_cache(capsys, tmp_path):
+    """A stored S that matches its checksum is the S a cold run computes, so
+    when a tighter --tolerance refuses it, a warm cache refuses as a cold one
+    does: the same exit code, standard output and standard error, with no
+    report of corruption, and the cache file is left as it was."""
+    query = ["modular-data", "A2", "3", "--tolerance", "1e-17", "--cache-dir"]
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    assert _run(capsys, ["modular-data", "A2", "3", "--cache-dir", str(warm)])[0] == 0
+    path = warm / cache_key("A", 2, 3)
+    blob = path.read_bytes()
+    outcomes = []
+    for cache_dir in (warm, cold):
+        code = run([*query, str(cache_dir)])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert (code, out) == (2, "") and err.startswith("wzwkit: NormalizationFailure: ")
+    assert path.read_bytes() == blob
+    assert not cold.exists()
+
+
 def test_no_cache_flag(capsys, tmp_path):
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path), "--no-cache"]
     code, _ = _run(capsys, argv)
@@ -481,10 +503,10 @@ def broken_ratio(monkeypatch):
 
     extract = twining.extract_phi
 
-    def failing(tsm, h, config):
+    def failing(tsm, h):
         if (tsm.fold.element, h) == (2, 1):
             raise LambdaDependence("injected reference dependence")
-        return extract(tsm, h, config)
+        return extract(tsm, h)
 
     monkeypatch.setattr(twining, "extract_phi", failing)
 
@@ -533,13 +555,13 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
     tsm_calls, phi_calls = [], []
     twining_S, extract_phi = twining.twining_S, twining.extract_phi
 
-    def counted_twining_S(pg, g, config):
+    def counted_twining_S(pg, g):
         tsm_calls.append(g)
-        return twining_S(pg, g, config)
+        return twining_S(pg, g)
 
-    def counted_extract_phi(tsm, h, config):
+    def counted_extract_phi(tsm, h):
         phi_calls.append((tsm.fold.element, h))
-        return extract_phi(tsm, h, config)
+        return extract_phi(tsm, h)
 
     monkeypatch.setattr(twining, "twining_S", counted_twining_S)
     monkeypatch.setattr(twining, "extract_phi", counted_extract_phi)
@@ -553,7 +575,7 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
 
     verify = twining.verify_conjecture
     monkeypatch.setattr(twining, "verify_conjecture",
-                        lambda algebra, rows: verify(algebra, twining.PhiRows(rows.pg, rows.config)))
+                        lambda algebra, rows: verify(algebra, twining.PhiRows(rows.pg)))
     tsm_calls.clear()
     assert _run(capsys, argv) == (0, shared)
     assert len(tsm_calls) == unshared
@@ -722,7 +744,7 @@ def test_z_is_the_sparse_entries_array(pic_of, name, k):
     """Z reaches the writer as the (m, 3) int64 array of its nonzero
     (i, j, Z_ij), in the order of a scan over the rows."""
     for alg in classify_algebras(pic_of(name, k)):
-        z = cli._algebra_blob(alg, DEFAULT_CONFIG, False)[0]["Z"]
+        z = cli._algebra_blob(alg, False)[0]["Z"]
         want = [[i, j, v] for i, row in enumerate(alg.partition.tolist())
                 for j, v in enumerate(row) if v]
         assert z.dtype == np.int64 and z.shape == (len(want), 3)

@@ -255,22 +255,25 @@ def test_verlinde_rejects_negative_fusion(md_of, name, k, flip, message):
         verlinde_fusion(sign[:, None] * s * sign)
 
 
-def test_kac_peterson_normalization_check_is_live(pic_of):
+def test_kac_peterson_normalization_check_is_live(md_of):
     """kac_peterson_S leaves the unitarity of S to its readers, and they
     check it: below the rounding error, _assemble refuses the S of C(g, k)
-    and twining_S refuses S^w, the identity's as S^w itself and the folded
-    one (A1 at level 1, real) already as kac_peterson_S's S."""
-    from wzwkit import Config
+    and, under the Config its datum carries, twining_S refuses S^w, the
+    identity's as S^w itself and the folded one (A1 at level 1, real)
+    already as kac_peterson_S's S."""
+    from dataclasses import replace
+
+    from wzwkit import Config, find_simple_currents
     from wzwkit.twining import twining_S
 
     tight = Config(tolerance=1e-17)
     with pytest.raises(NormalizationFailure, match=r"^S is not (symmetric|unitary)$"):
         modular_data("A2", 3, tight)
-    pg = pic_of("A3", 2)
+    pg = find_simple_currents(replace(md_of("A3", 2), config=tight))
     with pytest.raises(NormalizationFailure, match=r"^S\^w is not (symmetric|unitary)$"):
-        twining_S(pg, 0, tight)
+        twining_S(pg, 0)
     with pytest.raises(NormalizationFailure):
-        twining_S(pg, 2, tight)
+        twining_S(pg, 2)
 
 
 def test_conjugation_rejects_non_permutation():

@@ -21,11 +21,11 @@ from wzwkit import (DEFAULT_CONFIG, bimodule_picard, build_bimodule_ring,
                     integrable_weights, kramers_wannier_candidates, modular_data_from_doc,
                     modular_data_to_doc, orbit_decomposition, parse_lie_type, twining_S)
 from wzwkit.affine import _kac_peterson_sum, weyl_order
-from wzwkit import lietype
+from wzwkit import affine, lietype
 from wzwkit.errors import FixedPointsPresent, PhiUnavailable, WzwError
 from wzwkit.residues import mod1
 from wzwkit.schellekens import enumerate_subgroups
-from wzwkit.twining import PhiRows, PhiValues, fixed_points
+from wzwkit.twining import PhiRows, PhiValues
 
 from conftest import assert_sorted_symmetric_table, dense, quadruples, t_matrix
 from test_bimodule import add_at_ring, fusion_rows_kramers_wannier
@@ -135,7 +135,7 @@ def test_residues_lie_on_the_charge_grid(pic_of, algebra):
     rows = PhiRows(pg)
     everything = range(len(pg))
     for g in everything:
-        if not fixed_points(pg, g):
+        if not pg.fixed_points[g]:
             continue
         try:
             row = rows.row(g, everything)
@@ -449,12 +449,15 @@ def _characters(md, t, cut=60.0):
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
-def test_s_transforms_the_characters(md_of, algebra):
+def test_s_transforms_the_characters(md_of, monkeypatch, algebra):
     """Every algebra of the draw: at tau = 1.3i, S carries the specialized
     Kac-Peterson characters at tau to those at -1/tau, chi(-1/tau) = S chi(tau),
     to a relative 1e-12.  The characters are even under conjugation, so this
     sees S summed over conjugate columns.  S with S_01 = S_10 negated (0 the
-    vacuum) fails the check."""
+    vacuum) fails the check.  Where S is summed over more than one coset
+    (E6, F4 and G2), so does the sum with any one coset's sign flipped,
+    scaled and phased as kac_peterson_S does (its refusal of a complex S
+    where w0 = -1 would stop that mutant before the check)."""
     md = md_of(*algebra)
     near, far = _characters(md, 1.3)
 
@@ -467,6 +470,16 @@ def test_s_transforms_the_characters(md_of, algebra):
     flipped = np.array(md.s_matrix)
     flipped[0, 1] = flipped[1, 0] = -md.s_matrix[0, 1]
     assert residual(flipped) > bound
+    ld = md.level_data
+    cosets = affine._coset_representatives(ld.root_system, affine._classical_subsystem(ld.lie_type)[0])
+    if len(cosets) == 1:
+        return  # flipping the one coset negates S, which the phase undoes
+    for c in range(len(cosets)):
+        mutant = [(cinv, -sign if i == c else sign) for i, (cinv, sign) in enumerate(cosets)]
+        monkeypatch.setattr(affine, "_coset_representatives", lambda rs, node: mutant)
+        shat = _kac_peterson_sum(ld)
+        s = shat / math.sqrt(np.mean(np.real(np.diag(shat @ shat.conj().T))))
+        assert residual(s * (abs(s[0, 0]) / s[0, 0])) > bound
 
 
 @given(ALGEBRAS)

@@ -27,7 +27,6 @@ from wzwkit import (
     enumerate_subgroups,
     extract_phi,
     find_simple_currents,
-    fixed_points,
     partition_function,
     twining_S,
     verify_quadratic,
@@ -351,7 +350,7 @@ def _twining_matrices(pg):
     """(g, S^w) for every Picard element with fixed points and a supported fold."""
     out = []
     for g in range(len(pg)):
-        if not fixed_points(pg, g):
+        if not pg.fixed_points[g]:
             continue
         try:
             out.append((g, twining_S(pg, g)))

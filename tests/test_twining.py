@@ -9,7 +9,6 @@ from wzwkit import (
     classify_algebras,
     diagram_automorphism,
     extract_phi,
-    fixed_points,
     fold_diagram,
     twining_S,
     verify_conjecture,
@@ -52,7 +51,7 @@ def assert_fold_matches_the_scan(pg):
     Elsewhere any fold but the identity's is refused."""
     ld = pg.md.level_data
     for a in range(len(pg)):
-        fixed = fixed_points(pg, a)
+        fixed = pg.fixed_points[a]
         if not fixed:
             continue
         try:
@@ -82,15 +81,15 @@ def assert_fold_matches_the_scan(pg):
 
 
 def test_fixed_points_a1(pic_of):
-    assert fixed_points(pic_of("A1", 4), 1) == (2,)
-    assert fixed_points(pic_of("A1", 5), 1) == ()
+    assert pic_of("A1", 4).fixed_points[1] == (2,)
+    assert pic_of("A1", 5).fixed_points[1] == ()
 
 
 def test_fixed_points_a3_rotation_by_two(md_of, pic_of):
     md = md_of("A3", 2)
     pg = pic_of("A3", 2)
     jsq = pg.orders.index(2)
-    fixed = fixed_points(pg, jsq)
+    fixed = pg.fixed_points[jsq]
     assert tuple(md.weights[i] for i in fixed) == ((0, 1, 0), (1, 0, 1))
 
 
@@ -176,7 +175,7 @@ def test_asymmetric_folded_s_is_refused(pic_of, monkeypatch):
 
     original = twining.kac_peterson_S
 
-    def asymmetric(ld, config=twining.DEFAULT_CONFIG):
+    def asymmetric(ld, config):
         s = original(ld, config)
         s[0, 1] += 1e-6
         return s
@@ -262,11 +261,11 @@ def test_phi_reads_the_group_and_g_from_the_fold(pic_of):
     pg = pic_of("A3", 2)
     j = pg.orders.index(4)
     for g in range(len(pg)):
-        if not fixed_points(pg, g):
+        if not pg.fixed_points[g]:
             continue
         tsm = twining_S(pg, g)
         assert (tsm.fold.picard, tsm.fold.element) == (pg, g)
-        assert len(extract_phi(tsm, j).residues) == len(fixed_points(pg, g)) == len(tsm)
+        assert len(extract_phi(tsm, j).residues) == len(pg.fixed_points[g]) == len(tsm)
         bad = np.array(tsm.matrix, copy=True)
         bad[0, 0] += 1e-3
         with pytest.raises(LambdaDependence, match=rf"^phi ratio for \(g={g}, h={j}\) varies"):
@@ -291,7 +290,7 @@ def _a3_rows(pic_of):
     of order 2 and 4."""
     pg = pic_of("A3", 2)
     members = tuple(range(len(pg)))
-    rows = [PhiRows(pg).row(g, members) for g in members if fixed_points(pg, g)]
+    rows = [PhiRows(pg).row(g, members) for g in members if pg.fixed_points[g]]
     jsq = next(a for a in members if pg.orders[a] == 2)
     j = next(a for a in members if pg.orders[a] == 4)
     return pg, rows, jsq, j
@@ -316,7 +315,7 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
     the identity)."""
     pg, rows, jsq, j = _a3_rows(pic_of)
     g, h = ({"1": 0, "jsq": jsq, "j": j}[x] for x in tamper)
-    u = fixed_points(pg, jsq)[0]
+    u = pg.fixed_points[jsq][0]
     tampered = []
     for row in rows:
         if row.tsm.fold.element == g:
@@ -350,6 +349,53 @@ def test_shared_rows_must_belong_to_the_algebra(pic_of):
         verify_conjecture(alg, PhiRows(pic_of("A1", 2)))
 
 
+def test_rows_of_an_equal_group_are_accepted(pic_of):
+    """Phi rows of a Picard group equal to the algebra's, found again from the
+    same datum, give the report of the algebra's own group; a group of a
+    recomputed datum is another group, and its rows are refused."""
+    from wzwkit import find_simple_currents, modular_data
+
+    pg = pic_of("A3", 2)
+    again = find_simple_currents(pg.md)
+    assert again == pg and again is not pg
+    for alg in classify_algebras(pg):
+        assert verify_conjecture(alg, PhiRows(again)) == verify_conjecture(alg, PhiRows(alg.picard))
+    recomputed = find_simple_currents(modular_data("A3", 2))
+    with pytest.raises(ValueError, match="^phi rows of another Picard group$"):
+        verify_conjecture(classify_algebras(pg)[-1], PhiRows(recomputed))
+
+
+def test_fold_reads_the_groups_fixed_points(pic_of):
+    """A fold holds no fixed points of its own: every folded element of
+    (A3,2) reads the very tuple its Picard group holds."""
+    pg = pic_of("A3", 2)
+    folded = [a for a in range(len(pg)) if pg.fixed_points[a]]
+    assert len(folded) >= 2
+    for a in folded:
+        assert fold_diagram(pg, a).fixed_points is pg.fixed_points[a]
+        assert twining_S(pg, a).fold.fixed_points is pg.fixed_points[a]
+
+
+def test_the_datum_config_governs_every_later_check(md_of):
+    """twining_S and verify_modular_invariance check under the Config their
+    datum was assembled with: below the rounding error both refuse the S^w
+    and the Cardy [S, Z] (norm about 5e-16) that pass under the default."""
+    from wzwkit import Config, find_simple_currents, verify_modular_invariance
+    from wzwkit.errors import InvarianceViolation
+
+    md = md_of("A3", 2)
+    assert md.config == Config()
+    pg = find_simple_currents(md)
+    cardy = classify_algebras(pg)[0].partition
+    assert max(twining_S(pg, 0).residuals) < 1e-8
+    assert 0 < verify_modular_invariance(md, cardy) < 1e-8
+    tight = replace(md, config=Config(tolerance=1e-17))
+    with pytest.raises(NormalizationFailure, match=r"^S\^w is not (symmetric|unitary)$"):
+        twining_S(find_simple_currents(tight), 0)
+    with pytest.raises(InvarianceViolation, match="^commutator norm .* exceeds tolerance$"):
+        verify_modular_invariance(tight, cardy)
+
+
 def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     """Cross-module check: eps = phi + Xi^T built from the twining-extracted
     phi on the stabilizer of the fixed points is exactly alternating."""
@@ -361,12 +407,12 @@ def test_epsilon_from_extracted_phi_is_alternating(pic_of):
     xi = enumerate_ksbs(full)[0].xi
     rows = PhiRows(pg)
     table = {(u, g, h): r
-             for g in full.members if fixed_points(pg, g)
+             for g in full.members if pg.fixed_points[g]
              for h, vals in rows.row(g, full.members).phi
-             for u, r in zip(fixed_points(pg, g), vals.residues)}
+             for u, r in zip(pg.fixed_points[g], vals.residues)}
     jsq = pg.orders.index(2)
     stabilizer = (0, jsq)
-    for u in fixed_points(pg, jsq):
+    for u in pg.fixed_points[jsq]:
         for g in stabilizer:
             for h in stabilizer:
                 eps = (table[u, g, h]
