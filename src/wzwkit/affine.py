@@ -33,14 +33,8 @@ from math import lcm
 import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
-from .errors import (
-    NegativeFusion,
-    NonIntegerFusion,
-    NormalizationFailure,
-    NotAPermutation,
-    UnsupportedRank,
-)
-from .lietype import SimpleLieType, _check_weyl_cap, comarks, parse_lie_type, weyl_order
+from .errors import NegativeFusion, NonIntegerFusion, NormalizationFailure, NotAPermutation
+from .lietype import SimpleLieType, _check_weyl_cap, admit, comarks, parse_lie_type, weyl_order
 from .residues import format_rational, mod1
 
 Weight = tuple[int, ...]
@@ -123,7 +117,7 @@ class RootSystem:
         return self.lie_type.rank
 
 
-def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> RootSystem:
+def build_root_system(t: SimpleLieType) -> RootSystem:
     """Read the root system from closed forms: the Cartan matrix A, the
     half-lengths d_i of ``_half_lengths`` and the comarks a_i^v of
     ``lietype.comarks``.  The quadratic form is F = adj(A) D / det(A), and
@@ -135,8 +129,6 @@ def build_root_system(t: SimpleLieType, config: Config = DEFAULT_CONFIG) -> Root
     The asserts check that the tables fit the Cartan matrix: d_j A_ij =
     d_i A_ji, the marks are integers and (theta, theta) = 2.
     """
-    if t.rank > config.rank_cap:
-        raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
     cartan = _cartan_matrix(t)
     d = _half_lengths(t)
     n = t.rank
@@ -240,10 +232,10 @@ class LevelData:
 
 
 def integrable_weights(t: SimpleLieType, level: int, config: Config = DEFAULT_CONFIG) -> LevelData:
-    """Enumerate all label vectors with sum(comark_i * label_i) <= level."""
-    if level < 1:
-        raise ValueError("level must be a positive integer")
-    rs = build_root_system(t, config)
+    """Enumerate all label vectors with sum(comark_i * label_i) <= level,
+    once ``lietype.admit`` has admitted t and level under config."""
+    admit(t, level, config)
+    rs = build_root_system(t)
     out: list[Weight] = []
 
     def extend(prefix: list[int], budget: int, pos: int) -> None:
@@ -380,7 +372,7 @@ def _longest_element_is_minus_one(t: SimpleLieType) -> bool:
 S_ALGORITHM = "kpdet"
 
 
-def _kac_peterson_sum(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+def _kac_peterson_sum(ld: LevelData) -> np.ndarray:
     """The Kac-Peterson sum, sqrt(scale) S up to a phase:
 
     Shat = sum_c det(c) exp(-2 pi i (x, c^-1 y)_rest / kappa) D_J(x, c^-1 y), with
@@ -389,10 +381,10 @@ def _kac_peterson_sum(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndar
     is reduced modulo its period in integers before the exponential.
     """
     rs = ld.root_system
-    order = _check_weyl_cap(ld.lie_type, config)
     removed, sub, nodes = _classical_subsystem(ld.lie_type)
     cosets = _coset_representatives(rs, removed)
-    assert len(cosets) * weyl_order(sub) == order, "W_J is not the stabiliser of omega_p"
+    assert len(cosets) * weyl_order(sub) == weyl_order(ld.lie_type), \
+        "W_J is not the stabiliser of omega_p"
     emb, d = _orthogonal_embedding(sub)
     form, den = _integer_form(rs, d)
     kappa = ld.level + rs.dual_coxeter
@@ -410,24 +402,23 @@ def _kac_peterson_sum(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndar
     return shat
 
 
-def kac_peterson_S(ld: LevelData, config: Config = DEFAULT_CONFIG) -> np.ndarray:
+def kac_peterson_S(ld: LevelData) -> np.ndarray:
     """Shat / sqrt(scale), scale the mean of the diagonal of Shat Shat^dagger,
-    with S[0,0] real positive.  NormalizationFailure unless scale is positive,
-    the vacuum entry is nonzero and, where w0 = -1, S is real.  Its readers
-    check its symmetry and unitarity: ``_assemble`` the S of C(g, k),
-    ``twining_S`` a folded one."""
-    shat = _kac_peterson_sum(ld, config)
+    phased so S[0,0] is real positive and cast to real where w0 = -1.  It
+    reads no tolerance: NormalizationFailure only for a degenerate sum, one
+    with no positive scale or a zero vacuum entry.  Its readers check S
+    under their Config: ``_assemble`` the S of C(g, k), on a miss and a
+    cache hit alike, and ``twining_S`` a folded one."""
+    shat = _kac_peterson_sum(ld)
     scale = float(np.mean(np.real(np.diag(shat @ shat.conj().T))))
-    if scale <= 0:
+    if not scale > 0:
         raise NormalizationFailure(f"Shat of {ld.lie_type} level {ld.level} has no positive scale")
     s = shat / np.sqrt(scale)
     z = s[ld.vacuum_index, ld.vacuum_index]
-    if abs(z) < config.tolerance:
+    if z == 0:
         raise NormalizationFailure("vanishing vacuum-vacuum entry")
     s = s * (abs(z) / z)
     if _longest_element_is_minus_one(ld.lie_type):
-        if np.max(np.abs(s.imag)) > config.tolerance:
-            raise NormalizationFailure("S of a self-conjugate algebra is not real")
         s = s.real.astype(np.complex128)
     return s
 
@@ -595,15 +586,16 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     """The modular datum of the weights ld and the normalized S: h, c and the
     T-exponents from ld; Verlinde, conjugation and quantum dimensions from S.
 
-    Both the computing and the loading path end here, so this is where S is
-    checked: NormalizationFailure unless it is symmetric and unitary within
-    the tolerance.  Those two residuals and max|(ST)^3 - S^2| are kept as the
-    datum's residuals; the one S^2 serves that residual and the conjugation.
+    Both the computing and the loading path end here, so this is the one
+    place S is accepted: NormalizationFailure unless it is symmetric and
+    unitary within the tolerance (a NaN residual is neither).  Those two
+    residuals and max|(ST)^3 - S^2| are kept as the datum's residuals; the
+    one S^2 serves that residual and the conjugation.
     """
     sym, uni = s_residuals(s)
-    if sym > config.tolerance:
+    if not sym <= config.tolerance:
         raise NormalizationFailure("S is not symmetric")
-    if uni > config.tolerance:
+    if not uni <= config.tolerance:
         raise NormalizationFailure("S is not unitary")
     hs = tuple(_conformal_weights(ld))
     c = central_charge(ld)
@@ -629,9 +621,9 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
 def modular_data(t: SimpleLieType | str, level: int, config: Config = DEFAULT_CONFIG) -> ModularData:
     """Build the full modular datum for C(g, k)."""
     if isinstance(t, str):
-        t = parse_lie_type(t, config)
+        t = parse_lie_type(t)
     ld = integrable_weights(t, level, config)
-    return _assemble(ld, kac_peterson_S(ld, config), config)
+    return _assemble(ld, kac_peterson_S(ld), config)
 
 
 # --- JSON document (CLI payload; the cache keeps its key and S) -------------
@@ -683,7 +675,7 @@ def modular_data_from_doc(doc: dict, config: Config = DEFAULT_CONFIG) -> Modular
     pairs = np.array(doc["sMatrix"], dtype=np.float64)  # a copy: S must not alias doc
     if pairs.shape != (n, n, 2):
         raise ValueError("stored S-matrix has the wrong shape")
-    if not np.isfinite(pairs).all():  # NaN would slip past _assemble's tolerance tests
+    if not np.isfinite(pairs).all():  # no computed S holds NaN or inf: a bad file
         raise ValueError("stored S-matrix is not finite")
     s = pairs.view(np.complex128)[..., 0]  # exact, signed zeros included
     return _assemble(ld, s, config)

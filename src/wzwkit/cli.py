@@ -40,7 +40,7 @@ from .errors import (
     QuadraticFormViolation,
     WzwError,
 )
-from .lietype import SimpleLieType, _check_object_cap, _check_weyl_cap, parse_lie_type
+from .lietype import SimpleLieType, _check_object_cap, admit, parse_lie_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,18 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _validate(args: argparse.Namespace) -> tuple[Config, SimpleLieType | None]:
     """The Config of args and its algebra's Lie type (None for selftest).
 
-    Every input refusal is raised here, before any cache read, so a cold and
-    a warm cache refuse alike: ValueError for a bad tolerance, cap or level,
-    UnsupportedRank for a bad algebra, GroupTooLarge beyond the Weyl cap and
-    TooManyObjects beyond the object cap.
+    Every input refusal is raised here, before any cache read or numpy
+    import: ValueError for a bad tolerance or cap, UnsupportedRank for a bad
+    algebra, ``lietype.admit``'s refusals (which a miss and a cache hit make
+    again) and TooManyObjects beyond the object cap.
     """
     config = Config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(Config)})
     if args.command == "selftest":
         return config, None
-    t = parse_lie_type(args.algebra, config)
-    if args.level < 1:
-        raise ValueError("level must be a positive integer")
-    _check_weyl_cap(t, config)
+    t = parse_lie_type(args.algebra)
+    admit(t, args.level, config)
     _check_object_cap(t, args.level, config)
     return config, t
 

@@ -16,7 +16,7 @@ class Config:
                             integer before it is an error
     weyl_cap             -- refuse algebras whose Weyl group is larger than
                             this (checked from |W|; W is not enumerated)
-    rank_cap             -- refuse to build root systems of larger rank
+    rank_cap             -- refuse algebras of larger rank (``lietype.admit``)
     object_cap           -- the CLI refuses a level with more integrable
                             weights than this (counted without enumerating
                             them); the fusion table grows as their cube

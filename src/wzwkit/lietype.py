@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .config import Config, DEFAULT_CONFIG
+from .config import Config
 from .errors import GroupTooLarge, TooManyObjects, UnsupportedRank
 
 _RANK_RANGE = {
@@ -44,8 +44,8 @@ class SimpleLieType:
         return f"{self.series}{self.rank}"
 
 
-def parse_lie_type(text: str, config: Config = DEFAULT_CONFIG) -> SimpleLieType:
-    """Parse strings like "A1" or "D4", enforcing the configured rank cap.
+def parse_lie_type(text: str) -> SimpleLieType:
+    """Parse strings like "A1" or "D4"; ``admit`` applies the rank cap.
 
     The rank is ASCII digits only: str.isdigit alone would admit "²", which
     int() rejects, and "٣", which int() reads as 3.
@@ -55,10 +55,7 @@ def parse_lie_type(text: str, config: Config = DEFAULT_CONFIG) -> SimpleLieType:
     if (len(text) < 2 or text[0].upper() not in _RANK_RANGE
             or not (rank.isascii() and rank.isdigit())):
         raise UnsupportedRank(f"cannot parse Lie type {text!r}")
-    t = SimpleLieType(text[0].upper(), int(rank))
-    if t.rank > config.rank_cap:
-        raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
-    return t
+    return SimpleLieType(text[0].upper(), int(rank))
 
 
 def weyl_order(t: SimpleLieType) -> int:
@@ -79,6 +76,17 @@ def _check_weyl_cap(t: SimpleLieType, config: Config) -> int:
     if order > config.weyl_cap:
         raise GroupTooLarge(f"|W({t})| = {order} exceeds cap {config.weyl_cap}")
     return order
+
+
+def admit(t: SimpleLieType, level: int, config: Config) -> None:
+    """UnsupportedRank over the rank cap, else ValueError for a level below 1,
+    else GroupTooLarge over the Weyl cap.  ``affine.integrable_weights`` calls
+    it, so a computed S, a cached one and a fold are refused alike."""
+    if t.rank > config.rank_cap:
+        raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
+    if level < 1:
+        raise ValueError("level must be a positive integer")
+    _check_weyl_cap(t, config)
 
 
 def comarks(t: SimpleLieType) -> tuple[int, ...]:

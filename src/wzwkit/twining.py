@@ -142,19 +142,19 @@ def twining_S(pg: PicardGroup, a: int) -> TwiningSMatrix:
         matrix = np.ones((1, 1), dtype=np.complex128)
     else:
         identity = ld is md.level_data  # then S^w is S
-        s_f = md.s_matrix if identity else kac_peterson_S(ld, config)
+        s_f = md.s_matrix if identity else kac_peterson_S(ld)
         matrix = s_f[np.ix_(fold.folded, fold.folded)]
     anchor = min(range(len(fixed)), key=lambda r: (md.conformal_weights[fixed[r]], fixed[r]))
     z = matrix[anchor, anchor]
-    if abs(z) < config.tolerance:
+    if not abs(z) >= config.tolerance:  # also rejects NaN
         raise NormalizationFailure("anchor entry of S^w vanishes; cannot fix the phase")
     matrix = matrix * (abs(z) / z)
     matrix.flags.writeable = False
     tsm = TwiningSMatrix(matrix, fold)
     sym, uni = tsm.residuals
-    if sym > config.tolerance:
+    if not sym <= config.tolerance:
         raise NormalizationFailure("S^w is not symmetric")
-    if uni > config.tolerance:
+    if not uni <= config.tolerance:
         raise NormalizationFailure("S^w is not unitary")
     return tsm
 

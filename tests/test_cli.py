@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from wzwkit.affine import modular_data, modular_data_to_doc
 from wzwkit.cache import cache_key
 from wzwkit.cli import run
 from wzwkit.config import DEFAULT_CONFIG
+from wzwkit.errors import GroupTooLarge
 from wzwkit.residues import format_rational
 
 from conftest import CATALOG, canonical_json, dense
@@ -273,6 +275,41 @@ def test_a_tighter_tolerance_refuses_alike_on_a_warm_and_a_cold_cache(capsys, tm
     assert not cold.exists()
 
 
+LADDER_ALGEBRAS = [("A1", 3), ("A1", 4), ("G2", 2), ("G2", 4), ("A2", 3), ("B2", 2), ("D4", 2)]
+LADDER_TOLERANCES = ["0.5", "1e-3", "1e-8", "1e-15", "3e-16", "1e-17"]
+
+
+@pytest.fixture(scope="module")
+def warm_ladder_cache(tmp_path_factory):
+    """A cache directory holding the S of every ladder algebra, stored by a
+    run under the default options."""
+    cache_dir = tmp_path_factory.mktemp("ladder")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, k in LADDER_ALGEBRAS:
+            assert run(["modular-data", name, str(k), "--cache-dir", str(cache_dir)]) == 0
+    return cache_dir
+
+
+@pytest.mark.parametrize("tolerance", LADDER_TOLERANCES)
+@pytest.mark.parametrize("name,k", LADDER_ALGEBRAS, ids=[f"{n}-{k}" for n, k in LADDER_ALGEBRAS])
+def test_a_warm_cache_answers_as_no_cache_does(capsys, warm_ladder_cache, name, k, tolerance):
+    """Under any --tolerance, from one that admits S_00 = 0.37 to one below
+    S's rounding error, a run on a warm cache gives the exit code, standard
+    output and standard error of a --no-cache run, and leaves the file as it
+    was: S is computed without reading the tolerance and accepted only where
+    the computed and the loaded S both pass."""
+    path = warm_ladder_cache / cache_key(name[0], int(name[1:]), k)
+    blob = path.read_bytes()
+    query = ["modular-data", name, str(k), "--tolerance", tolerance]
+    outcomes = []
+    for where in (["--no-cache"], ["--cache-dir", str(warm_ladder_cache)]):
+        code = run([*query, *where])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert path.read_bytes() == blob
+
+
 def test_no_cache_flag(capsys, tmp_path):
     argv = ["modular-data", "A1", "3", "--cache-dir", str(tmp_path), "--no-cache"]
     code, _ = _run(capsys, argv)
@@ -330,8 +367,9 @@ def test_object_cap_refuses_up_front(capsys, tmp_path, argv, message):
 
 
 def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
-    """The Weyl cap is checked before the cache is read: a file stored under a
-    raised cap does not let a query at the default cap through."""
+    """The Weyl cap is checked before the cache is read, and again where the
+    stored S is rebuilt: a file stored under a raised cap lets neither a
+    query nor a library lookup at the default cap through."""
     fill = ["modular-data", "E7", "2", "--weyl-cap", "3000000", "--cache-dir", str(tmp_path)]
     assert _run(capsys, fill)[0] == 0
     assert (tmp_path / cache_key("E", 7, 2)).is_file()
@@ -340,6 +378,11 @@ def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "GroupTooLarge" in captured.err
+    # the library's lookup refuses the stored S as modular_data refuses a miss
+    with pytest.raises(GroupTooLarge) as miss:
+        modular_data("E7", 2)
+    with pytest.raises(GroupTooLarge, match=f"^{re.escape(str(miss.value))}$"):
+        cache.cache_lookup(tmp_path, "E", 7, 2)
 
 
 @pytest.mark.parametrize("option", ["--tolerance", "--integrality-tolerance"])

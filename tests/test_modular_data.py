@@ -141,19 +141,30 @@ def test_residuals_are_measured_once_bit_for_bit(name, k, md_of):
     assert md.residuals == residuals_of(md)
 
 
-def test_asymmetric_s_is_refused_when_assembled(monkeypatch):
+def _refuse_s_with_entry(monkeypatch, entry):
+    """modular_data("A1", 3) with entry added to S[0, 1] is refused as not
+    symmetric when assembled, before Verlinde reads it."""
     from wzwkit import affine
 
     original = affine.kac_peterson_S
 
-    def asymmetric(ld, config=affine.DEFAULT_CONFIG):
-        s = original(ld, config)
-        s[0, 1] += 1e-6
+    def asymmetric(ld):
+        s = original(ld)
+        s[0, 1] += entry
         return s
 
     monkeypatch.setattr(affine, "kac_peterson_S", asymmetric)
-    with pytest.raises(NormalizationFailure, match="not symmetric"):
+    with pytest.raises(NormalizationFailure, match="^S is not symmetric$"):
         modular_data("A1", 3)
+
+
+def test_asymmetric_s_is_refused_when_assembled(monkeypatch):
+    _refuse_s_with_entry(monkeypatch, 1e-6)
+
+
+def test_nan_in_s_is_refused_when_assembled(monkeypatch):
+    """A NaN residual fails the tolerance test, so Verlinde never sees it."""
+    _refuse_s_with_entry(monkeypatch, np.nan)
 
 
 @pytest.mark.parametrize("name,k", CATALOG)
@@ -256,11 +267,10 @@ def test_verlinde_rejects_negative_fusion(md_of, name, k, flip, message):
 
 
 def test_kac_peterson_normalization_check_is_live(md_of):
-    """kac_peterson_S leaves the unitarity of S to its readers, and they
-    check it: below the rounding error, _assemble refuses the S of C(g, k)
-    and, under the Config its datum carries, twining_S refuses S^w, the
-    identity's as S^w itself and the folded one (A1 at level 1, real)
-    already as kac_peterson_S's S."""
+    """kac_peterson_S reads no tolerance and leaves S to its readers, and
+    they check it: below the rounding error, _assemble refuses the S of
+    C(g, k) and, under the Config its datum carries, twining_S refuses S^w,
+    both the identity's and the folded one (A1 at level 1)."""
     from dataclasses import replace
 
     from wzwkit import Config, find_simple_currents
@@ -270,10 +280,9 @@ def test_kac_peterson_normalization_check_is_live(md_of):
     with pytest.raises(NormalizationFailure, match=r"^S is not (symmetric|unitary)$"):
         modular_data("A2", 3, tight)
     pg = find_simple_currents(replace(md_of("A3", 2), config=tight))
-    with pytest.raises(NormalizationFailure, match=r"^S\^w is not (symmetric|unitary)$"):
-        twining_S(pg, 0)
-    with pytest.raises(NormalizationFailure):
-        twining_S(pg, 2)
+    for element in (0, 2):
+        with pytest.raises(NormalizationFailure, match=r"^S\^w is not (symmetric|unitary)$"):
+            twining_S(pg, element)
 
 
 def test_conjugation_rejects_non_permutation():

@@ -287,6 +287,24 @@ def test_kac_peterson_gram_is_a_multiple_of_the_identity(md_of, algebra):
     assert np.max(np.abs(gram - scale * np.eye(len(gram)))) <= DEFAULT_CONFIG.tolerance * scale
 
 
+@pytest.mark.parametrize(
+    "algebra", [a for a in WITHIN_BUDGET if affine._longest_element_is_minus_one(parse_lie_type(a[0]))],
+    ids="{0[0]}:{0[1]}".format)
+def test_self_conjugate_sum_is_real_once_normalized(md_of, algebra):
+    """Every algebra of the draw with w0 = -1: the Kac-Peterson sum, scaled
+    and phased as kac_peterson_S does, has S_00 > 0 and an imaginary part of
+    at most 1e-12 (2.6e-15 at worst, on G2:10), so the cast to real that makes
+    the S of C(g, k) drops only rounding error."""
+    md = md_of(*algebra)
+    shat = _kac_peterson_sum(md.level_data)
+    s = shat / math.sqrt(np.mean(np.real(np.diag(shat @ shat.conj().T))))
+    z = s[md.vacuum, md.vacuum]
+    s = s * (abs(z) / z)
+    assert s[md.vacuum, md.vacuum].real > 0
+    assert np.max(np.abs(s.imag)) <= 1e-12
+    assert np.array_equal(md.s_matrix, s.real)
+
+
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
 def test_conjugation_is_a_vacuum_fixing_involution(md_of, algebra):
     """Every algebra of the draw: the conjugation, whose rows
@@ -456,8 +474,8 @@ def test_s_transforms_the_characters(md_of, monkeypatch, algebra):
     sees S summed over conjugate columns.  S with S_01 = S_10 negated (0 the
     vacuum) fails the check.  Where S is summed over more than one coset
     (E6, F4 and G2), so does the sum with any one coset's sign flipped,
-    scaled and phased as kac_peterson_S does (its refusal of a complex S
-    where w0 = -1 would stop that mutant before the check)."""
+    scaled and phased as kac_peterson_S does (its cast to real where
+    w0 = -1 would drop the part of the mutant that is not real)."""
     md = md_of(*algebra)
     near, far = _characters(md, 1.3)
 

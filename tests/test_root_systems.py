@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wzwkit import DEFAULT_CONFIG, Config, build_root_system, parse_lie_type, weyl_group
+from wzwkit import (DEFAULT_CONFIG, Config, build_root_system, integrable_weights, parse_lie_type,
+                    weyl_group)
 from wzwkit.affine import RootSystem, SimpleLieType, _adjugate, _cartan_matrix, _half_lengths
 from wzwkit.errors import GroupTooLarge, UnsupportedRank
+from wzwkit.lietype import admit
 
 
 def _root_lengths(cartan: list[list[int]]) -> list[Fraction]:
@@ -277,9 +279,25 @@ def test_rank_validation():
         parse_lie_type("D2")
     with pytest.raises(UnsupportedRank):
         parse_lie_type("H4")
-    with pytest.raises(UnsupportedRank):
-        parse_lie_type("A9")  # default rank cap is 8
     assert str(parse_lie_type("a3")) == "A3"
+    # the rank cap (8 by default) is applied where an algebra is admitted,
+    # and so wherever its weights are enumerated
+    a9 = parse_lie_type("A9")
+    for refuse in (lambda: admit(a9, 1, DEFAULT_CONFIG), lambda: integrable_weights(a9, 1)):
+        with pytest.raises(UnsupportedRank, match="^rank 9 exceeds cap 8$"):
+            refuse()
+
+
+def test_admit_refuses_rank_then_level_then_weyl_group():
+    """lietype.admit refuses in the order of the CLI: rank cap, level, Weyl cap."""
+    e8 = parse_lie_type("E8")
+    with pytest.raises(UnsupportedRank, match="^rank 8 exceeds cap 7$"):
+        admit(e8, 0, Config(rank_cap=7))
+    with pytest.raises(ValueError, match="^level must be a positive integer$"):
+        admit(e8, 0, DEFAULT_CONFIG)
+    with pytest.raises(GroupTooLarge, match=r"^\|W\(E8\)\| = 696729600 exceeds cap 1000000$"):
+        admit(e8, 1, DEFAULT_CONFIG)
+    admit(e8, 1, Config(weyl_cap=10**9))
 
 
 @pytest.mark.parametrize("text", ["A²", "A١", "A٣", "D٤"])

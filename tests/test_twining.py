@@ -168,22 +168,33 @@ def test_identity_fold_reuses_s(md_of, pic_of, monkeypatch):
     assert np.array_equal(tsm.matrix, md.s_matrix)
 
 
-def test_asymmetric_folded_s_is_refused(pic_of, monkeypatch):
-    """An A-series fold reads the folded algebra's S from kac_peterson_S,
-    which no longer checks symmetry itself: twining_S does."""
+def _refuse_folded_s_with_entry(pic_of, monkeypatch, entry):
+    """twining_S of A3:2's order-2 current, whose fold reads the folded
+    algebra's S from kac_peterson_S, with entry added to its S[0, 1], is
+    refused as not symmetric."""
     from wzwkit import twining
 
     original = twining.kac_peterson_S
 
-    def asymmetric(ld, config):
-        s = original(ld, config)
-        s[0, 1] += 1e-6
+    def asymmetric(ld):
+        s = original(ld)
+        s[0, 1] += entry
         return s
 
     monkeypatch.setattr(twining, "kac_peterson_S", asymmetric)
     pg = pic_of("A3", 2)
     with pytest.raises(NormalizationFailure, match=r"^S\^w is not symmetric$"):
         twining_S(pg, pg.orders.index(2))
+
+
+def test_asymmetric_folded_s_is_refused(pic_of, monkeypatch):
+    """kac_peterson_S no longer checks symmetry itself: twining_S does."""
+    _refuse_folded_s_with_entry(pic_of, monkeypatch, 1e-6)
+
+
+def test_nan_in_folded_s_is_refused(pic_of, monkeypatch):
+    """A NaN residual fails the tolerance test, so no S^w holds NaN."""
+    _refuse_folded_s_with_entry(pic_of, monkeypatch, np.nan)
 
 
 def test_twining_requires_fixed_points(pic_of):
