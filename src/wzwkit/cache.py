@@ -14,8 +14,8 @@ returns the modular data only, carrying the Config of the lookup as a fresh
 computation would.
 Corruption is not fatal: the caller recomputes and overwrites, with a
 warning on standard error.  An S that matches its checksum is the one that
-was stored, so when the lookup's Config refuses it (a tighter tolerance or
-Weyl cap) that refusal is raised as on a miss, and the file is kept.
+was stored, so when the lookup's Config refuses it (a tighter tolerance, Weyl
+cap or object cap) that refusal is raised as on a miss, and the file is kept.
 """
 
 from __future__ import annotations

@@ -3,13 +3,14 @@ and the number of integrable weights at a level.
 
 The closed-form comarks and ``affine``'s half-length table are the one source
 of the affine Dynkin data: ``affine.build_root_system`` reads theta, h-vee and
-dim g from them.  Numpy- and fractions-free, so the CLI can refuse a bad
-algebra, rank, Weyl-group size or weight count before the numeric stack loads.
+dim g from them.  Free of numpy, fractions and dataclasses, so the CLI can
+refuse a bad algebra, rank, Weyl-group size or weight count before the
+numeric stack loads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 from .config import Config
@@ -26,19 +27,23 @@ _RANK_RANGE = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleLieType:
-    """A simple Lie algebra series letter plus rank, e.g. A1 or D4."""
+class SimpleLieType(namedtuple("SimpleLieType", "series rank")):
+    """A simple Lie algebra series letter plus rank, e.g. A1 or D4: an
+    immutable named tuple, as ``Config`` is."""
 
-    series: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.series not in _RANK_RANGE:
-            raise UnsupportedRank(f"unknown series {self.series!r}")
-        lo, hi = _RANK_RANGE[self.series]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise UnsupportedRank(f"rank {self.rank} invalid for series {self.series}")
+    def __new__(cls, series: str, rank: int):
+        if series not in _RANK_RANGE:
+            raise UnsupportedRank(f"unknown series {series!r}")
+        lo, hi = _RANK_RANGE[series]
+        if rank < lo or (hi is not None and rank > hi):
+            raise UnsupportedRank(f"rank {rank} invalid for series {series}")
+        return super().__new__(cls, series, rank)
+
+    @classmethod
+    def _make(cls, iterable):  # through __new__, so that _replace is checked too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -80,13 +85,23 @@ def _check_weyl_cap(t: SimpleLieType, config: Config) -> int:
 
 def admit(t: SimpleLieType, level: int, config: Config) -> None:
     """UnsupportedRank over the rank cap, else ValueError for a level below 1,
-    else GroupTooLarge over the Weyl cap.  ``affine.integrable_weights`` calls
-    it, so a computed S, a cached one and a fold are refused alike."""
+    else GroupTooLarge over the Weyl cap, else TooManyObjects over the object
+    cap.  The CLI calls it before numpy loads, and ``affine.integrable_weights``
+    calls it, so a computed S, a cached one and a fold are refused alike.
+
+    Every diagram has a node of comark 1 or 2, so |P_+^k| > k/2, and a level
+    of twice the object cap or more is refused without counting: the count's
+    work stays below rank * 2 * cap.
+    """
     if t.rank > config.rank_cap:
         raise UnsupportedRank(f"rank {t.rank} exceeds cap {config.rank_cap}")
     if level < 1:
         raise ValueError("level must be a positive integer")
     _check_weyl_cap(t, config)
+    if level >= 2 * config.object_cap or object_count(t, level) > config.object_cap:
+        raise TooManyObjects(
+            f"{t} at level {level} has more than {config.object_cap} integrable weights"
+        )
 
 
 def comarks(t: SimpleLieType) -> tuple[int, ...]:
@@ -120,16 +135,3 @@ def object_count(t: SimpleLieType, level: int) -> int:
             for s in range(c, level + 1):
                 ways[s] += ways[s - c]
     return sum(w * comb(level - s + ones, ones) for s, w in enumerate(ways) if w)
-
-
-def _check_object_cap(t: SimpleLieType, level: int, config: Config) -> None:
-    """TooManyObjects when |P_+^k| exceeds config.object_cap.
-
-    Every diagram has a node of comark 1 or 2, so |P_+^k| > k/2, and a level
-    of twice the cap or more is refused without counting: the count's work
-    stays below rank * 2 * cap.
-    """
-    if level >= 2 * config.object_cap or object_count(t, level) > config.object_cap:
-        raise TooManyObjects(
-            f"{t} at level {level} has more than {config.object_cap} integrable weights"
-        )

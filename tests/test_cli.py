@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wzwkit import affine, cache, classify_algebras, cli, jsonout
+from wzwkit import affine, cache, classify_algebras, cli, jsonout, reports
 from wzwkit.affine import modular_data, modular_data_to_doc
 from wzwkit.cache import cache_key
 from wzwkit.cli import run
-from wzwkit.config import DEFAULT_CONFIG
-from wzwkit.errors import GroupTooLarge
+from wzwkit.config import DEFAULT_CONFIG, Config
+from wzwkit.errors import GroupTooLarge, TooManyObjects
 from wzwkit.residues import format_rational
 
 from conftest import CATALOG, canonical_json, dense
@@ -383,6 +383,45 @@ def test_weyl_cap_refuses_on_a_warm_cache(capsys, tmp_path):
         modular_data("E7", 2)
     with pytest.raises(GroupTooLarge, match=f"^{re.escape(str(miss.value))}$"):
         cache.cache_lookup(tmp_path, "E", 7, 2)
+
+
+def test_object_cap_refuses_in_the_library_as_in_the_cli(capsys, monkeypatch):
+    """lietype.admit applies the object cap, so modular_data refuses what the
+    CLI refuses, with the CLI's message, before S is computed."""
+    assert run(["modular-data", "A1", "1500", "--no-cache"]) == 2
+    captured = capsys.readouterr()
+
+    def admitted(ld):  # fail fast, instead of building a 1501-weight S and its fusion
+        raise AssertionError(f"{len(ld)} weights admitted")
+
+    monkeypatch.setattr(affine, "kac_peterson_S", admitted)
+    with pytest.raises(TooManyObjects) as refused:
+        modular_data("A1", 1500)
+    assert captured.err == f"wzwkit: TooManyObjects: {refused.value}\n"
+    assert str(refused.value) == "A1 at level 1500 has more than 400 integrable weights"
+
+
+def test_object_cap_refuses_on_a_warm_cache(capsys, tmp_path):
+    """A file stored under a raised object cap lets neither a query nor a
+    library lookup under a lower cap through: the lookup refuses the stored
+    S as modular_data refuses a miss.  (A1 10 has 11 weights, so a cap of 10
+    stands in for the default 400, which only a 401-weight file could test.)"""
+    fill = ["modular-data", "A1", "10", "--object-cap", "1000", "--cache-dir", str(tmp_path)]
+    assert _run(capsys, fill)[0] == 0
+    stored = tmp_path / cache_key("A", 1, 10)
+    blob = stored.read_bytes()
+    assert run(["modular-data", "A1", "10", "--object-cap", "10", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("wzwkit: TooManyObjects: "
+                            "A1 at level 10 has more than 10 integrable weights\n")
+    low = Config(object_cap=10)
+    with pytest.raises(TooManyObjects) as miss:
+        modular_data("A1", 10, low)
+    with pytest.raises(TooManyObjects, match=f"^{re.escape(str(miss.value))}$"):
+        cache.cache_lookup(tmp_path, "A", 1, 10, low)
+    assert stored.read_bytes() == blob  # refused, not taken for corruption and rewritten
+    assert cache.cache_lookup(tmp_path, "A", 1, 10) is not None  # the default cap admits it
 
 
 @pytest.mark.parametrize("option", ["--tolerance", "--integrality-tolerance"])
@@ -787,7 +826,7 @@ def test_z_is_the_sparse_entries_array(pic_of, name, k):
     """Z reaches the writer as the (m, 3) int64 array of its nonzero
     (i, j, Z_ij), in the order of a scan over the rows."""
     for alg in classify_algebras(pic_of(name, k)):
-        z = cli._algebra_blob(alg, False)[0]["Z"]
+        z = reports._algebra_blob(alg, False)[0]["Z"]
         want = [[i, j, v] for i, row in enumerate(alg.partition.tolist())
                 for j, v in enumerate(row) if v]
         assert z.dtype == np.int64 and z.shape == (len(want), 3)

@@ -1,7 +1,7 @@
 """Each command loads only the modules it uses, a launch that only prints
-help or refuses its input never loads numpy, every public name of the
-package still resolves through its lazy re-exports, and only the CLI sets
-BLAS to one thread."""
+help or refuses its input never loads numpy, ``dataclasses``, ``inspect``
+or the report builders, every public name of the package still resolves
+through its lazy re-exports, and only the CLI sets BLAS to one thread."""
 
 import json
 import os
@@ -50,15 +50,19 @@ def test_command_loads_only_its_modules(tmp_path, argv, absent):
     assert not loaded & {f"wzwkit.{name}" for name in absent}
 
 
-# Runs one launch in a fresh interpreter and prints its exit code and
-# whether it loaded numpy.
-NUMPY_LOADED = """
-import io, json, sys
+# Runs one launch in a fresh interpreter and prints its exit code, which of
+# the watched modules it added to a bare interpreter's, and which of them a
+# bare interpreter lacks.
+WATCHED = """
+import sys
+watched = {"numpy", "dataclasses", "inspect", "wzwkit.reports"}
+bare = set(sys.modules)
+import io, json
 from contextlib import redirect_stderr, redirect_stdout
 from wzwkit import cli
 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
     code = cli.run(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, sorted(watched & set(sys.modules) - bare), sorted(watched - bare)]))
 """
 
 
@@ -74,10 +78,16 @@ print(json.dumps([code, "numpy" in sys.modules]))
     pytest.param(["modular-data", "A1", "3"], 0, True, id="computing"),
 ])
 def test_only_a_computing_launch_loads_numpy(tmp_path, argv, code, numpy):
+    """A launch that ends before numpy loads only the front door: numpy,
+    dataclasses, inspect and the report builders are all first imported by
+    a computing launch."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "WZWKIT_CACHE_DIR": str(tmp_path)}
-    done = subprocess.run([sys.executable, "-c", NUMPY_LOADED, *argv],
+    done = subprocess.run([sys.executable, "-c", WATCHED, *argv],
                           capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert json.loads(done.stdout) == [code, numpy]
+    got, added, missing = json.loads(done.stdout)
+    assert got == code
+    assert "numpy" in missing and "wzwkit.reports" in missing
+    assert added == (missing if numpy else [])
 
 
 def test_every_public_name_resolves():

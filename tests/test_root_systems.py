@@ -6,7 +6,7 @@ import pytest
 from wzwkit import (DEFAULT_CONFIG, Config, build_root_system, integrable_weights, parse_lie_type,
                     weyl_group)
 from wzwkit.affine import RootSystem, SimpleLieType, _adjugate, _cartan_matrix, _half_lengths
-from wzwkit.errors import GroupTooLarge, UnsupportedRank
+from wzwkit.errors import GroupTooLarge, TooManyObjects, UnsupportedRank
 from wzwkit.lietype import admit
 
 
@@ -289,7 +289,8 @@ def test_rank_validation():
 
 
 def test_admit_refuses_rank_then_level_then_weyl_group():
-    """lietype.admit refuses in the order of the CLI: rank cap, level, Weyl cap."""
+    """lietype.admit refuses in the order of the CLI: rank cap, level, Weyl
+    cap, and the object cap last."""
     e8 = parse_lie_type("E8")
     with pytest.raises(UnsupportedRank, match="^rank 8 exceeds cap 7$"):
         admit(e8, 0, Config(rank_cap=7))
@@ -298,6 +299,10 @@ def test_admit_refuses_rank_then_level_then_weyl_group():
     with pytest.raises(GroupTooLarge, match=r"^\|W\(E8\)\| = 696729600 exceeds cap 1000000$"):
         admit(e8, 1, DEFAULT_CONFIG)
     admit(e8, 1, Config(weyl_cap=10**9))
+    with pytest.raises(GroupTooLarge):
+        admit(e8, 10**6, DEFAULT_CONFIG)
+    with pytest.raises(TooManyObjects, match="^E8 at level 1000000 has more than 400 integrable weights$"):
+        admit(e8, 10**6, Config(weyl_cap=10**9))
 
 
 @pytest.mark.parametrize("text", ["A²", "A١", "A٣", "D٤"])
