@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import NegativeFusion, NonIntegerFusion, NormalizationFailure, NotAPermutation
 from .lietype import SimpleLieType, _check_weyl_cap, admit, comarks, parse_lie_type, weyl_order
 from .residues import format_rational, mod1
+
+if TYPE_CHECKING:
+    from .picard import PicardGroup
 
 Weight = tuple[int, ...]
 
@@ -545,7 +549,7 @@ class ModularData:
     under the names of the report's checks, in that order, as measured when
     the datum was assembled, and config is the Config it was assembled and
     checked under, which every later layer reads its tolerance from.  A datum
-    compares and hashes by identity.
+    compares and hashes by identity, and holds its Picard group as `picard`.
     """
 
     level_data: LevelData
@@ -569,6 +573,13 @@ class ModularData:
 
     def __len__(self) -> int:
         return len(self.level_data)
+
+    @cached_property
+    def picard(self) -> PicardGroup:
+        """The simple currents, by `picard.find_simple_currents`, found once."""
+        from . import picard
+
+        return picard.find_simple_currents(self)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -172,20 +172,22 @@ class BimodulePicard:
 
     elements: tuple[BimoduleClass, ...]
     invariant_factors: tuple[int, ...]
-    iso_class_name: str
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    @property
+    def iso_class_name(self) -> str:
+        return groups.group_name(self.invariant_factors)
 
 
 def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
     """The group of invertible classes, realizing H* x_H Pic(C)."""
     positions, table = ring.units
-    factors = groups.invariant_factors(table)  # abelian: every ring's table is symmetric
     return BimodulePicard(
         elements=tuple(ring.basis[x] for x in positions),
-        invariant_factors=factors,
-        iso_class_name=groups.group_name(factors),
+        # abelian: every ring's table is symmetric
+        invariant_factors=groups.invariant_factors(table),
     )
 
 

@@ -95,10 +95,16 @@ def epsilon_form(
 
 @dataclass(frozen=True)
 class BoundaryCount:
-    """Per orbit of `support.orbits`: its boundary conditions and eps_U."""
+    """eps_U of each orbit of `support.orbits`, and the boundary conditions
+    read from it: #Irr of the twisted stabilizer algebra, which for abelian
+    stabilizers is |rad eps_U|, the stabilizer elements whose row of eps_U
+    vanishes."""
 
-    per_orbit: tuple[int, ...]
     forms: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def per_orbit(self) -> tuple[int, ...]:
+        return tuple(sum(not any(row) for row in eps) for eps in self.forms)
 
     @property
     def total(self) -> int:
@@ -108,8 +114,7 @@ class BoundaryCount:
 def count_boundary_conditions(
     algebra: SchellekensAlgebra, phi: Mapping[tuple[int, int, int], int] | None = None
 ) -> BoundaryCount:
-    """Simple modules per orbit of the algebra's support: #Irr of the twisted
-    stabilizer algebra, which for abelian stabilizers is |rad eps_U|: the
-    stabilizer elements whose row of eps_U vanishes.  `total` sums them."""
-    forms = tuple(epsilon_form(orbit, algebra, phi) for orbit in algebra.support.orbits)
-    return BoundaryCount(tuple(sum(not any(row) for row in eps) for eps in forms), forms)
+    """The simple modules per orbit of the algebra's support, as the eps_U
+    forms their count is read from; `total` sums them."""
+    orbits = algebra.support.orbits
+    return BoundaryCount(tuple(epsilon_form(orbit, algebra, phi) for orbit in orbits))

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,6 +34,10 @@ from . import groups
 from .affine import ModularData, RootSystem, affine_labels
 from .errors import NonIntegerEntry, QuadraticFormViolation, UnsupportedSeries
 from .residues import numerators
+
+if TYPE_CHECKING:
+    from .schellekens import SchellekensAlgebra
+    from .twining import PhiRows
 
 
 @dataclass(frozen=True)
@@ -45,7 +50,8 @@ class PicardGroup:
     in [0, charge_den).  fixed_points[a] holds the objects g_a fixes.  A group
     is a hashable value, equal to a group of the same datum md (compared by
     identity) with the same currents; the arrays and charge_den are
-    determined by md and objects, so left out of ==.
+    determined by md and objects, so left out of ==.  It holds what is
+    derived from it once: its `algebras` and its phi engine `phi_rows`.
     """
 
     md: ModularData
@@ -71,6 +77,20 @@ class PicardGroup:
         compare over the action and held once for every reader."""
         fixed = self.action == np.arange(self.action.shape[1])
         return tuple(tuple(np.flatnonzero(row).tolist()) for row in fixed)
+
+    @cached_property
+    def algebras(self) -> tuple[SchellekensAlgebra, ...]:
+        """Every algebra on a subgroup, by `schellekens.classify_algebras`."""
+        from . import schellekens
+
+        return tuple(schellekens.classify_algebras(self))
+
+    @cached_property
+    def phi_rows(self) -> PhiRows:
+        """The phi engine of the group, `twining.PhiRows`, shared by its algebras."""
+        from . import twining
+
+        return twining.PhiRows(self)
 
 
 def unit_group(

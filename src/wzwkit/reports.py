@@ -116,7 +116,7 @@ def _cmd_picard(md: ModularData, args):
     from . import picard
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md)
+    pg = md.picard
     den = pg.charge_den
     checks = []
     try:
@@ -182,14 +182,10 @@ def _algebra_blob(algebra: SchellekensAlgebra, latex: bool) -> tuple[dict, bool,
 
 
 def _cmd_invariants(md: ModularData, args):
-    from . import picard, schellekens
-
-    pg = picard.find_simple_currents(md)
-    algebras = schellekens.classify_algebras(pg)
     blobs = []
     all_ok = True
     worst = 0.0
-    for algebra in algebras:
+    for algebra in md.picard.algebras:
         blob, ok, margin = _algebra_blob(algebra, getattr(args, "latex", False))
         blobs.append(blob)
         all_ok = all_ok and ok
@@ -201,14 +197,13 @@ def _cmd_invariants(md: ModularData, args):
 
 
 def _cmd_boundaries(md: ModularData, args):
-    from . import boundary, picard, schellekens
+    from . import boundary
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md)
-    algebras = schellekens.classify_algebras(pg)
+    pg = md.picard
     blobs = []
     checks = []
-    for idx, algebra in enumerate(algebras):
+    for idx, algebra in enumerate(pg.algebras):
         orbits = algebra.support.orbits
         blob = {
             "support": [pg.objects[g] for g in algebra.support.members],
@@ -245,11 +240,10 @@ def _cmd_boundaries(md: ModularData, args):
 
 
 def _cmd_bimodules(md: ModularData, args):
-    from . import bimodule, picard, schellekens
+    from . import bimodule
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md)
-    algebras = schellekens.classify_algebras(pg)
+    pg = md.picard
 
     def classes(ring_classes) -> list[dict]:
         return [{"objectIndex": cls.object_index,
@@ -257,7 +251,7 @@ def _cmd_bimodules(md: ModularData, args):
                 for cls in ring_classes]
 
     blobs = []
-    for algebra in algebras:
+    for algebra in pg.algebras:
         blob = {
             "support": [pg.objects[g] for g in algebra.support.members],
         }
@@ -285,11 +279,9 @@ def _cmd_bimodules(md: ModularData, args):
 def _cmd_twining(md: ModularData, args):
     import numpy as np
 
-    from . import picard, twining
     from .residues import format_residue
 
-    pg = picard.find_simple_currents(md)
-    rows = twining.PhiRows(pg)
+    pg = md.picard
     everything = range(len(pg))
     blobs = []
     checks = []
@@ -305,7 +297,7 @@ def _cmd_twining(md: ModularData, args):
         if not fixed:
             continue
         try:
-            row = rows.row(a, everything)
+            row = pg.phi_rows.row(a, everything)
         except WzwError as exc:
             blob["note"] = f"{type(exc).__name__}: {exc}"
             continue
@@ -333,18 +325,16 @@ def _cmd_twining(md: ModularData, args):
 
 
 def _cmd_verify_conjecture(md: ModularData, args):
-    from . import picard, schellekens, twining
+    from . import twining
 
-    pg = picard.find_simple_currents(md)
-    algebras = schellekens.classify_algebras(pg)
-    rows = twining.PhiRows(pg)  # each g's row is built once for all supports
+    pg = md.picard
     blobs = []
     checks = []
-    for idx, algebra in enumerate(algebras):
+    for idx, algebra in enumerate(pg.algebras):
         support = [pg.objects[g] for g in algebra.support.members]
         tag = str(idx)
         try:
-            rep = twining.verify_conjecture(algebra, rows)
+            rep = twining.verify_conjecture(algebra)
         except WzwError as exc:
             blobs.append({
                 "support": support,

@@ -26,8 +26,8 @@ diagonal checks compare integers.
 
 Every consumer of phi uses one engine, `PhiRows` (S^w of one g, then phi(g, h)
 for a list of h, keeping a violation met for one h in the row, each computed
-once per Picard group), and one validator, `conjecture_checks`, which turns
-rows into the property suite.
+once per Picard group), which the group holds as `phi_rows`, and one
+validator, `conjecture_checks`, which turns rows into the property suite.
 """
 
 from __future__ import annotations
@@ -378,14 +378,12 @@ def conjecture_checks(pg: PicardGroup, rows: Iterable[PhiRow]) -> list[Conjectur
     return checks
 
 
-def verify_conjecture(algebra, rows: PhiRows) -> ConjectureReport:
+def verify_conjecture(algebra) -> ConjectureReport:
     """Property suite for the twining/6j relation over the support of an
     algebra: the validator over the rows of every g in H with fixed points,
-    each against every h in H.  `rows` is the phi engine of the algebra's
-    Picard group, or of one equal to it, shared by its algebras."""
+    each against every h in H, read from the phi engine its Picard group
+    holds (`phi_rows`), which all algebras on the group share."""
     pg = algebra.picard
-    if rows.pg != pg:
-        raise ValueError("phi rows of another Picard group")
     members = algebra.support.members
-    support_rows = (rows.row(g, members) for g in members if pg.fixed_points[g])
-    return ConjectureReport(tuple(conjecture_checks(pg, support_rows)))
+    rows = (pg.phi_rows.row(g, members) for g in members if pg.fixed_points[g])
+    return ConjectureReport(tuple(conjecture_checks(pg, rows)))

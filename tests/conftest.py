@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wzwkit.acceptance import CATALOG, Battery  # noqa: F401 (test modules import CATALOG from here)
+from wzwkit.acceptance import CATALOG, md  # noqa: F401 (test modules import CATALOG from here)
+from wzwkit.config import DEFAULT_CONFIG
 
 # Property tests draw the same examples on every run and never time out, so
 # the suite stays deterministic.
@@ -65,12 +66,12 @@ def canonical_json(doc) -> str:
 
 @pytest.fixture(scope="session")
 def md_of():
-    """Modular data builder on selftest's memo: md_of('A1', 4)."""
-    return Battery().md
+    """Modular data on selftest's memo: md_of('A1', 4)."""
+    return lambda name, level: md(name, level, DEFAULT_CONFIG)
 
 
 @pytest.fixture(scope="session")
 def pic_of():
-    """Picard group builder on selftest's memo: pic_of('A1', 4)."""
-    return Battery().pic
+    """The Picard group each datum of selftest's memo holds: pic_of('A1', 4)."""
+    return lambda name, level: md(name, level, DEFAULT_CONFIG).picard
 

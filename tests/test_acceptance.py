@@ -6,13 +6,13 @@ exactly the same battery.
 
 import pytest
 
-from wzwkit.acceptance import Battery
+from wzwkit import acceptance
 from wzwkit.config import Config
 
 
 @pytest.fixture(scope="module")
-def battery():
-    return Battery(Config())
+def config():
+    return Config()
 
 
 def _require(result):
@@ -21,48 +21,48 @@ def _require(result):
     assert result.passed, result.detail
 
 
-def test_criterion_01_s_matrix_oracle(battery):
-    _require(battery.s_matrix_oracle())
+def test_criterion_01_s_matrix_oracle(config):
+    _require(acceptance.s_matrix_oracle(config))
 
 
-def test_criterion_02_modular_relations(battery):
-    _require(battery.modular_relations())
+def test_criterion_02_modular_relations(config):
+    _require(acceptance.modular_relations(config))
 
 
-def test_criterion_03_fusion(battery):
-    _require(battery.fusion_checks())
+def test_criterion_03_fusion(config):
+    _require(acceptance.fusion_checks(config))
 
 
-def test_criterion_04_picard_groups(battery):
-    _require(battery.picard_groups())
+def test_criterion_04_picard_groups(config):
+    _require(acceptance.picard_groups(config))
 
 
-def test_criterion_05_quadratic_form(battery):
-    _require(battery.quadratic_form())
+def test_criterion_05_quadratic_form(config):
+    _require(acceptance.quadratic_form(config))
 
 
-def test_criterion_06_partition_functions(battery):
-    _require(battery.partition_functions())
+def test_criterion_06_partition_functions(config):
+    _require(acceptance.partition_functions(config))
 
 
-def test_criterion_07_boundary_counts(battery):
-    _require(battery.boundary_counts())
+def test_criterion_07_boundary_counts(config):
+    _require(acceptance.boundary_counts(config))
 
 
-def test_criterion_08_bimodule_rings(battery):
-    _require(battery.bimodule_rings())
+def test_criterion_08_bimodule_rings(config):
+    _require(acceptance.bimodule_rings(config))
 
 
-def test_criterion_09_kramers_wannier(battery):
-    _require(battery.kramers_wannier())
+def test_criterion_09_kramers_wannier(config):
+    _require(acceptance.kramers_wannier(config))
 
 
-def test_criterion_10_twining_conjecture(battery):
-    _require(battery.conjecture_suite())
+def test_criterion_10_twining_conjecture(config):
+    _require(acceptance.conjecture_suite(config))
 
 
-def test_criterion_11_determinism(battery):
-    _require(battery.determinism())
+def test_criterion_11_determinism(config):
+    _require(acceptance.determinism(config))
 
 
 def test_selftest_cli_runs_the_battery(capsys, tmp_path):
@@ -103,14 +103,12 @@ def test_selftest_weyl_cap_surfaces_cleanly(capsys):
 def test_a_crashed_criterion_keeps_its_id(monkeypatch):
     """A runner that raises is reported under its numbered id, failing, with
     the exception as its detail; the others run as usual."""
-    from wzwkit import acceptance
-
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(acceptance.picard, "verify_quadratic", boom)
     monkeypatch.setattr(acceptance.boundary, "count_boundary_conditions", boom)
-    results = {r.criterion: r for r in Battery(Config()).run_all()}
+    results = {r.criterion: r for r in acceptance.run_acceptance(Config())}
     assert list(results) == [criterion for criterion, _ in acceptance.CRITERIA]
     for criterion in ("05-quadratic-form", "07-boundary-counts"):
         r = results[criterion]

@@ -656,8 +656,12 @@ def test_verify_conjecture_builds_each_row_once(capsys, tmp_path, monkeypatch,
     assert all(s.startswith("UnsupportedFolding: folding supports only A-series") for s in skipped)
 
     verify = twining.verify_conjecture
-    monkeypatch.setattr(twining, "verify_conjecture",
-                        lambda algebra, rows: verify(algebra, twining.PhiRows(rows.pg)))
+
+    def with_a_fresh_engine(algebra):
+        vars(algebra.picard).pop("phi_rows", None)
+        return verify(algebra)
+
+    monkeypatch.setattr(twining, "verify_conjecture", with_a_fresh_engine)
     tsm_calls.clear()
     assert _run(capsys, argv) == (0, shared)
     assert len(tsm_calls) == unshared

@@ -42,7 +42,8 @@ def _loaded(tmp_path, *argv):
 @pytest.mark.parametrize("argv,absent", [
     (["modular-data", "A1", "3"],
      {"picard", "schellekens", "boundary", "bimodule", "twining", "groups", "acceptance"}),
-    (["picard", "A1", "3"], {"bimodule", "boundary", "twining"}),
+    (["picard", "A1", "3"], {"schellekens", "bimodule", "boundary", "twining"}),
+    (["invariants", "A1", "4"], {"boundary", "bimodule", "twining"}),
 ])
 def test_command_loads_only_its_modules(tmp_path, argv, absent):
     loaded = _loaded(tmp_path, *argv)

@@ -386,6 +386,36 @@ def _frobenius_schur_error(md, s):
     return float(np.max(np.abs(nu2 - expected)))
 
 
+def _off_scalar(a, b):
+    """max |a - c b| for the least-squares scalar c."""
+    c = np.vdot(b, a) / np.vdot(b, b)
+    return float(np.max(np.abs(a - c * b)))
+
+
+@pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
+def test_twining_matrices_satisfy_the_modular_relations(pic_of, algebra):
+    """Every non-identity fold of the draw: (S^w T^w)^3 = c (S^w)^2 with one
+    scalar c, where T^w is T restricted to the fold's fixed points, and
+    (S^w)^4 is a scalar.  Multiplying one fixed point's T^w by i breaks the
+    first relation on every fold with two fixed points or more."""
+    pg = pic_of(*algebra)
+    t = np.diag(t_matrix(pg.md))
+    for g in range(1, len(pg)):
+        if not pg.fixed_points[g]:
+            continue
+        try:
+            s = twining_S(pg, g).matrix
+        except WzwError:
+            continue  # a fold the catalog lacks
+        s2 = s @ s
+        tw = t[list(pg.fixed_points[g])]
+        assert _off_scalar(np.linalg.matrix_power(s * tw, 3), s2) < 1e-12
+        assert _off_scalar(s2 @ s2, np.eye(len(s))) < 1e-12
+        if len(tw) > 1:
+            tw[0] *= 1j
+            assert _off_scalar(np.linalg.matrix_power(s * tw, 3), s2) > 0.5
+
+
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
 def test_frobenius_schur_indicators(md_of, algebra):
     """Every algebra of the draw: the second Frobenius-Schur indicator read

@@ -346,34 +346,47 @@ def test_validator_catches_one_tampered_residue(check, tamper, pic_of):
     [("A1", 2), ("A1", 4), ("A1", 6), ("A1", 8), ("A2", 3), ("A3", 2), ("A3", 3), ("A2", 2)],
 )
 def test_conjecture_suite_passes(name, k, pic_of):
+    """Every algebra passes, and the group found again on the same datum, an
+    equal group with a phi engine of its own, gives each algebra the same
+    report."""
+    from wzwkit import find_simple_currents
+
     pg = pic_of(name, k)
-    shared = PhiRows(pg)
-    for alg in classify_algebras(pg):
-        report = verify_conjecture(alg, PhiRows(pg))
-        assert report.passed, [c for c in report.findings]
-        assert verify_conjecture(alg, shared) == report
-
-
-def test_shared_rows_must_belong_to_the_algebra(pic_of):
-    alg = classify_algebras(pic_of("A1", 4))[-1]
-    with pytest.raises(ValueError, match="^phi rows of another Picard group$"):
-        verify_conjecture(alg, PhiRows(pic_of("A1", 2)))
-
-
-def test_rows_of_an_equal_group_are_accepted(pic_of):
-    """Phi rows of a Picard group equal to the algebra's, found again from the
-    same datum, give the report of the algebra's own group; a group of a
-    recomputed datum is another group, and its rows are refused."""
-    from wzwkit import find_simple_currents, modular_data
-
-    pg = pic_of("A3", 2)
     again = find_simple_currents(pg.md)
-    assert again == pg and again is not pg
-    for alg in classify_algebras(pg):
-        assert verify_conjecture(alg, PhiRows(again)) == verify_conjecture(alg, PhiRows(alg.picard))
-    recomputed = find_simple_currents(modular_data("A3", 2))
-    with pytest.raises(ValueError, match="^phi rows of another Picard group$"):
-        verify_conjecture(classify_algebras(pg)[-1], PhiRows(recomputed))
+    assert again == pg and again is not pg and again.phi_rows is not pg.phi_rows
+    for alg, twin in zip(pg.algebras, again.algebras, strict=True):
+        report = verify_conjecture(alg)
+        assert report.passed, [c for c in report.findings]
+        assert twin == alg and verify_conjecture(twin) == report
+
+
+def test_each_derived_value_is_held_once(md_of, monkeypatch):
+    """A datum holds its Picard group, and the group its algebras and its phi
+    engine, each made on first read; the datum under another Config is
+    another datum with a group of its own.  Over every algebra of A5:3,
+    verify_conjecture builds S^w once per current with fixed points, the
+    identity among them."""
+    from wzwkit import Config, modular_data, twining
+
+    md = md_of("A3", 2)
+    pg = md.picard
+    assert pg is md.picard and pg.md is md
+    assert pg.algebras is pg.algebras and pg.phi_rows is pg.phi_rows and pg.phi_rows.pg is pg
+    other = replace(md, config=Config(tolerance=1e-9))
+    assert other.picard is not pg and other.picard != pg and other.picard.md is other
+
+    calls = []
+    build = twining.twining_S
+
+    def counted(pg, g):
+        calls.append(g)
+        return build(pg, g)
+
+    monkeypatch.setattr(twining, "twining_S", counted)
+    pg = modular_data("A5", 3).picard  # a datum of its own, so its engine starts empty
+    assert all(verify_conjecture(alg).passed for alg in pg.algebras)
+    folded = {g for alg in pg.algebras for g in alg.support.members if pg.fixed_points[g]}
+    assert len(folded) == 3 and sorted(calls) == sorted(folded)
 
 
 def test_fold_reads_the_groups_fixed_points(pic_of):
@@ -443,15 +456,14 @@ def test_complex_folded_matrix_a5(pic_of):
     tsm = twining_S(pg, g)
     assert tsm.matrix.shape == (3, 3)
     assert np.max(np.abs(np.imag(tsm.matrix))) > 0.4
-    rows = PhiRows(pg)
-    for alg in classify_algebras(pg):
-        report = verify_conjecture(alg, rows)
+    for alg in pg.algebras:
+        report = verify_conjecture(alg)
         assert report.passed, [str(c) for c in report.findings]
 
 
 def test_conjecture_margins_are_tiny(pic_of):
     pg = pic_of("A3", 2)
-    full = [c for c in classify_algebras(pg) if len(c.support) == 4][0]
-    report = verify_conjecture(full, PhiRows(pg))
+    full = [c for c in pg.algebras if len(c.support) == 4][0]
+    report = verify_conjecture(full)
     worst = max(c.margin for c in report.checks if c.margin is not None)
     assert worst < 1e-8
