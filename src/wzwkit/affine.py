@@ -8,7 +8,8 @@ Conventions:
   Cartan matrix and D = diag((alpha_i, alpha_i)/2).  D is a table per series
   and A^{-1} = adj(A) / det(A), checked exactly in integers.
 * The level-k simple objects are the integrable highest weights with
-  sum(comark_i * label_i) <= k, sorted lexicographically (vacuum first).
+  sum(comark_i * label_i) <= k, sorted lexicographically, so the vacuum, the
+  zero weight, is object 0.
 * Conformal weights h, the central charge c and all T-data are exact
   rationals; the S-matrix is double precision.
 * The fusion rules are the sorted (m, 4) int64 table of the nonzero
@@ -218,7 +219,6 @@ class LevelData:
     root_system: RootSystem
     level: int
     weights: tuple[Weight, ...]
-    vacuum_index: int
 
     @property
     def lie_type(self) -> SimpleLieType:
@@ -254,8 +254,7 @@ def integrable_weights(t: SimpleLieType, level: int, config: Config = DEFAULT_CO
 
     extend([], level, 0)
     out.sort()
-    vacuum = out.index(tuple([0] * rs.rank))
-    return LevelData(rs, level, tuple(out), vacuum)
+    return LevelData(rs, level, tuple(out))
 
 
 def affine_labels(ld: LevelData, weight: Weight) -> tuple[int, ...]:
@@ -418,7 +417,7 @@ def kac_peterson_S(ld: LevelData) -> np.ndarray:
     if not scale > 0:
         raise NormalizationFailure(f"Shat of {ld.lie_type} level {ld.level} has no positive scale")
     s = shat / np.sqrt(scale)
-    z = s[ld.vacuum_index, ld.vacuum_index]
+    z = s[0, 0]
     if z == 0:
         raise NormalizationFailure("vanishing vacuum-vacuum entry")
     s = s * (abs(z) / z)
@@ -520,7 +519,7 @@ def fusion_rows(table: np.ndarray, xs, n: int) -> np.ndarray:
     return block
 
 
-def conjugation_from_S(s2: np.ndarray, vacuum: int, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
+def conjugation_from_S(s2: np.ndarray, config: Config = DEFAULT_CONFIG) -> tuple[int, ...]:
     """The permutation C = S^2 as i -> i_bar, read from the S^2 given:
     NotAPermutation unless each row of S^2 is a permutation row and C fixes
     the vacuum.  ``_assemble`` has checked S symmetric and unitary, so S^2 is
@@ -532,7 +531,7 @@ def conjugation_from_S(s2: np.ndarray, vacuum: int, config: Config = DEFAULT_CON
         np.abs(np.imag(s2)).max(axis=1) < config.tolerance)
     if not ok.all():
         raise NotAPermutation(f"row {int(np.argmin(ok))} of S^2 is not a permutation row")
-    if perm[vacuum] != vacuum:
+    if perm[0] != 0:
         raise NotAPermutation("S^2 is not a vacuum-fixing permutation")
     return tuple(perm.tolist())
 
@@ -569,7 +568,8 @@ class ModularData:
 
     @property
     def vacuum(self) -> int:
-        return self.level_data.vacuum_index
+        """The vacuum's index: 0, as the zero weight sorts first."""
+        return 0
 
     def __len__(self) -> int:
         return len(self.level_data)
@@ -614,7 +614,6 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
     t = np.diag(np.exp(2j * np.pi * np.array([float(x) for x in t_exponents])))
     s2 = s @ s
     st = float(np.max(np.abs(np.linalg.matrix_power(s @ t, 3) - s2)))
-    v = ld.vacuum_index
     return ModularData(
         level_data=ld,
         conformal_weights=hs,
@@ -622,8 +621,8 @@ def _assemble(ld: LevelData, s: np.ndarray, config: Config) -> ModularData:
         t_exponents=t_exponents,
         s_matrix=_freeze(s),
         fusion=_freeze(verlinde_fusion(s, config)),
-        quantum_dims=_freeze(np.real(s[v] / s[v, v])),
-        conjugation=conjugation_from_S(s2, v, config),
+        quantum_dims=_freeze(np.real(s[0] / s[0, 0])),
+        conjugation=conjugation_from_S(s2, config),
         residuals=(("s-symmetric", sym), ("s-unitary", uni), ("st-cubed-is-s-squared", st)),
         config=config,
     )

@@ -60,12 +60,12 @@ class BimoduleClass:
 class BimoduleRing:
     """Fusion ring of bimodule classes with non-negative integer structure,
     held as the read-only (m, 4) int64 table of the nonzero (x, y, z, N_xy^z)
-    sorted by (x, y, z)."""
+    sorted by (x, y, z).  The basis lists orbits by least object, then characters
+    by value, so the unit (the vacuum with the trivial character) is class 0."""
 
     algebra: SchellekensAlgebra
     basis: tuple[BimoduleClass, ...]
     structure: np.ndarray
-    unit: int
     dual: np.ndarray  # [x]: position of the dual class, (i_bar, -psi) for (i, psi)
 
     def __len__(self) -> int:
@@ -75,7 +75,7 @@ class BimoduleRing:
     def units(self) -> tuple[tuple[int, ...], groups.Table]:
         """The positions of the invertible classes, unit first, and their
         group table, as `unit_group` reads them from the structure."""
-        positions, _, table = unit_group(self.structure, len(self), self.unit)
+        positions, _, table = unit_group(self.structure, len(self))
         return positions, table
 
 
@@ -151,7 +151,6 @@ def _build_ring(algebra: SchellekensAlgebra, pointed: bool) -> BimoduleRing:
         algebra=algebra,
         basis=basis,
         structure=structure,
-        unit=int(canon[md.vacuum, 0]),
         dual=dual,
     )
 

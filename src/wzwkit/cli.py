@@ -149,6 +149,9 @@ def run(argv: list[str]) -> int:
         # interpreter's at exit when run() is called from Python)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except MemoryError as exc:  # what was written stays on standard output, cut short
+        print(f"wzwkit: MemoryError: {exc}", file=sys.stderr)
+        return 2
     failed = any(not c["pass"] for c in checks)
     if failed and (args.strict or args.command == "selftest"):
         return 3

@@ -93,23 +93,20 @@ class PicardGroup:
         return twining.PhiRows(self)
 
 
-def unit_group(
-    structure: np.ndarray, n: int, unit: int
-) -> tuple[tuple[int, ...], np.ndarray, groups.Table]:
-    """The invertible basis elements of a rank-n fusion ring, held as its
-    sorted (m, 4) table of nonzero (i, j, k, N_ij^k).
+def unit_group(structure: np.ndarray, n: int) -> tuple[tuple[int, ...], np.ndarray, groups.Table]:
+    """The invertible basis elements of a rank-n fusion ring with unit 0,
+    held as its sorted (m, 4) table of nonzero (i, j, k, N_ij^k).
 
     x is invertible exactly when x (x) j is simple for every j.  Each j gives
     x's block at least one row, so those x are the ones whose block holds
     exactly n rows: then x (x) x_bar, which holds the unit once, is the unit,
-    and the block is (x, j, x.j, 1) in the order of j.  Returns them, unit
-    first and then ascending; perm[a, j] = x_a . j, the k column of x_a's
+    and the block is (x, j, x.j, 1) in the order of j.  Returns them
+    ascending, so the unit first; perm[a, j] = x_a . j, the k column of x_a's
     block; and the group table read off that action.
     """
     first, xs = structure[:, 0], np.arange(n)
     lo = np.searchsorted(first, xs)
-    found = xs[np.searchsorted(first, xs, side="right") - lo == n]
-    elements = found[np.argsort(found != unit, kind="stable")]  # unit first, the rest ascending
+    elements = xs[np.searchsorted(first, xs, side="right") - lo == n]
     perms = structure[lo[elements, None] + xs, 2]  # [a, j]
     index_of = np.full(n, -1, dtype=np.intp)
     index_of[elements] = np.arange(len(elements))
@@ -120,7 +117,7 @@ def unit_group(
 def find_simple_currents(md: ModularData) -> PicardGroup:
     """Detect Pic(C) as the units of the fusion table, with exact twists; its
     table is abelian, as Verlinde's fusion table is symmetric in i and j."""
-    objects, action, table = unit_group(md.fusion, len(md), md.vacuum)
+    objects, action, table = unit_group(md.fusion, len(md))
     action.flags.writeable = False
     charges, charge_den = charge_table(md, action, table)
     twists = numerators([md.conformal_weights[obj] for obj in objects], charge_den)
@@ -168,32 +165,32 @@ def charge_table(md: ModularData, action: np.ndarray, table: groups.Table) -> tu
 def verify_quadratic(pg: PicardGroup) -> None:
     """Check q(g^n) = n^2 q(g), bi-additivity of b, and b(g,h) = -Q_g(h).
 
-    All identities are integer array comparisons on the grid of charge_den;
-    the first failure in scan order (every (g, n), then each (g, h) followed
-    by its (g, e, h)) raises QuadraticFormViolation.
+    All identities are integer comparisons on the grid of charge_den, scanned
+    over every (g, n), then each (g, h) followed by its (g, e, h); the first
+    failure raises QuadraticFormViolation.
     """
     den = pg.charge_den
-    q = -pg.twists % den
-    t = np.array(pg.table, dtype=np.intp)
+    q = (-pg.twists % den).tolist()
+    t = pg.table
     n = len(pg)
-    m = np.arange(pg.exponent + 1)
-    powers = np.zeros((n, len(m)), dtype=np.intp)  # [a, m]: g_a^m
-    for k in m[1:]:
-        powers[:, k] = t[powers[:, k - 1], np.arange(n)]
-    bad = np.argwhere(q[powers] != m * m * q[:, None] % den)
-    if len(bad):
-        a, k = bad[0]
-        raise QuadraticFormViolation(f"q(g^{k}) != {k}^2 q(g) for element {a}")
-    b = (q[t] - q[:, None] - q) % den  # [a, c]: b(g_a, g_c)
-    not_q = b != -pg.charges[list(pg.objects)] % den  # [a, c]
-    not_additive = (b[t] != (b[:, None] + b) % den).transpose(0, 2, 1)  # [a, c, e]
-    bad = np.argwhere(not_q | not_additive.any(axis=2))
-    if len(bad):
-        a, c = bad[0]
-        if not_q[a, c]:
-            raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
-        e = not_additive[a, c].argmax()
-        raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
+    for a in range(n):
+        power = 0  # g_a^k
+        for k in range(pg.exponent + 1):
+            if q[power] != k * k * q[a] % den:
+                raise QuadraticFormViolation(f"q(g^{k}) != {k}^2 q(g) for element {a}")
+            power = t[power][a]
+    minus_q = (-pg.charges[list(pg.objects)] % den).tolist()  # [a, c]: -Q_{g_a}(g_c)
+
+    def b(a: int, c: int) -> int:
+        return (q[t[a][c]] - q[a] - q[c]) % den
+
+    for a in range(n):
+        for c in range(n):
+            if b(a, c) != minus_q[a][c]:
+                raise QuadraticFormViolation(f"b != -Q for pair ({a}, {c})")
+            for e in range(n):
+                if b(t[a][e], c) != (b(a, c) + b(e, c)) % den:
+                    raise QuadraticFormViolation(f"b not bi-additive at ({a}, {e}, {c})")
 
 
 # --- diagram automorphisms -----------------------------------------------------

@@ -18,11 +18,10 @@ The 6j-scalar phi_{U}(g, h) is recovered from the ratio identity
 which must be independent of the reference fixed point `ref`; that
 independence is the testable content of the conjecture and is enforced here,
 never assumed.  theta_ref(h) is evaluated once per reference row from the
-integer charge table, the ratios of all columns form one array, and the
-reference dependence of a column is the diameter of its candidate set, taken
-over all pairs at once.  A snapped phi is a residue over the Picard group's
-`charge_den`, like the twists it is checked against, so the additivity and
-diagonal checks compare integers.
+integer charge table; the columns are scanned in order, and the reference
+dependence of a column is the diameter of its candidate set.  A snapped phi
+is a residue over the Picard group's `charge_den`, like the twists it is
+checked against, so the additivity and diagonal checks compare integers.
 
 Every consumer of phi uses one engine, `PhiRows` (S^w of one g, then phi(g, h)
 for a list of h, keeping a violation met for one h in the row, each computed
@@ -159,9 +158,6 @@ def twining_S(pg: PicardGroup, a: int) -> TwiningSMatrix:
     return tsm
 
 
-_PAIR_BUDGET = 1 << 18  # candidate pairs held at once by the spread computation
-
-
 @dataclass(frozen=True)
 class PhiValues:
     """Snapped phi residues over charge_den for one (g, h) pair, one per
@@ -180,80 +176,59 @@ def extract_phi(tsm: TwiningSMatrix, h: int) -> PhiValues:
     the returned residues are normalized additively so that the diagonal
     phi(g, g) equals +h_g mod 1, matching the KSB tables elsewhere in the
     package; each is p/exponent, stored as an integer over charge_den.
-    Raises LambdaDependence if the ratio varies with the reference
-    weight beyond tolerance (a conjecture violation), SnapFailure if a phase
-    is not a small root of unity.
-
-    The columns are checked as arrays but reported as a scan in column order
-    would: the first failing column raises, and within it the first of
-    |S^w| mismatch (at its first reference row), no usable row, spread,
-    modulus and snap that fails.
+    The columns are scanned in order, and the first to fail raises: a
+    LambdaDependence for an |S^w| mismatch, no usable reference row, a ratio
+    that varies with the reference weight beyond tolerance (a conjecture
+    violation) or a modulus off 1, a SnapFailure if a phase is not a small
+    root of unity.
     """
     pg, g, fixed = tsm.fold.picard, tsm.fold.element, tsm.fold.fixed_points
     tol = pg.md.config.tolerance
     zero_floor = math.sqrt(tol)
     denom = pg.exponent
+    grid = pg.charge_den
     # h commutes with g, so it permutes the fixed points of g: column c pairs
     # with the column of h.fixed[c]
-    ncol = len(fixed)
     c2 = np.searchsorted(fixed, pg.action[h, list(fixed)])
     m = tsm.matrix
     small = np.hypot(m.real, m.imag) < zero_floor
-    num, den = m.T, m[:, c2].T  # [column, reference row]
-    num_small, den_small = small.T, small[:, c2].T
-    mismatch = num_small != den_small
-    usable = ~(num_small | den_small)
-    grid = pg.charge_den
     theta = np.array([cmath.exp(2j * cmath.pi * (-q % grid / grid))
                       for q in pg.charges[list(fixed), h].tolist()], dtype=np.complex128)
-    # theta * num spelt out in real arithmetic, which is bit-equal to the
-    # scalar complex product (numpy's array complex multiply is not)
-    cand = np.empty(num.shape, dtype=np.complex128)
-    cand.real = theta.real * num.real - theta.imag * num.imag
-    cand.imag = theta.real * num.imag + theta.imag * num.real
-    cand /= np.where(usable, den, 1.0)
-    # spread: the diameter of each column's usable candidates, in column blocks
-    spread = np.zeros(ncol)
-    step = max(1, _PAIR_BUDGET // max(1, len(fixed) ** 2))
-    for lo in range(0, ncol, step):
-        block, ok = cand[lo:lo + step], usable[lo:lo + step]
-        diff = block[:, :, None] - block[:, None, :]
-        dist = np.hypot(diff.real, diff.imag)
-        dist[~(ok[:, :, None] & ok[:, None, :])] = 0.0
-        spread[lo:lo + step] = dist.max(axis=(1, 2), initial=0.0)
-    first_usable = usable.argmax(axis=1) if ncol else np.zeros(0, dtype=np.intp)
-    value = cand[np.arange(ncol), first_usable]
-    modulus = np.hypot(value.real, value.imag)
-    failing = np.flatnonzero(
-        mismatch.any(axis=1) | ~usable.any(axis=1) | (spread > tol)
-        | (np.abs(modulus - 1.0) > zero_floor)
-    )
-    stop = int(failing[0]) if len(failing) else ncol
-    out = []
-    for c in range(stop):
+    out, diameters = [], []
+    for c in range(len(fixed)):
+        mismatch = small[:, c] != small[:, c2[c]]
+        if mismatch.any():
+            raise LambdaDependence(f"|S^w| mismatch between columns {c} and {c2[c]} "
+                                   f"at reference {fixed[int(mismatch.argmax())]}")
+        ref = ~small[:, c]  # the usable reference rows: both entries away from zero
+        if not ref.any():
+            raise LambdaDependence(f"no usable reference row for fixed point {fixed[c]}")
+        t, num = theta[ref], m[ref, c]
+        # theta * num spelt out in real arithmetic, which is bit-equal to the
+        # scalar complex product (numpy's array complex multiply is not)
+        cand = np.empty(len(num), dtype=np.complex128)
+        cand.real = t.real * num.real - t.imag * num.imag
+        cand.imag = t.real * num.imag + t.imag * num.real
+        cand /= m[ref, c2[c]]
+        diff = cand[:, None] - cand
+        diameter = float(np.hypot(diff.real, diff.imag).max())
+        if diameter > tol:
+            raise LambdaDependence(f"phi ratio for (g={g}, h={h}) varies with the "
+                                   f"reference by {diameter:.3e}")
+        diameters.append(diameter)
+        value = cand[0]
+        modulus = np.hypot(value.real, value.imag)
+        if abs(modulus - 1.0) > zero_floor:
+            raise LambdaDependence(f"phi candidate has modulus {modulus:.6f}, not 1")
         # store additively with the +h_g diagonal convention
-        phase = (-cmath.phase(value[c]) / (2 * math.pi)) % 1.0
+        phase = (-cmath.phase(value) / (2 * math.pi)) % 1.0
         snapped = snap_to_residue(phase, denom, 1e-6)
         if snapped is None:
             raise SnapFailure(
                 f"phase {phase:.9f} is not within 1e-6 of a multiple of 1/{denom}"
             )
         out.append(snapped * (grid // denom))
-    if stop < ncol:
-        c = stop
-        if mismatch[c].any():
-            ref = fixed[int(mismatch[c].argmax())]
-            raise LambdaDependence(
-                f"|S^w| mismatch between columns {c} and {c2[c]} at reference {ref}"
-            )
-        if not usable[c].any():
-            raise LambdaDependence(f"no usable reference row for fixed point {fixed[c]}")
-        if spread[c] > tol:
-            raise LambdaDependence(
-                f"phi ratio for (g={g}, h={h}) varies with the reference by {spread[c]:.3e}"
-            )
-        raise LambdaDependence(f"phi candidate has modulus {modulus[c]:.6f}, not 1")
-    return PhiValues(tuple(out), float(spread.max(initial=0.0)))
+    return PhiValues(tuple(out), float(np.max(diameters, initial=0.0)))  # keeps a NaN
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def _assert_associative(ring):
 
 def _assert_unit(ring):
     n = len(ring)
-    e = ring.unit
+    e = 0  # the unit is class 0
     structure = dense(ring.structure, n)
     for x in range(n):
         assert np.array_equal(structure[e, x], np.eye(n, dtype=np.int64)[x])
@@ -166,7 +166,7 @@ def test_tampered_ring_fails_closure(tamper, message, pic_of):
     assert [cls.object_index for cls in ring.basis] == list(range(5))
     bad = quadruples(tamper(dense(ring.structure, 5)))
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        dense_unit_group(bad, len(ring), ring.unit)
+        dense_unit_group(bad, len(ring))
 
 
 def test_ising_bimodule_picard(pic_of):
@@ -210,7 +210,7 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
                 continue
             n = len(ring)
             structure = dense(ring.structure, n)
-            assert np.array_equal(structure[:, :, ring.unit], np.eye(n, dtype=np.int64)[ring.dual])
+            assert np.array_equal(structure[:, :, 0], np.eye(n, dtype=np.int64)[ring.dual])
 
 
 def fusion_rows_kramers_wannier(ring):
@@ -218,15 +218,15 @@ def fusion_rows_kramers_wannier(ring):
     b (x) b_dual from the table in one pass: the dense (1, n, n) block of b's
     row, read by fusion_rows, at column b_dual, whose unit multiplicity must
     be one, with the invertible classes found by the dense oracle."""
-    invertible = set(dense_unit_group(ring.structure, len(ring), ring.unit)[0])
+    invertible = set(dense_unit_group(ring.structure, len(ring))[0])
     out = []
     for x, cls in enumerate(ring.basis):
         if x in invertible:
             continue
         row = fusion_rows(ring.structure, [x], len(ring))[0, ring.dual[x]]
-        if row[ring.unit] != 1:
+        if row[0] != 1:
             raise AssertionError(
-                f"unit multiplicity {row[ring.unit]} in b (x) b_dual for basis element {x}"
+                f"unit multiplicity {row[0]} in b (x) b_dual for basis element {x}"
             )
         if all(int(k) in invertible for k in np.nonzero(row)[0]):
             out.append(cls)

@@ -343,6 +343,20 @@ def test_refused_allocation_exits_2(capsys, monkeypatch, command):
     assert captured.err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+def test_refused_allocation_while_writing_exits_2(capsys, monkeypatch, pretty):
+    """An allocation refused while the report is written (as numpy's for a
+    big table's literals) ends the run as one refused before it: exit 2 and
+    one line naming the public MemoryError on stderr, no traceback."""
+    def refuse(a):
+        raise MemoryError("Unable to allocate 25.2 GiB")
+
+    monkeypatch.setattr(jsonout, "literal_table", refuse)
+    monkeypatch.setattr(reports, "print_pretty", lambda report: refuse(None))
+    assert run(["modular-data", "A1", "3", "--no-cache", *pretty]) == 2
+    assert capsys.readouterr().err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["modular-data", "A1", "1500"],
                  "A1 at level 1500 has more than 400 integrable weights", id="A1-1500"),

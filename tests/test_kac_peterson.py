@@ -44,7 +44,7 @@ def weyl_sum_S(ld):
     for mat, sign in zip(w.matrices, w.signs):
         shat += sign * np.exp(-2j * np.pi * ((shifted @ mat.T) @ fp) / kappa)
     s = shat / np.sqrt(np.mean(np.real(np.diag(shat @ shat.conj().T))))
-    z = s[ld.vacuum_index, ld.vacuum_index]
+    z = s[0, 0]
     return s * (abs(z) / z)
 
 

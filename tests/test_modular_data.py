@@ -36,7 +36,7 @@ def test_weight_counts(name, k, count, md_of):
 def test_weight_order_is_lexicographic_with_vacuum_first():
     ld = integrable_weights(parse_lie_type("A2"), 2)
     assert ld.weights == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-    assert ld.vacuum_index == 0
+    assert ld.weights[0] == (0, 0)  # the vacuum is object 0
     ld3 = integrable_weights(parse_lie_type("A3"), 2)
     assert list(ld3.weights) == sorted(ld3.weights)
     assert len(ld3.weights) == len(set(ld3.weights))
@@ -292,7 +292,7 @@ def test_conjugation_rejects_non_permutation():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(m)
     with pytest.raises(NotAPermutation):
-        conjugation_from_S(q @ q, 0)
+        conjugation_from_S(q @ q)
 
 
 @pytest.mark.parametrize("cycle,message", [
@@ -303,7 +303,7 @@ def test_conjugation_refusals_name_their_check(cycle, message):
 
     s = np.eye(len(cycle))[cycle].astype(complex)
     with pytest.raises(NotAPermutation, match=f"^{re.escape(message)}$"):
-        conjugation_from_S(s @ s, 0)
+        conjugation_from_S(s @ s)
 
 
 @pytest.mark.parametrize("diagonal,row", [
@@ -316,7 +316,7 @@ def test_conjugation_names_the_first_failing_row(diagonal, row):
 
     s2 = np.diag(np.array(diagonal, dtype=complex))
     with pytest.raises(NotAPermutation, match=f"^row {row} of S\\^2 is not a permutation row$"):
-        conjugation_from_S(s2, 0)
+        conjugation_from_S(s2)
 
 
 def test_json_round_trip(md_of):

@@ -25,23 +25,21 @@ def perm_order(perm):
     return order
 
 
-def dense_unit_group(structure, n, unit):
-    """The invertible basis elements of a rank-n fusion ring as the library
-    found them before it counted rows: every element's dense row block, read
-    by fusion_rows, tested for a permutation matrix, and the group they make
-    checked to close.  Returns (elements, perms, table) as unit_group does;
-    a unit row that is not the identity, a product that is not invertible or
-    a composed permutation that is not the product's raises AssertionError,
-    the first failing pair in scan order."""
+def dense_unit_group(structure, n):
+    """The invertible basis elements of a rank-n fusion ring with unit 0, as
+    the library found them before it counted rows: every element's dense row
+    block, read by fusion_rows, tested for a permutation matrix, and the
+    group they make checked to close.  Returns (elements, perms, table) as
+    unit_group does; a unit row that is not the identity, a product that is
+    not invertible or a composed permutation that is not the product's
+    raises AssertionError, the first failing pair in scan order."""
     cand = np.arange(n)
     rows = fusion_rows(structure, cand, n)  # [c, j, k]
     is_perm = (((rows == 0) | (rows == 1)).all(axis=(1, 2))
                & (rows.sum(axis=2) == 1).all(axis=1) & (rows.sum(axis=1) == 1).all(axis=1))
-    found = cand[is_perm]
-    order = np.argsort(found != unit, kind="stable")  # unit first, the rest ascending
-    elements = found[order]
-    perms = rows[is_perm].argmax(axis=2)[order]  # [a, j]
-    if not len(elements) or elements[0] != unit or (perms[0] != np.arange(n)).any():
+    elements = cand[is_perm]  # ascending, so the unit first
+    perms = rows[is_perm].argmax(axis=2)  # [a, j]
+    if not len(elements) or elements[0] != 0 or (perms[0] != np.arange(n)).any():
         raise AssertionError("vacuum fusion row is not the identity permutation")
     index_of = np.full(n, -1, dtype=np.intp)
     index_of[elements] = np.arange(len(elements))
@@ -326,7 +324,7 @@ def test_tampered_fusion_fails_closure(tamper, message, md_of):
     md = md_of("A1", 4)
     bad = quadruples(tamper(dense(md.fusion, len(md))))
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        dense_unit_group(bad, len(md), md.vacuum)
+        dense_unit_group(bad, len(md))
 
 
 @pytest.mark.parametrize("name,k", [*CATALOG, ("D3", 2), ("C3", 2), ("B3", 2)])

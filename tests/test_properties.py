@@ -89,7 +89,7 @@ def test_ring_tables_match_the_add_at_oracle(pic_of, algebra):
             ring, objects = build_pointed_bimodule_ring(alg), sorted(pg.objects)
         assert_sorted_symmetric_table(ring.structure, len(ring))
         basis, structure, unit, dual = add_at_ring(alg, list(objects))
-        assert ring.basis == basis and ring.unit == unit
+        assert ring.basis == basis and unit == 0  # the unit is class 0
         assert np.array_equal(ring.dual, dual)
         assert np.array_equal(ring.structure, quadruples(structure))
 
@@ -188,7 +188,7 @@ def test_unit_groups_match_the_dense_oracle(pic_of, algebra):
     and no other product holds it."""
     pg = pic_of(*algebra)
     md = pg.md
-    objects, action, table = dense_unit_group(md.fusion, len(md), md.vacuum)
+    objects, action, table = dense_unit_group(md.fusion, len(md))
     assert (pg.objects, pg.table) == (objects, table) and np.array_equal(pg.action, action)
     rings = [(md.fusion, md.vacuum, md.conjugation)]
     for alg in classify_algebras(pg):
@@ -198,9 +198,9 @@ def test_unit_groups_match_the_dense_oracle(pic_of, algebra):
         except FixedPointsPresent:
             pass
         for ring in built:
-            positions, _, table = dense_unit_group(ring.structure, len(ring), ring.unit)
+            positions, _, table = dense_unit_group(ring.structure, len(ring))
             assert ring.units == (positions, table)
-            rings.append((ring.structure, ring.unit, ring.dual))
+            rings.append((ring.structure, 0, ring.dual))
     for structure, unit, dual in rings:
         n = len(dual)
         pairs = np.column_stack((np.arange(n), dual, np.full(n, unit), np.ones(n, dtype=np.int64)))
@@ -315,6 +315,45 @@ def test_conjugation_is_a_vacuum_fixing_involution(md_of, algebra):
     assert sorted(c) == list(range(len(md)))
     assert c[md.vacuum] == md.vacuum
     assert all(c[c[i]] == i for i in range(len(md)))
+
+
+def _symplectic(rank):
+    return "A1" if rank == 1 else f"C{rank}"  # C1 is A1
+
+
+# (C_n:k, C_k:n) for n <= k, each pair of the draw once; C_n:n is its own dual
+_IN_DRAW = {(1 if name == "A1" else int(name[1:]), k)
+            for name, k in WITHIN_BUDGET if name == "A1" or name[0] == "C"}
+LEVEL_RANK = [((_symplectic(n), k), (_symplectic(k), n))
+              for n, k in sorted(_IN_DRAW) if n <= k and (k, n) in _IN_DRAW]
+
+
+def young_transpose(weight, level):
+    """The level-rank image of a C_n weight at level k, a C_k weight at level n:
+    its Young diagram p_i = sum_{j >= i} lambda_j, which fits an n x k box,
+    transposed and read back as labels."""
+    rows = list(itertools.accumulate(reversed(weight)))[::-1]
+    columns = [sum(p >= j for p in rows) for j in range(1, level + 1)]
+    return tuple(a - b for a, b in zip(columns, [*columns[1:], 0]))
+
+
+@pytest.mark.parametrize("pair", LEVEL_RANK, ids=lambda p: "{0[0]}:{0[1]}-{1[0]}:{1[1]}".format(*p))
+def test_symplectic_level_rank_duality(md_of, pair):
+    """Every dual pair of the draw: transposing the Young diagram is a
+    bijection of the weights, S_{lambda mu} = S'_{lambda^T mu^T} with no sign,
+    and h_lambda + h_{lambda^T} = |lambda| / 2 mod 1 exactly, |lambda| the
+    number of boxes (Mlawer, Naculich, Riggs and Schnitzer, Nucl. Phys. B352
+    (1991) 863).  On the self-dual C2:2 and C3:3, leaving the weights
+    untransposed passes S: only h catches it."""
+    (name, k), (dual_name, n) = pair
+    md, dual = md_of(name, k), md_of(dual_name, n)
+    image = [dual.level_data.index(young_transpose(w, k)) for w in md.weights]
+    assert sorted(image) == list(range(len(dual)))
+    assert np.max(np.abs(md.s_matrix - dual.s_matrix[np.ix_(image, image)])) < 1e-12
+    for h, w, h_dual in zip(md.conformal_weights, md.weights,
+                            (dual.conformal_weights[i] for i in image)):
+        boxes = sum(itertools.accumulate(reversed(w)))
+        assert mod1(h + h_dual - Fraction(boxes, 2)) == 0
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)

