@@ -7,13 +7,13 @@ classes are pairs (object, character of H) modulo the relation
 tensor with characters adding.  When fixed points are present the free-action
 construction does not apply and the builder refuses; the pointed ring
 (restricted to invertible objects, where the action is always free) is the
-fallback.  The simple objects, their fusion and conjugation are read from the
-algebra's Picard group, so a ring cannot mix one category's data with
-another's algebra.  The invertible classes are found as the simple currents
-are, by `picard.unit_group` counting the rows of each class, once per ring:
-the ring keeps them with their group table as `units`, which
-`bimodule_picard` and `kramers_wannier_candidates` read.  Xi is read as its
-algebra holds it, checked when the algebra was made.
+fallback.  The simple objects and their fusion are read from the algebra's
+Picard group, so a ring cannot mix one category's data with another's
+algebra.  A ring is its basis and its table, and the rest is read from the
+table once per ring: the invertible classes as the simple currents are, by
+`picard.unit_group` counting the rows of each class (`units`), and the duals
+from the unit rows (x, x_bar, 0, 1) (`dual`).  Xi is read as its algebra
+holds it, checked when the algebra was made.
 
 The structure constants are filled with integer-coded characters: each
 character of H is coded once on the grid of the Picard group's
@@ -27,7 +27,7 @@ giving one key (x, y, z) per pair of characters, and equal keys are summed
 into one row.  No rank^3 array is made: `unit_group` reads the units'
 action from the table's columns, and the duality test reads every
 b (x) b_dual from the table in one pass.  The construction makes a fusion
-ring, its unit and duals included, so neither reader checks them again.
+ring, so each x x_bar holds the unit once and no other product holds it.
 """
 
 from __future__ import annotations
@@ -63,13 +63,19 @@ class BimoduleRing:
     sorted by (x, y, z).  The basis lists orbits by least object, then characters
     by value, so the unit (the vacuum with the trivial character) is class 0."""
 
-    algebra: SchellekensAlgebra
     basis: tuple[BimoduleClass, ...]
     structure: np.ndarray
-    dual: np.ndarray  # [x]: position of the dual class, (i_bar, -psi) for (i, psi)
 
     def __len__(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """[x], read-only: the position of x's dual, (i_bar, -psi) for
+        (i, psi), read from the unit rows (x, x_bar, 0, 1), one per x in order."""
+        dual = self.structure[self.structure[:, 2] == 0, 1]
+        dual.flags.writeable = False
+        return dual
 
     @cached_property
     def units(self) -> tuple[tuple[int, ...], groups.Table]:
@@ -141,18 +147,8 @@ def _build_ring(algebra: SchellekensAlgebra, pointed: bool) -> BimoduleRing:
     coef = np.add.reduceat(mult, first)
     key = key[first]
     structure = np.column_stack((key // (n * n), key // n % n, key % n, coef))
-    dual = np.empty(n, dtype=np.intp)
-    dual[np.arange(len(reps))[:, None] * nchar + rank] = canon[
-        np.asarray(md.conjugation)[reps][:, None], code(-digits)
-    ]
     structure.flags.writeable = False
-    dual.flags.writeable = False
-    return BimoduleRing(
-        algebra=algebra,
-        basis=basis,
-        structure=structure,
-        dual=dual,
-    )
+    return BimoduleRing(basis, structure)
 
 
 def build_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
@@ -167,13 +163,13 @@ def build_pointed_bimodule_ring(algebra: SchellekensAlgebra) -> BimoduleRing:
 
 @dataclass(frozen=True)
 class BimodulePicard:
-    """Invertible bimodule classes: the internal-symmetry group of the CFT."""
+    """The group of invertible bimodule classes, the internal-symmetry group of
+    the CFT, by its invariant factors; the classes are `ring.units`."""
 
-    elements: tuple[BimoduleClass, ...]
     invariant_factors: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return prod(self.invariant_factors)
 
     @property
     def iso_class_name(self) -> str:
@@ -182,12 +178,8 @@ class BimodulePicard:
 
 def bimodule_picard(ring: BimoduleRing) -> BimodulePicard:
     """The group of invertible classes, realizing H* x_H Pic(C)."""
-    positions, table = ring.units
-    return BimodulePicard(
-        elements=tuple(ring.basis[x] for x in positions),
-        # abelian: every ring's table is symmetric
-        invariant_factors=groups.invariant_factors(table),
-    )
+    # abelian: every ring's table is symmetric
+    return BimodulePicard(groups.invariant_factors(ring.units[1]))
 
 
 def kramers_wannier_candidates(ring: BimoduleRing) -> list[BimoduleClass]:

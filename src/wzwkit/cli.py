@@ -112,45 +112,44 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
-        config, lie_type = _validate(args)
-        # Only an accepted input loads numpy, the numeric layer and the report
-        # builders, and before the clock starts, so that --timing reports the
-        # work, not the import.
-        from . import cache, jsonout, reports  # noqa: F401
-        started = time.monotonic()
-        input_blob, payload, checks = reports.run_query(args, config, lie_type)
-    except WzwError as exc:
-        print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"wzwkit: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # numpy raises a private subclass: name the public class
-        print(f"wzwkit: MemoryError: {exc}", file=sys.stderr)
-        return 2
+        try:
+            config, lie_type = _validate(args)
+            # Only an accepted input loads numpy, the numeric layer and the report
+            # builders, and before the clock starts, so that --timing reports the
+            # work, not the import.
+            from . import cache, jsonout, reports  # noqa: F401
+            started = time.monotonic()
+            input_blob, payload, checks = reports.run_query(args, config, lie_type)
+        except WzwError as exc:
+            print(f"wzwkit: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            print(f"wzwkit: {exc}", file=sys.stderr)
+            return 2
 
-    report = {
-        "schemaVersion": 1,
-        "command": args.command,
-        "input": input_blob,
-        "payload": payload,
-        "checks": checks,
-        "timingSeconds": round(time.monotonic() - started, 6) if args.timing else None,
-    }
-    try:
-        if args.pretty:
-            reports.print_pretty(report)
-        else:
-            jsonout.write(report, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early: stop quietly, leaving any later
-        # flush of standard output nothing to fail on (main()'s, or the
-        # interpreter's at exit when run() is called from Python)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
-    except MemoryError as exc:  # what was written stays on standard output, cut short
-        print(f"wzwkit: MemoryError: {exc}", file=sys.stderr)
+        report = {
+            "schemaVersion": 1,
+            "command": args.command,
+            "input": input_blob,
+            "payload": payload,
+            "checks": checks,
+            "timingSeconds": round(time.monotonic() - started, 6) if args.timing else None,
+        }
+        try:
+            if args.pretty:
+                reports.print_pretty(report)
+            else:
+                jsonout.write(report, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early: stop quietly, leaving any later
+            # flush of standard output nothing to fail on (main()'s, or the
+            # interpreter's at exit when run() is called from Python)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
+    except MemoryError as exc:  # in the query, or in the write, which stays cut short
+        # numpy raises a private subclass, Python's own allocator one with no message
+        print(f"wzwkit: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     failed = any(not c["pass"] for c in checks)
     if failed and (args.strict or args.command == "selftest"):

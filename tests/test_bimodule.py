@@ -201,7 +201,9 @@ def test_picard_order_formula(pic_of):
 
 @pytest.mark.parametrize("name,k", [("A2", 2), ("A3", 1), ("A5", 2), ("D4", 3)])
 def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
-    """N_{x y}^1 = [y = dual(x)], on rings whose characters have order 3, 4 or 6."""
+    """On rings whose characters have order 3, 4 or 6, where the dual is read
+    from the unit rows: each class x has exactly one row (x, y, unit, N), with
+    N = 1, and x -> y is an involution fixing the unit."""
     for alg in classify_algebras(pic_of(name, k)):
         for build in (build_bimodule_ring, build_pointed_bimodule_ring):
             try:
@@ -209,8 +211,10 @@ def test_dual_is_the_class_that_pairs_to_the_unit(name, k, pic_of):
             except FixedPointsPresent:
                 continue
             n = len(ring)
-            structure = dense(ring.structure, n)
-            assert np.array_equal(structure[:, :, 0], np.eye(n, dtype=np.int64)[ring.dual])
+            rows = ring.structure[ring.structure[:, 2] == 0]
+            assert np.array_equal(rows[:, 0], np.arange(n)) and np.all(rows[:, 3] == 1)
+            assert np.array_equal(ring.dual, rows[:, 1]) and ring.dual[0] == 0
+            assert np.array_equal(ring.dual[ring.dual], np.arange(n))
 
 
 def fusion_rows_kramers_wannier(ring):

@@ -328,33 +328,42 @@ def test_user_error_exit_codes(capsys, tmp_path):
     assert "GroupTooLarge" in err
 
 
+# (the exception, the reason on stderr): numpy's refusal names what it could not
+# allocate; Python's own allocator raises a bare MemoryError, named by a fixed reason
+REFUSALS = [(MemoryError("Unable to allocate 25.2 GiB"), "Unable to allocate 25.2 GiB"),
+            (MemoryError(), "out of memory")]
+
+
 @pytest.mark.parametrize("command", ["modular-data", "picard"])
 def test_refused_allocation_exits_2(capsys, monkeypatch, command):
     """An allocation the machine refuses (as numpy's for the n^3 Verlinde
     tensor of A1 1500) is a refusal of the input: exit 2, one line naming the
-    public MemoryError on stderr, nothing on stdout."""
-    def refuse(s, config=DEFAULT_CONFIG):
-        raise MemoryError("Unable to allocate 25.2 GiB")
+    public MemoryError and a reason on stderr, nothing on stdout."""
+    for exc, reason in REFUSALS:
+        def refuse(s, config=DEFAULT_CONFIG):
+            raise exc
 
-    monkeypatch.setattr(affine, "verlinde_fusion", refuse)
-    assert run([command, "A1", "3", "--no-cache"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
+        monkeypatch.setattr(affine, "verlinde_fusion", refuse)
+        assert run([command, "A1", "3", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wzwkit: MemoryError: {reason}\n"
 
 
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
 def test_refused_allocation_while_writing_exits_2(capsys, monkeypatch, pretty):
     """An allocation refused while the report is written (as numpy's for a
     big table's literals) ends the run as one refused before it: exit 2 and
-    one line naming the public MemoryError on stderr, no traceback."""
-    def refuse(a):
-        raise MemoryError("Unable to allocate 25.2 GiB")
+    one line naming the public MemoryError and a reason on stderr, no
+    traceback."""
+    for exc, reason in REFUSALS:
+        def refuse(a):
+            raise exc
 
-    monkeypatch.setattr(jsonout, "literal_table", refuse)
-    monkeypatch.setattr(reports, "print_pretty", lambda report: refuse(None))
-    assert run(["modular-data", "A1", "3", "--no-cache", *pretty]) == 2
-    assert capsys.readouterr().err == "wzwkit: MemoryError: Unable to allocate 25.2 GiB\n"
+        monkeypatch.setattr(jsonout, "literal_table", refuse)
+        monkeypatch.setattr(reports, "print_pretty", lambda report: refuse(None))
+        assert run(["modular-data", "A1", "3", "--no-cache", *pretty]) == 2
+        assert capsys.readouterr().err == f"wzwkit: MemoryError: {reason}\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -309,12 +309,17 @@ def test_self_conjugate_sum_is_real_once_normalized(md_of, algebra):
 def test_conjugation_is_a_vacuum_fixing_involution(md_of, algebra):
     """Every algebra of the draw: the conjugation, whose rows
     conjugation_from_S reads one at a time, is a bijection, fixes the vacuum
-    and is its own inverse."""
+    and is its own inverse; and it is the fusion table's own pairing to the
+    vacuum, whose rows (i, j, 0, N) are exactly (i, conjugation[i], 0, 1),
+    one per i, as the bimodule rings' duals are read."""
     md = md_of(*algebra)
     c = md.conjugation
-    assert sorted(c) == list(range(len(md)))
-    assert c[md.vacuum] == md.vacuum
-    assert all(c[c[i]] == i for i in range(len(md)))
+    n = len(md)
+    assert sorted(c) == list(range(n))
+    assert c[md.vacuum] == md.vacuum == 0
+    assert all(c[c[i]] == i for i in range(n))
+    pairs = np.column_stack((np.arange(n), c, np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)))
+    assert np.array_equal(md.fusion[md.fusion[:, 2] == 0], pairs)
 
 
 def _symplectic(rank):
@@ -354,6 +359,41 @@ def test_symplectic_level_rank_duality(md_of, pair):
                             (dual.conformal_weights[i] for i in image)):
         boxes = sum(itertools.accumulate(reversed(w)))
         assert mod1(h + h_dual - Fraction(boxes, 2)) == 0
+
+
+def _chain_invariants(pg, image):
+    """The multiset of each algebra's (Z, with object i read as image[i], |H|,
+    ring rank, pointed only, bimodule Picard invariant factors, number of KW
+    candidates, boundary count or None where it needs phi)."""
+    out = []
+    for alg in pg.algebras:
+        z = np.zeros_like(alg.partition)
+        z[np.ix_(image, image)] = alg.partition
+        try:
+            ring, pointed = build_bimodule_ring(alg), False
+        except FixedPointsPresent:
+            ring, pointed = build_pointed_bimodule_ring(alg), True
+        try:
+            count = count_boundary_conditions(alg).total
+        except PhiUnavailable:
+            count = None
+        out.append((z.tobytes(), len(alg.support), len(ring), pointed,
+                    bimodule_picard(ring).invariant_factors,
+                    len(kramers_wannier_candidates(ring)), count))
+    return sorted(out, key=repr)
+
+
+@pytest.mark.parametrize("pair", LEVEL_RANK, ids=lambda p: "{0[0]}:{0[1]}-{1[0]}:{1[1]}".format(*p))
+def test_symplectic_level_rank_duality_carries_the_chain(pic_of, pair):
+    """Every dual pair of the draw: the Young transpose carries C_n:k's
+    algebras onto C_k:n's, the partition matrices with their support orders,
+    bimodule rings, ring Picard groups, duality candidates and boundary
+    counts.  |H| tells apart the two algebras with one Z of A1:2 and C2:1,
+    whose rings differ (the full ring of rank 3 and the pointed one of rank 2)."""
+    (name, k), (dual_name, n) = pair
+    pg, dual = pic_of(name, k), pic_of(dual_name, n)
+    image = [dual.md.level_data.index(young_transpose(w, k)) for w in pg.md.weights]
+    assert _chain_invariants(pg, image) == _chain_invariants(dual, range(len(dual.md)))
 
 
 @pytest.mark.parametrize("algebra", WITHIN_BUDGET, ids="{0[0]}:{0[1]}".format)
